@@ -63,7 +63,6 @@ func main() {
 		summ     = flag.Bool("summaries", false, "cache compositional function summaries and discharge call sites from them")
 		summMax  = flag.Uint64("summary-steps", 0, "step budget per summary recording (0 = default 4096)")
 		noSess   = flag.Bool("nosessions", false, "disable incremental solver sessions (ablation)")
-		preproc  = flag.String("preprocess", "on", "solver preprocessing pipeline: on, off, or comma list of passes (simplify,subst-eq,slice)")
 		stats    = flag.Bool("stats", false, "print rewrite-rule hit counters and preprocessing statistics")
 		workers  = flag.Int("workers", 0, "parallel exploration workers (0 = sequential)")
 		portf    = flag.String("portfolio", "", "race merge regimes concurrently, first to finish wins (comma list, e.g. none,ssm+qce,dsm+qce)")
@@ -141,7 +140,6 @@ func main() {
 		Summaries:       *summ,
 		SummaryMaxSteps: *summMax,
 		DisableSessions: *noSess,
-		Preprocess:      *preproc,
 		CorpusDir:       *emitDir,
 		CorpusLabel:     label,
 		CheckpointDir:   *ckptDir,
@@ -152,9 +150,6 @@ func main() {
 		DisableAnalysis: *noAn,
 	}
 	cfg.Merge = parseMerge(*merge)
-	if err := symx.ParsePreprocess(*preproc); err != nil {
-		fatal(err)
-	}
 
 	// Any observability consumer needs the metrics registry and the live
 	// monitor; wiring them costs nothing when nobody looks.

@@ -5,7 +5,8 @@
 // The public API lives in symmerge/symx (compile MiniC programs, explore
 // them symbolically with configurable state merging). The evaluation
 // harness regenerating the paper's figures lives in cmd/paperbench; the
-// benchmark entry points are in bench_test.go at the module root.
+// performance benchmark is cmd/symbench, and the Go benchmark entry points
+// are in bench_test.go at the module root.
 //
 // See README.md for the package tour and the architecture notes on the
 // incremental solver sessions that back the engine's feasibility queries

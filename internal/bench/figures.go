@@ -424,164 +424,6 @@ func Spectrum(opts Options) *Table {
 	return t
 }
 
-// SolverSessions is the incremental-session ablation table: every tool runs
-// the Figure-6-style SSM+QCE configuration twice — sessions on (default) and
-// off — and reports wall time, solver time, and the session counters. The
-// session arm blasts each path-condition conjunct once per lineage and
-// answers repeat queries under assumptions; the off arm re-blasts the whole
-// constraint set per query, which is the O(n²)-per-path overhead the
-// sessions remove.
-func SolverSessions(opts Options) *Table {
-	t := &Table{
-		Title: "Incremental solver sessions: blast-once/assume-many vs one-shot",
-		Comment: fmt.Sprintf("timeout %v per run; SSM+QCE on every tool; reuse = conjunct blastings avoided",
-			opts.Timeout),
-		Header: []string{"tool", "t_oneshot_s", "t_session_s", "speedup",
-			"sat_oneshot_s", "sat_session_s", "sess_q", "reuse", "bypass"},
-	}
-	var speedups []float64
-	timeouts := 0
-	for _, tool := range coreutils.All() {
-		run := func(disable bool) RunOutcome {
-			out, err := runTool(tool, func(cfg *symx.Config) {
-				grow(tool, cfg, 2)
-				cfg.Merge = symx.MergeSSM
-				cfg.UseQCE = true
-				cfg.DisableSessions = disable
-				cfg.MaxTime = opts.Timeout
-			}, opts)
-			if err != nil {
-				panic(err)
-			}
-			return out
-		}
-		oneShot := run(true)
-		sess := run(false)
-		wall := func(o RunOutcome) string {
-			if !o.Completed {
-				return "timeout"
-			}
-			return fmt.Sprintf("%.3f", o.Elapsed)
-		}
-		if !oneShot.Completed || !sess.Completed {
-			// A timed-out arm makes the ratio meaningless; keep the row
-			// (marked) so the exclusion from the mean stays visible.
-			timeouts++
-			t.Rows = append(t.Rows, []string{
-				tool.Name, wall(oneShot), wall(sess), "-",
-				fmt.Sprintf("%.3f", oneShot.SATTime),
-				fmt.Sprintf("%.3f", sess.SATTime),
-				fmt.Sprint(sess.SessQueries),
-				fmt.Sprint(sess.SessReuse),
-				fmt.Sprint(sess.SessBypasses)})
-			continue
-		}
-		sp := oneShot.Elapsed / math.Max(sess.Elapsed, 1e-6)
-		speedups = append(speedups, sp)
-		t.Rows = append(t.Rows, []string{
-			tool.Name, wall(oneShot), wall(sess),
-			fmt.Sprintf("%.2f", sp),
-			fmt.Sprintf("%.3f", oneShot.SATTime),
-			fmt.Sprintf("%.3f", sess.SATTime),
-			fmt.Sprint(sess.SessQueries),
-			fmt.Sprint(sess.SessReuse),
-			fmt.Sprint(sess.SessBypasses)})
-	}
-	if len(speedups) > 0 {
-		var sum float64
-		for _, s := range speedups {
-			sum += s
-		}
-		t.Comment += fmt.Sprintf("\nmean wall-clock speedup: %.2fx over %d tools (%d timed-out rows excluded)",
-			sum/float64(len(speedups)), len(speedups), timeouts)
-	}
-	return t
-}
-
-// ParallelScaling measures the parallel exploration subsystem: every tool
-// runs exhaustively at Workers=1 and Workers=N (opts.Workers, default 4)
-// and the table reports the wall-clock speedup together with an equality
-// check of the exploration results — paths-multiplicity, coverage, and the
-// set of distinct errors must be identical, the subsystem's core invariant.
-// The sweep uses no merging, the regime where the two runs are strictly
-// comparable state-for-state; sharded merging regimes keep the same path
-// multiplicity but complete different state counts (merging is
-// worker-local), so they are exercised by the differential test suite
-// rather than timed here.
-func ParallelScaling(opts Options) *Table {
-	workers := opts.Workers
-	if workers <= 1 {
-		workers = 4
-	}
-	t := &Table{
-		Title: fmt.Sprintf("Parallel scaling: %d workers vs 1 (shared-frontier sharding, work-stealing)", workers),
-		Comment: fmt.Sprintf("timeout %v per run; no merging; identical = paths-multiplicity, coverage and error set match",
-			opts.Timeout),
-		Header: []string{"tool", "t_seq_s", "t_par_s", "speedup", "identical", "paths", "coverage"},
-	}
-	errSet := func(res *symx.Result) map[string]bool {
-		out := map[string]bool{}
-		for _, e := range res.Errors {
-			out[fmt.Sprintf("%v|%s", e.Loc, e.Msg)] = true
-		}
-		return out
-	}
-	var speedups []float64
-	timeouts, mismatches := 0, 0
-	for _, tool := range coreutils.All() {
-		p, err := tool.Compile()
-		if err != nil {
-			panic(err)
-		}
-		run := func(w int) *symx.Result {
-			cfg := tool.BaseConfig()
-			grow(tool, &cfg, 1)
-			cfg.Seed = opts.Seed
-			cfg.MaxTime = opts.Timeout
-			cfg.Workers = w
-			return symx.Run(p, cfg)
-		}
-		seq := run(1)
-		par := run(workers)
-		if !seq.Completed || !par.Completed {
-			timeouts++
-			t.Rows = append(t.Rows, []string{tool.Name, "timeout", "timeout", "-", "-", "-", "-"})
-			continue
-		}
-		same := seq.Stats.PathsMult.Cmp(par.Stats.PathsMult) == 0 &&
-			seq.Stats.CoveredInstrs == par.Stats.CoveredInstrs
-		if same {
-			se, pe := errSet(seq), errSet(par)
-			same = len(se) == len(pe)
-			for k := range se {
-				same = same && pe[k]
-			}
-		}
-		if !same {
-			mismatches++
-		}
-		sp := seq.Stats.ElapsedSeconds / math.Max(par.Stats.ElapsedSeconds, 1e-6)
-		speedups = append(speedups, sp)
-		t.Rows = append(t.Rows, []string{
-			tool.Name,
-			fmt.Sprintf("%.3f", seq.Stats.ElapsedSeconds),
-			fmt.Sprintf("%.3f", par.Stats.ElapsedSeconds),
-			fmt.Sprintf("%.2f", sp),
-			fmt.Sprint(same),
-			fmtBig(par.Stats.PathsMult),
-			fmt.Sprintf("%.1f%%", 100*par.Stats.Coverage())})
-	}
-	if len(speedups) > 0 {
-		var sum float64
-		for _, s := range speedups {
-			sum += s
-		}
-		t.Comment += fmt.Sprintf("\nmean wall-clock speedup: %.2fx over %d tools (%d timed-out rows excluded, %d result mismatches)",
-			sum/float64(len(speedups)), len(speedups), timeouts, mismatches)
-	}
-	return t
-}
-
 // FFStat reproduces the §5.5 in-text statistic: the fraction of states
 // selected for fast-forwarding that were successfully merged (the paper
 // measures 69% on average).

@@ -61,7 +61,10 @@ func TestAllExploreExhaustively(t *testing.T) {
 }
 
 // TestPreprocessAblationSoundness sweeps the whole suite under SSM+QCE
-// with the solver's preprocessing pipeline on vs off: since every pass is
+// with the solver's preprocessing pipeline in and out of the query path.
+// Incremental sessions answer queries without preprocessing; with sessions
+// disabled every query is one-shot and runs the full pipeline (simplify,
+// equality substitution, independence slicing). Since every pass is
 // semantics-preserving, paths-multiplicity, coverage, and the error set
 // must match bit-for-bit. Input sizes are capped as in
 // TestMergingSoundness so the double sweep stays inside the package
@@ -89,12 +92,12 @@ func TestPreprocessAblationSoundness(t *testing.T) {
 			cfg.CheckBounds = true
 			cfg.MaxTime = 5 * time.Second
 
-			run := func(spec string) *symx.Result {
+			run := func(oneShot bool) *symx.Result {
 				c := cfg
-				c.Preprocess = spec
+				c.DisableSessions = oneShot
 				return symx.Run(p, c)
 			}
-			on, off := run("on"), run("off")
+			on, off := run(true), run(false)
 			if !on.Completed || !off.Completed {
 				t.Skip("exploration over budget")
 			}

@@ -117,13 +117,13 @@ func TestParallelDifferential(t *testing.T) {
 }
 
 // TestPreprocessDifferential asserts that the solver's preprocessing
-// pipeline is invisible to the exploration: for merged-state regimes over
-// coreutils models, preprocess on vs off — and each crossed with Workers 1
-// vs 8 — produce bit-identical paths-multiplicity, coverage, and error
-// sets. This is the guard on the refactor's hash-consing invariants:
-// preprocessing rewrites queries *after* fingerprinting and sessions key
-// on conjunct identity, so no pipeline configuration may change what gets
-// explored.
+// pipeline stays invisible to sharded exploration: with incremental
+// sessions disabled every query is one-shot and runs the pipeline, and for
+// merged-state regimes over coreutils models Workers 1 vs 8 must produce
+// bit-identical paths-multiplicity, coverage, and error sets. This guards
+// the hash-consing invariants the pipeline relies on: it rewrites queries
+// *after* fingerprinting, under a builder and cex cache shared across
+// workers.
 func TestPreprocessDifferential(t *testing.T) {
 	t.Parallel()
 	tools := []string{"echo", "basename", "cat", "expr"}
@@ -147,23 +147,18 @@ func TestPreprocessDifferential(t *testing.T) {
 				base.Merge, base.UseQCE = m.merge, m.qce
 				base.Seed = 1
 				base.CheckBounds = true
+				base.DisableSessions = true
 
-				var ref *outcome
-				for _, workers := range []int{1, 8} {
-					for _, spec := range []string{"on", "off"} {
-						cfg := base
-						cfg.Workers = workers
-						cfg.Preprocess = spec
-						got := reduce(t, symx.Run(prog, cfg))
-						if ref == nil {
-							ref = &got
-							continue
-						}
-						if diff := sameOutcome(*ref, got); diff != "" {
-							t.Fatalf("workers=%d preprocess=%s diverged from baseline: %s",
-								workers, spec, diff)
-						}
-					}
+				base.Workers = 1
+				res := symx.Run(prog, base)
+				if res.Stats.Solver.PreprocQueries == 0 {
+					t.Fatal("no query ran the preprocessing pipeline")
+				}
+				seq := reduce(t, res)
+				base.Workers = 8
+				par := reduce(t, symx.Run(prog, base))
+				if diff := sameOutcome(seq, par); diff != "" {
+					t.Fatalf("workers=1 vs workers=8 diverged with every query preprocessed: %s", diff)
 				}
 			})
 		}

@@ -3,13 +3,9 @@ package solver
 // passes.go: the ordered preprocessing-pass pipeline applied to one-shot
 // queries before bit-blasting.
 //
-// Historically the one-shot path interleaved its rewrites ad hoc inside
-// checkSatIn: equality substitution inline, independence slicing hidden in
-// checkSliced, and simplification scattered across the expression builder's
-// constructors. The pipeline makes the order explicit and ablatable: a
-// query is a mutable Query value threaded through Options.Passes in order,
-// after which the (possibly grouped) constraints are bit-blasted. The
-// incremental-session path (session.go) deliberately bypasses the pipeline:
+// A query is a mutable Query value threaded through the solver's passes in
+// the order New fixes, after which the (possibly grouped) constraints are
+// bit-blasted. The incremental-session path (session.go) deliberately bypasses the pipeline:
 // rewriting conjuncts would change their identity and defeat the
 // blast-once/assume-many reuse that sessions exist for.
 //
@@ -18,12 +14,7 @@ package solver
 // invariant) and safe for concurrent use from multiple Solvers: pass values
 // are stateless — all mutable state lives in the per-query Query.
 
-import (
-	"fmt"
-	"strings"
-
-	"symmerge/internal/expr"
-)
+import "symmerge/internal/expr"
 
 // Query is the mutable state threaded through the preprocessing pipeline
 // for one satisfiability question.
@@ -40,103 +31,56 @@ type Query struct {
 	Groups [][]*expr.Expr
 }
 
-// Pass is one step of the preprocessing pipeline. Fn mutates q in place;
+// Pass is one step of the preprocessing pipeline. It mutates q in place;
 // the Solver is passed for its builder and statistics.
-type Pass struct {
-	Name string
-	Fn   func(s *Solver, q *Query)
-}
+type Pass func(s *Solver, q *Query)
 
-// SimplifyPass canonicalizes the constraint set through the expression
+// simplifyPass canonicalizes the constraint set through the expression
 // rewrite table (expr/rules.go): each conjunct is simplified bottom-up,
 // then the set is re-conjoined through the n-ary constructor — which
 // deduplicates, eliminates complementary pairs, absorbs, and factors
 // across conjuncts — and flattened back into conjuncts.
-func SimplifyPass() Pass {
-	return Pass{Name: "simplify", Fn: func(s *Solver, q *Query) {
-		if s.build == nil {
-			return
-		}
-		q.Constraints = s.build.SimplifySet(q.Constraints)
-	}}
+func simplifyPass(s *Solver, q *Query) {
+	if s.build == nil {
+		return
+	}
+	q.Constraints = s.build.SimplifySet(q.Constraints)
 }
 
-// SubstitutePass rewrites the constraint set using the equalities it
+// substitutePass rewrites the constraint set using the equalities it
 // contains (KLEE's ConstraintManager simplification): a conjunct of the
 // form `x = const` lets every other conjunct evaluate x concretely, which
 // often collapses whole subtrees before bit-blasting.
-func SubstitutePass() Pass {
-	return Pass{Name: "subst-eq", Fn: func(s *Solver, q *Query) {
-		if s.build == nil {
-			return
-		}
-		out, binding := substituteEqualities(s.build, q.Constraints)
-		if len(binding) == 0 {
-			return
-		}
-		q.Constraints = out
-		if q.Binding == nil {
-			q.Binding = binding
-			return
-		}
-		for v, val := range binding {
-			q.Binding[v] = val
-		}
-	}}
+func substitutePass(s *Solver, q *Query) {
+	if s.build == nil {
+		return
+	}
+	out, binding := substituteEqualities(s.build, q.Constraints)
+	if len(binding) == 0 {
+		return
+	}
+	q.Constraints = out
+	if q.Binding == nil {
+		q.Binding = binding
+		return
+	}
+	for v, val := range binding {
+		q.Binding[v] = val
+	}
 }
 
-// SlicePass partitions the constraints into independent groups (connected
+// slicePass partitions the constraints into independent groups (connected
 // components of the shared-variable graph); the conjunction is sat iff
 // every component is, and each component blasts to a much smaller CNF.
-func SlicePass() Pass {
-	return Pass{Name: "slice", Fn: func(s *Solver, q *Query) {
-		if len(q.Constraints) <= 1 {
-			return
-		}
-		groups := independentGroups(q.Constraints)
-		if len(groups) > 1 {
-			s.Stats.IndepSliced++
-			q.Groups = groups
-		}
-	}}
-}
-
-// DefaultPasses returns the full preprocessing pipeline in its canonical
-// order: simplify (cheap, may erase work for the later passes), equality
-// substitution (may split variable dependencies), then independence
-// slicing (best run last, on the smallest constraint set).
-func DefaultPasses() []Pass {
-	return []Pass{SimplifyPass(), SubstitutePass(), SlicePass()}
-}
-
-// ParsePasses resolves a CLI preprocessing spec: "" or "on" selects
-// DefaultPasses, "off"/"none" disables preprocessing entirely, and a
-// comma-separated list of pass names ("simplify,slice") selects a custom
-// pipeline in the given order — the ablation hook for the benchmarks.
-func ParsePasses(spec string) ([]Pass, error) {
-	switch strings.TrimSpace(spec) {
-	case "", "on":
-		return DefaultPasses(), nil
-	case "off", "none":
-		return []Pass{}, nil
+func slicePass(s *Solver, q *Query) {
+	if len(q.Constraints) <= 1 {
+		return
 	}
-	known := map[string]func() Pass{
-		"simplify": SimplifyPass,
-		"subst-eq": SubstitutePass,
-		"slice":    SlicePass,
+	groups := independentGroups(q.Constraints)
+	if len(groups) > 1 {
+		s.Stats.IndepSliced++
+		q.Groups = groups
 	}
-	var out []Pass
-	for _, name := range strings.Split(spec, ",") {
-		mk, ok := known[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("solver: unknown preprocessing pass %q (known: simplify, subst-eq, slice)", name)
-		}
-		out = append(out, mk())
-	}
-	if out == nil {
-		out = []Pass{}
-	}
-	return out, nil
 }
 
 // runPasses executes the pipeline over the live constraint set and records
@@ -152,7 +96,7 @@ func (s *Solver) runPasses(live []*expr.Expr) *Query {
 	s.Stats.PreprocQueries++
 	s.Stats.PreprocNodesIn += sumNodes(live)
 	for _, p := range s.passes {
-		p.Fn(s, q)
+		p(s, q)
 	}
 	s.Stats.PreprocNodesOut += sumNodes(q.Constraints)
 	return q

@@ -12,44 +12,12 @@ import (
 	"symmerge/internal/expr"
 )
 
-func TestParsePasses(t *testing.T) {
-	cases := []struct {
-		spec  string
-		names []string
-		err   bool
-	}{
-		{"", []string{"simplify", "subst-eq", "slice"}, false},
-		{"on", []string{"simplify", "subst-eq", "slice"}, false},
-		{"off", []string{}, false},
-		{"none", []string{}, false},
-		{"simplify", []string{"simplify"}, false},
-		{"slice,simplify", []string{"slice", "simplify"}, false},
-		{" subst-eq , slice ", []string{"subst-eq", "slice"}, false},
-		{"bogus", nil, true},
-		{"simplify,bogus", nil, true},
-	}
-	for _, c := range cases {
-		got, err := ParsePasses(c.spec)
-		if c.err {
-			if err == nil {
-				t.Errorf("ParsePasses(%q): expected error", c.spec)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParsePasses(%q): %v", c.spec, err)
-			continue
-		}
-		if len(got) != len(c.names) {
-			t.Errorf("ParsePasses(%q) = %d passes, want %v", c.spec, len(got), c.names)
-			continue
-		}
-		for i, p := range got {
-			if p.Name != c.names[i] {
-				t.Errorf("ParsePasses(%q)[%d] = %q, want %q", c.spec, i, p.Name, c.names[i])
-			}
-		}
-	}
+// withPasses builds a solver over b running exactly the given pipeline.
+func withPasses(b *expr.Builder, passes ...Pass) *Solver {
+	s := New(Options{})
+	s.passes = passes
+	s.AttachBuilder(b)
+	return s
 }
 
 // TestPipelineConfigsAgree fuzzes random conjunction sets through four
@@ -59,20 +27,11 @@ func TestPipelineConfigsAgree(t *testing.T) {
 	b := expr.NewBuilder()
 	g := &exprGen{rng: rand.New(rand.NewSource(3)), b: b,
 		x: b.Var("x", 4), y: b.Var("y", 4)}
-	mk := func(spec string) *Solver {
-		passes, err := ParsePasses(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := New(Options{Passes: passes})
-		s.AttachBuilder(b)
-		return s
-	}
 	solvers := map[string]*Solver{
-		"off":      mk("off"),
-		"simplify": mk("simplify"),
-		"full":     mk("on"),
-		"sliced":   mk("slice"),
+		"off":      withPasses(b),
+		"simplify": withPasses(b, simplifyPass),
+		"full":     withPasses(b, simplifyPass, substitutePass, slicePass),
+		"sliced":   withPasses(b, slicePass),
 	}
 	for iter := 0; iter < 200; iter++ {
 		n := 1 + g.rng.Intn(4)
@@ -128,24 +87,20 @@ func TestPipelineShrinksEncoding(t *testing.T) {
 		b.Or(b.And(p, q), b.And(p, r)), // factors to p ∧ (q∨r); p already present
 		b.Ult(b.Const(0, 8), y),
 	}
-	run := func(spec string) (bool, uint64) {
-		passes, err := ParsePasses(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := New(Options{Passes: passes})
-		s.AttachBuilder(b)
+	run := func(name string, s *Solver) (bool, uint64) {
 		res, m, err := s.CheckSat(cs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res && !modelSatisfies(m, cs) {
-			t.Fatalf("%s: model does not satisfy constraints", spec)
+			t.Fatalf("%s: model does not satisfy constraints", name)
 		}
 		return res, s.Stats.SATVars + s.Stats.SATClauses
 	}
-	resOff, encOff := run("off")
-	resOn, encOn := run("on")
+	resOff, encOff := run("off", withPasses(b))
+	on := New(DefaultOptions())
+	on.AttachBuilder(b)
+	resOn, encOn := run("on", on)
 	if resOff != resOn {
 		t.Fatalf("verdicts diverge: off=%v on=%v", resOff, resOn)
 	}

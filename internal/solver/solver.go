@@ -97,14 +97,6 @@ type Options struct {
 	// expression IDs, so every sharing solver must also share one
 	// expr.Builder. Ignored unless EnableCexCache is set.
 	SharedCache *Cache
-
-	// Passes is the ordered preprocessing pipeline applied to one-shot
-	// queries before bit-blasting (see passes.go). nil selects the
-	// default: simplification and equality substitution, plus
-	// independence slicing when EnableIndependence is set. An explicit
-	// empty slice disables preprocessing entirely — the
-	// `-preprocess off` ablation baseline.
-	Passes []Pass
 }
 
 // DefaultOptions enables every optimization, mirroring the paper's KLEE
@@ -130,7 +122,7 @@ type Solver struct {
 	opts   Options
 	cache  *Cache
 	build  *expr.Builder // for simplification + substitution; nil disables both
-	passes []Pass        // resolved preprocessing pipeline (see New)
+	passes []Pass        // preprocessing pipeline for one-shot queries (see New)
 
 	// deadline bounds each underlying SAT call in wall-clock time; zero
 	// means none. See SetDeadline.
@@ -185,20 +177,17 @@ func New(opts Options) *Solver {
 	if cache == nil {
 		cache = newCexCache()
 	}
-	s := &Solver{opts: opts, cache: cache}
-	if opts.Passes != nil {
-		s.passes = opts.Passes
-	} else {
-		s.passes = []Pass{SimplifyPass(), SubstitutePass()}
-		if opts.EnableIndependence {
-			s.passes = append(s.passes, SlicePass())
-		}
+	// The preprocessing pipeline in its canonical order: simplify (cheap,
+	// may erase work for the later passes), equality substitution (may
+	// split variable dependencies), then independence slicing (best run
+	// last, on the smallest constraint set).
+	s := &Solver{opts: opts, cache: cache,
+		passes: []Pass{simplifyPass, substitutePass}}
+	if opts.EnableIndependence {
+		s.passes = append(s.passes, slicePass)
 	}
 	return s
 }
-
-// Passes returns the resolved preprocessing pipeline (testing/reporting).
-func (s *Solver) Passes() []Pass { return s.passes }
 
 // AttachBuilder enables equality-substitution simplification; the builder
 // must be the one that constructed the query expressions.
@@ -332,7 +321,7 @@ func (s *Solver) decide(sess *Session, live []*expr.Expr, needModel bool) (bool,
 			}
 		}
 		// Preprocessing pipeline (passes.go): simplification, equality
-		// substitution, and independence slicing run in Options.Passes
+		// substitution, and independence slicing run in pipeline
 		// order. Any bindings a substitution pass extracted rejoin the
 		// model afterwards so callers still see values for the
 		// substituted variables.

@@ -382,10 +382,10 @@ func TestSummarySharedDomain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	dom := NewSummaryDomain()
+	dom := NewDomain(nil)
 	cfg := Config{
 		NArgs: 2, ArgLen: 2,
-		Summaries: true, SummaryDomain: dom,
+		Summaries: true, Domain: dom,
 		CollectTests: true, CanonicalTests: true, MaxTests: 1 << 20,
 	}
 	warmup := Run(p, cfg)
@@ -407,24 +407,6 @@ func TestSummarySharedDomain(t *testing.T) {
 		if got := bsecond[id]; got != want {
 			t.Fatalf("input %s: warm %s, second %s", id, want, got)
 		}
-	}
-}
-
-// TestSummaryCheckBoundsIgnored: under CheckBounds the engine must ignore
-// the cache entirely (bounds errors are analyses of the calling context).
-func TestSummaryCheckBoundsIgnored(t *testing.T) {
-	p, err := Compile(summaryCallSrc)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	res := Run(p, Config{
-		NArgs: 2, ArgLen: 2,
-		Summaries: true, CheckBounds: true,
-	})
-	st := res.Stats
-	if st.SummaryHits != 0 || st.SummaryRecords != 0 || st.SummaryRejects != 0 {
-		t.Fatalf("summary machinery ran under CheckBounds: hits=%d records=%d rejects=%d",
-			st.SummaryHits, st.SummaryRecords, st.SummaryRejects)
 	}
 }
 
@@ -460,6 +442,40 @@ func TestMergeFuncStrategyRefused(t *testing.T) {
 		Portfolio: []Config{
 			{NArgs: 1, ArgLen: 2, Merge: MergeNone},
 			{NArgs: 1, ArgLen: 2, Merge: MergeFunc, Strategy: StrategyRandom},
+		},
+	})
+	if bad.ConfigErr == nil || !strings.Contains(bad.ConfigErr.Error(), "portfolio entry 1") {
+		t.Fatalf("portfolio entry not validated: %v", bad.ConfigErr)
+	}
+}
+
+// TestSummaryCheckBoundsRefused (config validation): the summary cache
+// cannot serve CheckBounds runs (bounds errors are analyses of the calling
+// context), so the pair is refused up front via ConfigErr — in the outer
+// config and in portfolio entries — rather than silently ignoring the cache.
+func TestSummaryCheckBoundsRefused(t *testing.T) {
+	p, err := Compile(summaryCallSrc)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	res := Run(p, Config{NArgs: 2, ArgLen: 2, Summaries: true, CheckBounds: true})
+	if res.ConfigErr == nil {
+		t.Fatal("Summaries with CheckBounds was not refused")
+	}
+	for _, field := range []string{"Summaries", "CheckBounds"} {
+		if !strings.Contains(res.ConfigErr.Error(), field) {
+			t.Fatalf("refusal does not name %s: %v", field, res.ConfigErr)
+		}
+	}
+	st := res.Stats
+	if st.PathsCompleted != 0 || st.Steps != 0 || st.SummaryRecords != 0 {
+		t.Fatalf("refused config still explored: paths=%d steps=%d records=%d",
+			st.PathsCompleted, st.Steps, st.SummaryRecords)
+	}
+	bad := Run(p, Config{
+		Portfolio: []Config{
+			{NArgs: 2, ArgLen: 2, Summaries: true},
+			{NArgs: 2, ArgLen: 2, Summaries: true, CheckBounds: true},
 		},
 	})
 	if bad.ConfigErr == nil || !strings.Contains(bad.ConfigErr.Error(), "portfolio entry 1") {

@@ -243,34 +243,26 @@ type Config struct {
 	// census, coverage, and errors found are byte-identical with it on
 	// or off. Ineligible callees (recursion, heap operations, fresh
 	// symbolic inputs, oversized or solver-failed recordings, aliased
-	// array arguments) fall back to inline exploration; incompatible
+	// array arguments) fall back to inline exploration. Incompatible
 	// with CheckBounds (bounds errors are engine analyses of the calling
-	// context, so the engine ignores the cache there).
+	// context): Run refuses the pair via Result.ConfigErr. Without a
+	// Domain each run gets a fresh cache; with one, runs share it.
 	Summaries bool
 	// SummaryMaxSteps bounds one summary recording (default 4096 engine
 	// steps); a callee whose exploration exceeds it is negatively cached
 	// and explored inline.
 	SummaryMaxSteps uint64
-	// SummaryDomain, with Summaries set, supplies the shared expression
-	// builder and summary cache (NewSummaryDomain) so several runs — the
-	// tools of a benchmark suite, repeated invocations over the same
-	// program family — reuse each other's summaries. Nil gets a fresh
-	// per-run domain. For a Portfolio, set Summaries/SummaryDomain on the
-	// entries (outer fields are ignored there).
-	SummaryDomain *SummaryDomain
-
 	// Domain, when non-nil, runs the exploration inside a long-lived
 	// shared domain (NewDomain): every run interns expressions into the
 	// domain's builder and shares its counterexample cache — backed by the
 	// domain's persistent store when it has one — and, with Summaries set,
-	// its summary cache (overriding SummaryDomain). This is how cmd/symxd
-	// makes repeat traffic cheap: verdicts and summaries recorded by any
-	// job answer queries in every later job. Persistence is invisible in
-	// the results — corpus output, census, coverage, and errors are
-	// byte-identical with a cold or warm domain — because cached verdicts
-	// are deterministic facts about constraint sets and canonical tests
-	// derive from verdicts alone. For a Portfolio, set Domain on the
-	// entries (outer fields are ignored there).
+	// its summary cache. This is how cmd/symxd makes repeat traffic cheap:
+	// verdicts and summaries recorded by any job answer queries in every
+	// later job. Persistence is invisible in the results — corpus output,
+	// census, coverage, and errors are byte-identical with a cold or warm
+	// domain — because cached verdicts are deterministic facts about
+	// constraint sets and canonical tests derive from verdicts alone. For a
+	// Portfolio, set Domain on the entries (outer fields are ignored there).
 	Domain *Domain
 
 	// DisableAnalysis turns off the static dataflow analyses (interval
@@ -296,15 +288,6 @@ type Config struct {
 	// blast-once/assume-many SAT instances shared along state lineages)
 	// for ablation measurements; every query then re-blasts one-shot.
 	DisableSessions bool
-
-	// Preprocess selects the solver's preprocessing-pass pipeline (the
-	// rewrites applied to one-shot queries before bit-blasting): "" or
-	// "on" runs the default pipeline (simplify, equality substitution,
-	// independence slicing), "off"/"none" disables it — the ablation
-	// baseline — and a comma-separated list of pass names
-	// ("simplify,subst-eq,slice") runs a custom pipeline in that order.
-	// Validate CLI input with ParsePreprocess.
-	Preprocess string
 
 	// TraceFile, when non-empty, streams a structured JSONL event trace
 	// (schema symmerge-trace/v1; see internal/obs and README
@@ -332,29 +315,6 @@ type Config struct {
 	// obsRun is the resolved observability plumbing (trace sink + metrics)
 	// Run threads down to the engines; portfolio entries inherit it.
 	obsRun *obs.Run
-}
-
-// SummaryDomain bundles the expression builder and summary cache that
-// summary-enabled runs share. Summaries store expressions, so a cache is
-// only meaningful together with the builder that hash-conses them; keeping
-// the pair opaque makes it impossible to share one without the other. Both
-// halves are safe for concurrent use by any number of runs.
-type SummaryDomain struct {
-	build *expr.Builder
-	cache *summary.Cache
-}
-
-// NewSummaryDomain creates a fresh shared summary domain.
-func NewSummaryDomain() *SummaryDomain {
-	return &SummaryDomain{build: expr.NewBuilder(), cache: summary.NewCache()}
-}
-
-// ParsePreprocess validates a Config.Preprocess spec, returning an error
-// for unknown pass names. "" and "on" select the default pipeline,
-// "off"/"none" disable preprocessing.
-func ParsePreprocess(spec string) error {
-	_, err := solver.ParsePasses(spec)
-	return err
 }
 
 // Result re-exports the engine result.
@@ -386,10 +346,10 @@ const (
 // (internal/parallel); with a non-empty Portfolio the configurations race
 // and the first to finish wins.
 //
-// An invalid configuration — an unknown Strategy, in the outer config or any
-// portfolio entry — is refused up front: the returned (otherwise empty)
-// result carries the problem in Result.ConfigErr instead of silently
-// exploring under a fallback strategy.
+// An invalid configuration — an unknown Strategy or an incompatible pair of
+// options, in the outer config or any portfolio entry — is refused up front:
+// the returned (otherwise empty) result carries the problem in
+// Result.ConfigErr instead of silently exploring under a fallback.
 func Run(p *Program, cfg Config) *Result {
 	if err := validateConfig(cfg); err != nil {
 		res := &Result{PortfolioWinner: -1, ConfigErr: err}
@@ -461,6 +421,12 @@ func validateEntry(cfg Config) error {
 			// empty to get the topological order automatically.
 			return fmt.Errorf("merge=func requires the topological strategy (got %q): other worklist orders advance callers before their callees finish, so return-point merging silently degrades toward plain exploration; leave Strategy empty to auto-select topo", cfg.Strategy)
 		}
+	}
+	if cfg.Summaries && cfg.CheckBounds {
+		// Bounds errors are engine analyses of the calling context, which
+		// a discharged summary cannot replay, so the cache would have to
+		// sit idle; refuse rather than ignore the request.
+		return fmt.Errorf("config: Summaries is incompatible with CheckBounds (bounds checks are analyses of the calling context, which a summary cannot replay); drop one of the two")
 	}
 	return nil
 }
@@ -719,24 +685,12 @@ func coreConfig(p *Program, cfg Config) (core.Config, Strategy, int64) {
 		if cfg.Domain != nil {
 			ccfg.Summaries = cfg.Domain.sums
 		} else {
-			dom := cfg.SummaryDomain
-			if dom == nil {
-				dom = NewSummaryDomain()
-			}
-			ccfg.Builder = dom.build
-			ccfg.Summaries = dom.cache
+			// Summaries store expressions, so a fresh per-run cache comes
+			// with the builder that hash-conses them.
+			ccfg.Builder = expr.NewBuilder()
+			ccfg.Summaries = summary.NewCache()
 		}
 		ccfg.SummaryMaxSteps = cfg.SummaryMaxSteps
-	}
-	if cfg.Preprocess != "" {
-		// An explicit spec overrides the pipeline the solver would derive
-		// from its boolean options; "" keeps Passes nil so ablations like
-		// DisableSolverOpts retain their historical meaning.
-		passes, err := solver.ParsePasses(cfg.Preprocess)
-		if err != nil {
-			panic(err) // CLI boundaries validate with ParsePreprocess
-		}
-		ccfg.SolverOpts.Passes = passes
 	}
 	return ccfg, cfg.Strategy, cfg.Seed
 }
