@@ -1035,7 +1035,7 @@ func (e *Engine) finishState(s *State) {
 			if len(e.errors) < e.cfg.MaxTests {
 				pe := *s.Err
 				if model, err := e.solv.GetModelIn(s.sess, s.PC); err == nil && model != nil {
-					pe.Args = e.concretizeArgs(model)
+					pe.Args = e.concretizeArgs(&expr.Evaluator{Env: expr.Env(model)})
 				}
 				e.errors = append(e.errors, pe)
 			}
@@ -1138,18 +1138,20 @@ func (e *Engine) makeTest(model solver.Model, s *State) (TestCase, bool) {
 	if model == nil {
 		return TestCase{}, false
 	}
-	tc := TestCase{Args: e.concretizeArgs(model)}
-	env := expr.Env(model)
+	// One evaluator for the whole test: merged outputs share their guards
+	// and ite subterms, so each shared node is evaluated once.
+	ev := &expr.Evaluator{Env: expr.Env(model)}
+	tc := TestCase{Args: e.concretizeArgs(ev)}
 	for _, cell := range e.stdin {
-		tc.Stdin = append(tc.Stdin, byte(expr.Eval(cell, env)))
+		tc.Stdin = append(tc.Stdin, byte(ev.Eval(cell)))
 	}
 	for _, o := range s.Output {
-		if o.Guard == nil || expr.EvalBool(o.Guard, env) {
-			tc.Output = append(tc.Output, byte(expr.Eval(o.Val, env)))
+		if o.Guard == nil || ev.Bool(o.Guard) {
+			tc.Output = append(tc.Output, byte(ev.Eval(o.Val)))
 		}
 	}
 	if s.ExitCode != nil {
-		tc.Exit = int64(int32(expr.Eval(s.ExitCode, env)))
+		tc.Exit = int64(int32(ev.Eval(s.ExitCode)))
 	}
 	if s.Err != nil {
 		tc.IsErr, tc.Msg, tc.Assert = true, s.Err.Msg, s.Err.Assert
@@ -1157,18 +1159,17 @@ func (e *Engine) makeTest(model solver.Model, s *State) (TestCase, bool) {
 	return tc, true
 }
 
-// concretizeArgs reads the argv cells under a model. Cells after an embedded
-// NUL are kept (trimming only trailing zeros): the paper's sym-args model
-// leaves bytes past the terminator readable and unconstrained, and programs
-// that index past the terminator depend on them — dropping them would make
-// generated tests unreplayable.
-func (e *Engine) concretizeArgs(model solver.Model) [][]byte {
-	env := expr.Env(model)
+// concretizeArgs reads the argv cells under the evaluator's model. Cells
+// after an embedded NUL are kept (trimming only trailing zeros): the paper's
+// sym-args model leaves bytes past the terminator readable and
+// unconstrained, and programs that index past the terminator depend on them
+// — dropping them would make generated tests unreplayable.
+func (e *Engine) concretizeArgs(ev *expr.Evaluator) [][]byte {
 	var out [][]byte
 	for _, cells := range e.argv {
 		arg := make([]byte, len(cells))
 		for i, c := range cells {
-			arg[i] = byte(expr.Eval(c, env))
+			arg[i] = byte(ev.Eval(c))
 		}
 		n := len(arg)
 		for n > 0 && arg[n-1] == 0 {

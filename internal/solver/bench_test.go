@@ -128,3 +128,51 @@ func BenchmarkIndependenceSlicing(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkModelReuseLongPrefix measures the model-reuse fast path on the
+// engine's branch-feasibility pattern: a 64-conjunct path condition whose
+// conjuncts bound a merged-state ite chain (each one re-reads the whole
+// chain below it), plus a fresh tail conjunct per query that seven of the
+// eight ring models falsify. Every query is a reuse hit, so no SAT call
+// refills the ring during the timed loop.
+func BenchmarkModelReuseLongPrefix(b *testing.B) {
+	const depth, tails = 64, 1024
+	eb := expr.NewBuilder()
+	vars := make([]*expr.Expr, 8)
+	for i := range vars {
+		vars[i] = eb.Var("a"+string(rune('0'+i)), 8)
+	}
+	pc := make([]*expr.Expr, depth)
+	v := eb.Const(0, 8)
+	for k := range pc {
+		a := vars[k%len(vars)]
+		v = eb.Ite(eb.Eq(a, eb.Const(uint64(k), 8)), eb.Add(v, a), v)
+		pc[k] = eb.Ule(v, eb.Const(200, 8))
+	}
+	// Fill the ring: slot j holds a model of the path condition with t=j.
+	t := eb.Var("t", 8)
+	s := New(DefaultOptions())
+	for j := range len(s.recentModels) {
+		if ok, err := s.MayBeTrue(pc, eb.Eq(t, eb.Const(uint64(j), 8))); err != nil || !ok {
+			b.Fatalf("fill %d: ok=%v err=%v", j, ok, err)
+		}
+	}
+	// Tail i holds only under slot i%8's model (w is unbound, so 0 < i+1).
+	w := eb.Var("w", 16)
+	tail := make([]*expr.Expr, tails)
+	for i := range tail {
+		tail[i] = eb.And(eb.Eq(t, eb.Const(uint64(i%8), 8)), eb.Ult(w, eb.Const(uint64(i+1), 16)))
+	}
+	sat0 := s.Stats.SATCalls
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ok, err := s.MayBeTrue(pc, tail[i%tails]); err != nil || !ok {
+			b.Fatalf("query %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	b.StopTimer()
+	if s.Stats.SATCalls != sat0 {
+		b.Fatalf("%d queries missed the ring", s.Stats.SATCalls-sat0)
+	}
+}

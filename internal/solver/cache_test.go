@@ -1,14 +1,29 @@
 package solver
 
-// Tests for the counterexample cache: fingerprint keying, collision safety,
-// segment-based eviction, and model-aliasing defenses.
+// Tests for the counterexample cache and the model-reuse ring: fingerprint
+// keying, collision safety, segment-based eviction, model-aliasing
+// defenses, and the ring's per-slot node-value memo.
 
 import (
+	"maps"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"symmerge/internal/expr"
 )
+
+// modelSatisfies is the uncached reference check: every conjunct evaluated
+// from scratch under m.
+func modelSatisfies(m Model, constraints []*expr.Expr) bool {
+	env := expr.Env(m)
+	for _, c := range constraints {
+		if !expr.EvalBool(c, env) {
+			return false
+		}
+	}
+	return true
+}
 
 func TestCacheCollisionChecked(t *testing.T) {
 	c := newCexCache()
@@ -114,6 +129,136 @@ func TestRecentModelAliasing(t *testing.T) {
 	ok, m2, _ := s.CheckSat([]*expr.Expr{b.Ugt(x, b.Const(4, 8))})
 	if !ok || m2[x] != 9 {
 		t.Fatalf("ring corrupted by caller mutation: ok=%v m=%v", ok, m2)
+	}
+}
+
+// TestRecentModelMemoResetOnRefill pins that refilling a ring slot drops
+// the node values memoized under the model it evicts: a verdict cached for
+// the old model must not answer for the new one.
+func TestRecentModelMemoResetOnRefill(t *testing.T) {
+	b := expr.NewBuilder()
+	s := New(Options{EnableModelReuse: true})
+	x, y := b.Var("x", 8), b.Var("y", 8)
+	gt3 := b.Ugt(x, b.Const(3, 8))
+	if ok, _, _ := s.CheckSat([]*expr.Expr{b.Eq(x, b.Const(9, 8))}); !ok {
+		t.Fatal("setup query unsat")
+	}
+	// Slot 0 holds x=9 and now memoizes x>3 as true.
+	if ok, _, _ := s.CheckSat([]*expr.Expr{gt3}); !ok || s.Stats.ModelReuseHits != 1 {
+		t.Fatalf("x>3 not answered by slot 0: ok=%v hits=%d", ok, s.Stats.ModelReuseHits)
+	}
+	// Eight sat queries no ring model satisfies wrap the ring, leaving
+	// slot 0 (refilled last) with x=0.
+	zero := b.Eq(x, b.Const(0, 8))
+	for i := range len(s.recentModels) {
+		if ok, _, _ := s.CheckSat([]*expr.Expr{zero, b.Eq(y, b.Const(uint64(i), 8))}); !ok {
+			t.Fatalf("refill %d unsat", i)
+		}
+	}
+	if s.Stats.ModelReuseHits != 1 || s.recentNext != 1 {
+		t.Fatalf("refills were not SAT answers: hits=%d next=%d",
+			s.Stats.ModelReuseHits, s.recentNext)
+	}
+	if got := Model(s.recentModels[0].Env)[x]; got != 0 {
+		t.Fatalf("slot 0 not refilled: x=%d", got)
+	}
+	ok, m, err := s.CheckSat([]*expr.Expr{gt3})
+	if err != nil || !ok {
+		t.Fatalf("x>3: ok=%v err=%v", ok, err)
+	}
+	if s.Stats.ModelReuseHits != 1 {
+		t.Fatalf("x>3 answered from the ring after every slot got x=0 (model %v)", m)
+	}
+	if m[x] <= 3 {
+		t.Fatalf("returned model violates x>3: %v", m)
+	}
+}
+
+// refRing is the model-reuse layer without memoization: the same 8-slot
+// ring scanned in slot order, each model checked by re-evaluating every
+// conjunct from scratch.
+type refRing struct {
+	models [8]Model
+	next   int
+}
+
+func (r *refRing) try(cs []*expr.Expr) Model {
+	for _, m := range r.models {
+		if m != nil && modelSatisfies(m, cs) {
+			return m
+		}
+	}
+	return nil
+}
+
+func (r *refRing) remember(m Model) {
+	r.models[r.next] = cloneModel(m)
+	r.next = (r.next + 1) % len(r.models)
+}
+
+// TestRecentModelsMatchReference drives the memoized ring and the reference
+// scan through one random sequence of growing-path-condition queries over
+// three 4-bit variables. Every query must agree on hit or miss, verdict,
+// returned model, and the running ModelReuseHits count.
+func TestRecentModelsMatchReference(t *testing.T) {
+	b := expr.NewBuilder()
+	rng := rand.New(rand.NewSource(13))
+	x, y, z := b.Var("x", 4), b.Var("y", 4), b.Var("z", 4)
+	gens := []*exprGen{{rng: rng, b: b, x: x, y: y}, {rng: rng, b: b, x: y, y: z}}
+	cond := func() *expr.Expr {
+		for {
+			if c := gens[rng.Intn(len(gens))].cond(2); !c.IsConst() {
+				return c
+			}
+		}
+	}
+	memo := New(Options{EnableModelReuse: true})
+	plain := New(Options{})
+	var ring refRing
+	var refHits, satMisses uint64
+	var pc []*expr.Expr
+	for iter := 0; iter < 250; iter++ {
+		q := append(slices.Clone(pc), cond())
+
+		hits0 := memo.Stats.ModelReuseHits
+		got, gotM, err := memo.CheckSat(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotHit := memo.Stats.ModelReuseHits != hits0
+
+		var want, wantHit bool
+		var wantM Model
+		if m := ring.try(q); m != nil {
+			want, wantM, wantHit = true, cloneModel(m), true
+			refHits++
+		} else {
+			if want, wantM, err = plain.CheckSat(q); err != nil {
+				t.Fatal(err)
+			}
+			if want {
+				ring.remember(wantM)
+				satMisses++
+			}
+		}
+
+		if got != want || gotHit != wantHit || !maps.Equal(gotM, wantM) ||
+			memo.Stats.ModelReuseHits != refHits {
+			t.Fatalf("iter %d: memoized sat=%v hit=%v model=%v hits=%d; reference sat=%v hit=%v model=%v hits=%d",
+				iter, got, gotHit, gotM, memo.Stats.ModelReuseHits, want, wantHit, wantM, refHits)
+		}
+		// Walk like an explorer: extend the path on a feasible branch,
+		// backtrack to a shorter prefix now and then.
+		switch {
+		case want && rng.Intn(3) > 0:
+			pc = q
+		case rng.Intn(4) == 0:
+			pc = pc[:rng.Intn(len(pc)+1)]
+		}
+	}
+	if satMisses <= uint64(len(ring.models)) || refHits == 0 {
+		t.Fatalf("sequence too tame: %d SAT-sat answers (ring never wrapped?), %d reuse hits",
+			satMisses, refHits)
 	}
 }
 

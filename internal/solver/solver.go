@@ -128,8 +128,12 @@ type Solver struct {
 	// means none. See SetDeadline.
 	deadline time.Time
 
-	// recentModels is a small ring of models for the reuse fast path.
-	recentModels [8]Model
+	// recentModels is a small ring of models for the reuse fast path. Each
+	// slot is an evaluator over its model: a stored model is never mutated
+	// (remember keeps a clone, hits hand out clones), so the slot's
+	// node-value memo stays valid until remember refills the slot with a
+	// fresh evaluator. Empty slots are nil.
+	recentModels [8]*expr.Evaluator
 	recentNext   int
 
 	// keyIDs is the scratch buffer for query fingerprints (sorted,
@@ -510,34 +514,36 @@ func (s *Solver) checkSAT(constraints []*expr.Expr) (bool, Model, error) {
 // cached originals immutable.
 func cloneModel(m Model) Model { return maps.Clone(m) }
 
-// tryRecentModels evaluates the constraints under recently found models. It
-// returns the ring's own map — checkSatIn clones it before handing it to a
-// caller that wants the model.
+// tryRecentModels evaluates the constraints under recently found models,
+// scanning the ring in slot order and returning the first model that
+// satisfies them all. It returns the ring's own map — checkSatIn clones it
+// before handing it to a caller that wants the model.
+//
+// Each slot's evaluator memoizes node values, so the path-condition prefix
+// every ring model was already checked against costs one memo probe per
+// conjunct. Conjuncts are checked newest-first: the tail (the branch
+// condition or a min-model probe) is the one that usually fails.
 func (s *Solver) tryRecentModels(constraints []*expr.Expr) Model {
-	for _, m := range s.recentModels {
-		if m == nil {
+	for _, ev := range s.recentModels {
+		if ev == nil {
 			continue
 		}
-		if modelSatisfies(m, constraints) {
-			return m
+		sat := true
+		for i := len(constraints) - 1; i >= 0 && sat; i-- {
+			sat = ev.Bool(constraints[i])
+		}
+		if sat {
+			return Model(ev.Env)
 		}
 	}
 	return nil
 }
 
-func modelSatisfies(m Model, constraints []*expr.Expr) bool {
-	env := expr.Env(m)
-	for _, c := range constraints {
-		if !expr.EvalBool(c, env) {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *Solver) remember(m Model) {
 	// Retain a copy: the caller owns the returned model and may mutate it.
-	s.recentModels[s.recentNext] = cloneModel(m)
+	// The new evaluator starts with an empty memo; the evicted model's
+	// node values must not answer for this one.
+	s.recentModels[s.recentNext] = &expr.Evaluator{Env: expr.Env(cloneModel(m))}
 	s.recentNext = (s.recentNext + 1) % len(s.recentModels)
 }
 
