@@ -4,6 +4,7 @@ package solver
 // optimizations (counterexample cache, independence slicing, model reuse).
 
 import (
+	"slices"
 	"testing"
 
 	"symmerge/internal/expr"
@@ -175,4 +176,46 @@ func BenchmarkModelReuseLongPrefix(b *testing.B) {
 	if s.Stats.SATCalls != sat0 {
 		b.Fatalf("%d queries missed the ring", s.Stats.SATCalls-sat0)
 	}
+}
+
+// BenchmarkBlastTrialDivision runs factor's trial-division queries in one
+// session, as the engine issues them: n is the parsed operand reduced
+// mod 32, and for each constant divisor p the loop asks whether p can
+// divide n, whether it can divide the quotient n sdiv p again, and then
+// follows the branch where p does not divide n. Every divisor is a
+// constant, so the divider encodings dominate; vars reports the CNF
+// variables blasted per op.
+func BenchmarkBlastTrialDivision(b *testing.B) {
+	const maxP = 13
+	eb := expr.NewBuilder()
+	k := func(v uint64) *expr.Expr { return eb.Const(v, 32) }
+	n := eb.SRem(eb.Var("arg", 32), k(32))
+	var vars uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := New(Options{})
+		sess := s.NewSession()
+		pc := []*expr.Expr{eb.Sle(k(2), n)}
+		sess.NoteConjunct(pc[0])
+		for p := uint64(2); p <= maxP; p++ {
+			divides := eb.Eq(eb.SRem(n, k(p)), k(0))
+			again := eb.Eq(eb.SRem(eb.SDiv(n, k(p)), k(p)), k(0))
+			if _, err := s.MayBeTrueIn(sess, pc, divides); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.MayBeTrueIn(sess, append(slices.Clip(pc), divides), again); err != nil {
+				b.Fatal(err)
+			}
+			pc = append(pc, eb.Not(divides))
+			sess.NoteConjunct(pc[len(pc)-1])
+		}
+		if ok, err := s.MayBeTrueIn(sess, pc[:len(pc)-1], pc[len(pc)-1]); err != nil || !ok {
+			b.Fatalf("final path: ok=%v err=%v", ok, err)
+		}
+		if s.Stats.SessionBypass != 0 {
+			b.Fatalf("%d queries bypassed the session", s.Stats.SessionBypass)
+		}
+		vars += s.Stats.SATVars
+	}
+	b.ReportMetric(float64(vars)/float64(b.N), "vars")
 }

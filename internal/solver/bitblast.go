@@ -13,6 +13,7 @@ package solver
 
 import (
 	"fmt"
+	"math/bits"
 
 	"symmerge/internal/expr"
 	"symmerge/internal/solver/sat"
@@ -201,11 +202,47 @@ func (b *blaster) gateIte(c, t, f sat.Lit) sat.Lit {
 	return o
 }
 
+// gateMaj returns a literal equivalent to the majority of x, y, z: the
+// carry of a full adder. One gate is six clauses; a constant or repeated
+// input folds it to an AND, an OR, or one of the inputs.
+func (b *blaster) gateMaj(x, y, z sat.Lit) sat.Lit {
+	switch {
+	case x == b.litFalse:
+		return b.gateAnd(y, z)
+	case y == b.litFalse:
+		return b.gateAnd(x, z)
+	case z == b.litFalse:
+		return b.gateAnd(x, y)
+	case x == b.litTrue:
+		return b.gateOr(y, z)
+	case y == b.litTrue:
+		return b.gateOr(x, z)
+	case z == b.litTrue:
+		return b.gateOr(x, y)
+	case x == y || x == z:
+		return x
+	case y == z:
+		return y
+	case x == y.Flip():
+		return z
+	case x == z.Flip():
+		return y
+	case y == z.Flip():
+		return x
+	}
+	o := b.fresh()
+	b.s.AddClause(o.Flip(), x, y)
+	b.s.AddClause(o.Flip(), x, z)
+	b.s.AddClause(o.Flip(), y, z)
+	b.s.AddClause(o, x.Flip(), y.Flip())
+	b.s.AddClause(o, x.Flip(), z.Flip())
+	b.s.AddClause(o, y.Flip(), z.Flip())
+	return o
+}
+
 // fullAdder returns (sum, carry) for x + y + cin.
 func (b *blaster) fullAdder(x, y, cin sat.Lit) (sum, cout sat.Lit) {
-	sum = b.gateXor(b.gateXor(x, y), cin)
-	cout = b.gateOr(b.gateAnd(x, y), b.gateAnd(cin, b.gateXor(x, y)))
-	return sum, cout
+	return b.gateXor(b.gateXor(x, y), cin), b.gateMaj(x, y, cin)
 }
 
 // adder returns x + y + cin over equal-length vectors, plus the carry out.
@@ -236,19 +273,24 @@ func (b *blaster) negate(x []sat.Lit) []sat.Lit {
 	return out
 }
 
-// eqVec returns a literal for x = y.
+// eqVec returns a literal for x = y: one n-ary AND over the bitwise
+// equivalences, which against a constant are the bits themselves.
 func (b *blaster) eqVec(x, y []sat.Lit) sat.Lit {
-	acc := b.litTrue
+	same := make([]sat.Lit, len(x))
 	for i := range x {
-		acc = b.gateAnd(acc, b.gateXor(x[i], y[i]).Flip())
+		same[i] = b.gateXor(x[i], y[i]).Flip()
 	}
-	return acc
+	return b.gateAndN(same)
 }
 
-// ultVec returns a literal for x <u y via the borrow of x - y.
+// ultVec returns a literal for x <u y: the borrow of x - y, i.e. the
+// complement of the carry out of x + ~y + 1. Only the carry chain is built;
+// the difference bits would be dead gates.
 func (b *blaster) ultVec(x, y []sat.Lit) sat.Lit {
-	// x < y iff x - y underflows iff carry out of x + ~y + 1 is 0.
-	_, carry := b.adder(x, flipAll(y), b.litTrue)
+	carry := b.litTrue
+	for i := range x {
+		carry = b.gateMaj(x[i], y[i].Flip(), carry)
+	}
 	return carry.Flip()
 }
 
@@ -347,22 +389,75 @@ func (b *blaster) mulVec(x, y []sat.Lit) []sat.Lit {
 	return acc
 }
 
-// udivVec builds a restoring-division circuit returning (quotient,
-// remainder) with the SMT-LIB convention handled by the caller.
+// udivVec returns (quotient, remainder) of x ÷ y; the caller muxes in the
+// SMT-LIB values for y = 0. A constant divisor c sizes the circuit to c:
+// c = 0 builds nothing, c = 2^k is wiring (x >> k and the low k bits), and
+// any other c below 2^(n-1) keeps the partial remainder to bits.Len64(c)
+// bits. A symbolic divisor, or one that fills the width, gets the full
+// n-bit divider.
 func (b *blaster) udivVec(x, y []sat.Lit) (quot, rem []sat.Lit) {
 	n := len(x)
-	rem = b.constVec(0, uint8(n))
+	c, ok := b.constValue(y)
+	switch {
+	case !ok:
+		return b.restoringDiv(x, y, n)
+	case c == 0:
+		return b.constVec(^uint64(0), uint8(n)), x
+	case c&(c-1) == 0:
+		k := bits.TrailingZeros64(c)
+		rem = b.constVec(0, uint8(n))
+		copy(rem, x[:k])
+		return b.shiftConstVec(x, k, false, b.litFalse), rem
+	case bits.Len64(c) < n:
+		w := bits.Len64(c)
+		quot, rem = b.restoringDiv(x, b.constVec(c, uint8(w+1)), w)
+		return quot, append(rem, b.constVec(0, uint8(n-w))...)
+	}
+	return b.restoringDiv(x, y, n)
+}
+
+// restoringDiv is a restoring divider over x whose partial remainder holds
+// w bits: it stays below the divisor d, so w = len(d) = len(x) for the
+// general divider and w = len(d)-1 when d's top bit is clear. Each stage
+// shifts in the next dividend bit, subtracts d on len(d) bits, and keeps
+// the difference iff the subtractor's carry out says the shifted remainder
+// was ≥ d. The general divider drops the shifted-out top bit, which is 0:
+// the partial remainder before stage i is at most x >> (i+1).
+func (b *blaster) restoringDiv(x, d []sat.Lit, w int) (quot, rem []sat.Lit) {
+	n := len(x)
+	notD := flipAll(d)
+	rem = b.constVec(0, uint8(w))
 	quot = make([]sat.Lit, n)
+	diff := make([]sat.Lit, w)
 	for i := n - 1; i >= 0; i-- {
-		// rem = (rem << 1) | x[i]
-		rem = append([]sat.Lit{x[i]}, rem[:n-1]...)
-		// if rem >= y { rem -= y; quot[i] = 1 }
-		ge := b.ultVec(rem, y).Flip()
-		diff, _ := b.adder(rem, flipAll(y), b.litTrue)
-		rem = b.muxVec(ge, diff, rem)
-		quot[i] = ge
+		r := append([]sat.Lit{x[i]}, rem...)[:len(d)]
+		carry := b.litTrue
+		for j := range r {
+			if j < w {
+				diff[j] = b.gateXor(b.gateXor(r[j], notD[j]), carry)
+			}
+			carry = b.gateMaj(r[j], notD[j], carry)
+		}
+		// The carry out of r + ~d + 1 is r ≥ d.
+		rem = b.muxVec(carry, diff, r[:w])
+		quot[i] = carry
 	}
 	return quot, rem
+}
+
+// constValue returns the value of xs when every literal is a constant.
+func (b *blaster) constValue(xs []sat.Lit) (uint64, bool) {
+	var v uint64
+	for i, x := range xs {
+		switch x {
+		case b.litTrue:
+			v |= 1 << uint(i)
+		case b.litFalse:
+		default:
+			return 0, false
+		}
+	}
+	return v, true
 }
 
 // blastBool translates a boolean expression to a literal.

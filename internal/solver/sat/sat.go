@@ -10,8 +10,10 @@
 package sat
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -519,13 +521,8 @@ func (s *Solver) reduceDB() {
 	if len(s.learnts) < 2 {
 		return
 	}
-	// Partial selection: simple sort by activity.
 	ls := s.learnts
-	for i := 1; i < len(ls); i++ {
-		for j := i; j > 0 && ls[j].activity < ls[j-1].activity; j-- {
-			ls[j], ls[j-1] = ls[j-1], ls[j]
-		}
-	}
+	slices.SortStableFunc(ls, func(a, b *clause) int { return cmp.Compare(a.activity, b.activity) })
 	keepFrom := len(ls) / 2
 	kept := ls[:0]
 	for i, c := range ls {
