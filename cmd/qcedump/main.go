@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	qcedump [-alpha f] [-beta f] [-kappa n] [-facts intervals|effects|liveness] file.mc
+//	qcedump [-alpha f] [-beta f] [-kappa n] [-facts intervals|liveness] file.mc
 package main
 
 import (
@@ -22,7 +22,7 @@ func main() {
 	alpha := flag.Float64("alpha", 0.5, "QCE hot-variable threshold α")
 	beta := flag.Float64("beta", 0.8, "QCE branch feasibility probability β")
 	kappa := flag.Int("kappa", 10, "QCE loop unroll bound κ")
-	facts := flag.String("facts", "", "dump analysis facts instead of QCE tables: intervals, effects, or liveness")
+	facts := flag.String("facts", "", "dump analysis facts instead of QCE tables: intervals or liveness")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: qcedump [flags] file.mc")
@@ -50,10 +50,8 @@ func main() {
 			for _, ff := range ap.Funcs {
 				fmt.Print(ff.LivenessString())
 			}
-		case "effects":
-			fmt.Print(ap.EffectsString())
 		default:
-			fmt.Fprintf(os.Stderr, "qcedump: unknown -facts table %q (want intervals, effects, or liveness)\n", *facts)
+			fmt.Fprintf(os.Stderr, "qcedump: unknown -facts table %q (want intervals or liveness)\n", *facts)
 			os.Exit(2)
 		}
 		return

@@ -60,8 +60,6 @@ func main() {
 		bounds   = flag.Bool("bounds", false, "report out-of-bounds array accesses as errors")
 		dumpIR   = flag.Bool("ir", false, "print the compiled IR and exit")
 		census   = flag.Bool("census", false, "track the exact-path shadow census")
-		summ     = flag.Bool("summaries", false, "cache compositional function summaries and discharge call sites from them")
-		summMax  = flag.Uint64("summary-steps", 0, "step budget per summary recording (0 = default 4096)")
 		noSess   = flag.Bool("nosessions", false, "disable incremental solver sessions (ablation)")
 		stats    = flag.Bool("stats", false, "print rewrite-rule hit counters and preprocessing statistics")
 		workers  = flag.Int("workers", 0, "parallel exploration workers (0 = sequential)")
@@ -75,7 +73,7 @@ func main() {
 		traceBuf = flag.Int("trace-buffer", 0, "trace sink buffer in events (0 = default 4096); overflow drops, never blocks")
 		dbgAddr  = flag.String("debug-addr", "", "serve pprof, expvar metrics and /progress on this address (e.g. localhost:6060)")
 		progEach = flag.Duration("progress", 0, "print a one-line progress report to stderr at this interval")
-		noAn     = flag.Bool("noanalysis", false, "disable the static dataflow analyses (branch pruning, check elision, merge-key slimming, heap-gate lifting)")
+		noAn     = flag.Bool("noanalysis", false, "disable the static dataflow analyses (branch pruning, check elision, merge-key slimming)")
 	)
 	flag.Parse()
 
@@ -137,8 +135,6 @@ func main() {
 		CollectTests:    *tests,
 		CheckBounds:     *bounds,
 		TrackExactPaths: *census,
-		Summaries:       *summ,
-		SummaryMaxSteps: *summMax,
 		DisableSessions: *noSess,
 		CorpusDir:       *emitDir,
 		CorpusLabel:     label,
@@ -211,12 +207,8 @@ func main() {
 		st.Solver.Queries, st.Solver.SATCalls,
 		st.Solver.CacheHits+st.Solver.ModelReuseHits, st.Solver.SATTime.Round(time.Millisecond))
 	if !*noAn {
-		fmt.Printf("analysis:      %d branch sides pruned, %d checks elided, %d heap-gated sites lifted\n",
-			st.PrunedStatic, st.BoundsElided, st.SummaryHeapLifted)
-	}
-	if *summ {
-		fmt.Printf("summaries:     %d sites discharged (%d entries applied), %d recorded, %d inline fallbacks\n",
-			st.SummaryHits, st.SummaryEntries, st.SummaryRecords, st.SummaryRejects)
+		fmt.Printf("analysis:      %d branch sides pruned, %d checks elided\n",
+			st.PrunedStatic, st.BoundsElided)
 	}
 	if *traceTo != "" {
 		fmt.Printf("trace:         %d events at %s (%d dropped)\n", res.TraceEvents, *traceTo, res.TraceDrops)
@@ -256,10 +248,6 @@ func printStats(st symx.Stats) {
 	if st.TestsEmitted > 0 {
 		fmt.Printf("tests:         %d emitted, %d deduplicated away\n",
 			st.TestsEmitted, st.TestsDeduped)
-	}
-	if st.SummarySteps > 0 {
-		fmt.Printf("summary cost:  %d recording steps, %d assume-summary queries\n",
-			st.SummarySteps, st.Solver.SummaryQueries)
 	}
 	if st.Solver.PreprocQueries > 0 {
 		in, out := st.Solver.PreprocNodesIn, st.Solver.PreprocNodesOut

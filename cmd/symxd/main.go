@@ -1,12 +1,12 @@
 // Command symxd is the persistent symbolic-execution daemon: an HTTP/JSON
 // service that accepts MiniC programs, explores each as one job inside a
-// shared long-lived domain (one expression builder plus counterexample and
-// summary caches), and streams results and canonical corpus entries back
-// as JSON lines.
+// shared long-lived domain (one expression builder plus a counterexample
+// cache), and streams results and canonical corpus entries back as JSON
+// lines.
 //
 // With -store the domain is backed by an on-disk persistent store, so
-// solver verdicts (whole queries and blasted independence groups) and
-// function summaries survive restarts: resubmitting a program family to a
+// solver verdicts (whole queries and blasted independence groups) survive
+// restarts: resubmitting a program family to a
 // warm daemon answers many queries from disk instead of the SAT solver.
 // With -checkpoint-dir, jobs submitted with a "key" are drain-safe: a
 // SIGTERM preempts them into resumable snapshots, and resubmitting the
@@ -15,7 +15,8 @@
 // Endpoints:
 //
 //	POST /v1/jobs     submit a job (JSON body), response is streaming JSONL:
-//	                  {"event":"accepted"} → {"event":"test"}* → {"event":"result"}
+//	                  {"event":"accepted"} → {"event":"test"}* → {"event":"result"};
+//	                  a body with an unknown field is refused with 400
 //	GET  /v1/progress live aggregate of every in-flight job's engines
 //	GET  /v1/stats    daemon counters: job outcomes, domain lifecycle
 //	                  (rotations, builders_reclaimed), warm-store hits

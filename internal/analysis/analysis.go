@@ -41,15 +41,13 @@ type FuncFacts struct {
 }
 
 // Program is the full static-analysis result for one ir.Program: per-function
-// interval/origin/liveness tables, branch verdicts, and heap-effect
-// summaries. It is computed once per program, immutable afterwards, and safe
-// to share across engines and workers; every table is a pure function of the
-// program, so anything derived from it is stable across runs.
+// interval/origin/liveness tables and branch verdicts. It is computed once
+// per program, immutable afterwards, and safe to share across engines and
+// workers; every table is a pure function of the program, so anything
+// derived from it is stable across runs.
 type Program struct {
 	Prog     *ir.Program
-	CG       *cfg.CallGraph
 	Funcs    []*FuncFacts // parallel to Prog.Funcs
-	Effects  []Effect     // parallel to Prog.Funcs
 	SiteSize []int64      // allocation site -> constant cell count, -1 unknown
 }
 
@@ -57,15 +55,31 @@ type Program struct {
 func Analyze(p *ir.Program) *Program {
 	a := &Program{
 		Prog:     p,
-		CG:       cfg.BuildCallGraph(p),
 		Funcs:    make([]*FuncFacts, len(p.Funcs)),
 		SiteSize: siteSizes(p),
 	}
 	for i, fn := range p.Funcs {
 		a.Funcs[i] = analyzeFunc(fn)
 	}
-	a.Effects = computeEffects(p, a.CG, a.Funcs, a.SiteSize)
 	return a
+}
+
+// siteSizes scans the program for the constant cell count of each
+// allocation site (-1 when a site's size is not a compile-time constant).
+func siteSizes(p *ir.Program) []int64 {
+	sizes := make([]int64, p.AllocSites)
+	for i := range sizes {
+		sizes[i] = -1
+	}
+	for _, fn := range p.Funcs {
+		for pc := range fn.Instrs {
+			in := &fn.Instrs[pc]
+			if in.Op == ir.OpAlloc && in.A.IsConst && in.Site >= 0 && in.Site < len(sizes) {
+				sizes[in.Site] = in.A.Const
+			}
+		}
+	}
+	return sizes
 }
 
 func analyzeFunc(fn *ir.Func) *FuncFacts {
@@ -197,15 +211,6 @@ func (ff *FuncFacts) LivenessString() string {
 			}
 		}
 		fmt.Fprintf(&b, "  %3d: {%s}\n", pc, strings.Join(parts, ","))
-	}
-	return b.String()
-}
-
-// EffectsString renders every function's heap-effect summary.
-func (a *Program) EffectsString() string {
-	var b strings.Builder
-	for i, fn := range a.Prog.Funcs {
-		fmt.Fprintf(&b, "func %s: %s\n", fn.Name, a.Effects[i])
 	}
 	return b.String()
 }

@@ -179,59 +179,6 @@ void main() {
 	}
 }
 
-func TestHeapEffects(t *testing.T) {
-	p, ap := compile(t, `
-int contained(int a) {
-    ptr h = alloc(2);
-    h[0] = a;
-    if (h[0] > 5) { h[1] = 1; } else { h[1] = 2; }
-    return h[1];
-}
-
-int pure(int a) {
-    return a + 1;
-}
-
-int escaping(int a) {
-    ptr g = alloc(3);
-    ptr q = g + a;
-    q[0] = 1;
-    return g[0];
-}
-
-void main() {
-    int x = toint(argchar(1, 0));
-    putchar(tobyte((contained(x) + pure(x) + escaping(x & 1)) & 255));
-    halt(0);
-}
-`)
-	eff := func(name string) *analysis.Effect { return &ap.Effects[funcByName(t, p, name)] }
-
-	if e := eff("pure"); !e.SiteStable() || len(e.Sites) != 0 || len(e.Reads) != 0 || len(e.Writes) != 0 {
-		t.Errorf("pure: %v", e)
-	}
-	if e := eff("contained"); !e.SiteStable() {
-		t.Errorf("contained: not site-stable: %v", e)
-	} else {
-		own := map[int]bool{}
-		for _, s := range e.Sites {
-			own[s] = true
-		}
-		for _, s := range append(append([]int{}, e.Reads...), e.Writes...) {
-			if !own[s] {
-				t.Errorf("contained: touches foreign site %d: %v", s, e)
-			}
-		}
-		if len(e.Sites) != 1 {
-			t.Errorf("contained: %d sites, want 1", len(e.Sites))
-		}
-	}
-	// main calls all three, so its effects include theirs transitively.
-	if e := eff("main"); len(e.Sites) < 2 {
-		t.Errorf("main: transitive sites missing: %v", e)
-	}
-}
-
 func TestLivenessFullOverwriteKill(t *testing.T) {
 	p, ap := compile(t, `
 void main() {
@@ -290,8 +237,5 @@ void main() {
 	lv := ff.LivenessString()
 	if !strings.Contains(lv, "liveness:") {
 		t.Errorf("liveness dump malformed:\n%s", lv)
-	}
-	if es := ap.EffectsString(); !strings.Contains(es, "main") {
-		t.Errorf("effects dump malformed:\n%s", es)
 	}
 }

@@ -2,10 +2,9 @@
 // the internal/cfg control-flow graphs, plus the production analyses built
 // on it: interval/constancy propagation with pointer-origin tracking (the
 // engine consults it to prune statically-infeasible branch sides and elide
-// provably-in-bounds CheckBounds queries), allocation-site heap-effect
-// summaries (internal/summary consults them to lift the static heap gate on
-// compositional summaries), and may-liveness of locals with full-overwrite
-// array kills (QCE's Qadd mask and the merge-key slimming in internal/core).
+// provably-in-bounds CheckBounds queries), and may-liveness of locals with
+// full-overwrite array kills (QCE's Qadd mask and the merge-key slimming in
+// internal/core).
 //
 // Everything here is a pure function of the program: fact tables are
 // computed once, shared read-only across engines and workers, and iterated

@@ -121,8 +121,7 @@ func (p *intervalProblem) Boundary() *ivFact {
 	for i, l := range p.fn.Locals {
 		switch {
 		case i < p.fn.Params:
-			// Parameters are bound by arbitrary callers (including summary
-			// recordings with placeholder symbolic arguments).
+			// Parameters are bound by arbitrary callers.
 			f.iv[i] = typeTop(l.Type)
 		case l.Type.Scalar():
 			// Non-parameter scalars are zero-initialized by the engine.

@@ -15,7 +15,6 @@ import (
 	"symmerge/internal/obs"
 	"symmerge/internal/qce"
 	"symmerge/internal/solver"
-	"symmerge/internal/summary"
 )
 
 // MergeMode selects the state-merging regime (paper §2.2, §4).
@@ -190,21 +189,6 @@ type Config struct {
 	// results are byte-identical with or without it.
 	Obs *obs.Run
 
-	// Summaries, when non-nil, enables compositional function summaries:
-	// eligible call sites are discharged from the shared cache instead of
-	// exploring the callee inline (recording the callee once on a miss).
-	// The cache must be paired with the builder that minted the expression
-	// IDs in its keys — parallel workers and the runs of one shared domain
-	// share one (builder, cache) pair. Must not be combined with
-	// CheckBounds (symx refuses the pair): bounds errors are
-	// caller-environment-dependent, so summarized callees would miss them.
-	Summaries *summary.Cache
-
-	// SummaryMaxSteps bounds one summary recording (0 = 4096 scheduler
-	// steps). A callee that exceeds it is negatively cached as truncated
-	// and explored inline forever after.
-	SummaryMaxSteps uint64
-
 	SolverOpts solver.Options
 }
 
@@ -243,16 +227,8 @@ type Stats struct {
 	Pruned      uint64
 
 	// Static-analysis activity (zero unless Config.Analysis is set).
-	PrunedStatic      uint64 // branch sides decided without solver queries
-	BoundsElided      uint64 // array/heap bounds queries skipped as provably safe
-	SummaryHeapLifted uint64 // heap-touching call sites admitted via effect summaries
-
-	// Summary-cache activity (zero unless Config.Summaries is set).
-	SummaryHits    uint64 // call sites discharged from a cached summary
-	SummaryRejects uint64 // call sites that fell back to inline exploration
-	SummaryRecords uint64 // summaries recorded by this engine
-	SummaryEntries uint64 // Σ feasible entries applied at discharged sites
-	SummarySteps   uint64 // scheduler steps spent inside recordings
+	PrunedStatic uint64 // branch sides decided without solver queries
+	BoundsElided uint64 // array/heap bounds queries skipped as provably safe
 
 	CoveredInstrs  int
 	TotalInstrs    int
@@ -323,6 +299,7 @@ type Engine struct {
 	deadline  time.Time
 	started   time.Time
 	stopCause Interrupted
+	pollSAT   uint64 // solver SAT-call count at the last context/deadline poll
 
 	// sessRoot is the engine's root solver session. Every state lineage —
 	// the entry state and every injected migrant — forks it, so the whole
@@ -337,16 +314,6 @@ type Engine struct {
 	// Stats/LiveProgress serve to other goroutines.
 	obs     *obs.Observer
 	progPub atomic.Pointer[progressSnap]
-
-	// sum is the compositional-summary machinery (nil when disabled); see
-	// summary.go in this package.
-	sum *engineSummaries
-
-	// recording, when non-nil, marks this engine as a summary recorder: a
-	// throwaway sub-engine exploring one callee from an empty path
-	// condition. Terminated states are collected instead of being turned
-	// into tests/errors, and solver failures abort the recording.
-	recording *recordingState
 }
 
 // progressSnap is one published progress snapshot: a self-contained Stats
@@ -403,9 +370,6 @@ func NewEngine(prog *ir.Program, config Config, strat Strategy) *Engine {
 	e.obs = config.Obs.NewLane()
 	e.solv.Observe(e.obs)
 	e.setupEnv()
-	if config.Summaries != nil {
-		e.sum = newEngineSummaries(e, config.Summaries)
-	}
 	e.publishProgress() // Stats() is valid (if empty) before Begin
 	return e
 }
@@ -648,7 +612,10 @@ func (e *Engine) Begin(seed bool) {
 
 // stopRequested reports whether a budget or cancellation should end the
 // exploration, recording the cause for Result.Interrupted. The wall clock
-// and the context are polled every 64 steps.
+// and the context are polled every 64 steps, and after any step that
+// reached SAT: such a step can take long enough to overrun the budget on
+// its own, while a step answered without SAT is too cheap to pay for a
+// clock read.
 func (e *Engine) stopRequested() bool {
 	if e.cfg.MaxSteps > 0 && e.stats.Steps >= e.cfg.MaxSteps {
 		e.stopCause = IntrBudget
@@ -658,7 +625,8 @@ func (e *Engine) stopRequested() bool {
 	if e.cfg.PollEvery > 0 {
 		poll = uint64(e.cfg.PollEvery)
 	}
-	if e.stats.Steps%poll == 0 {
+	if e.stats.Steps%poll == 0 || e.solv.Stats.SATCalls != e.pollSAT {
+		e.pollSAT = e.solv.Stats.SATCalls
 		if e.cfg.Context != nil && e.cfg.Context.Err() != nil {
 			e.stopCause = IntrContext
 			return true
@@ -1019,12 +987,6 @@ func (e *Engine) pruneExcess() {
 
 // finishState records a terminated state.
 func (e *Engine) finishState(s *State) {
-	if e.recording != nil {
-		// Summary recording: collect the callee path for entry
-		// construction instead of reporting it (summary.go).
-		e.recording.collect(s)
-		return
-	}
 	switch s.Halt {
 	case HaltExit, HaltError:
 		e.stats.PathsCompleted++

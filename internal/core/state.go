@@ -168,16 +168,6 @@ type State struct {
 	// only such states.
 	justRet bool
 
-	// covTrail lists the locations this path executed, in order. Only
-	// maintained inside a summary recording (the recorder turns it into
-	// the entry's coverage set); nil during normal exploration.
-	covTrail []ir.Loc
-
-	// retNormal marks a recording state that finished by returning from
-	// the bottom frame (KindReturn) rather than executing halt (KindHalt).
-	// Only meaningful inside a summary recording.
-	retNormal bool
-
 	// sess is the state lineage's incremental solver session: the path
 	// condition is blasted into it exactly once, and feasibility queries
 	// reuse the encoding via assumptions. Forks share the blasted prefix.
@@ -205,9 +195,6 @@ func (s *State) fork(newID uint64) *State {
 		histPos: s.histPos,
 		ff:      s.ff,
 		sess:    s.sess.Fork(),
-
-		covTrail:  s.covTrail[:len(s.covTrail):len(s.covTrail)],
-		retNormal: s.retNormal,
 	}
 	for i, f := range s.Frames {
 		for _, o := range f.Objects {

@@ -27,11 +27,6 @@ func (e *Engine) stepBlock(s *State) []*State {
 		in := &fn.Instrs[f.PC]
 		e.markCovered(loc)
 		e.stats.Instructions++
-		if e.recording != nil {
-			// Summary recording: keep the executed-location trail; it
-			// becomes the entry's coverage set (summary.go).
-			s.covTrail = append(s.covTrail, loc)
-		}
 
 		switch in.Op {
 		case ir.OpNop:
@@ -109,14 +104,6 @@ func (e *Engine) stepBlock(s *State) []*State {
 			f.PC++
 		case ir.OpAssume:
 			cond := e.operand(s, in.A, ir.Type{Kind: ir.Bool})
-			if e.recording != nil && !cond.IsTrue() {
-				// The assume may cut this path short under a caller path
-				// condition the recording cannot see; snapshot the prefix
-				// so apply time can replicate inline partial coverage. A
-				// trivially true assume never cuts, so every downstream
-				// entry already carries this prefix's coverage.
-				e.recording.assumePoint(s)
-			}
 			if !e.assume(s, cond) {
 				s.Halt = HaltSilent // path contradiction: drop
 				return []*State{s}
@@ -130,11 +117,6 @@ func (e *Engine) stepBlock(s *State) []*State {
 		case ir.OpCondBr:
 			return e.doBranch(s, in, loc)
 		case ir.OpCall:
-			if e.sum != nil {
-				if succs, ok := e.summaryCall(s, in, loc); ok {
-					return succs
-				}
-			}
 			e.doCall(s, in)
 			return e.blockBoundary(s)
 		case ir.OpRet:
@@ -585,15 +567,7 @@ func (e *Engine) assume(s *State, cond *expr.Expr) bool {
 		return false
 	}
 	may, err := e.solv.MayBeTrueIn(s.sess, s.PC, cond)
-	if err != nil {
-		// A solver failure is cache- and deadline-dependent, not a
-		// function of the path: a summary recording must not bake it in.
-		if e.recording != nil {
-			e.recording.aborted = true
-		}
-		return false
-	}
-	if !may {
+	if err != nil || !may {
 		return false
 	}
 	s.PC = appendPC(s.PC, cond)
@@ -644,12 +618,7 @@ func (e *Engine) doAssert(s *State, in *ir.Instr, loc ir.Loc) []*State {
 	}
 	mayHold := false
 	if !cond.IsFalse() {
-		var err2 error
-		mayHold, err2 = e.solv.MayBeTrueIn(s.sess, s.PC, cond)
-		if err2 != nil && e.recording != nil {
-			// A budget failure must not be baked into a cached summary.
-			e.recording.aborted = true
-		}
+		mayHold, _ = e.solv.MayBeTrueIn(s.sess, s.PC, cond)
 	}
 	if !mayHold {
 		// Assertion always fails here.
@@ -721,11 +690,7 @@ func (e *Engine) doBranch(s *State, in *ir.Instr, loc ir.Loc) []*State {
 	mayFalse, err2 := e.solv.MayBeTrueIn(s.sess, s.PC, notCond)
 	if err1 != nil || err2 != nil {
 		// Solver budget: be conservative, follow both without narrowing
-		// is unsound; instead kill the path silently. A summary recording
-		// aborts instead — the failure is not a function of the cache key.
-		if e.recording != nil {
-			e.recording.aborted = true
-		}
+		// is unsound; instead kill the path silently.
 		s.Halt = HaltSilent
 		return []*State{s}
 	}
@@ -817,11 +782,6 @@ func (e *Engine) doReturnValue(s *State, rv *expr.Expr) bool {
 	if len(s.Frames) == 1 {
 		s.Halt = HaltExit
 		s.ExitCode = rv
-		if e.recording != nil {
-			// The recorded callee returned normally (vs executing halt):
-			// the summary entry binds the caller's destination register.
-			s.retNormal = true
-		}
 		return true
 	}
 	s.Frames = s.Frames[:len(s.Frames)-1]

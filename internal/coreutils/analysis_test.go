@@ -10,8 +10,8 @@ package coreutils
 //     across none/ssm+qce/dsm+qce and Workers 1 vs 8, the canonical corpus
 //     emitted with the analyses on is byte-identical (directory digest) to
 //     the analyses-off corpus, and the invariant census — exact paths,
-//     coverage, error set — matches. Pruning, elision, merge-key slimming,
-//     and the lifted heap gate must be pure acceleration.
+//     coverage, error set — matches. Pruning, elision, and merge-key
+//     slimming must be pure acceleration.
 
 import (
 	"fmt"

@@ -3,12 +3,8 @@ package coreutils
 // Shared helper routines used across the tool models, mirroring the real
 // tree's lib/ (statically linked into every binary, so every program
 // carries its own copy). Tools embed these snippets by string
-// concatenation; the compiler gives each copy the same canonical closure,
-// so the function-summary cache recognises them as one function across
-// tools (and across call sites within a tool). That is the workload the
-// compositional-summary layer targets: the parse/format loops below are
-// where the suite's path explosion lives, and a summary recorded at one
-// call site discharges every later one as assume-summary queries.
+// concatenation. The parse/format loops below are where the suite's path
+// explosion lives.
 //
 // Behavioural note: these are exact extractions of the loops they replace
 // — the conformance and corpus tests hold the tools' input/output

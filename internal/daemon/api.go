@@ -47,8 +47,6 @@ type JobRequest struct {
 	QCE *bool `json:"qce,omitempty"`
 	// Workers shards the exploration (default 1).
 	Workers int `json:"workers,omitempty"`
-	// Summaries enables the compositional summary cache.
-	Summaries bool `json:"summaries,omitempty"`
 
 	// Symbolic environment (defaults: 2 args × 2 chars, no stdin).
 	NArgs    int `json:"nargs,omitempty"`
@@ -112,7 +110,6 @@ type JobResult struct {
 	SATCalls        uint64 `json:"sat_calls"`
 	StableHits      uint64 `json:"stable_hits"`
 	StableGroupHits uint64 `json:"stable_group_hits"`
-	SummaryHits     uint64 `json:"summary_hits,omitempty"`
 
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
@@ -138,7 +135,6 @@ type StatsDoc struct {
 	DomainRefs        int64  `json:"domain_refs"`
 	DomainsRotated    uint64 `json:"domains_rotated"`
 	BuildersReclaimed uint64 `json:"builders_reclaimed"`
-	SeededSummaries   int    `json:"seeded_summaries"`
 
 	// Aggregate solver counters over finished jobs. WarmHits is the
 	// persistent store's lookup-hit count: queries this process answered
@@ -196,7 +192,6 @@ func (s *Server) jobConfig(req *JobRequest) (symx.Config, error) {
 		ArgLen:       req.ArgLen,
 		StdinLen:     req.StdinLen,
 		Workers:      req.Workers,
-		Summaries:    req.Summaries,
 		MaxSteps:     req.MaxSteps,
 		CollectTests: true,
 	}
@@ -261,6 +256,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
+	// A field the daemon does not know (a typo, or an option it no longer
+	// offers) is refused by name rather than silently dropped.
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -386,7 +384,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		SATCalls:        res.Stats.Solver.SATCalls,
 		StableHits:      res.Stats.Solver.StableHits,
 		StableGroupHits: res.Stats.Solver.StableGroupHits,
-		SummaryHits:     res.Stats.SummaryHits,
 		ElapsedSeconds:  res.Stats.ElapsedSeconds,
 	}})
 }
@@ -395,11 +392,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	doc := StatsDoc{
-		Schema:          StatsSchema,
-		JobsActive:      len(s.jobs),
-		DomainNodes:     s.dom.NumNodes(),
-		DomainRefs:      s.dom.Refs(),
-		SeededSummaries: s.dom.SeededSummaries,
+		Schema:      StatsSchema,
+		JobsActive:  len(s.jobs),
+		DomainNodes: s.dom.NumNodes(),
+		DomainRefs:  s.dom.Refs(),
 	}
 	s.mu.Unlock()
 	doc.JobsAccepted = s.jobsAccepted.Load()

@@ -6,19 +6,19 @@
 //
 // What makes the daemon more than a loop around symx.Run is the shared
 // symx.Domain: every job interns expressions into one builder and shares
-// the counterexample and summary caches, optionally backed by a persistent
+// the counterexample cache, optionally backed by a persistent
 // internal/store directory so knowledge survives restarts. Two disciplines
 // keep that sound and bounded:
 //
-//   - Soundness: the domain only ever carries completed solver verdicts and
-//     validated summaries, so a warm daemon produces byte-identical corpus
-//     digests to a cold one (pinned by symx's differential tests). Nothing
-//     a job observes depends on which jobs ran before it.
+//   - Soundness: the domain only ever carries completed solver verdicts,
+//     so a warm daemon produces byte-identical corpus digests to a cold
+//     one (pinned by symx's differential tests). Nothing a job observes
+//     depends on which jobs ran before it.
 //
 //   - Boundedness: the builder's intern table and the fingerprint memo only
 //     grow. Once the table passes Options.RotateNodes and no job holds the
 //     domain, the daemon flushes it to the store and rotates to a fresh
-//     domain rehydrated from disk; the retired builder, caches, and memo
+//     domain over the same store; the retired builder, cache, and memo
 //     become garbage at that instant. symx.DomainsReclaimed (served as
 //     builders_reclaimed in /v1/stats) proves the collector actually frees
 //     them — the leak test drives a sustained submit loop and watches both
@@ -54,8 +54,8 @@ type Options struct {
 	Addr string
 
 	// StoreDir, when non-empty, backs the domain with a persistent store
-	// at that directory: counterexample verdicts, blasted-group verdicts,
-	// and function summaries survive daemon restarts.
+	// at that directory: counterexample verdicts and blasted-group verdicts
+	// survive daemon restarts.
 	StoreDir string
 	// StoreTag is the engine canonical-form generation recorded in
 	// persisted segments (default store.DefaultTag).
@@ -221,7 +221,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	dom := s.dom
 	s.mu.Unlock()
 	if dom != nil {
-		if _, ferr := dom.Flush(); err == nil {
+		if ferr := dom.Flush(); err == nil {
 			err = ferr
 		}
 	}
@@ -246,8 +246,8 @@ func (s *Server) acquireDomain() *symx.Domain {
 
 // maybeRotate retires the current domain once the intern table passes the
 // watermark and no job holds it: flush to the store, swap in a fresh
-// domain rehydrated from disk, and drop the old pointer — the builder, its
-// memo, and both caches become garbage here. Called after each job.
+// domain over the same store, and drop the old pointer — the builder, its
+// memo, and the cex cache become garbage here. Called after each job.
 func (s *Server) maybeRotate() {
 	if s.opts.RotateNodes < 0 {
 		return

@@ -157,7 +157,7 @@ func TestDaemonConcurrentSubmissions(t *testing.T) {
 			defer wg.Done()
 			evs, err := trySubmit(s.Addr(), JobRequest{
 				Source: quickSrc, Label: fmt.Sprintf("job-%d", i),
-				Merge: "dsm", Summaries: true, Tests: i == 0,
+				Merge: "dsm", Tests: i == 0,
 			})
 			if err != nil {
 				t.Errorf("job %d: %v", i, err)
@@ -354,7 +354,7 @@ func TestDaemonWarmStoreAcrossRestart(t *testing.T) {
 	storeDir := t.TempDir()
 	opts := Options{MaxJobs: 2, StoreDir: storeDir}
 	s := startServer(t, opts)
-	req := JobRequest{Source: quickSrc, Merge: "dsm", Summaries: true}
+	req := JobRequest{Source: quickSrc, Merge: "dsm"}
 	cold := resultOf(t, submit(t, s.Addr(), req))
 	if !cold.Completed {
 		t.Fatal("cold job incomplete")
@@ -377,9 +377,6 @@ func TestDaemonWarmStoreAcrossRestart(t *testing.T) {
 	doc := getStats(t, s2.Addr())
 	if doc.WarmHits == 0 {
 		t.Error("stats endpoint shows no warm-store hits")
-	}
-	if doc.SeededSummaries == 0 {
-		t.Error("restarted daemon seeded no summaries from the store")
 	}
 	if doc.Store == nil || doc.Store.CexLoaded == 0 {
 		t.Error("stats endpoint shows no persisted cex entries loaded")
@@ -413,6 +410,14 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	}
 	if resp, _ := post(`not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("non-JSON body: status %d", resp.StatusCode)
+	}
+	// Unknown fields — a retired option or a typo — are refused by name,
+	// not silently dropped.
+	for _, field := range []string{"summaries", "mrege"} {
+		resp, body := post(`{"source":"void main() { }","` + field + `":true}`)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(`\"`+field+`\"`)) {
+			t.Errorf("unknown field %q: status %d body %s", field, resp.StatusCode, body)
+		}
 	}
 	doc := getStats(t, s.Addr())
 	if doc.JobsAccepted != 0 {

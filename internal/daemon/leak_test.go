@@ -47,7 +47,7 @@ func TestDomainRotationBoundsBuilderGrowth(t *testing.T) {
 	// Baseline: the first job tells us how many nodes one run interns, so
 	// the growth bound below is principled rather than a magic constant.
 	if res := resultOf(t, submit(t, s.Addr(), JobRequest{
-		Source: variedSrc(0), Merge: "dsm", Summaries: true,
+		Source: variedSrc(0), Merge: "dsm",
 	})); !res.Completed {
 		t.Fatal("seed job incomplete")
 	}
@@ -57,14 +57,14 @@ func TestDomainRotationBoundsBuilderGrowth(t *testing.T) {
 	}
 	// A domain rotates as soon as a job leaves it past the watermark, so
 	// the live table never exceeds the watermark plus one job's growth —
-	// with cushion for what store rehydration interns into fresh domains.
+	// with cushion.
 	bound := watermark + 4*perJob
 
 	reclaimedBefore := symx.DomainsReclaimed()
 	const jobs = 12
 	for i := 1; i <= jobs; i++ {
 		if res := resultOf(t, submit(t, s.Addr(), JobRequest{
-			Source: variedSrc(i), Merge: "dsm", Summaries: true,
+			Source: variedSrc(i), Merge: "dsm",
 		})); !res.Completed {
 			t.Fatalf("job %d incomplete", i)
 		}
@@ -109,8 +109,8 @@ func TestDomainRotationBoundsBuilderGrowth(t *testing.T) {
 
 	// Rotation must not have cost correctness: the same program re-run in
 	// whatever domain is now live still completes and agrees with itself.
-	a := resultOf(t, submit(t, s.Addr(), JobRequest{Source: variedSrc(3), Merge: "dsm", Summaries: true}))
-	b := resultOf(t, submit(t, s.Addr(), JobRequest{Source: variedSrc(3), Merge: "dsm", Summaries: true}))
+	a := resultOf(t, submit(t, s.Addr(), JobRequest{Source: variedSrc(3), Merge: "dsm"}))
+	b := resultOf(t, submit(t, s.Addr(), JobRequest{Source: variedSrc(3), Merge: "dsm"}))
 	if !a.Completed || !b.Completed || a.CorpusDigest != b.CorpusDigest {
 		t.Errorf("post-rotation runs disagree: %v/%v %s vs %s",
 			a.Completed, b.Completed, a.CorpusDigest, b.CorpusDigest)

@@ -110,16 +110,6 @@ func ChromeTrace(r io.Reader, w io.Writer) error {
 			span("merge-reject", num(rec, "dur_us"), args)
 		case EvFork:
 			instant(ev, "t", map[string]any{"parent": num(rec, "parent"), "child": num(rec, "child")})
-		case EvSummaryRecord:
-			span("summary-record", num(rec, "dur_us"), map[string]any{
-				"fn": num(rec, "fn"), "entries": num(rec, "entries"),
-			})
-		case EvSummaryApply:
-			span("summary-apply", num(rec, "dur_us"), map[string]any{
-				"fn": num(rec, "fn"), "entries": num(rec, "entries"), "feasible": num(rec, "feasible"),
-			})
-		case EvSummaryReject:
-			instant(ev, "t", map[string]any{"fn": num(rec, "fn"), "reason": rec["reason"]})
 		case EvEpoch, EvCheckpoint:
 			instant(ev, "p", map[string]any{"seq": num(rec, "seq")})
 		default: // ff_select, steal, donate, corpus_emit, future instants

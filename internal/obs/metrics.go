@@ -159,17 +159,11 @@ type Metrics struct {
 	corpusTests   counter
 	traceDropped  counter
 	worklist      gauge
+	prunedStatic  counter
 
-	summaryHits        counter
-	summaryMisses      counter
-	summaryRecords     counter
-	summaryInvalidates counter
-	prunedStatic       counter
-
-	queryLat      [numQueryClasses]histogram
-	mergeGate     histogram
-	stepLat       histogram
-	summaryLookup histogram
+	queryLat  [numQueryClasses]histogram
+	mergeGate histogram
+	stepLat   histogram
 }
 
 // NewMetrics returns an empty registry.
@@ -194,16 +188,10 @@ type MetricsSnap struct {
 	QueriesSession uint64 `json:"queries_session"`
 	QueriesOneShot uint64 `json:"queries_oneshot"`
 	QueriesCached  uint64 `json:"queries_cached"`
-	QueriesSummary uint64 `json:"queries_summary"`
 	QuerySat       uint64 `json:"query_sat"`
 	QueryUnsat     uint64 `json:"query_unsat"`
 	QueryErr       uint64 `json:"query_err"`
-
-	SummaryHits        uint64 `json:"summary_hits"`
-	SummaryMisses      uint64 `json:"summary_misses"`
-	SummaryRecords     uint64 `json:"summary_records"`
-	SummaryInvalidates uint64 `json:"summary_invalidates"`
-	PrunedStatic       uint64 `json:"pruned_static"`
+	PrunedStatic   uint64 `json:"pruned_static"`
 
 	Steals      uint64 `json:"steals"`
 	Donations   uint64 `json:"donations"`
@@ -217,10 +205,12 @@ type MetricsSnap struct {
 	QueryLatSession HistSnap `json:"query_lat_session"`
 	QueryLatOneShot HistSnap `json:"query_lat_oneshot"`
 	QueryLatCached  HistSnap `json:"query_lat_cached"`
+	// QueryLatSummary is always empty: no query class feeds it any more.
+	// It stays because cmd/symbench, a separately versioned module, still
+	// sums it into its query-time figure.
 	QueryLatSummary HistSnap `json:"query_lat_summary"`
 	MergeGate       HistSnap `json:"merge_gate"`
 	StepLat         HistSnap `json:"step_lat"`
-	SummaryLookup   HistSnap `json:"summary_lookup"`
 }
 
 // Snapshot captures the registry. Safe to call from any goroutine while
@@ -240,30 +230,23 @@ func (m *Metrics) Snapshot() *MetricsSnap {
 		QueriesSession: m.queries[QuerySession].load(),
 		QueriesOneShot: m.queries[QueryOneShot].load(),
 		QueriesCached:  m.queries[QueryCached].load(),
-		QueriesSummary: m.queries[QuerySummary].load(),
 		QuerySat:       m.querySat.load(),
 		QueryUnsat:     m.queryUnsat.load(),
 		QueryErr:       m.queryErr.load(),
+		PrunedStatic:   m.prunedStatic.load(),
 
-		SummaryHits:        m.summaryHits.load(),
-		SummaryMisses:      m.summaryMisses.load(),
-		SummaryRecords:     m.summaryRecords.load(),
-		SummaryInvalidates: m.summaryInvalidates.load(),
-		PrunedStatic:       m.prunedStatic.load(),
-		Steals:             m.steals.load(),
-		Donations:          m.donations.load(),
-		Epochs:             m.epochs.load(),
-		Checkpoints:        m.checkpoints.load(),
-		CorpusTests:        m.corpusTests.load(),
-		TraceDropped:       m.traceDropped.load(),
-		Worklist:           m.worklist.load(),
-		QueryLatSession:    m.queryLat[QuerySession].snapshot(),
-		QueryLatOneShot:    m.queryLat[QueryOneShot].snapshot(),
-		QueryLatCached:     m.queryLat[QueryCached].snapshot(),
-		QueryLatSummary:    m.queryLat[QuerySummary].snapshot(),
-		MergeGate:          m.mergeGate.snapshot(),
-		StepLat:            m.stepLat.snapshot(),
-		SummaryLookup:      m.summaryLookup.snapshot(),
+		Steals:          m.steals.load(),
+		Donations:       m.donations.load(),
+		Epochs:          m.epochs.load(),
+		Checkpoints:     m.checkpoints.load(),
+		CorpusTests:     m.corpusTests.load(),
+		TraceDropped:    m.traceDropped.load(),
+		Worklist:        m.worklist.load(),
+		QueryLatSession: m.queryLat[QuerySession].snapshot(),
+		QueryLatOneShot: m.queryLat[QueryOneShot].snapshot(),
+		QueryLatCached:  m.queryLat[QueryCached].snapshot(),
+		MergeGate:       m.mergeGate.snapshot(),
+		StepLat:         m.stepLat.snapshot(),
 	}
 }
 

@@ -50,10 +50,6 @@ const (
 	EvCorpusEmit   = "corpus_emit"
 	EvTraceEnd     = "trace_end"
 
-	EvSummaryRecord = "summary_record"
-	EvSummaryApply  = "summary_apply"
-	EvSummaryReject = "summary_reject"
-
 	EvPruneStatic = "prune_static"
 )
 
@@ -71,10 +67,6 @@ const (
 	// QueryCached: answered without SAT — a counterexample-cache hit or a
 	// recent-model re-evaluation.
 	QueryCached
-	// QuerySummary: an assume-summary feasibility query — a summary entry's
-	// guard checked against the caller's path condition when a call site is
-	// discharged from the compositional summary cache.
-	QuerySummary
 
 	numQueryClasses
 )
@@ -87,8 +79,6 @@ func (c QueryClass) String() string {
 		return "oneshot"
 	case QueryCached:
 		return "cached"
-	case QuerySummary:
-		return "summary"
 	}
 	return "?"
 }
@@ -432,81 +422,6 @@ func (o *Observer) CorpusEmit(n int) {
 	if s := o.run.sink; s != nil {
 		b := o.head(EvCorpusEmit)
 		b = fInt(b, "n", int64(n))
-		s.enqueue(closeLine(b))
-	}
-}
-
-// SummaryRecord records a completed summary recording for callee fn:
-// entries path entries captured in dur (the sub-exploration wall time).
-func (o *Observer) SummaryRecord(fn, entries int, dur time.Duration) {
-	if o == nil {
-		return
-	}
-	if m := o.run.met; m != nil {
-		m.summaryRecords.add(o.lane, 1)
-	}
-	if s := o.run.sink; s != nil {
-		b := o.head(EvSummaryRecord)
-		b = fInt(b, "fn", int64(fn))
-		b = fInt(b, "entries", int64(entries))
-		b = fInt(b, "dur_us", dur.Microseconds())
-		s.enqueue(closeLine(b))
-	}
-}
-
-// SummaryApply records a call site discharged from the summary cache:
-// entries recorded entries considered, feasible of them spliced into the
-// caller, in dur (lookup + instantiation + feasibility filtering).
-func (o *Observer) SummaryApply(fn, entries, feasible int, dur time.Duration) {
-	if o == nil {
-		return
-	}
-	if m := o.run.met; m != nil {
-		m.summaryHits.add(o.lane, 1)
-		m.summaryLookup.observe(dur)
-	}
-	if s := o.run.sink; s != nil {
-		b := o.head(EvSummaryApply)
-		b = fInt(b, "fn", int64(fn))
-		b = fInt(b, "entries", int64(entries))
-		b = fInt(b, "feasible", int64(feasible))
-		b = fInt(b, "dur_us", dur.Microseconds())
-		s.enqueue(closeLine(b))
-	}
-}
-
-// SummaryReject records a call site that fell back to inline exploration,
-// with the soundness gate (or cache miss policy) that refused it.
-func (o *Observer) SummaryReject(fn int, reason string) {
-	if o == nil {
-		return
-	}
-	if m := o.run.met; m != nil {
-		m.summaryMisses.add(o.lane, 1)
-	}
-	if s := o.run.sink; s != nil {
-		b := o.head(EvSummaryReject)
-		b = fInt(b, "fn", int64(fn))
-		b = fStr(b, "reason", reason)
-		s.enqueue(closeLine(b))
-	}
-}
-
-// SummaryInvalidate records a recording attempt that failed dynamically
-// (budget truncation, solver abort, entry blow-up) and poisoned its cache
-// key. Emits the same summary_reject trace event as SummaryReject, but
-// counts as an invalidation rather than a plain miss.
-func (o *Observer) SummaryInvalidate(fn int, reason string) {
-	if o == nil {
-		return
-	}
-	if m := o.run.met; m != nil {
-		m.summaryInvalidates.add(o.lane, 1)
-	}
-	if s := o.run.sink; s != nil {
-		b := o.head(EvSummaryReject)
-		b = fInt(b, "fn", int64(fn))
-		b = fStr(b, "reason", reason)
 		s.enqueue(closeLine(b))
 	}
 }

@@ -29,14 +29,10 @@ var eventFields = map[string][]string{
 	EvCorpusEmit:   {"w", "n"},
 	EvTraceEnd:     {"events", "dropped"},
 
-	EvSummaryRecord: {"w", "fn", "entries", "dur_us"},
-	EvSummaryApply:  {"w", "fn", "entries", "feasible", "dur_us"},
-	EvSummaryReject: {"w", "fn", "reason"},
-
 	EvPruneStatic: {"w", "state", "fn", "pc", "kind"},
 }
 
-var queryClasses = map[string]bool{"session": true, "oneshot": true, "cached": true, "summary": true}
+var queryClasses = map[string]bool{"session": true, "oneshot": true, "cached": true}
 
 // TraceSummary is what Validate learned from a schema-valid trace.
 type TraceSummary struct {

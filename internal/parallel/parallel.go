@@ -473,13 +473,7 @@ func Combine(all []*core.Result, completed bool, cfg core.Config) *core.Result {
 		st.Pruned += s.Pruned
 		st.PrunedStatic += s.PrunedStatic
 		st.BoundsElided += s.BoundsElided
-		st.SummaryHeapLifted += s.SummaryHeapLifted
 		st.TestGenFailures += s.TestGenFailures
-		st.SummaryHits += s.SummaryHits
-		st.SummaryRejects += s.SummaryRejects
-		st.SummaryRecords += s.SummaryRecords
-		st.SummaryEntries += s.SummaryEntries
-		st.SummarySteps += s.SummarySteps
 		if s.MaxWorklist > st.MaxWorklist {
 			st.MaxWorklist = s.MaxWorklist
 		}
@@ -503,7 +497,6 @@ func Combine(all []*core.Result, completed bool, cfg core.Config) *core.Result {
 		st.Solver.SessionRebases += s.Solver.SessionRebases
 		st.Solver.StableHits += s.Solver.StableHits
 		st.Solver.StableGroupHits += s.Solver.StableGroupHits
-		st.Solver.SummaryQueries += s.Solver.SummaryQueries
 		st.Solver.PreprocQueries += s.Solver.PreprocQueries
 		st.Solver.PreprocNodesIn += s.Solver.PreprocNodesIn
 		st.Solver.PreprocNodesOut += s.Solver.PreprocNodesOut

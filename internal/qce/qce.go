@@ -468,20 +468,6 @@ func (fq *FuncQCE) QtAt(pc int) float64 {
 	return fq.Qt[pc]
 }
 
-// EntryQueries returns the query-count estimate for one full exploration
-// of fn from its entry (the interprocedural EntryQt computed bottom-up
-// over the call graph). The summary machinery uses it as a selectivity
-// refinement: a callee estimated to trigger no queries gains little from
-// being discharged out of a cache, so such call sites stay inline unless
-// the static heuristic already judged them worthwhile. Zero for an
-// unanalyzed function.
-func (a *Analysis) EntryQueries(fn int) float64 {
-	if fn < 0 || fn >= len(a.PerFunc) || a.PerFunc[fn] == nil {
-		return 0
-	}
-	return a.PerFunc[fn].EntryQt
-}
-
 // Threshold is the merge-gate cutoff α·Qt_global of Equation (2) — the
 // value a variable's Qadd (or, in the ζ variant, Equation (7)'s aggregate
 // cost term) must stay below for a merge to be accepted. The observability

@@ -62,11 +62,6 @@ type Stats struct {
 	StableHits      uint64
 	StableGroupHits uint64
 
-	// SummaryQueries counts assume-summary feasibility queries: entry-guard
-	// checks issued while a call site is discharged from the compositional
-	// summary cache (the solver's summary scope — see SummaryScope).
-	SummaryQueries uint64
-
 	// Preprocessing-pass pipeline activity (see passes.go). Node counts
 	// are summed Expr.Nodes() tree sizes (cheap, cached per node), not
 	// distinct-DAG-node counts.
@@ -150,20 +145,8 @@ type Solver struct {
 	// verdict, latency, and SAT-encoding delta.
 	obs *obs.Observer
 
-	// summaryScope marks queries issued while a call site is discharged
-	// from the summary cache; they are counted in Stats.SummaryQueries and
-	// attributed to the obs.QuerySummary class regardless of which internal
-	// path (session, cache, one-shot) answered them. See SummaryScope.
-	summaryScope bool
-
 	Stats Stats
 }
-
-// SummaryScope toggles assume-summary query attribution. The engine brackets
-// each summary application with SummaryScope(true)/SummaryScope(false) so
-// the feasibility checks it issues are reported as a distinct query class
-// (the cost the paper's Q_t estimate must see per discharged call site).
-func (s *Solver) SummaryScope(on bool) { s.summaryScope = on }
 
 // Observe attaches an observability lane; the engine calls this with its
 // own lane so solver spans land on the right trace row.
@@ -241,17 +224,11 @@ func (s *Solver) checkSatIn(sess *Session, constraints []*expr.Expr, needModel b
 	// Constant folding answered everything above this line; those
 	// pseudo-queries never reach the cache or SAT and stay untraced. From
 	// here on, each decision is one observable query span.
-	if s.summaryScope {
-		s.Stats.SummaryQueries++
-	}
 	if s.obs.Active() {
 		qid := s.obs.QueryBegin()
 		t0 := time.Now()
 		v0, c0 := s.Stats.SATVars, s.Stats.SATClauses
 		res, m, class, err := s.decide(sess, live, needModel)
-		if s.summaryScope {
-			class = obs.QuerySummary
-		}
 		s.obs.QueryEnd(qid, class, res, err != nil, time.Since(t0),
 			s.Stats.SATVars-v0, s.Stats.SATClauses-c0)
 		return res, m, err

@@ -8,7 +8,6 @@ import (
 
 	"symmerge/internal/expr"
 	"symmerge/internal/solver"
-	"symmerge/internal/summary"
 )
 
 // seedSegmentBytes renders a well-formed segment file (payload + checksum)
@@ -22,10 +21,6 @@ func seedSegmentBytes(tb testing.TB) []byte {
 	}
 	s.InsertCex(expr.FP{Hi: 1, Lo: 2}, true,
 		[]solver.StableAssign{{Name: "x", Width: 8, Val: 200}})
-	b := expr.NewBuilder()
-	c := summary.NewCache()
-	c.Seed("sig(code)", "1/2/0|s0,", makeSummary(b))
-	s.HarvestSummaries(c)
 	if err := s.Flush(); err != nil {
 		tb.Fatal(err)
 	}
@@ -38,8 +33,8 @@ func seedSegmentBytes(tb testing.TB) []byte {
 
 // FuzzStoreRoundTrip drops arbitrary bytes in place of a segment file and
 // opens the store: load must never panic, never error out of Open, and
-// never let an invalid entry reach a summary cache or return an
-// ill-formed verdict — corrupt input degrades to quarantine/skip counts.
+// never return an ill-formed verdict — corrupt input degrades to
+// quarantine/skip counts.
 func FuzzStoreRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not json at all\ndeadbeef\n"))
@@ -49,20 +44,24 @@ func FuzzStoreRoundTrip(f *testing.F) {
 	f.Add(seed[:len(seed)/2]) // torn
 	f.Add(seed[:len(seed)-3]) // checksum truncated
 	// Checksummed-but-hostile payloads: valid files whose JSON carries
-	// out-of-range refs, zero fingerprints, junk kinds.
+	// zero or overflowing fingerprints, malformed models, and a legacy
+	// summary entry with junk kinds and out-of-range refs.
+	var hostiles [][]byte
 	for _, hostile := range []segment{
 		{Schema: Schema, Tag: DefaultTag, Cex: []wireCex{{Hi: "0", Lo: "0", Sat: true}}},
 		{Schema: Schema, Tag: DefaultTag, Cex: []wireCex{{Hi: "18446744073709551616", Lo: "1"}}},
 		{Schema: Schema, Tag: DefaultTag, Cex: []wireCex{{Hi: "5", Lo: "6", Sat: true,
 			Model: []solver.StableAssign{{Name: "", Width: 99, Val: 1}}}}},
-		{Schema: Schema, Tag: DefaultTag, Sums: []wireSummary{{Sig: "s", Rest: "r",
-			Exprs:   []wireNode{{K: 200}, {K: 3, Kids: []uint32{9}}},
-			Entries: []wireEntry{{Ret: 77}}}}},
 	} {
 		payload, err := json.Marshal(hostile)
 		if err != nil {
 			f.Fatal(err)
 		}
+		hostiles = append(hostiles, payload)
+	}
+	hostiles = append(hostiles, []byte(`{"schema":"symmerge-store/v1","tag":"engine/v1",`+
+		`"sums":[{"sig":"s","rest":"r","x":[{"k":200},{"k":3,"c":[9]}],"en":[{"r":77}]}]}`))
+	for _, payload := range hostiles {
 		dir := f.TempDir()
 		path := filepath.Join(dir, "x")
 		if err := writeFileChecksummed(path, payload); err != nil {
@@ -98,11 +97,6 @@ func FuzzStoreRoundTrip(f *testing.F) {
 			}
 		}
 		s.mu.Unlock()
-		// Summaries must either seed cleanly or be dropped — never panic,
-		// never seed a malformed entry.
-		b := expr.NewBuilder()
-		c := summary.NewCache()
-		s.SeedSummaries(b, c)
 		// The store must remain writable after swallowing garbage.
 		s.InsertCex(expr.FP{Hi: 11, Lo: 12}, false, nil)
 		if err := s.Flush(); err != nil {

@@ -1,9 +1,8 @@
 // Package store is the cross-run persistence layer behind the symxd
 // daemon: an on-disk, crash-safe store of solver verdicts (the
-// counterexample cache, keyed by 128-bit stable expression fingerprints)
-// and compositional function summaries (keyed by canonical closure
-// signatures), so repeat and near-repeat programs skip most solver work in
-// any later job, process, or machine that opens the same directory.
+// counterexample cache, keyed by 128-bit stable expression fingerprints),
+// so repeat and near-repeat programs skip most solver work in any later
+// job, process, or machine that opens the same directory.
 //
 // The disk discipline mirrors internal/checkpoint: every file is one line
 // of JSON followed by one line with the hex SHA-256 of the JSON bytes,
@@ -40,7 +39,6 @@ import (
 
 	"symmerge/internal/expr"
 	"symmerge/internal/solver"
-	"symmerge/internal/summary"
 )
 
 // Schema is the store wire-format identifier. Bump on any incompatible
@@ -75,10 +73,8 @@ const (
 // Stats is a point-in-time snapshot of store counters.
 type Stats struct {
 	CexEntries  int    // live persisted verdicts
-	SumEntries  int    // live persisted summaries
 	Segments    int    // segment files on disk
 	CexLoaded   int    // verdicts loaded by Open
-	SumLoaded   int    // summaries loaded by Open
 	Quarantined int    // files renamed aside (torn/corrupt/foreign schema)
 	StaleSegs   int    // segments rejected for a mismatched engine tag
 	BadEntries  int    // individual entries skipped by validation
@@ -95,11 +91,6 @@ type cexRec struct {
 	seq   uint64 // insertion order, for oldest-half eviction
 }
 
-type sumRec struct {
-	wire  wireSummary
-	dirty bool
-}
-
 // Store is safe for concurrent use; LookupCex/InsertCex sit on the
 // solver's miss path (after the in-memory ID cache), so a single mutex is
 // plenty.
@@ -111,7 +102,6 @@ type Store struct {
 	cex      map[expr.FP]*cexRec
 	cexOrder []expr.FP // insertion order; may contain evicted strays
 	dirtyCex []expr.FP
-	sums     map[string]*sumRec // key: sig + "\x1f" + rest
 	nextSeg  uint64
 	seqNo    uint64
 	stats    Stats
@@ -137,7 +127,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:  dir,
 		opts: opts,
 		cex:  make(map[expr.FP]*cexRec),
-		sums: make(map[string]*sumRec),
 	}
 	if err := s.checkManifest(); err != nil {
 		return nil, err
@@ -188,9 +177,8 @@ func (s *Store) checkManifest() error {
 // segName renders a segment file name.
 func segName(n uint64) string { return fmt.Sprintf("seg-%08d.seg", n) }
 
-// loadSegments reads every segment in numeric order. Later entries win on
-// duplicate keys (a later flush may carry a fresher summary; cex verdicts
-// are immutable facts, so either copy is fine).
+// loadSegments reads every segment in numeric order. Cex verdicts are
+// immutable facts, so the first copy of a duplicated key is kept.
 func (s *Store) loadSegments() {
 	names := s.listSegments()
 	for _, n := range names {
@@ -225,17 +213,6 @@ func (s *Store) loadSegments() {
 			}
 			s.addCexLocked(fp, w.Sat, w.Model, false)
 			s.stats.CexLoaded++
-		}
-		for i := range seg.Sums {
-			w := seg.Sums[i]
-			if w.Sig == "" {
-				s.stats.BadEntries++
-				continue
-			}
-			// Structural validation (and builder interning) happens at
-			// SeedSummaries time; here the wire form is retained as-is.
-			s.sums[w.Sig+"\x1f"+w.Rest] = &sumRec{wire: w}
-			s.stats.SumLoaded++
 		}
 		s.stats.Segments++
 	}
@@ -331,83 +308,6 @@ func (s *Store) InsertCex(fp expr.FP, sat bool, model []solver.StableAssign) {
 	s.addCexLocked(fp, sat, model, true)
 }
 
-// --- summaries ---
-
-// SeedSummaries rehydrates every persisted summary into the given cache,
-// interning expressions through b (the builder the cache's engines share).
-// Summaries that fail structural validation are dropped from the store and
-// counted; they cannot poison results because they never reach the cache.
-// It returns the number of summaries seeded.
-func (s *Store) SeedSummaries(b *expr.Builder, c *summary.Cache) int {
-	s.mu.Lock()
-	recs := make([]*sumRec, 0, len(s.sums))
-	keys := make([]string, 0, len(s.sums))
-	for k, r := range s.sums {
-		recs = append(recs, r)
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-
-	seeded := 0
-	var bad []string
-	for i, r := range recs {
-		fs, err := decodeSummary(b, &r.wire)
-		if err != nil {
-			bad = append(bad, keys[i])
-			continue
-		}
-		c.Seed(r.wire.Sig, r.wire.Rest, fs)
-		seeded++
-	}
-	if len(bad) > 0 {
-		s.mu.Lock()
-		for _, k := range bad {
-			delete(s.sums, k)
-			s.stats.BadEntries++
-		}
-		s.mu.Unlock()
-	}
-	return seeded
-}
-
-// HarvestSummaries pulls every summary the cache recorded that the store
-// does not yet hold, encoding them to wire form for the next Flush. It
-// returns the number of new summaries captured.
-func (s *Store) HarvestSummaries(c *summary.Cache) int {
-	type pending struct {
-		key  string
-		wire wireSummary
-	}
-	var fresh []pending
-	seen := func(key string) bool {
-		s.mu.Lock()
-		_, ok := s.sums[key]
-		s.mu.Unlock()
-		return ok
-	}
-	c.Export(func(sig, rest string, fs *summary.FuncSummary) {
-		key := sig + "\x1f" + rest
-		if seen(key) {
-			return
-		}
-		fresh = append(fresh, pending{key: key, wire: encodeSummary(sig, rest, fs)})
-	})
-	if len(fresh) == 0 {
-		return 0
-	}
-	s.mu.Lock()
-	n := 0
-	for _, p := range fresh {
-		if _, ok := s.sums[p.key]; ok {
-			continue
-		}
-		s.sums[p.key] = &sumRec{wire: p.wire, dirty: true}
-		n++
-	}
-	s.mu.Unlock()
-	return n
-}
-
 // --- flushing ---
 
 // Flush writes every entry recorded since the last flush as one new
@@ -428,27 +328,13 @@ func (s *Store) Flush() error {
 			Sat: r.sat, Model: r.model,
 		})
 	}
-	dirtyKeys := make([]string, 0)
-	for k, r := range s.sums {
-		if r.dirty {
-			dirtyKeys = append(dirtyKeys, k)
-		}
-	}
-	sort.Strings(dirtyKeys) // deterministic segment bytes
-	for _, k := range dirtyKeys {
-		seg.Sums = append(seg.Sums, s.sums[k].wire)
-	}
-
-	if len(seg.Cex) == 0 && len(seg.Sums) == 0 {
+	if len(seg.Cex) == 0 {
 		return nil
 	}
 	if err := s.writeSegmentLocked(&seg); err != nil {
 		return err
 	}
 	s.dirtyCex = s.dirtyCex[:0]
-	for _, k := range dirtyKeys {
-		s.sums[k].dirty = false
-	}
 	s.stats.Flushes++
 	if s.stats.Segments > s.opts.CompactAt {
 		s.compactLocked()
@@ -491,14 +377,6 @@ func (s *Store) compactLocked() {
 			Sat: r.sat, Model: r.model,
 		})
 	}
-	keys := make([]string, 0, len(s.sums))
-	for k := range s.sums {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		seg.Sums = append(seg.Sums, s.sums[k].wire)
-	}
 
 	old := s.listSegments()
 	if err := s.writeSegmentLocked(&seg); err != nil {
@@ -510,9 +388,6 @@ func (s *Store) compactLocked() {
 		}
 	}
 	s.dirtyCex = s.dirtyCex[:0]
-	for _, k := range keys {
-		s.sums[k].dirty = false
-	}
 	s.stats.Compactions++
 }
 
@@ -522,7 +397,6 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.CexEntries = len(s.cex)
-	st.SumEntries = len(s.sums)
 	return st
 }
 

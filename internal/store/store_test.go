@@ -9,7 +9,6 @@ import (
 
 	"symmerge/internal/expr"
 	"symmerge/internal/solver"
-	"symmerge/internal/summary"
 )
 
 func openT(t *testing.T, dir string, opts Options) *Store {
@@ -50,85 +49,74 @@ func TestCexRoundTrip(t *testing.T) {
 	}
 }
 
-// makeSummary builds a small but representative FuncSummary in b.
-func makeSummary(b *expr.Builder) *summary.FuncSummary {
-	p0 := b.Var("p!0_8", 8)
-	env := b.Var("arg0_0", 8)
-	guard := b.Ult(p0, b.Const(10, 8))
-	return &summary.FuncSummary{
-		Placeholders: []*expr.Expr{p0},
-		Entries: []summary.Entry{
-			{
-				PC:     []*expr.Expr{guard, b.Eq(env, b.Const(65, 8))},
-				Kind:   summary.KindReturn,
-				Ret:    b.Add(p0, b.Const(1, 8)),
-				Out:    []summary.OutEffect{{Guard: guard, Val: p0}, {Guard: nil, Val: env}},
-				Writes: []summary.CellWrite{{Param: 1, Cell: 3, Val: b.Add(p0, env)}},
-				Cov:    []summary.LocRef{{Ord: 0, PC: 2}, {Ord: 1, PC: 0}},
-			},
-			{
-				Kind: summary.KindError,
-				Err:  &summary.ErrInfo{Ord: 0, PC: 7, Msg: "division by zero", Assert: false},
-				PC:   []*expr.Expr{b.Eq(p0, b.Const(0, 8))},
-			},
-		},
-	}
-}
+// legacySegment is a segment as written while the store also persisted
+// function summaries: two verdicts next to a "sums" entry, byte for byte.
+const legacySegment = `{"schema":"symmerge-store/v1","tag":"engine/v1",` +
+	`"cex":[{"h":"1","l":"2","s":true,"m":[{"n":"x","w":8,"v":"4"}]},{"h":"3","l":"4"}],` +
+	`"sums":[{"sig":"f(code)","rest":"0/0/0|s0,","x":[{"k":1,"w":8,"n":"p!0_8"},{"k":0,"w":8,"v":"1"},` +
+	`{"k":12,"w":8,"c":[2,1]},{"k":0,"w":8,"v":"10"},{"k":8,"c":[1,4]},{"k":1,"w":8,"n":"arg0_0"},` +
+	`{"k":0,"w":8,"v":"65"},{"k":7,"c":[6,7]},{"k":12,"w":8,"c":[1,6]},{"k":0,"w":8},{"k":7,"c":[1,10]}],` +
+	`"ph":[1],"en":[{"pc":[5,8],"r":3,"o":[{"g":5,"v":1},{"v":6}],"w":[{"p":1,"c":3,"v":9}],` +
+	`"c":[{"o":0,"p":2},{"o":1,"p":0}]},{"pc":[11],"k":2,"e":{"o":0,"p":7,"m":"division by zero"}}]}]}`
 
-func TestSummaryRoundTrip(t *testing.T) {
+// TestLegacySegmentKeepsVerdicts: a store written while summaries
+// were persisted still serves every verdict under the unchanged schema and
+// tag, and the next compaction rewrites it without the summaries.
+func TestLegacySegmentKeepsVerdicts(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, Options{})
+	mdata, err := json.Marshal(manifest{Schema: Schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileChecksummed(filepath.Join(dir, "MANIFEST.json"), mdata); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileChecksummed(filepath.Join(dir, segName(0)), []byte(legacySegment)); err != nil {
+		t.Fatal(err)
+	}
 
-	// Record a summary into a cache, harvest, flush.
-	b1 := expr.NewBuilder()
-	c1 := summary.NewCache()
-	c1.Seed("sigA(code)", "0/0/0|s0,", makeSummary(b1))
-	if n := s.HarvestSummaries(c1); n != 1 {
-		t.Fatalf("harvested %d summaries, want 1", n)
+	s := openT(t, dir, Options{CompactAt: 1})
+	if st := s.Stats(); st.CexLoaded != 2 || st.BadEntries != 0 || st.Quarantined != 0 || st.StaleSegs != 0 {
+		t.Fatalf("legacy segment not loaded cleanly: %+v", st)
 	}
-	if n := s.HarvestSummaries(c1); n != 0 {
-		t.Fatalf("second harvest found %d new summaries, want 0", n)
+	sat, m, ok := s.LookupCex(fp(1, 2))
+	if !ok || !sat || len(m) != 1 || m[0].Name != "x" || m[0].Val != 4 {
+		t.Fatalf("legacy sat verdict: ok=%v sat=%v m=%v", ok, sat, m)
 	}
+	if sat, _, ok := s.LookupCex(fp(3, 4)); !ok || sat {
+		t.Fatalf("legacy unsat verdict: ok=%v sat=%v", ok, sat)
+	}
+
+	// A second segment crosses CompactAt, so this flush compacts both
+	// into one segment rewritten from memory.
+	s.InsertCex(fp(5, 6), false, nil)
 	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+		t.Fatal(err)
 	}
-
-	// Rehydrate into a fresh builder + cache in a "new process".
-	s2 := openT(t, dir, Options{})
-	b2 := expr.NewBuilder()
-	// Shift builder IDs so pointer/ID reuse cannot mask decode bugs.
-	for i := 0; i < 50; i++ {
-		b2.Const(uint64(i), 32)
+	if st := s.Stats(); st.Compactions != 1 || st.Segments != 1 {
+		t.Fatalf("flush did not compact: %+v", st)
 	}
-	c2 := summary.NewCache()
-	if n := s2.SeedSummaries(b2, c2); n != 1 {
-		t.Fatalf("seeded %d summaries, want 1", n)
+	segs := s.listSegments()
+	if len(segs) != 1 {
+		t.Fatalf("segments after compaction: %v", segs)
 	}
-	key := "1|0/0/0|s0," // first interned sig gets id 1
-	got, _, ok := c2.Lookup(key)
+	data, err := os.ReadFile(filepath.Join(dir, segName(segs[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := verifyChecksum(data)
 	if !ok {
-		t.Fatalf("seeded summary not found under %q", key)
+		t.Fatal("compacted segment fails its checksum")
 	}
-	if len(got.Placeholders) != 1 || got.Placeholders[0].Name != "p!0_8" {
-		t.Fatalf("placeholders: %v", got.Placeholders)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &keys); err != nil {
+		t.Fatal(err)
 	}
-	if len(got.Entries) != 2 {
-		t.Fatalf("entries: %d", len(got.Entries))
+	if _, ok := keys["sums"]; ok {
+		t.Fatalf("compacted segment still carries summaries: %s", payload)
 	}
-	e0 := got.Entries[0]
-	if e0.Kind != summary.KindReturn || e0.Ret == nil || len(e0.PC) != 2 ||
-		len(e0.Out) != 2 || e0.Out[1].Guard != nil || len(e0.Writes) != 1 || len(e0.Cov) != 2 {
-		t.Fatalf("entry 0 shape: %+v", e0)
-	}
-	e1 := got.Entries[1]
-	if e1.Kind != summary.KindError || e1.Err == nil || e1.Err.Msg != "division by zero" {
-		t.Fatalf("entry 1 shape: %+v", e1)
-	}
-	// The decoded guard must be the canonical node in b2: instantiating
-	// with a constant must fold.
-	inst := got.Instantiate(b2, []*expr.Expr{b2.Const(3, 8)})
-	if len(inst.Entries[1].PC) != 1 || !inst.Entries[1].PC[0].IsFalse() {
-		t.Fatalf("instantiated error guard did not fold: %v", inst.Entries[1].PC)
+	if st := openT(t, dir, Options{}).Stats(); st.CexLoaded != 3 {
+		t.Fatalf("verdicts after compaction and reopen: %+v", st)
 	}
 }
 
@@ -160,10 +148,6 @@ func TestStaleTagRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{Tag: "engine/v1"})
 	s.InsertCex(fp(1, 1), true, nil)
-	b := expr.NewBuilder()
-	c := summary.NewCache()
-	c.Seed("sig", "0/0/0|", makeSummary(b))
-	s.HarvestSummaries(c)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +162,7 @@ func TestStaleTagRejected(t *testing.T) {
 	if st.StaleSegs == 0 {
 		t.Fatalf("stale segment not counted: %+v", st)
 	}
-	if st.CexEntries != 0 || st.SumEntries != 0 {
+	if st.CexEntries != 0 {
 		t.Fatalf("stale entries loaded: %+v", st)
 	}
 
@@ -307,41 +291,5 @@ func TestFlushNothingIsNoop(t *testing.T) {
 	}
 	if st := s.Stats(); st.Segments != 0 || st.Flushes != 0 {
 		t.Fatalf("empty flush wrote a segment: %+v", st)
-	}
-}
-
-func TestBadSummaryDroppedAtSeed(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, Options{})
-	// Hand-craft a segment with a structurally invalid summary (a KAdd
-	// whose kids have mismatched widths) next to a valid one.
-	b := expr.NewBuilder()
-	c := summary.NewCache()
-	c.Seed("good", "0/0/0|", makeSummary(b))
-	s.HarvestSummaries(c)
-	s.mu.Lock()
-	s.sums["bad\x1fx"] = &sumRec{wire: wireSummary{
-		Sig: "bad", Rest: "x",
-		Exprs: []wireNode{
-			{K: uint8(expr.KVar), W: 8, N: "a"},
-			{K: uint8(expr.KVar), W: 16, N: "b"},
-			{K: uint8(expr.KAdd), W: 8, Kids: []uint32{1, 2}},
-		},
-		Entries: []wireEntry{{Ret: 3}},
-	}, dirty: true}
-	s.mu.Unlock()
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openT(t, dir, Options{})
-	b2 := expr.NewBuilder()
-	c2 := summary.NewCache()
-	if n := s2.SeedSummaries(b2, c2); n != 1 {
-		t.Fatalf("seeded %d summaries, want 1 (the valid one)", n)
-	}
-	st := s2.Stats()
-	if st.BadEntries != 1 || st.SumEntries != 1 {
-		t.Fatalf("invalid summary not dropped: %+v", st)
 	}
 }

@@ -1,9 +1,7 @@
 package store
 
 // Wire structs for the persistent store, mirroring the checkpoint
-// conventions: expression DAGs travel as topologically ordered node tables
-// (kids always precede parents, references are 1-based table indices with 0
-// meaning nil), uint64s travel as decimal strings so non-Go tooling cannot
+// conventions: uint64s travel as decimal strings so non-Go tooling cannot
 // lose precision, and every file is one JSON line followed by one line of
 // hex SHA-256 over the JSON bytes.
 
@@ -13,20 +11,7 @@ import (
 
 	"symmerge/internal/expr"
 	"symmerge/internal/solver"
-	"symmerge/internal/summary"
 )
-
-// wireNode is one expression node (same field layout as the checkpoint
-// schema's node table; defined locally so the store does not depend on the
-// checkpoint package's engine-state types).
-type wireNode struct {
-	K    uint8    `json:"k"`
-	W    uint8    `json:"w,omitempty"`
-	A    uint16   `json:"a,omitempty"`
-	V    string   `json:"v,omitempty"`
-	N    string   `json:"n,omitempty"`
-	Kids []uint32 `json:"c,omitempty"`
-}
 
 // wireCex is one persisted counterexample-cache verdict.
 type wireCex struct {
@@ -36,294 +21,13 @@ type wireCex struct {
 	Model []solver.StableAssign `json:"m,omitempty"`
 }
 
-// wireSummary is one persisted function summary under its
-// builder-independent key (signature text + key remainder).
-type wireSummary struct {
-	Sig          string      `json:"sig"`
-	Rest         string      `json:"rest"`
-	Exprs        []wireNode  `json:"x,omitempty"`
-	Placeholders []uint32    `json:"ph,omitempty"`
-	Entries      []wireEntry `json:"en"`
-}
-
-type wireEntry struct {
-	PC     []uint32    `json:"pc,omitempty"`
-	Kind   uint8       `json:"k,omitempty"`
-	Ret    uint32      `json:"r,omitempty"`
-	Err    *wireErr    `json:"e,omitempty"`
-	Out    []wireOut   `json:"o,omitempty"`
-	Writes []wireWrite `json:"w,omitempty"`
-	Heap   []wireHeap  `json:"h,omitempty"`
-	Cov    []wireLoc   `json:"c,omitempty"`
-}
-
-// wireHeap is one closure-allocated heap object (summary.HeapObj).
-type wireHeap struct {
-	S     int      `json:"s"`
-	ID    uint32   `json:"i"`
-	Cells []uint32 `json:"x"`
-}
-
-type wireErr struct {
-	Ord    int    `json:"o"`
-	PC     int    `json:"p"`
-	Msg    string `json:"m"`
-	Assert bool   `json:"a,omitempty"`
-}
-
-type wireOut struct {
-	G uint32 `json:"g,omitempty"`
-	V uint32 `json:"v"`
-}
-
-type wireWrite struct {
-	P int    `json:"p"`
-	C int    `json:"c"`
-	V uint32 `json:"v"`
-}
-
-type wireLoc struct {
-	O int `json:"o"`
-	P int `json:"p"`
-}
-
-// segment is the content of one store segment file.
+// segment is the content of one store segment file. Segments written by
+// older versions may also carry a "sums" key (persisted function
+// summaries); decoding ignores it, and the next compaction drops it.
 type segment struct {
-	Schema string        `json:"schema"`
-	Tag    string        `json:"tag"`
-	Cex    []wireCex     `json:"cex,omitempty"`
-	Sums   []wireSummary `json:"sums,omitempty"`
-}
-
-// --- expression encoding ---
-
-// exprEnc builds one node table; ref() returns 1-based indices.
-type exprEnc struct {
-	idx   map[*expr.Expr]uint32
-	nodes []wireNode
-}
-
-func newExprEnc() *exprEnc { return &exprEnc{idx: make(map[*expr.Expr]uint32)} }
-
-// visit interns e's DAG into the table, kids first (iterative post-order:
-// summary guards over merged placeholders can nest deeply).
-func (enc *exprEnc) visit(e *expr.Expr) {
-	if _, ok := enc.idx[e]; ok {
-		return
-	}
-	type frame struct {
-		e   *expr.Expr
-		kid int
-	}
-	stack := []frame{{e: e}}
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		if _, ok := enc.idx[fr.e]; ok {
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		if fr.kid < len(fr.e.Kids) {
-			k := fr.e.Kids[fr.kid]
-			fr.kid++
-			if _, ok := enc.idx[k]; !ok {
-				stack = append(stack, frame{e: k})
-			}
-			continue
-		}
-		n := wireNode{K: uint8(fr.e.Kind), W: fr.e.Width, A: fr.e.Aux, N: fr.e.Name}
-		if fr.e.Val != 0 {
-			n.V = strconv.FormatUint(fr.e.Val, 10)
-		}
-		for _, k := range fr.e.Kids {
-			n.Kids = append(n.Kids, enc.idx[k])
-		}
-		enc.nodes = append(enc.nodes, n)
-		enc.idx[fr.e] = uint32(len(enc.nodes)) // 1-based
-		stack = stack[:len(stack)-1]
-	}
-}
-
-func (enc *exprEnc) ref(e *expr.Expr) uint32 {
-	if e == nil {
-		return 0
-	}
-	enc.visit(e)
-	return enc.idx[e]
-}
-
-// encodeSummary renders one summary to wire form under its persistent key.
-func encodeSummary(sig, rest string, s *summary.FuncSummary) wireSummary {
-	enc := newExprEnc()
-	w := wireSummary{Sig: sig, Rest: rest}
-	for _, p := range s.Placeholders {
-		w.Placeholders = append(w.Placeholders, enc.ref(p))
-	}
-	for i := range s.Entries {
-		src := &s.Entries[i]
-		we := wireEntry{Kind: uint8(src.Kind), Ret: enc.ref(src.Ret)}
-		for _, c := range src.PC {
-			we.PC = append(we.PC, enc.ref(c))
-		}
-		if src.Err != nil {
-			we.Err = &wireErr{Ord: src.Err.Ord, PC: src.Err.PC, Msg: src.Err.Msg, Assert: src.Err.Assert}
-		}
-		for _, o := range src.Out {
-			we.Out = append(we.Out, wireOut{G: enc.ref(o.Guard), V: enc.ref(o.Val)})
-		}
-		for _, cw := range src.Writes {
-			we.Writes = append(we.Writes, wireWrite{P: cw.Param, C: cw.Cell, V: enc.ref(cw.Val)})
-		}
-		for _, h := range src.Heap {
-			wh := wireHeap{S: h.Site, ID: h.ID}
-			for _, c := range h.Cells {
-				wh.Cells = append(wh.Cells, enc.ref(c))
-			}
-			we.Heap = append(we.Heap, wh)
-		}
-		for _, l := range src.Cov {
-			we.Cov = append(we.Cov, wireLoc{O: l.Ord, P: l.PC})
-		}
-		w.Entries = append(w.Entries, we)
-	}
-	w.Exprs = enc.nodes
-	return w
-}
-
-// --- expression decoding ---
-
-// exprDec re-interns one wire node table through a builder.
-type exprDec struct {
-	nodes []*expr.Expr
-}
-
-// decodeTable validates and interns every node. Errors (unknown kinds,
-// arity/sort violations, forward references) fail the whole summary — a
-// corrupt entry is skipped by the caller, never partially applied.
-func decodeTable(b *expr.Builder, table []wireNode) (*exprDec, error) {
-	dec := &exprDec{nodes: make([]*expr.Expr, 0, len(table))}
-	var kidBuf []*expr.Expr
-	for i, n := range table {
-		var val uint64
-		if n.V != "" {
-			var err error
-			val, err = strconv.ParseUint(n.V, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("store: node %d: bad value %q", i, n.V)
-			}
-		}
-		kidBuf = kidBuf[:0]
-		for _, r := range n.Kids {
-			if r == 0 || int(r) > i {
-				return nil, fmt.Errorf("store: node %d: kid ref %d out of range", i, r)
-			}
-			kidBuf = append(kidBuf, dec.nodes[r-1])
-		}
-		e, err := b.Intern(expr.Kind(n.K), n.W, val, n.A, n.N, kidBuf)
-		if err != nil {
-			return nil, err
-		}
-		dec.nodes = append(dec.nodes, e)
-	}
-	return dec, nil
-}
-
-func (dec *exprDec) ref(r uint32) (*expr.Expr, error) {
-	if r == 0 {
-		return nil, nil
-	}
-	if int(r) > len(dec.nodes) {
-		return nil, fmt.Errorf("store: expr ref %d out of range", r)
-	}
-	return dec.nodes[r-1], nil
-}
-
-// mustRef is ref for slots that may not be nil.
-func (dec *exprDec) mustRef(r uint32) (*expr.Expr, error) {
-	e, err := dec.ref(r)
-	if err == nil && e == nil {
-		return nil, fmt.Errorf("store: nil expr ref where one is required")
-	}
-	return e, err
-}
-
-// decodeSummary rebuilds a FuncSummary in the given builder. Any
-// inconsistency fails the whole summary.
-func decodeSummary(b *expr.Builder, w *wireSummary) (*summary.FuncSummary, error) {
-	dec, err := decodeTable(b, w.Exprs)
-	if err != nil {
-		return nil, err
-	}
-	s := &summary.FuncSummary{}
-	for _, r := range w.Placeholders {
-		p, err := dec.mustRef(r)
-		if err != nil {
-			return nil, err
-		}
-		if p.Kind != expr.KVar {
-			return nil, fmt.Errorf("store: placeholder is not a variable")
-		}
-		s.Placeholders = append(s.Placeholders, p)
-	}
-	for i := range w.Entries {
-		we := &w.Entries[i]
-		if we.Kind > uint8(summary.KindSilent) {
-			return nil, fmt.Errorf("store: entry kind %d unknown", we.Kind)
-		}
-		e := summary.Entry{Kind: summary.EntryKind(we.Kind)}
-		if e.Ret, err = dec.ref(we.Ret); err != nil {
-			return nil, err
-		}
-		for _, r := range we.PC {
-			c, err := dec.mustRef(r)
-			if err != nil {
-				return nil, err
-			}
-			if !c.IsBool() {
-				return nil, fmt.Errorf("store: non-bool guard conjunct")
-			}
-			e.PC = append(e.PC, c)
-		}
-		if we.Err != nil {
-			e.Err = &summary.ErrInfo{Ord: we.Err.Ord, PC: we.Err.PC, Msg: we.Err.Msg, Assert: we.Err.Assert}
-		}
-		for _, o := range we.Out {
-			g, err := dec.ref(o.G)
-			if err != nil {
-				return nil, err
-			}
-			v, err := dec.mustRef(o.V)
-			if err != nil {
-				return nil, err
-			}
-			e.Out = append(e.Out, summary.OutEffect{Guard: g, Val: v})
-		}
-		for _, cw := range we.Writes {
-			v, err := dec.mustRef(cw.V)
-			if err != nil {
-				return nil, err
-			}
-			e.Writes = append(e.Writes, summary.CellWrite{Param: cw.P, Cell: cw.C, Val: v})
-		}
-		for _, wh := range we.Heap {
-			if wh.S < 0 || wh.ID == 0 {
-				return nil, fmt.Errorf("store: heap object with invalid site %d / id %d", wh.S, wh.ID)
-			}
-			h := summary.HeapObj{Site: wh.S, ID: wh.ID, Cells: make([]*expr.Expr, 0, len(wh.Cells))}
-			for _, r := range wh.Cells {
-				c, err := dec.mustRef(r)
-				if err != nil {
-					return nil, err
-				}
-				h.Cells = append(h.Cells, c)
-			}
-			e.Heap = append(e.Heap, h)
-		}
-		for _, l := range we.Cov {
-			e.Cov = append(e.Cov, summary.LocRef{Ord: l.O, PC: l.P})
-		}
-		s.Entries = append(s.Entries, e)
-	}
-	return s, nil
+	Schema string    `json:"schema"`
+	Tag    string    `json:"tag"`
+	Cex    []wireCex `json:"cex,omitempty"`
 }
 
 // decodeCex parses one persisted cex entry's fingerprint.

@@ -3,12 +3,12 @@ package symx
 // Differential and fuzz suites for the static dataflow analyses
 // (internal/analysis): with the analyses enabled (the default) the engine
 // prunes statically-decided branch sides, elides provably-in-bounds
-// checks, slims merge selectors to live slots, and admits heap-contained
-// callees to the summary cache — and none of it may be observable. Every
-// test here runs the same exploration with DisableAnalysis on and off and
-// requires identical censuses, errors, coverage, and canonical behavior;
-// the fuzz arm additionally re-validates each pruned branch side against
-// the solver (CrossCheckAnalysis panics on a satisfiable pruned side).
+// checks, and slims merge selectors to live slots — and none of it may be
+// observable. Every test here runs the same exploration with
+// DisableAnalysis on and off and requires identical censuses, errors,
+// coverage, and canonical behavior; the fuzz arm additionally re-validates
+// each pruned branch side against the solver (CrossCheckAnalysis panics on
+// a satisfiable pruned side).
 
 import (
 	"fmt"
@@ -42,13 +42,10 @@ void main() {
 }
 `
 
-// analysisHeapLiftSrc calls a heap-contained helper twice: the helper
-// allocates, branches, and reads back only its own cells, so the effect
-// analysis lifts the static heap gate. The first call site sees fresh
-// allocation-site counters and is discharged from a summary; the second
-// executes after the replayed allocation and must fall back to inlining
-// (RejectHeapBusy), keeping recorded addresses canonical.
-const analysisHeapLiftSrc = `
+// analysisHeapCallSrc calls a heap-allocating helper twice: the helper
+// allocates, branches, and reads back only its own cells, so the two call
+// sites see the same allocation site at different per-site counters.
+const analysisHeapCallSrc = `
 int fill(int a) {
     ptr h = alloc(4);
     h[0] = a;
@@ -171,15 +168,15 @@ func TestAnalysisPruneAndElide(t *testing.T) {
 }
 
 // TestAnalysisParityMatrix crosses the parity check over the merging
-// regimes, worker counts, and the summary-heavy fixtures.
+// regimes, worker counts, and the call-heavy fixtures.
 func TestAnalysisParityMatrix(t *testing.T) {
 	fixtures := []struct {
 		name string
 		src  string
 	}{
 		{"prune", analysisPruneSrc},
-		{"calls", summaryCallSrc},
-		{"heaplift", analysisHeapLiftSrc},
+		{"calls", callHeavySrc},
+		{"heapcall", analysisHeapCallSrc},
 	}
 	regimes := []struct {
 		name  string
@@ -208,44 +205,6 @@ func TestAnalysisParityMatrix(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestAnalysisHeapSummaryLift: the heap-contained helper is admitted to
-// the summary cache (the PR-8 gate rejected any heap-touching closure),
-// discharged at its first call site, and the whole run stays behaviorally
-// identical to both the analyses-off and the summaries-off explorations.
-func TestAnalysisHeapSummaryLift(t *testing.T) {
-	p, err := Compile(analysisHeapLiftSrc)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	cfg := Config{
-		NArgs: 1, ArgLen: 1,
-		Summaries: true,
-		MaxTime:   30 * time.Second,
-	}
-	ron := checkAnalysisParity(t, p, cfg, "heaplift")
-	if ron.Stats.SummaryHeapLifted == 0 {
-		t.Error("no heap-contained call site was discharged from a summary")
-	}
-	if ron.Stats.SummaryHits == 0 {
-		t.Error("no summary hit at all")
-	}
-
-	// With the analyses off, the strict PR-8 gate stands: the helper
-	// allocates, so nothing may be lifted (or even recorded for it).
-	roff := Run(p, Config{
-		NArgs: 1, ArgLen: 1,
-		Summaries:       true,
-		DisableAnalysis: true,
-	})
-	if roff.Stats.SummaryHeapLifted != 0 {
-		t.Errorf("strict heap gate lifted %d sites with analyses off", roff.Stats.SummaryHeapLifted)
-	}
-
-	// And against the summaries-off baseline the summary+lift run must
-	// agree behaviorally too (checkSummaryParity toggles Summaries).
-	checkSummaryParity(t, p, cfg, "heaplift-vs-inline")
 }
 
 // TestFuzzAnalysisCrossCheck: random programs under CrossCheckAnalysis,

@@ -3,13 +3,13 @@ package symx
 // Domain: the long-lived shared state a persistent service (cmd/symxd)
 // keeps between jobs, and the unit at which that state is reclaimed.
 //
-// A domain bundles one expression builder, its stable fingerprinter, the
-// ID-keyed counterexample cache, and the summary cache — optionally wired
-// to a persistent store.Store, in which case the cex cache consults the
-// store's stable layer on misses and the summary cache is seeded from (and
-// harvested back into) it. Every run configured with Config.Domain interns
-// into the same builder and shares both caches, so jobs warm each other up
-// in-process while the store carries the same knowledge across restarts.
+// A domain bundles one expression builder, its stable fingerprinter, and
+// the ID-keyed counterexample cache — optionally wired to a persistent
+// store.Store, in which case the cex cache consults the store's stable
+// layer on misses and records completed verdicts into it. Every run
+// configured with Config.Domain interns into the same builder and shares
+// the cache, so jobs warm each other up in-process while the store carries
+// the same knowledge across restarts.
 //
 // Reclamation follows the spirit of gosmt's ExprBuilder (SNIPPETS.md),
 // which frees individual hash-cons buckets with per-entry refcounts and
@@ -19,10 +19,10 @@ package symx
 // identical node be re-interned at a different address and break canonical
 // equality. Instead the refcount/finalizer idiom is applied at domain
 // granularity: jobs Acquire/Release the domain they run in, the daemon
-// rotates to a fresh domain (rehydrated from the store) once the builder
+// rotates to a fresh domain over the same store once the builder
 // grows past a watermark, and the retired domain — builder, intern table,
-// caches, fingerprint memo, all of it — becomes garbage the moment its last
-// job releases it. A runtime finalizer on the retired domain increments a
+// cex cache, fingerprint memo, all of it — becomes garbage the moment its
+// last job releases it. A runtime finalizer on the retired domain increments a
 // global counter when the collector actually reclaims it, which is what the
 // leak test (and the daemon's builders_reclaimed expvar) observe: bounded
 // growth is a theorem only if rotation demonstrably frees the old tables.
@@ -34,42 +34,34 @@ import (
 	"symmerge/internal/expr"
 	"symmerge/internal/solver"
 	"symmerge/internal/store"
-	"symmerge/internal/summary"
 )
 
-// Domain is the shared builder + caches + (optional) persistent store
+// Domain is the shared builder + cache + (optional) persistent store
 // bundle for long-lived multi-run processes. All methods are safe for
 // concurrent use; the zero value is not usable — call NewDomain.
 type Domain struct {
 	build *expr.Builder
 	fper  *expr.Fingerprinter
 	cex   *solver.Cache
-	sums  *summary.Cache
 	st    *store.Store
 
 	refs atomic.Int64
-
-	// SeededSummaries is how many persisted summaries rehydrated into this
-	// domain at creation (0 without a store).
-	SeededSummaries int
 }
 
 var domainsReclaimed atomic.Uint64
 
 // NewDomain creates a fresh domain, optionally backed by a persistent
 // store (nil is a purely in-memory domain — still useful for sharing one
-// builder and both caches across the runs of a suite).
+// builder and cache across the runs of a suite).
 func NewDomain(st *store.Store) *Domain {
 	d := &Domain{
 		build: expr.NewBuilder(),
 		fper:  new(expr.Fingerprinter),
 		cex:   solver.NewSharedCache(),
-		sums:  summary.NewCache(),
 		st:    st,
 	}
 	if st != nil {
 		d.cex.AttachStable(st, d.fper)
-		d.SeededSummaries = st.SeedSummaries(d.build, d.sums)
 	}
 	// The finalizer must not close over d (that would keep it reachable
 	// forever); the parameter form gets the pointer at collection time.
@@ -104,15 +96,13 @@ func (d *Domain) WarmHits() uint64 {
 	return d.st.Stats().LookupHits
 }
 
-// Flush harvests summaries recorded since the last flush into the store
-// and flushes the store to disk. It reports how many new summaries were
-// captured. A no-op without a store.
-func (d *Domain) Flush() (int, error) {
+// Flush writes the verdicts recorded since the last flush to the store. A
+// no-op without a store.
+func (d *Domain) Flush() error {
 	if d.st == nil {
-		return 0, nil
+		return nil
 	}
-	n := d.st.HarvestSummaries(d.sums)
-	return n, d.st.Flush()
+	return d.st.Flush()
 }
 
 // DomainsReclaimed reports how many retired domains the garbage collector

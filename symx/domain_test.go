@@ -19,6 +19,51 @@ import (
 	"symmerge/internal/store"
 )
 
+// callHeavySrc is a call-heavy program: two helpers (one with an array
+// parameter mutated in place) applied to every argv byte. Loop-free so
+// exhaustive exploration is fast and strategy-independent.
+const callHeavySrc = `
+int classify(byte c) {
+    if (c < 'a') { return 0; }
+    if (c > 'z') { return 1; }
+    if (c == 'q') { return 2; }
+    return 3;
+}
+
+int tally(int counts[4], int k) {
+    if (k < 0) { return -1; }
+    if (k > 3) { return -1; }
+    counts[k] = counts[k] + 1;
+    return counts[k];
+}
+
+void main() {
+    int counts[4];
+    counts[0] = 0; counts[1] = 0; counts[2] = 0; counts[3] = 0;
+    int last = 0;
+    last = tally(counts, classify(argchar(1, 0)));
+    last = tally(counts, classify(argchar(1, 1)));
+    last = tally(counts, classify(argchar(2, 0)));
+    putchar(tobyte('0' + (counts[0] + counts[3]) % 10));
+    putchar(tobyte('0' + (last + counts[2]) % 10));
+    if (counts[1] == 3) {
+        putchar('!');
+    }
+}
+`
+
+// behavior reduces a result to its canonical input → (output, exit, error)
+// map, the per-input observable every differential test here compares.
+func behavior(t *testing.T, res *Result) map[string]string {
+	t.Helper()
+	out := make(map[string]string, len(res.Tests))
+	for _, tc := range res.Tests {
+		id := corpus.InputID(tc.Args, tc.Stdin)
+		out[id] = fmt.Sprintf("out=%q exit=%d err=%v msg=%q", tc.Output, tc.Exit, tc.IsErr, tc.Msg)
+	}
+	return out
+}
+
 // runDomainArm runs cfg with corpus emission into dir, optionally inside
 // dom, and fails the test on any incomplete or refused run.
 func runDomainArm(t *testing.T, p *Program, cfg Config, label, dir string, dom *Domain) *Result {
@@ -98,13 +143,12 @@ func digestOf(t *testing.T, label, dir string) string {
 
 // TestDomainColdWarmDifferential: for every regime × worker count, three
 // arms over the same program — no domain at all, a cold store-backed
-// domain, and a warm domain rehydrated from a reopened copy of that store
+// domain, and a warm domain over a reopened copy of that store
 // — must emit byte-identical corpus directories and agree on the whole
 // census. The warm arm must additionally show store traffic: whole-query
-// or group-level stable hits in the solver, lookup hits in the store, and
-// (where summaries recorded anything) seeded summaries in the domain.
+// or group-level stable hits in the solver and lookup hits in the store.
 func TestDomainColdWarmDifferential(t *testing.T) {
-	p, err := Compile(summaryCallSrc)
+	p, err := Compile(callHeavySrc)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -123,11 +167,10 @@ func TestDomainColdWarmDifferential(t *testing.T) {
 			t.Run(label, func(t *testing.T) {
 				cfg := Config{
 					NArgs: 2, ArgLen: 2,
-					Merge:     reg.merge,
-					UseQCE:    reg.qce,
-					Workers:   workers,
-					Summaries: true,
-					MaxTime:   30 * time.Second,
+					Merge:   reg.merge,
+					UseQCE:  reg.qce,
+					Workers: workers,
+					MaxTime: 30 * time.Second,
 				}
 				tmp := t.TempDir()
 				storeDir := filepath.Join(tmp, "store")
@@ -140,7 +183,7 @@ func TestDomainColdWarmDifferential(t *testing.T) {
 				}
 				coldDom := NewDomain(st)
 				cold := runDomainArm(t, p, cfg, label+"/cold", filepath.Join(tmp, "cold"), coldDom)
-				if _, err := coldDom.Flush(); err != nil {
+				if err := coldDom.Flush(); err != nil {
 					t.Fatalf("flush: %v", err)
 				}
 
@@ -174,25 +217,21 @@ func TestDomainColdWarmDifferential(t *testing.T) {
 				if warmDom.WarmHits() == 0 {
 					t.Errorf("%s: store recorded no lookup hits on the warm run", label)
 				}
-				if cold.Stats.SummaryRecords > 0 && warmDom.SeededSummaries == 0 {
-					t.Errorf("%s: cold run recorded %d summaries but warm domain seeded none",
-						label, cold.Stats.SummaryRecords)
-				}
 			})
 		}
 	}
 }
 
 // TestDomainInMemorySharing: a store-less domain still shares one builder
-// and both caches across successive runs — the second run of the same
+// and its cex cache across successive runs — the second run of the same
 // program must hit the in-process cex cache without any store attached.
 func TestDomainInMemorySharing(t *testing.T) {
-	p, err := Compile(summaryCallSrc)
+	p, err := Compile(callHeavySrc)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	dom := NewDomain(nil)
-	cfg := Config{NArgs: 2, ArgLen: 2, Summaries: true, MaxTime: 30 * time.Second}
+	cfg := Config{NArgs: 2, ArgLen: 2, MaxTime: 30 * time.Second}
 	first := runDomainArm(t, p, cfg, "first", t.TempDir(), dom)
 	second := runDomainArm(t, p, cfg, "second", t.TempDir(), dom)
 	requireSameObservables(t, "in-memory", MergeNone, first, second)
@@ -204,8 +243,5 @@ func TestDomainInMemorySharing(t *testing.T) {
 	}
 	if dom.WarmHits() != 0 {
 		t.Errorf("store-less domain reported %d warm hits", dom.WarmHits())
-	}
-	if dom.SeededSummaries != 0 {
-		t.Errorf("store-less domain seeded %d summaries", dom.SeededSummaries)
 	}
 }

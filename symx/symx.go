@@ -29,7 +29,6 @@ import (
 	"symmerge/internal/analysis"
 	"symmerge/internal/core"
 	"symmerge/internal/corpus"
-	"symmerge/internal/expr"
 	"symmerge/internal/ir"
 	"symmerge/internal/lang"
 	"symmerge/internal/obs"
@@ -37,7 +36,6 @@ import (
 	"symmerge/internal/qce"
 	"symmerge/internal/search"
 	"symmerge/internal/solver"
-	"symmerge/internal/summary"
 )
 
 // Program is a compiled MiniC program ready for symbolic exploration.
@@ -235,30 +233,12 @@ type Config struct {
 	// merged states (paper §5.2; used for Figure 3).
 	TrackExactPaths bool
 
-	// Summaries enables compositional function summaries (README
-	// "Compositional summaries"): per-callee path summaries are recorded
-	// once per symbolic input class and later call sites are discharged
-	// as assume-summary session queries instead of re-exploring the
-	// callee. Purely an execution-cost optimization — corpus output,
-	// census, coverage, and errors found are byte-identical with it on
-	// or off. Ineligible callees (recursion, heap operations, fresh
-	// symbolic inputs, oversized or solver-failed recordings, aliased
-	// array arguments) fall back to inline exploration. Incompatible
-	// with CheckBounds (bounds errors are engine analyses of the calling
-	// context): Run refuses the pair via Result.ConfigErr. Without a
-	// Domain each run gets a fresh cache; with one, runs share it.
-	Summaries bool
-	// SummaryMaxSteps bounds one summary recording (default 4096 engine
-	// steps); a callee whose exploration exceeds it is negatively cached
-	// and explored inline.
-	SummaryMaxSteps uint64
 	// Domain, when non-nil, runs the exploration inside a long-lived
 	// shared domain (NewDomain): every run interns expressions into the
 	// domain's builder and shares its counterexample cache — backed by the
-	// domain's persistent store when it has one — and, with Summaries set,
-	// its summary cache. This is how cmd/symxd makes repeat traffic cheap:
-	// verdicts and summaries recorded by any job answer queries in every
-	// later job. Persistence is invisible in the results — corpus output,
+	// domain's persistent store when it has one. This is how cmd/symxd
+	// makes repeat traffic cheap: verdicts recorded by any job answer
+	// queries in every later job. Persistence is invisible in the results — corpus output,
 	// census, coverage, and errors are byte-identical with a cold or warm
 	// domain — because cached verdicts are deterministic facts about
 	// constraint sets and canonical tests derive from verdicts alone. For a
@@ -421,12 +401,6 @@ func validateEntry(cfg Config) error {
 			// empty to get the topological order automatically.
 			return fmt.Errorf("merge=func requires the topological strategy (got %q): other worklist orders advance callers before their callees finish, so return-point merging silently degrades toward plain exploration; leave Strategy empty to auto-select topo", cfg.Strategy)
 		}
-	}
-	if cfg.Summaries && cfg.CheckBounds {
-		// Bounds errors are engine analyses of the calling context, which
-		// a discharged summary cannot replay, so the cache would have to
-		// sit idle; refuse rather than ignore the request.
-		return fmt.Errorf("config: Summaries is incompatible with CheckBounds (bounds checks are analyses of the calling context, which a summary cannot replay); drop one of the two")
 	}
 	return nil
 }
@@ -680,17 +654,6 @@ func coreConfig(p *Program, cfg Config) (core.Config, Strategy, int64) {
 		if ccfg.SolverOpts.EnableCexCache {
 			ccfg.SolverOpts.SharedCache = cfg.Domain.cex
 		}
-	}
-	if cfg.Summaries {
-		if cfg.Domain != nil {
-			ccfg.Summaries = cfg.Domain.sums
-		} else {
-			// Summaries store expressions, so a fresh per-run cache comes
-			// with the builder that hash-conses them.
-			ccfg.Builder = expr.NewBuilder()
-			ccfg.Summaries = summary.NewCache()
-		}
-		ccfg.SummaryMaxSteps = cfg.SummaryMaxSteps
 	}
 	return ccfg, cfg.Strategy, cfg.Seed
 }

@@ -2,6 +2,7 @@ package symx
 
 import (
 	"math/big"
+	"strings"
 	"testing"
 	"time"
 )
@@ -426,5 +427,44 @@ void main() {
 	}
 	if merged.Stats.Merges == 0 {
 		t.Fatal("no merges on sleep")
+	}
+}
+
+// TestMergeFuncStrategyRefused (regression, config validation): MergeFunc
+// under a non-topological worklist silently under-merges, so an explicit
+// non-topo strategy must be refused up front via ConfigErr — in the outer
+// config and in portfolio entries — while topo and the empty default stay
+// accepted.
+func TestMergeFuncStrategyRefused(t *testing.T) {
+	p, err := Compile(echoSrc)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	res := Run(p, Config{NArgs: 1, ArgLen: 2, Merge: MergeFunc, Strategy: StrategyDFS})
+	if res.ConfigErr == nil {
+		t.Fatal("merge=func with DFS was not refused")
+	}
+	if !strings.Contains(res.ConfigErr.Error(), "topological") {
+		t.Fatalf("unhelpful refusal: %v", res.ConfigErr)
+	}
+	if res.Stats.PathsCompleted != 0 {
+		t.Fatal("refused config still explored")
+	}
+	for _, ok := range []Config{
+		{NArgs: 1, ArgLen: 2, Merge: MergeFunc, Strategy: StrategyTopo},
+		{NArgs: 1, ArgLen: 2, Merge: MergeFunc},
+	} {
+		if r := Run(p, ok); r.ConfigErr != nil {
+			t.Fatalf("valid config refused: %v", r.ConfigErr)
+		}
+	}
+	bad := Run(p, Config{
+		Portfolio: []Config{
+			{NArgs: 1, ArgLen: 2, Merge: MergeNone},
+			{NArgs: 1, ArgLen: 2, Merge: MergeFunc, Strategy: StrategyRandom},
+		},
+	})
+	if bad.ConfigErr == nil || !strings.Contains(bad.ConfigErr.Error(), "portfolio entry 1") {
+		t.Fatalf("portfolio entry not validated: %v", bad.ConfigErr)
 	}
 }
