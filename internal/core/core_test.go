@@ -6,10 +6,13 @@ package core
 // observe directly.
 
 import (
+	"fmt"
+	"maps"
 	"math/big"
 	"testing"
 
 	"symmerge/internal/expr"
+	"symmerge/internal/solver"
 
 	"symmerge/internal/lang"
 	"symmerge/internal/qce"
@@ -450,5 +453,123 @@ void main() {
 	e2, a2, b2 := mk(1e9) // full variant with prohibitive ite cost
 	if e2.similar(a2, b2) {
 		t.Fatal("full variant with huge ζ still merged ite-creating states")
+	}
+}
+
+// TestSplitShadowWitnesses pins the census split's query budget and its
+// answers. With a witness per shadow path, a split asks at most one query per
+// path (the side the witness does not satisfy); without witnesses it asks
+// both sides. Either way each side receives exactly the paths the two-query
+// reference finds feasible, every filed witness satisfies its path, and the
+// witnesses handed in are left untouched. A one-sided split (an assume)
+// keeps exactly the reference's true side.
+func TestSplitShadowWitnesses(t *testing.T) {
+	e := newTestEngine(t, "void main() { }", Config{TrackExactPaths: true})
+	b := e.build
+	x := b.Var("x", 8)
+	y := b.Var("y", 8)
+	c8 := func(v uint64) *expr.Expr { return b.Const(v, 8) }
+	// Eight disjoint ranges of x, one of them also pinning y.
+	var paths [][]*expr.Expr
+	for i := uint64(0); i < 8; i++ {
+		p := []*expr.Expr{b.Uge(x, c8(32*i)), b.Ult(x, c8(32*i+31))}
+		if i == 3 {
+			p = append(p, b.Eq(y, c8(9)))
+		}
+		paths = append(paths, p)
+	}
+	// cond cuts range 2 in two and otherwise follows the range order;
+	// through y it also depends on a variable the witnesses may lack.
+	cond := b.Or(b.Ult(x, c8(80)), b.Eq(y, c8(9)))
+	notCond := b.Not(cond)
+	feasible := func(p []*expr.Expr, c *expr.Expr) bool {
+		may, err := e.solv.MayBeTrue(p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return may
+	}
+	var wantTrue, wantFalse [][]*expr.Expr
+	for _, p := range paths {
+		if feasible(p, cond) {
+			wantTrue = append(wantTrue, appendPC(p, cond))
+		}
+		if feasible(p, notCond) {
+			wantFalse = append(wantFalse, appendPC(p, notCond))
+		}
+	}
+	sameShadows := func(label string, s *State, want [][]*expr.Expr) {
+		t.Helper()
+		if len(s.Shadow) != len(want) || len(s.shadowWit) != len(want) {
+			t.Fatalf("%s: %d shadows, %d witnesses, want %d", label, len(s.Shadow), len(s.shadowWit), len(want))
+		}
+		for i, p := range s.Shadow {
+			if len(p) != len(want[i]) {
+				t.Fatalf("%s: shadow %d is %v, want %v", label, i, p, want[i])
+			}
+			for k := range p {
+				if p[k] != want[i][k] {
+					t.Fatalf("%s: shadow %d is %v, want %v", label, i, p, want[i])
+				}
+			}
+			w := s.shadowWit[i]
+			for _, c := range p {
+				if w == nil || !expr.EvalBool(c, expr.Env(w)) {
+					t.Fatalf("%s: witness %v does not satisfy shadow %d: %v", label, w, i, p)
+				}
+			}
+		}
+	}
+	witnesses := func() []solver.Model {
+		ws := make([]solver.Model, len(paths))
+		for i, p := range paths {
+			ok, m, err := e.solv.CheckSat(p)
+			if err != nil || !ok {
+				t.Fatalf("path %d: ok=%v err=%v", i, ok, err)
+			}
+			ws[i] = m
+		}
+		return ws
+	}
+
+	for _, withWit := range []bool{true, false} {
+		s := e.initialState()
+		s.Shadow = paths
+		s.shadowWit = nil
+		var before []solver.Model
+		if withWit {
+			s.shadowWit = witnesses()
+			for _, w := range s.shadowWit {
+				before = append(before, maps.Clone(w))
+			}
+		}
+		handed := s.shadowWit
+		other := s.fork(e.nextID)
+		q0 := e.solv.Stats.Queries
+		e.splitShadow(s, other, cond)
+		queries := e.solv.Stats.Queries - q0
+		label := fmt.Sprintf("witnesses=%v", withWit)
+		if withWit && queries > uint64(len(paths)) {
+			t.Errorf("%s: %d queries for %d shadow paths, want at most one each", label, queries, len(paths))
+		}
+		if !withWit && queries != 2*uint64(len(paths)) {
+			t.Errorf("%s: %d queries for %d shadow paths, want two each", label, queries, len(paths))
+		}
+		sameShadows(label+"/true", s, wantTrue)
+		sameShadows(label+"/false", other, wantFalse)
+		for i := range before {
+			if !maps.Equal(handed[i], before[i]) {
+				t.Fatalf("%s: split mutated witness %d", label, i)
+			}
+		}
+
+		// One-sided: an assume keeps only the true side.
+		a := e.initialState()
+		a.Shadow = paths
+		if withWit {
+			a.shadowWit = witnesses()
+		}
+		e.splitShadow(a, nil, cond)
+		sameShadows(label+"/assume", a, wantTrue)
 	}
 }

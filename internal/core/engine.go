@@ -448,7 +448,7 @@ func (e *Engine) initialState() *State {
 	e.nextID++
 	s.pushFrame(e.newFrame(e.prog.Main, -1))
 	if e.cfg.TrackExactPaths {
-		s.Shadow = [][]*expr.Expr{nil}
+		s.addShadow(nil, solver.Model{}) // the empty path: anything satisfies it
 	}
 	return s
 }

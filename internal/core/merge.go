@@ -453,9 +453,14 @@ func (e *Engine) merge(s1, s2 *State) *State {
 	}
 
 	// DSM history: a merged state starts a fresh history (its past is
-	// ambiguous); census lists concatenate.
+	// ambiguous); census lists concatenate, witnesses with them.
 	if s1.Shadow != nil || s2.Shadow != nil {
-		m.Shadow = append(append([][]*expr.Expr{}, s1.Shadow...), s2.Shadow...)
+		m.Shadow = make([][]*expr.Expr, 0, len(s1.Shadow)+len(s2.Shadow))
+		for _, s := range []*State{s1, s2} {
+			for i, p := range s.Shadow {
+				m.addShadow(p, witnessAt(s.shadowWit, i))
+			}
+		}
 	}
 	return m
 }

@@ -152,8 +152,16 @@ type State struct {
 
 	// Shadow is the exact-path census (nil unless enabled): the path
 	// conditions of the unmerged single-path states this merged state
-	// stands for.
+	// stands for. Every shadow path is satisfiable.
 	Shadow [][]*expr.Expr
+	// shadowWit keeps a model beside each shadow path, nil where none is
+	// known: satisfying the path under expr.Env's don't-care convention,
+	// it answers one side of every split (splitShadow). The slice is nil
+	// or as long as Shadow; it is nil after a checkpoint or snapshot
+	// restore, since witnesses are not persisted. Witnesses are never
+	// mutated: forks and merges share them, and after a donation two
+	// workers may read one at once.
+	shadowWit []solver.Model
 
 	// curHash caches the similarity hash at the last block boundary; it
 	// is maintained by the engine's DSM bookkeeping.
@@ -224,8 +232,24 @@ func (s *State) fork(newID uint64) *State {
 		for i, p := range s.Shadow {
 			ns.Shadow[i] = p[:len(p):len(p)]
 		}
+		ns.shadowWit = s.shadowWit[:len(s.shadowWit):len(s.shadowWit)]
 	}
 	return ns
+}
+
+// witnessAt returns shadow path i's witness model from a state's shadowWit,
+// nil when none is known.
+func witnessAt(wits []solver.Model, i int) solver.Model {
+	if i < len(wits) {
+		return wits[i]
+	}
+	return nil
+}
+
+// addShadow files a shadow path with its witness (nil when unknown).
+func (s *State) addShadow(p []*expr.Expr, w solver.Model) {
+	s.Shadow = append(s.Shadow, p)
+	s.shadowWit = append(s.shadowWit, w)
 }
 
 // detach severs every mutable tie between the state and its originating

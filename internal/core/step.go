@@ -558,7 +558,8 @@ func (e *Engine) doMakeSymbolic(s *State, in *ir.Instr) {
 }
 
 // assume conjoins cond to the path condition, returning false when the path
-// becomes infeasible.
+// becomes infeasible. The census narrows with it: a constituent path that
+// cannot satisfy cond dies here.
 func (e *Engine) assume(s *State, cond *expr.Expr) bool {
 	if cond.IsTrue() {
 		return true
@@ -572,6 +573,9 @@ func (e *Engine) assume(s *State, cond *expr.Expr) bool {
 	}
 	s.PC = appendPC(s.PC, cond)
 	s.sess.NoteConjunct(cond)
+	if s.Shadow != nil {
+		e.splitShadow(s, nil, cond)
+	}
 	return true
 }
 
@@ -729,21 +733,51 @@ func (e *Engine) doBranch(s *State, in *ir.Instr, loc ir.Loc) []*State {
 
 // splitShadow distributes the exact-path census across a fork: each shadow
 // path goes to the side(s) it can feasibly follow (paper §5.2: "maintaining
-// all the original single-path states along with the merged states").
+// all the original single-path states along with the merged states"). A nil
+// sFalse makes the split one-sided, as at an assume: paths that can only
+// follow ¬cond die.
+//
+// A shadow path is satisfiable, so a known witness settles one side by
+// evaluation: the side it satisfies inherits the path and the witness, and
+// only the other side costs a query, whose model becomes that side's
+// witness. A path without a witness asks both sides.
 func (e *Engine) splitShadow(sTrue, sFalse *State, cond *expr.Expr) {
-	paths := sTrue.Shadow
-	sTrue.Shadow = nil
-	sFalse.Shadow = nil
+	paths, wits := sTrue.Shadow, sTrue.shadowWit
+	sTrue.Shadow, sTrue.shadowWit = nil, nil
+	if sFalse != nil {
+		sFalse.Shadow, sFalse.shadowWit = nil, nil
+	}
 	notCond := e.build.Not(cond)
-	for _, p := range paths {
-		// Shadow paths are built from the same conjuncts as the real
-		// path conditions, so they ride the same session's blasted set.
-		if may, err := e.solv.MayBeTrueIn(sTrue.sess, p, cond); err == nil && may {
-			sTrue.Shadow = append(sTrue.Shadow, appendPC(p, cond))
+	for i, p := range paths {
+		switch w := witnessAt(wits, i); {
+		case w == nil:
+			e.shadowSide(sTrue, p, cond)
+			e.shadowSide(sFalse, p, notCond)
+		case expr.EvalBool(cond, expr.Env(w)):
+			// A fresh evaluator: a memo kept with a shared witness
+			// would be written by every state holding it.
+			sTrue.addShadow(appendPC(p, cond), w)
+			e.shadowSide(sFalse, p, notCond)
+		default:
+			e.shadowSide(sTrue, p, cond)
+			if sFalse != nil {
+				sFalse.addShadow(appendPC(p, notCond), w)
+			}
 		}
-		if may, err := e.solv.MayBeTrueIn(sTrue.sess, p, notCond); err == nil && may {
-			sFalse.Shadow = append(sFalse.Shadow, appendPC(p, notCond))
-		}
+	}
+}
+
+// shadowSide files shadow path p ∧ c on s, with the model that shows it
+// satisfiable, when the solver finds it so. A nil s is a side nobody
+// follows. Shadow paths are built from the same conjuncts as the real path
+// conditions, so they ride the same session's blasted set.
+func (e *Engine) shadowSide(s *State, p []*expr.Expr, c *expr.Expr) {
+	if s == nil {
+		return
+	}
+	q := appendPC(p, c)
+	if ok, m, err := e.solv.CheckSatIn(s.sess, q); err == nil && ok {
+		s.addShadow(q, m)
 	}
 }
 

@@ -9,11 +9,13 @@ import (
 
 // TestMaxTimeAfterLastStepPoll: cksum at the benchmark's testgen size
 // (SSM+QCE, canonical corpus, stdin two bytes under its default, floored at
-// one) runs for seconds in a few hundred steps, and its last steps spend
-// most of that in small SAT calls (shadow splits and min-model probes) that
-// never reach the SAT core's own clock check. The deadline therefore has to
-// be polled after such steps rather than only every 64th step, or a run
-// past its last 64-step poll ignores MaxTime entirely.
+// one) runs for about a second in under two hundred steps, and its last
+// steps spend most of that in small SAT calls (shadow splits and canonical
+// test solves) that never reach the SAT core's own clock check. The
+// deadline therefore has to be polled after such steps rather than only
+// every 64th step, or a run past its last 64-step poll ignores MaxTime
+// entirely. The budget is a quarter of the run, so it falls after that
+// last 64-step poll.
 func TestMaxTimeAfterLastStepPoll(t *testing.T) {
 	tool, err := Get("cksum")
 	if err != nil {
@@ -27,7 +29,7 @@ func TestMaxTimeAfterLastStepPoll(t *testing.T) {
 	cfg.StdinLen = max(tool.DefaultStdin-2, 1)
 	cfg.Merge, cfg.UseQCE = symx.MergeSSM, true
 	cfg.CorpusDir = t.TempDir()
-	cfg.MaxTime = time.Second
+	cfg.MaxTime = 250 * time.Millisecond
 
 	start := time.Now()
 	res := symx.Run(p, cfg)
@@ -36,10 +38,10 @@ func TestMaxTimeAfterLastStepPoll(t *testing.T) {
 		t.Fatal(res.ConfigErr)
 	}
 	if res.Completed || res.Interrupted != symx.IntrBudget {
-		t.Fatalf("1s budget: completed=%v interrupted=%v after %v, want an incomplete run stopped by the budget",
-			res.Completed, res.Interrupted, elapsed)
+		t.Fatalf("%v budget: completed=%v interrupted=%v after %v, want an incomplete run stopped by the budget",
+			cfg.MaxTime, res.Completed, res.Interrupted, elapsed)
 	}
 	if elapsed > 2500*time.Millisecond {
-		t.Fatalf("1s budget: run stopped after %v, want within 2.5s", elapsed)
+		t.Fatalf("%v budget: run stopped after %v, want within 2.5s", cfg.MaxTime, elapsed)
 	}
 }

@@ -10,96 +10,57 @@ package solver
 // scheduled, so test files stay byte-identical across runs and deduplication
 // is meaningful. MinModelIn delivers that: it fixes the given variables, in
 // the caller's order, to the lexicographically smallest satisfying
-// assignment (bit by bit, most significant first, preferring 0). The result
-// depends only on the *semantics* of the constraint set and the variable
-// order — every probe consults a sat/unsat verdict, which is an objective
-// fact, never a model, which is an artifact.
+// assignment (bit by bit, most significant first, preferring 0), in one
+// ordered SAT call whose search decides those bits first, in that order, at
+// value 0 (sat.Solver.SolvePrefer). Whatever the session has learned, every
+// bit the search could not set to 0 was forced by the path condition and the
+// smaller bits before it, so the result depends only on the *semantics* of
+// the constraint set and the variable order, never on the solver's history.
 
-import "symmerge/internal/expr"
+import (
+	"symmerge/internal/expr"
+	"symmerge/internal/obs"
+)
 
 // MinModelIn returns the lexicographically minimal satisfying assignment of
 // pc over vars (in the given order; bits compared most significant first),
 // or nil when pc is unsatisfiable. Variables of width 0 are booleans.
-// Constant entries in vars are skipped. The session, when non-nil, answers
-// the probe chain incrementally: each committed bound extends the blasted
-// prefix by one conjunct, exactly the blast-once/assume-many pattern
-// sessions exist for. Requires an attached builder.
+// Constant entries in vars are skipped. The answer is one session query:
+// pc's conjuncts join the session (a nil session stands for a fresh one
+// used for this call only) and one ordered SAT call decides them; the
+// counterexample cache and the model-reuse ring are neither consulted nor
+// filled. Requires an attached builder.
 func (s *Solver) MinModelIn(sess *Session, pc []*expr.Expr, vars []*expr.Expr) (Model, error) {
-	sat, m, err := s.checkSatIn(sess, pc, true)
-	if err != nil || !sat {
+	s.Stats.Queries++
+	live, ok := liveConjuncts(pc)
+	if !ok {
+		return nil, nil
+	}
+	if len(live) == 0 {
+		// Nothing constrains vars: the minimum is all zeros.
+		out := make(Model, len(vars))
+		for _, v := range vars {
+			if !v.IsConst() {
+				out[v] = 0
+			}
+		}
+		return out, nil
+	}
+	if sess == nil {
+		sess = s.NewSession()
+	}
+	s.Stats.SessionQueries++
+	sp := s.beginQuery()
+	res, err := sess.solve(live, vars)
+	s.endQuery(sp, obs.QuerySession, res, err)
+	if !res {
 		return nil, err
 	}
-	// cur accumulates pc plus every committed per-bit bound. m is a witness
-	// model for cur throughout: probes only run where m disagrees with the
-	// minimal choice, so already-minimal assignments cost zero queries.
-	cur := append(make([]*expr.Expr, 0, len(pc)+len(vars)), pc...)
 	out := make(Model, len(vars))
-	commit := func(c *expr.Expr) {
-		cur = append(cur, c)
-		sess.NoteConjunct(c)
-	}
 	for _, v := range vars {
-		if v.IsConst() {
-			continue
+		if !v.IsConst() {
+			out[v] = sess.core.bl.modelValue(v)
 		}
-		if v.Width == 0 { // boolean
-			val := truncEnv(m, v)
-			if val == 0 {
-				commit(s.build.Not(v))
-				out[v] = 0
-				continue
-			}
-			ok, m2, err := s.checkSatIn(sess, append(cur, s.build.Not(v)), true)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				m = m2
-				commit(s.build.Not(v))
-				out[v] = 0
-			} else {
-				commit(v)
-				out[v] = 1
-			}
-			continue
-		}
-		var val uint64
-		for k := int(v.Width) - 1; k >= 0; k-- {
-			mask := uint64(1) << uint(k)
-			bit := s.build.BAnd(v, s.build.Const(mask, v.Width))
-			zero := s.build.Eq(bit, s.build.Const(0, v.Width))
-			if truncEnv(m, v)&mask == 0 {
-				// The witness already has this bit low: minimal for free.
-				commit(zero)
-				continue
-			}
-			ok, m2, err := s.checkSatIn(sess, append(cur, zero), true)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				m = m2
-				commit(zero)
-			} else {
-				// Every solution of cur has the bit high.
-				commit(s.build.Eq(bit, s.build.Const(mask, v.Width)))
-				val |= mask
-			}
-		}
-		out[v] = val
 	}
 	return out, nil
-}
-
-// truncEnv reads a variable from a model with the don't-care convention
-// (missing variables are zero — see expr.Env), truncated to its width.
-func truncEnv(m Model, v *expr.Expr) uint64 {
-	val := m[v]
-	if v.Width == 0 {
-		return val & 1
-	}
-	if v.Width < 64 {
-		return val & ((1 << v.Width) - 1)
-	}
-	return val
 }

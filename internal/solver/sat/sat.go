@@ -132,6 +132,12 @@ type Solver struct {
 
 	model []bool // snapshot of the last satisfying assignment
 
+	// prefer is the preferred-literal list of the running SolvePrefer call
+	// (nil otherwise). Every entry before the cursor preferHead is
+	// assigned; backtrackTo resets the cursor.
+	prefer     []Lit
+	preferHead int
+
 	// Budget limits a Solve call to at most Budget conflicts (0 = no
 	// limit); when exceeded, Solve returns Unknown. The SMT layer uses it
 	// to implement soft solver timeouts.
@@ -488,9 +494,15 @@ func (s *Solver) backtrackTo(level int) {
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]
 	s.qhead = len(s.trail)
+	s.preferHead = 0
 }
 
 func (s *Solver) pickBranchLit() Lit {
+	for ; s.preferHead < len(s.prefer); s.preferHead++ {
+		if l := s.prefer[s.preferHead]; s.value(l) == lUndef {
+			return l
+		}
+	}
 	for {
 		v, ok := s.order.pop()
 		if !ok {
@@ -600,6 +612,27 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.Stats.Restarts++
 		s.backtrackTo(0)
 	}
+}
+
+// SolvePrefer is Solve with a preferred-literal list: until every literal of
+// prefer is assigned, each decision takes the first unassigned one, at its
+// given polarity, ahead of VSIDS. The list is used for this call only.
+//
+// With prefer = ¬x₁, ¬x₂, …, ¬xₙ a Sat answer is the lexicographically
+// smallest assignment to x₁…xₙ among all models under the assumptions,
+// learning, backjumping and restarts notwithstanding (Giunchiglia &
+// Maratea, "Solving optimization problems with DLL", ECAI 2006). Suppose
+// the model sets some xᵢ to 1 where the minimal one m* has 0, with i the
+// first such index. No decision set xᵢ, since decisions take the preferred
+// polarity, so propagation forced it; every decision made before that was
+// an assumption or some xⱼ = 0 with j < i, because the cursor always picks
+// the first unassigned entry and no other variable is decided while xᵢ is
+// open. m* agrees with all of those, and learnt clauses are entailed by the
+// clause database, so m* would have xᵢ = 1 too: a contradiction.
+func (s *Solver) SolvePrefer(prefer []Lit, assumptions ...Lit) Status {
+	s.prefer, s.preferHead = prefer, 0
+	defer func() { s.prefer = nil }()
+	return s.Solve(assumptions...)
 }
 
 // search runs CDCL until a result, a restart budget exhaustion (Unknown), or

@@ -228,3 +228,104 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatalf("variable activity increment degenerated: %v", s.varInc)
 	}
 }
+
+// lexBest enumerates every assignment and returns the truth values of
+// prefer under the model that satisfies the clauses and the assumptions and
+// makes prefer[0] true if it can, then prefer[1], and so on; ok is false
+// when no model exists.
+func lexBest(nVars int, clauses [][]Lit, assumps, prefer []Lit) (best []bool, ok bool) {
+	holds := func(m int, l Lit) bool { return m>>l.Var()&1 == 1 != l.Neg() }
+	for m := 0; m < 1<<nVars; m++ {
+		model := true
+		for _, a := range assumps {
+			model = model && holds(m, a)
+		}
+		for _, c := range clauses {
+			if !model {
+				break
+			}
+			sat := false
+			for _, l := range c {
+				sat = sat || holds(m, l)
+			}
+			model = sat
+		}
+		if !model {
+			continue
+		}
+		vals := make([]bool, len(prefer))
+		for i, l := range prefer {
+			vals[i] = holds(m, l)
+		}
+		if ok {
+			better := false
+			for i := range vals {
+				if vals[i] != best[i] {
+					better = vals[i]
+					break
+				}
+			}
+			if !better {
+				continue
+			}
+		}
+		best, ok = vals, true
+	}
+	return best, ok
+}
+
+// TestSolvePreferLexMin checks the ordered solve against enumeration: on
+// random instances warmed by earlier solves (so learnt clauses, activities
+// and saved phases exist), SolvePrefer under random assumptions returns the
+// lexicographically best assignment of its preferred literals.
+func TestSolvePreferLexMin(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randLit := func(n int) Lit { return MkLit(rng.Intn(n), rng.Intn(2) == 0) }
+	learnt := 0
+	for iter := 0; iter < 400; iter++ {
+		nVars := 6 + rng.Intn(9) // 6..14
+		nClauses := int(3.5*float64(nVars)) + rng.Intn(6)
+		s := New()
+		for v := 0; v < nVars; v++ {
+			s.NewVar()
+		}
+		clauses := make([][]Lit, nClauses)
+		for i := range clauses {
+			clauses[i] = []Lit{randLit(nVars), randLit(nVars), randLit(nVars)}
+			s.AddClause(clauses[i]...)
+		}
+		for warm := 0; warm < 4; warm++ {
+			s.Solve(randLit(nVars), randLit(nVars))
+		}
+		assumps := make([]Lit, rng.Intn(3))
+		for i := range assumps {
+			assumps[i] = randLit(nVars)
+		}
+		prefer := make([]Lit, 0, nVars)
+		for _, v := range rng.Perm(nVars)[:1+rng.Intn(nVars)] {
+			prefer = append(prefer, MkLit(v, rng.Intn(2) == 0))
+		}
+		want, sat := lexBest(nVars, clauses, assumps, prefer)
+		got := s.SolvePrefer(prefer, assumps...)
+		if (got == Sat) != sat {
+			t.Fatalf("iter %d: got %v, enumeration says sat=%v", iter, got, sat)
+		}
+		if sat {
+			for i, l := range prefer {
+				if s.ValueLit(l) != want[i] {
+					t.Fatalf("iter %d: preferred literal %d (%v) is %v, lexicographic best has %v",
+						iter, i, l, s.ValueLit(l), want[i])
+				}
+			}
+		}
+		// The list is for one call only: a plain solve afterwards still
+		// answers the same instance.
+		if again := s.Solve(assumps...); again != got {
+			t.Fatalf("iter %d: plain solve after SolvePrefer got %v, want %v", iter, again, got)
+		}
+		learnt += int(s.Stats.Learnt)
+	}
+	if learnt == 0 {
+		t.Fatal("no instance learnt a clause; the warm-up exercises nothing")
+	}
+}

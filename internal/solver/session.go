@@ -153,6 +153,29 @@ func (sess *Session) misses(live []*expr.Expr) int {
 // constant conjuncts). On sat, the model covers exactly the variables of
 // live.
 func (sess *Session) check(live []*expr.Expr) (bool, Model, error) {
+	if res, err := sess.solve(live, nil); !res {
+		return false, nil, err
+	}
+	core := sess.core
+	vs := map[*expr.Expr]bool{}
+	for _, c := range live {
+		for _, v := range core.acts[c].vars {
+			vs[v] = true
+		}
+	}
+	m := make(Model, len(vs))
+	for v := range vs {
+		m[v] = core.bl.modelValue(v)
+	}
+	return true, m, nil
+}
+
+// solve runs one SAT call over the conjunction of live, registering the
+// conjuncts the core has not blasted yet, and reports whether it is sat;
+// the model is then readable through the core's blaster. When prefer is
+// non-empty, the search decides the bits of those variables first, in
+// order, most significant first, at value 0 (see MinModelIn).
+func (sess *Session) solve(live, prefer []*expr.Expr) (bool, error) {
 	s := sess.solv
 	core := sess.core
 	rebased := false
@@ -198,23 +221,22 @@ func (sess *Session) check(live []*expr.Expr) (bool, Model, error) {
 		// the lineage stays incremental.
 		core.rebaseVars = core.ss.NumVars() * 2
 	}
-	switch core.ss.Solve(assumps...) {
+	var lits []sat.Lit
+	for _, v := range prefer {
+		// A variable the core never blasted has no literals: nothing
+		// constrains it, and modelValue reads it as 0.
+		bits := core.bl.vars[v]
+		for k := len(bits) - 1; k >= 0; k-- {
+			lits = append(lits, bits[k].Flip())
+		}
+	}
+	switch core.ss.SolvePrefer(lits, assumps...) {
 	case sat.Sat:
-		vs := map[*expr.Expr]bool{}
-		for _, c := range live {
-			for _, v := range core.acts[c].vars {
-				vs[v] = true
-			}
-		}
-		m := make(Model, len(vs))
-		for v := range vs {
-			m[v] = core.bl.modelValue(v)
-		}
-		return true, m, nil
+		return true, nil
 	case sat.Unsat:
-		return false, nil, nil
+		return false, nil
 	default:
 		s.Stats.Timeouts++
-		return false, nil, ErrBudget
+		return false, ErrBudget
 	}
 }

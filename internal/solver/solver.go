@@ -204,37 +204,62 @@ func (s *Solver) CheckSatIn(sess *Session, constraints []*expr.Expr) (bool, Mode
 // engine) skip the defensive model copy on cache and model-reuse hits.
 func (s *Solver) checkSatIn(sess *Session, constraints []*expr.Expr, needModel bool) (bool, Model, error) {
 	s.Stats.Queries++
+	live, ok := liveConjuncts(constraints)
+	if !ok {
+		return false, nil, nil
+	}
+	if len(live) == 0 {
+		return true, Model{}, nil
+	}
+	sp := s.beginQuery()
+	res, m, class, err := s.decide(sess, live, needModel)
+	s.endQuery(sp, class, res, err)
+	return res, m, err
+}
 
-	// Concrete fast path: drop trivially-true conjuncts, fail fast on
-	// trivially-false ones.
-	live := make([]*expr.Expr, 0, len(constraints))
+// liveConjuncts is the concrete fast path of every query: it drops the
+// trivially-true conjuncts, and ok is false when one is trivially false.
+// What constant folding answers never reaches a cache or SAT and stays
+// untraced; every other answer is one observable query span (beginQuery,
+// endQuery).
+func liveConjuncts(constraints []*expr.Expr) (live []*expr.Expr, ok bool) {
+	live = make([]*expr.Expr, 0, len(constraints))
 	for _, c := range constraints {
 		if c.IsTrue() {
 			continue
 		}
 		if c.IsFalse() {
-			return false, nil, nil
+			return nil, false
 		}
 		live = append(live, c)
 	}
-	if len(live) == 0 {
-		return true, Model{}, nil
-	}
+	return live, true
+}
 
-	// Constant folding answered everything above this line; those
-	// pseudo-queries never reach the cache or SAT and stay untraced. From
-	// here on, each decision is one observable query span.
-	if s.obs.Active() {
-		qid := s.obs.QueryBegin()
-		t0 := time.Now()
-		v0, c0 := s.Stats.SATVars, s.Stats.SATClauses
-		res, m, class, err := s.decide(sess, live, needModel)
-		s.obs.QueryEnd(qid, class, res, err != nil, time.Since(t0),
-			s.Stats.SATVars-v0, s.Stats.SATClauses-c0)
-		return res, m, err
+// querySpan is an open query span: its id, start time and the SAT-encoding
+// counters at its start. The zero value stands for tracing off.
+type querySpan struct {
+	qid        uint64
+	t0         time.Time
+	vars, clss uint64
+}
+
+// beginQuery opens a query span on the solver's observability lane.
+func (s *Solver) beginQuery() querySpan {
+	if !s.obs.Active() {
+		return querySpan{}
 	}
-	res, m, _, err := s.decide(sess, live, needModel)
-	return res, m, err
+	return querySpan{s.obs.QueryBegin(), time.Now(), s.Stats.SATVars, s.Stats.SATClauses}
+}
+
+// endQuery closes a span with how the query was answered (class), its
+// verdict, and the SAT encoding it cost.
+func (s *Solver) endQuery(sp querySpan, class obs.QueryClass, res bool, err error) {
+	if !s.obs.Active() {
+		return
+	}
+	s.obs.QueryEnd(sp.qid, class, res, err != nil, time.Since(sp.t0),
+		s.Stats.SATVars-sp.vars, s.Stats.SATClauses-sp.clss)
 }
 
 // decide answers a non-trivial query (live is non-empty, free of constant

@@ -5,7 +5,9 @@ package symx
 // round-trip fuzz target over random MiniC programs.
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -157,4 +159,74 @@ func FuzzCorpusRoundTrip(f *testing.F) {
 				len(rep.MissingLocs), len(rep.ExtraLocs), src)
 		}
 	})
+}
+
+// replayClean writes the program's corpus under cfg and requires every
+// test to replay through the concrete interpreter with coverage parity.
+func replayClean(t *testing.T, label string, p *Program, cfg Config) *Result {
+	t.Helper()
+	cfg.CorpusDir = t.TempDir()
+	res := Run(p, cfg)
+	if res.CorpusErr != nil || !res.Completed {
+		t.Fatalf("%s: corpus %v, completed %v", label, res.CorpusErr, res.Completed)
+	}
+	rep, err := corpus.Replay(cfg.CorpusDir, p.Internal())
+	if err != nil {
+		t.Fatalf("%s: replay: %v", label, err)
+	}
+	for _, m := range rep.Mismatches {
+		t.Errorf("%s: replay divergence: %s", label, m)
+	}
+	if !rep.ParityOK() {
+		t.Errorf("%s: coverage parity failed: %d missing, %d extra locations",
+			label, len(rep.MissingLocs), len(rep.ExtraLocs))
+	}
+	return res
+}
+
+// TestAssumeNarrowsCensus: an assume narrows every constituent path of a
+// merged state, so canonical tests honour it under every regime, and a
+// constituent path that contradicts it leaves the census.
+func TestAssumeNarrowsCensus(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		input     string // the one test input
+	}{
+		{"assume-first", `
+void main() {
+    byte c = argchar(1, 0);
+    assume(c == 'x');
+    if (c == 'x') { putchar('y'); } else { putchar('n'); }
+}`, "x"},
+		// The second iteration covers every location of the first, so
+		// the path that dies at the assume leaves nothing uncovered.
+		{"assume-after-merge", `
+void main() {
+    byte c = argchar(1, 0);
+    int k = 0;
+    for (int i = 0; i < 2; i++) {
+        if (c == 'a' || i == 1) { k = k + 1; }
+    }
+    assume(c != 'a');
+    putchar(tobyte('0' + k));
+}`, ""},
+	} {
+		p, err := Compile(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []MergeMode{MergeNone, MergeSSM, MergeDSM} {
+			label := fmt.Sprintf("%s/%v", tc.name, m)
+			res := replayClean(t, label, p, Config{NArgs: 1, ArgLen: 1, Merge: m})
+			if len(res.Tests) != 1 || string(bytes.Join(res.Tests[0].Args, nil)) != tc.input {
+				t.Errorf("%s: tests %v, want the one input %q", label, res.Tests, tc.input)
+			}
+			if m != MergeNone && res.Stats.ExactPaths != 1 {
+				t.Errorf("%s: census counts %d exact paths, want 1", label, res.Stats.ExactPaths)
+			}
+			if m == MergeSSM && tc.name == "assume-after-merge" && res.Stats.Merges == 0 {
+				t.Errorf("%s: no merge, so no census to narrow", label)
+			}
+		}
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"symmerge/internal/coreutils"
 	"symmerge/internal/corpus"
@@ -223,5 +224,34 @@ func TestTraceFileUnwritable(t *testing.T) {
 	}
 	if res.Stats.Steps != 0 {
 		t.Fatal("run explored despite the refused trace path")
+	}
+}
+
+// TestCanonicalQueriesAreSpans: canonical test emission's ordered solves are
+// observable queries like every other. Each session query is one span of
+// class session, and the query spans cover the time of every SAT call.
+// Histograms sum whole microseconds per span, so the spans' true total is
+// below SumUS + Count µs.
+func TestCanonicalQueriesAreSpans(t *testing.T) {
+	p, tool := compileTool(t, "cksum")
+	cfg := tool.BaseConfig()
+	cfg.Merge, cfg.UseQCE = symx.MergeSSM, true
+	cfg.CorpusDir = t.TempDir()
+	cfg.Metrics = symx.NewMetrics()
+	res := symx.Run(p, cfg)
+	if !res.Completed || res.CorpusErr != nil || res.Stats.TestsEmitted == 0 {
+		t.Fatalf("completed %v, corpus %v, %d tests", res.Completed, res.CorpusErr, res.Stats.TestsEmitted)
+	}
+	snap := cfg.Metrics.Snapshot()
+	sv := res.Stats.Solver
+	if snap.QueryLatSession.Count != sv.SessionQueries || sv.SessionQueries == 0 {
+		t.Errorf("%d session spans for %d session queries", snap.QueryLatSession.Count, sv.SessionQueries)
+	}
+	var spanUS uint64
+	for _, h := range []obs.HistSnap{snap.QueryLatSession, snap.QueryLatOneShot, snap.QueryLatCached} {
+		spanUS += h.SumUS + h.Count
+	}
+	if span := time.Duration(spanUS) * time.Microsecond; span < sv.SATTime {
+		t.Errorf("query spans sum to under %v, but SAT calls took %v", span, sv.SATTime)
 	}
 }
