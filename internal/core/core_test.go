@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"maps"
 	"math/big"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"symmerge/internal/expr"
@@ -38,7 +40,7 @@ func (s *dfs) Pick() *State {
 }
 func (s *dfs) Len() int { return len(s.items) }
 
-func newTestEngine(t *testing.T, src string, cfg Config) *Engine {
+func newTestEngine(t testing.TB, src string, cfg Config) *Engine {
 	t.Helper()
 	p, err := lang.Compile(src)
 	if err != nil {
@@ -273,35 +275,392 @@ func TestHistoryRing(t *testing.T) {
 	}
 }
 
+// TestOutputGuardedMerge merges two states that each printed 'a' on their
+// own after a shared 'x', one of them then 'b': a model of either side must
+// print exactly what that side printed.
 func TestOutputGuardedMerge(t *testing.T) {
 	e := newTestEngine(t, arraySrc, Config{})
 	b := e.build
 	c := b.Var("c", 0)
 	s1 := e.initialState()
+	s1.Output = putOut(nil, b.Const('x', 8))
 	s2 := s1.fork(e.nextID)
 	s1.PC = appendPC(nil, c)
 	s2.PC = appendPC(nil, b.Not(c))
-	s1.Output = []OutEntry{{Val: b.Const('a', 8)}, {Val: b.Const('b', 8)}}
-	s2.Output = []OutEntry{{Val: b.Const('a', 8)}}
+	s1.Output = putOut(putOut(s1.Output, b.Const('a', 8)), b.Const('b', 8))
+	s2.Output = putOut(s2.Output, b.Const('a', 8))
 	m := e.merge(s1, s2)
-	// Common prefix 'a' unguarded; 'b' guarded by s1's suffix condition.
-	if len(m.Output) != 2 {
-		t.Fatalf("merged output has %d entries, want 2", len(m.Output))
-	}
-	if m.Output[0].Guard != nil || m.Output[0].Val.Val != 'a' {
-		t.Fatalf("entry 0 = %+v, want unguarded 'a'", m.Output[0])
-	}
-	if m.Output[1].Guard == nil || m.Output[1].Val.Val != 'b' {
-		t.Fatalf("entry 1 = %+v, want guarded 'b'", m.Output[1])
-	}
-	// Under c the guard holds ('ab' printed); under ¬c it does not ('a').
-	if !expr.EvalBool(m.Output[1].Guard, expr.Env{c: 1}) {
-		t.Fatal("guard false under the s1 branch")
-	}
-	if expr.EvalBool(m.Output[1].Guard, expr.Env{c: 0}) {
-		t.Fatal("guard true under the s2 branch")
+	for _, tc := range []struct {
+		c    uint64
+		want string
+	}{{1, "xab"}, {0, "xa"}} {
+		got := emitOut(&expr.Evaluator{Env: expr.Env{c: tc.c}}, m.Output)
+		if string(got) != tc.want {
+			t.Errorf("c=%d: merged state prints %q, want %q", tc.c, got, tc.want)
+		}
 	}
 }
+
+// refEntry and refOut are the output representation the persistent stream
+// replaced, kept as the oracle for it: a flat list of guarded entries. A
+// merge keeps the two lists' value-equal common prefix and appends each
+// side's remaining entries with that side's path-condition suffix
+// conjoined to their guards (guardOut).
+type refEntry struct {
+	Guard *expr.Expr // nil = unconditional
+	Val   *expr.Expr
+}
+
+type refOut []refEntry
+
+func guardOut(b *expr.Builder, en refEntry, cond *expr.Expr) refEntry {
+	if en.Guard == nil {
+		return refEntry{Guard: cond, Val: en.Val}
+	}
+	return refEntry{Guard: b.And(en.Guard, cond), Val: en.Val}
+}
+
+func refMerge(b *expr.Builder, o1, o2 refOut, c1, c2 *expr.Expr) refOut {
+	k := 0
+	for k < len(o1) && k < len(o2) && o1[k] == o2[k] {
+		k++
+	}
+	out := append(refOut(nil), o1[:k]...)
+	for _, en := range o1[k:] {
+		out = append(out, guardOut(b, en, c1))
+	}
+	for _, en := range o2[k:] {
+		out = append(out, guardOut(b, en, c2))
+	}
+	return out
+}
+
+func (o refOut) emit(ev *expr.Evaluator) []byte {
+	var out []byte
+	for _, en := range o {
+		if en.Guard == nil || ev.Bool(en.Guard) {
+			out = append(out, byte(ev.Eval(en.Val)))
+		}
+	}
+	return out
+}
+
+// streamGen drives random fork/putchar/merge sequences on an engine's
+// states, keeping the reference representation beside each state's stream.
+type streamGen struct {
+	e     *Engine
+	rng   *rand.Rand
+	bools []*expr.Expr // b0..b3
+	bytes []*expr.Expr // x0, x1
+}
+
+// cuts are the constants byte conditions compare against.
+var cuts = []uint64{10, 200}
+
+type genState struct {
+	s   *State
+	ref refOut
+}
+
+func (g *streamGen) cond() *expr.Expr {
+	b := g.e.build
+	switch g.rng.Intn(3) {
+	case 0:
+		return g.bools[g.rng.Intn(len(g.bools))]
+	case 1:
+		return b.Ult(g.bytes[g.rng.Intn(len(g.bytes))], b.Const(cuts[g.rng.Intn(len(cuts))], 8))
+	default:
+		return b.Eq(g.bytes[g.rng.Intn(len(g.bytes))], b.Const(cuts[g.rng.Intn(len(cuts))], 8))
+	}
+}
+
+// byteVal is a constant or symbolic byte to print.
+func (g *streamGen) byteVal() *expr.Expr {
+	b := g.e.build
+	x := g.bytes[g.rng.Intn(len(g.bytes))]
+	switch g.rng.Intn(4) {
+	case 0, 1:
+		return b.Const(uint64('a'+g.rng.Intn(2)), 8)
+	case 2:
+		return x
+	default:
+		return b.Ite(g.bools[g.rng.Intn(len(g.bools))], b.Add(x, b.Const(1, 8)), b.Const('n', 8))
+	}
+}
+
+func (g *streamGen) put(st genState, v *expr.Expr) genState {
+	st.s.Output = putOut(st.s.Output, v)
+	st.ref = append(st.ref[:len(st.ref):len(st.ref)], refEntry{Val: v})
+	return st
+}
+
+func (g *streamGen) print(st genState) genState {
+	for n := g.rng.Intn(3); n > 0; n-- {
+		st = g.put(st, g.byteVal())
+	}
+	return st
+}
+
+// fork splits st on a fresh condition; half the time both sides then print
+// the same byte, each on its own.
+func (g *streamGen) fork(st genState) (genState, genState) {
+	c := g.cond()
+	other := genState{s: st.s.fork(g.e.nextID), ref: st.ref}
+	g.e.nextID++
+	st.s.PC = appendPC(st.s.PC, c)
+	other.s.PC = appendPC(other.s.PC, g.e.build.Not(c))
+	if g.rng.Intn(2) == 0 {
+		v := g.byteVal()
+		st, other = g.put(st, v), g.put(other, v)
+	}
+	return st, other
+}
+
+// merge merges both the states and their references, in random order.
+func (g *streamGen) merge(x, y genState) genState {
+	if g.rng.Intn(2) == 0 {
+		x, y = y, x
+	}
+	k := 0
+	for k < len(x.s.PC) && k < len(y.s.PC) && x.s.PC[k] == y.s.PC[k] {
+		k++
+	}
+	b := g.e.build
+	ref := refMerge(b, x.ref, y.ref, b.AndN(x.s.PC[k:]), b.AndN(y.s.PC[k:]))
+	return genState{s: g.e.merge(x.s, y.s), ref: ref}
+}
+
+// run prints, forks and merges below st, nesting merges depth deep. A
+// three-way split merges a merged state with a state forked before it.
+func (g *streamGen) run(st genState, depth int) genState {
+	st = g.print(st)
+	if depth == 0 {
+		return st
+	}
+	a, b := g.fork(st)
+	var m genState
+	if g.rng.Intn(3) == 0 {
+		b1, b2 := g.fork(g.print(b))
+		a, b1, b2 = g.run(a, depth-1), g.run(b1, depth-1), g.run(b2, depth-1)
+		if g.rng.Intn(2) == 0 {
+			m = g.merge(g.merge(a, b1), b2)
+		} else {
+			m = g.merge(a, g.merge(b1, b2))
+		}
+	} else {
+		m = g.merge(g.run(a, depth-1), g.run(b, depth-1))
+	}
+	return g.print(m)
+}
+
+// assignments lists every assignment of the boolean inputs, with each byte
+// input ranging over the values around the constants conditions compare it
+// with: together they decide every condition both ways in every
+// combination.
+func (g *streamGen) assignments() []expr.Env {
+	vals := []uint64{0, 255}
+	for _, c := range cuts {
+		vals = append(vals, c-1, c, c+1)
+	}
+	envs := []expr.Env{{}}
+	for _, v := range g.bools {
+		var next []expr.Env
+		for _, env := range envs {
+			for _, x := range []uint64{0, 1} {
+				e := maps.Clone(env)
+				e[v] = x
+				next = append(next, e)
+			}
+		}
+		envs = next
+	}
+	for _, v := range g.bytes {
+		var next []expr.Env
+		for _, env := range envs {
+			for _, x := range vals {
+				e := maps.Clone(env)
+				e[v] = x
+				next = append(next, e)
+			}
+		}
+		envs = next
+	}
+	return envs
+}
+
+// reintern rebuilds x in builder b node by node, kids first, through
+// Builder.Intern: what the checkpoint decoder does with a node table.
+func reintern(b *expr.Builder, x *expr.Expr, memo map[*expr.Expr]*expr.Expr) *expr.Expr {
+	if x == nil {
+		return nil
+	}
+	if y, ok := memo[x]; ok {
+		return y
+	}
+	kids := make([]*expr.Expr, len(x.Kids))
+	for i, k := range x.Kids {
+		kids[i] = reintern(b, k, memo)
+	}
+	y, err := b.Intern(x.Kind, x.Width, x.Val, x.Aux, x.Name, kids)
+	if err != nil {
+		panic(err)
+	}
+	memo[x] = y
+	return y
+}
+
+// reinternWire moves a wire state with no heap or shadow census into
+// builder b.
+func reinternWire(b *expr.Builder, w *StateWire) *StateWire {
+	memo := map[*expr.Expr]*expr.Expr{}
+	re := func(x *expr.Expr) *expr.Expr { return reintern(b, x, memo) }
+	out := *w
+	out.PC = nil
+	for _, c := range w.PC {
+		out.PC = append(out.PC, re(c))
+	}
+	out.Frames = nil
+	for _, f := range w.Frames {
+		nf := f
+		nf.Locals = nil
+		for _, v := range f.Locals {
+			v.E = re(v.E)
+			nf.Locals = append(nf.Locals, v)
+		}
+		nf.Objects = nil
+		for _, o := range f.Objects {
+			if o == nil {
+				nf.Objects = append(nf.Objects, nil)
+				continue
+			}
+			no := &WireObject{Width: o.Width}
+			for _, c := range o.Cells {
+				no.Cells = append(no.Cells, re(c))
+			}
+			nf.Objects = append(nf.Objects, no)
+		}
+		out.Frames = append(out.Frames, nf)
+	}
+	out.Output = nil
+	for _, o := range w.Output {
+		out.Output = append(out.Output, WireOut{Guard: re(o.Guard), Val: re(o.Val)})
+	}
+	return &out
+}
+
+// TestOutputStreamMatchesReference runs random fork/putchar/merge sequences
+// with merges nested at least four deep. Under every input assignment that
+// satisfies the final path condition the stream must print what the
+// reference prints, and so must the state rebuilt from its wire form, both
+// through the producing builder and through a fresh one. The wire form of
+// a rebuilt state must equal the one it was rebuilt from.
+func TestOutputStreamMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		e := newTestEngine(t, arraySrc, Config{})
+		b := e.build
+		g := &streamGen{e: e, rng: rand.New(rand.NewSource(seed))}
+		for i := 0; i < 4; i++ {
+			g.bools = append(g.bools, b.Var(fmt.Sprintf("b%d", i), 0))
+		}
+		for i := 0; i < 2; i++ {
+			g.bytes = append(g.bytes, b.Var(fmt.Sprintf("x%d", i), 8))
+		}
+		final := g.run(genState{s: e.initialState()}, 4)
+
+		w := final.s.ToWire(b)
+		same, err := e.stateFromWire(w)
+		if err != nil {
+			t.Fatalf("seed %d: same-builder restore: %v", seed, err)
+		}
+		if rw := same.ToWire(b); !slices.Equal(rw.Output, w.Output) {
+			t.Fatalf("seed %d: restored state's wire output differs from the one it was restored from", seed)
+		}
+		e2 := newTestEngine(t, arraySrc, Config{})
+		fresh, err := e2.stateFromWire(reinternWire(e2.build, w))
+		if err != nil {
+			t.Fatalf("seed %d: fresh-builder restore: %v", seed, err)
+		}
+
+		sat := 0
+		for _, env := range g.assignments() {
+			ev := &expr.Evaluator{Env: env}
+			holds := true
+			for _, c := range final.s.PC {
+				if !ev.Bool(c) {
+					holds = false
+					break
+				}
+			}
+			if !holds {
+				continue
+			}
+			sat++
+			want := final.ref.emit(ev)
+			env2 := expr.Env{}
+			for v, x := range env {
+				env2[e2.build.Var(v.Name, v.Width)] = x
+			}
+			for _, got := range []struct {
+				label string
+				out   []byte
+			}{
+				{"stream", emitOut(ev, final.s.Output)},
+				{"same-builder restore", emitOut(ev, same.Output)},
+				{"fresh-builder restore", emitOut(&expr.Evaluator{Env: env2}, fresh.Output)},
+			} {
+				if string(got.out) != string(want) {
+					t.Fatalf("seed %d, %v: %s prints %q, reference %q", seed, env, got.label, got.out, want)
+				}
+			}
+		}
+		if sat == 0 {
+			t.Fatalf("seed %d: no assignment satisfies the final path condition", seed)
+		}
+	}
+}
+
+// BenchmarkMergeLongOutput merges states that share an n-byte printed
+// prefix and each print a few bytes of their own, nesting the merges four
+// levels deep (15 merges per op). A merge should cost what the two states
+// printed since they diverged, not the length of the shared prefix.
+func BenchmarkMergeLongOutput(b *testing.B) {
+	for _, n := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			e := newTestEngine(b, arraySrc, Config{})
+			bld := e.build
+			root := e.initialState()
+			for i := 0; i < n; i++ {
+				root.Output = putOut(root.Output, bld.Const(uint64('a'+i%26), 8))
+			}
+			var conds []*expr.Expr
+			for i := 0; i < 4; i++ {
+				conds = append(conds, bld.Var(fmt.Sprintf("c%d", i), 0))
+			}
+			divergent := []*expr.Expr{bld.Const('0', 8), bld.Const('1', 8), bld.Const('2', 8)}
+			var level func(s *State, d int) *State
+			level = func(s *State, d int) *State {
+				if d == len(conds) {
+					return s
+				}
+				s1, s2 := s, s.fork(e.nextID)
+				e.nextID++
+				s1.PC = appendPC(s1.PC, conds[d])
+				s2.PC = appendPC(s2.PC, bld.Not(conds[d]))
+				for _, v := range divergent {
+					s1.Output = putOut(s1.Output, v)
+					s2.Output = putOut(s2.Output, v)
+				}
+				return e.merge(level(s1, d+1), level(s2, d+1))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mergeSink = level(root.fork(e.nextID), 0)
+			}
+		})
+	}
+}
+
+var mergeSink *State
 
 // summarySrc calls a branching helper twice: function-summary merging must
 // collapse the helper's intraprocedural paths at each return, keeping the

@@ -1100,18 +1100,14 @@ func (e *Engine) makeTest(model solver.Model, s *State) (TestCase, bool) {
 	if model == nil {
 		return TestCase{}, false
 	}
-	// One evaluator for the whole test: merged outputs share their guards
-	// and ite subterms, so each shared node is evaluated once.
+	// One evaluator for the whole test: merged outputs share their join
+	// conditions and ite subterms, so each shared node is evaluated once.
 	ev := &expr.Evaluator{Env: expr.Env(model)}
 	tc := TestCase{Args: e.concretizeArgs(ev)}
 	for _, cell := range e.stdin {
 		tc.Stdin = append(tc.Stdin, byte(ev.Eval(cell)))
 	}
-	for _, o := range s.Output {
-		if o.Guard == nil || ev.Bool(o.Guard) {
-			tc.Output = append(tc.Output, byte(ev.Eval(o.Val)))
-		}
-	}
+	tc.Output = emitOut(ev, s.Output)
 	if s.ExitCode != nil {
 		tc.Exit = int64(int32(ev.Eval(s.ExitCode)))
 	}

@@ -343,26 +343,11 @@ func (e *Engine) merge(s1, s2 *State) *State {
 		m.sess.NoteConjunct(c)
 	}
 
-	// Merge outputs precisely: the common prefix stays as is; each side's
-	// divergent suffix is guarded by that side's path-condition suffix,
-	// so replaying a model reproduces exactly the bytes that path printed.
-	n := len(s1.Output)
-	if len(s2.Output) < n {
-		n = len(s2.Output)
-	}
-	k2 := 0
-	for k2 < n && s1.Output[k2] == s2.Output[k2] {
-		k2++
-	}
-	out := make([]OutEntry, 0, len(s1.Output)+len(s2.Output)-k2)
-	out = append(out, s1.Output[:k2]...)
-	for _, en := range s1.Output[k2:] {
-		out = append(out, guardOut(b, en, c1))
-	}
-	for _, en := range s2.Output[k2:] {
-		out = append(out, guardOut(b, en, c2))
-	}
-	m.Output = out
+	// Merge outputs precisely: the streams' shared prefix stays as is, and
+	// each side's divergent part is printed under that side's
+	// path-condition suffix, so replaying a model reproduces exactly the
+	// bytes that path printed.
+	m.Output = joinOut(s1.Output, s2.Output, c1, c2)
 
 	// Merge frames: scalars via ite, arrays cell-wise.
 	for depth := range s1.Frames {
@@ -463,14 +448,6 @@ func (e *Engine) merge(s1, s2 *State) *State {
 		}
 	}
 	return m
-}
-
-// guardOut strengthens an output entry's guard with cond.
-func guardOut(b *expr.Builder, en OutEntry, cond *expr.Expr) OutEntry {
-	if en.Guard == nil {
-		return OutEntry{Guard: cond, Val: en.Val}
-	}
-	return OutEntry{Guard: b.And(en.Guard, cond), Val: en.Val}
 }
 
 func maxInt(a, b int) int {

@@ -56,12 +56,6 @@ type heapEntry struct {
 	obj *Object
 }
 
-// OutEntry is one conditionally-emitted output byte.
-type OutEntry struct {
-	Guard *expr.Expr // nil = unconditional
-	Val   *expr.Expr // 8-bit value
-}
-
 // Frame is one activation record.
 type Frame struct {
 	Fn     int
@@ -131,12 +125,12 @@ type State struct {
 	// of the merged states' multiplicities after a merge (paper §5.2).
 	Mult *big.Int
 
-	// Output is the byte stream written by putchar along this path as
-	// guarded entries: an entry is emitted under a model iff its guard
-	// holds (nil guard = always). Merging guards each side's divergent
-	// suffix with that side's path-condition suffix, so merged outputs
-	// stay fully precise.
-	Output []OutEntry
+	// Output is the last node of the persistent byte stream putchar wrote
+	// along this path (nil = nothing yet). A merge joins the two streams
+	// after their shared prefix, guarding each side's part with that
+	// side's path-condition suffix, so merged outputs stay fully precise:
+	// a model of the path prints exactly the bytes its path printed.
+	Output *OutEntry
 
 	Halt     HaltKind
 	ExitCode *expr.Expr
@@ -198,7 +192,7 @@ func (s *State) fork(newID uint64) *State {
 		Frames:  make([]*Frame, len(s.Frames)),
 		PC:      s.PC[:len(s.PC):len(s.PC)],
 		Mult:    new(big.Int).Set(s.Mult),
-		Output:  s.Output[:len(s.Output):len(s.Output)],
+		Output:  s.Output,
 		nSyms:   s.nSyms,
 		histPos: s.histPos,
 		ff:      s.ff,
@@ -259,9 +253,10 @@ func (s *State) addShadow(p []*expr.Expr, w solver.Model) {
 //     is safe within one engine (one goroutine), but across workers even
 //     the redundant `shared = true` store during a sibling's fork would
 //     race with a reader; cloning leaves nothing mutable in common. The
-//     path condition, output entries, and shadow census keep sharing their
-//     slices — they are length-clamped and their contents (hash-consed
-//     expressions from the shared builder) are immutable.
+//     path condition and shadow census keep sharing their slices — they
+//     are length-clamped and their contents (hash-consed expressions from
+//     the shared builder) are immutable. The output stream is shared as
+//     is: its nodes are never mutated after construction.
 //   - The solver session is dropped: sessions wrap a worker-local SAT
 //     instance. The receiving engine attaches a fresh one on Inject and
 //     the path condition re-blasts there on demand.

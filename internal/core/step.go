@@ -94,7 +94,7 @@ func (e *Engine) stepBlock(s *State) []*State {
 			if in.T.Kind == ir.Int {
 				v = e.build.Extract(v, 0, 8)
 			}
-			s.Output = appendOut(s.Output, OutEntry{Val: v})
+			s.Output = putOut(s.Output, v)
 			f.PC++
 		case ir.OpSymInt, ir.OpSymByte, ir.OpSymBool:
 			f.Locals[in.Dst] = Value{E: e.freshInput(s, in.Op)}
@@ -585,14 +585,6 @@ func appendPC(pc []*expr.Expr, c *expr.Expr) []*expr.Expr {
 	out := make([]*expr.Expr, len(pc)+1)
 	copy(out, pc)
 	out[len(pc)] = c
-	return out
-}
-
-// appendOut appends an output entry with the same copy discipline.
-func appendOut(o []OutEntry, e OutEntry) []OutEntry {
-	out := make([]OutEntry, len(o)+1)
-	copy(out, o)
-	out[len(o)] = e
 	return out
 }
 

@@ -81,7 +81,9 @@ type StateWire struct {
 // ToWire serializes the state. Every slice is copied (expressions are
 // immutable and stay shared), so the wire form is immune to the engine's
 // later in-place mutations of the live state — Snapshot is non-destructive.
-func (s *State) ToWire() *StateWire {
+// The output stream is flattened into guarded entries, building each
+// entry's guard through b, the builder the state's expressions live in.
+func (s *State) ToWire(b *expr.Builder) *StateWire {
 	w := &StateWire{
 		Mult:    s.Mult.String(),
 		NSyms:   s.nSyms,
@@ -116,12 +118,7 @@ func (s *State) ToWire() *StateWire {
 	if s.allocs != nil {
 		w.Allocs = append([]uint16(nil), s.allocs...)
 	}
-	if len(s.Output) > 0 {
-		w.Output = make([]WireOut, len(s.Output))
-		for i, o := range s.Output {
-			w.Output[i] = WireOut{Guard: o.Guard, Val: o.Val}
-		}
-	}
+	w.Output = wireOut(b, s.Output)
 	if s.history != nil {
 		w.History = append([]uint64(nil), s.history...)
 	}
@@ -145,7 +142,7 @@ func (e *Engine) Snapshot() []*StateWire {
 	sortStatesByID(states)
 	out := make([]*StateWire, len(states))
 	for i, s := range states {
-		out[i] = s.ToWire()
+		out[i] = s.ToWire(e.build)
 	}
 	return out
 }
@@ -265,16 +262,22 @@ func (e *Engine) stateFromWire(w *StateWire) (*State, error) {
 		}
 		s.allocs = append([]uint16(nil), w.Allocs...)
 	}
-	if len(w.Output) > 0 {
-		s.Output = make([]OutEntry, len(w.Output))
-		for i, o := range w.Output {
-			if o.Val == nil {
-				return nil, fmt.Errorf("output entry %d has no value", i)
-			}
-			if o.Guard != nil && !o.Guard.IsBool() {
-				return nil, fmt.Errorf("output entry %d: non-boolean guard", i)
-			}
-			s.Output[i] = OutEntry{Guard: o.Guard, Val: o.Val}
+	// The stream comes back as a chain: an unguarded entry is a leaf, and
+	// a guarded one a join whose only part is that leaf.
+	for i, o := range w.Output {
+		if o.Val == nil {
+			return nil, fmt.Errorf("output entry %d has no value", i)
+		}
+		if o.Val.Width != 8 {
+			return nil, fmt.Errorf("output entry %d: value width %d (want 8)", i, o.Val.Width)
+		}
+		if o.Guard != nil && !o.Guard.IsBool() {
+			return nil, fmt.Errorf("output entry %d: non-boolean guard", i)
+		}
+		if o.Guard == nil {
+			s.Output = putOut(s.Output, o.Val)
+		} else {
+			s.Output = joinOut(putOut(s.Output, o.Val), s.Output, o.Guard, nil)
 		}
 	}
 	if len(w.History) > 0 {

@@ -73,15 +73,45 @@ func (c *sessionCore) addConjunct(e *expr.Expr) actRecord {
 	l := c.bl.blastBool(e)
 	a := c.bl.fresh()
 	c.ss.AddClause(a.Flip(), l)
-	vs := map[*expr.Expr]bool{}
-	e.Vars(vs)
-	vars := make([]*expr.Expr, 0, len(vs))
-	for v := range vs {
-		vars = append(vars, v)
-	}
-	rec := actRecord{act: a, vars: vars}
+	rec := actRecord{act: a, vars: c.conjunctVars(e)}
 	c.acts[e] = rec
 	return rec
+}
+
+// conjunctVars lists the input variables of e, as e.Vars would. The walk
+// does not descend into a conjunct the core has registered but takes its
+// recorded list, which is that conjunct's exact variable set: the
+// conjuncts a merge or a branch adds are built over earlier ones (a merged
+// disjunction over the suffix conjuncts, a branch condition over merged
+// ite selectors), so a full walk would re-traverse the whole history.
+func (c *sessionCore) conjunctVars(e *expr.Expr) []*expr.Expr {
+	var vars []*expr.Expr
+	seen := map[*expr.Expr]bool{}
+	var walk func(x *expr.Expr)
+	walk = func(x *expr.Expr) {
+		if !x.IsSymbolic() || seen[x] {
+			return
+		}
+		seen[x] = true
+		if x.Kind == expr.KVar {
+			vars = append(vars, x)
+			return
+		}
+		if rec, ok := c.acts[x]; ok {
+			for _, v := range rec.vars {
+				if !seen[v] {
+					seen[v] = true
+					vars = append(vars, v)
+				}
+			}
+			return
+		}
+		for _, k := range x.Kids {
+			walk(k)
+		}
+	}
+	walk(e)
+	return vars
 }
 
 // Session answers satisfiability queries over conjunct sets that extend an

@@ -5,6 +5,7 @@ package solver
 // unsat-under-assumptions isolation.
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -334,5 +335,89 @@ func TestSessionRebaseRecovery(t *testing.T) {
 	}
 	if v := m[x]; v <= 3 || v >= 100 {
 		t.Fatalf("recovered model x=%d violates 3 < x < 100", v)
+	}
+}
+
+// TestConjunctVarsMatchVars registers random conjunct sequences the way the
+// engine does, through NoteConjunct and session queries: atoms, branch
+// conditions over ite-valued (merged) values, and merged disjunctions of
+// registered suffixes, with the core forcibly rebased now and then. Every
+// record's variable list must hold exactly the conjunct's variables, once
+// each, however much of it the walk took from registered conjuncts.
+func TestConjunctVarsMatchVars(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	b := expr.NewBuilder()
+	var bytes []*expr.Expr
+	for i := 0; i < 4; i++ {
+		bytes = append(bytes, b.Var("v"+itoa(i), 8))
+	}
+	flags := []*expr.Expr{b.Var("f0", 0), b.Var("f1", 0)}
+	s := New(Options{})
+	sess := s.NewSession()
+	var pool []*expr.Expr // conjuncts registered so far
+	pick := func() *expr.Expr { return pool[rng.Intn(len(pool))] }
+	suffix := func() *expr.Expr {
+		var cs []*expr.Expr
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			cs = append(cs, pick())
+		}
+		return b.AndN(cs)
+	}
+	value := func() *expr.Expr {
+		x := bytes[rng.Intn(len(bytes))]
+		if len(pool) == 0 || rng.Intn(2) == 0 {
+			return x
+		}
+		// A merged value: an ite selecting on a registered suffix.
+		return b.Ite(suffix(), x, b.Add(bytes[rng.Intn(len(bytes))], b.Const(1, 8)))
+	}
+	checked := 0
+	for step := 0; step < 400; step++ {
+		var c *expr.Expr
+		switch r := rng.Intn(6); {
+		case r == 0:
+			c = flags[rng.Intn(len(flags))]
+		case r <= 2 || len(pool) < 2:
+			c = b.Ult(value(), b.Const(uint64(rng.Intn(256)), 8))
+		case r == 3:
+			c = b.Eq(value(), value())
+		default:
+			// A merge: the disjunction of two registered suffixes.
+			c = b.Or(suffix(), suffix())
+		}
+		if c.IsConst() {
+			continue
+		}
+		if step%50 == 49 {
+			sess.SetRebaseLimit(sess.NumVars()) // the next query rebuilds the core
+		}
+		if rng.Intn(2) == 0 {
+			sess.NoteConjunct(c)
+		} else if _, err := s.MayBeTrueIn(sess, pool[:min(len(pool), 2)], c); err != nil {
+			t.Fatal(err)
+		}
+		sess.SetRebaseLimit(defaultRebaseVars)
+		pool = append(pool, c)
+		for conj, rec := range sess.core.acts {
+			want := map[*expr.Expr]bool{}
+			conj.Vars(want)
+			got := map[*expr.Expr]bool{}
+			for _, v := range rec.vars {
+				if got[v] {
+					t.Fatalf("step %d: variable %s listed twice for %s", step, v, conj)
+				}
+				got[v] = true
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("step %d: variables of %s listed as %v, want %v", step, conj, rec.vars, want)
+			}
+			checked++
+		}
+	}
+	if s.Stats.SessionRebases == 0 {
+		t.Fatal("no rebase happened")
+	}
+	if checked == 0 {
+		t.Fatal("no record checked")
 	}
 }

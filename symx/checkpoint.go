@@ -228,7 +228,7 @@ func runCheckpointed(p *Program, cfg Config) *Result {
 		}
 		wires := make([]*core.StateWire, len(left))
 		for i, s := range left {
-			wires[i] = s.ToWire()
+			wires[i] = s.ToWire(ccfg.Builder)
 		}
 		sn.EncodeStates(wires)
 		snapStart := time.Now()
