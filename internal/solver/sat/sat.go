@@ -7,6 +7,37 @@
 // It is the decision procedure underneath the bit-blasting SMT layer in
 // package solver, standing in for the STP solver used by the paper's KLEE
 // prototype.
+//
+// # Layout
+//
+// The search structures hold no pointers, after MiniSat (Eén & Sörensson,
+// "An Extensible SAT-solver", SAT 2003):
+//
+//   - Assignments are indexed by literal, so reading a literal's value is
+//     one byte load; assigning or unassigning a variable writes both of its
+//     literals.
+//   - Decision levels, reasons, activities, saved phases and the analysis
+//     marks are arrays indexed by variable.
+//   - Every clause lives inline in one arena of 32-bit words: a header
+//     word (size and learnt bit), the float64 activity in two words, then
+//     the literals. A clause is named by its arena offset, and the clause
+//     lists, the reasons and the watchers hold offsets, so the garbage
+//     collector does not scan them.
+//   - Deleting a learnt clause leaves its words in the arena as waste. When
+//     the waste passes half the arena, the live clauses are copied into a
+//     fresh arena, problem clauses first, then learnts, and every watcher
+//     and reason is relocated. This runs only at the root level: at the
+//     start of Solve and at each restart.
+//
+// # Search order
+//
+// The sequence of decisions, propagations, learnt clauses, deletions and
+// restarts is part of the contract, and the layout above does not change
+// it. Corpora do not depend on it: they hold verdicts and lexicographically
+// minimal models, which any complete search returns. The models of plain
+// Solve calls do depend on it, and so do the lines `symx -tests` prints and
+// every solver counter. TestSearchTrace pins the order; a change that alters
+// the search updates that test's table on purpose.
 package sat
 
 import (
@@ -76,24 +107,21 @@ const (
 	lFalse
 )
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-}
+// cref names a clause by the arena offset of its header word.
+type cref uint32
+
+// crefUndef is the reason of every variable that no clause implied:
+// decisions, assumptions and unit clauses.
+const crefUndef cref = math.MaxUint32
+
+// clauseHdr is the number of arena words before a clause's literals: the
+// header (size<<1 | learnt bit), then the float64 activity split over two
+// words, low half first.
+const clauseHdr = 3
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit // if blocker is true the clause is satisfied; skip it
-}
-
-type varData struct {
-	assign   lbool
-	level    int32
-	reason   *clause
-	activity float64
-	phase    bool // saved phase: last assigned polarity
-	seen     bool // scratch for conflict analysis
 }
 
 // Stats counts solver activity across Solve calls.
@@ -109,9 +137,20 @@ type Stats struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	vars    []varData
-	clauses []*clause
-	learnts []*clause
+	vals []lbool // indexed by literal; both literals of a variable are set
+
+	// Indexed by variable. level and reason are meaningful only while the
+	// variable is assigned.
+	level    []int32
+	reason   []cref
+	activity []float64
+	phase    []bool // saved phase: last assigned polarity
+	seen     []bool // scratch for conflict analysis
+
+	arena   []Lit // every clause, laid out as described at clauseHdr
+	waste   int   // arena words of deleted clauses
+	clauses []cref
+	learnts []cref
 	watches [][]watcher // indexed by literal
 
 	trail    []Lit
@@ -124,11 +163,14 @@ type Solver struct {
 
 	unsatAtRoot bool
 	numAdded    uint64 // problem clauses accepted by AddClause
+	compactions int    // arena compactions so far
 
 	// conflict analysis scratch
 	analyzeStack []Lit
 	learntLits   []Lit
 	clearSeen    []Lit
+
+	addLits []Lit // AddClause's simplified copy of its argument
 
 	model []bool // snapshot of the last satisfying assignment
 
@@ -137,11 +179,6 @@ type Solver struct {
 	// assigned; backtrackTo resets the cursor.
 	prefer     []Lit
 	preferHead int
-
-	// Budget limits a Solve call to at most Budget conflicts (0 = no
-	// limit); when exceeded, Solve returns Unknown. The SMT layer uses it
-	// to implement soft solver timeouts.
-	Budget uint64
 
 	// Deadline, when non-zero, makes Solve return Unknown once the wall
 	// clock passes it (checked between restarts, so a call may overshoot
@@ -162,7 +199,7 @@ func New() *Solver {
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.vars) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem clauses accepted by AddClause
 // (root-satisfied and tautological submissions excluded; learnt clauses are
@@ -172,25 +209,48 @@ func (s *Solver) NumClauses() uint64 { return s.numAdded }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.vars)
-	s.vars = append(s.vars, varData{assign: lUndef, level: -1})
+	v := len(s.level)
+	s.vals = append(s.vals, lUndef, lUndef)
+	s.level = append(s.level, -1)
+	s.reason = append(s.reason, crefUndef)
+	s.activity = append(s.activity, 0)
+	s.phase = append(s.phase, false)
+	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
 	s.order.push(v)
 	return v
 }
 
-func (s *Solver) value(l Lit) lbool {
-	a := s.vars[l.Var()].assign
-	if a == lUndef {
-		return lUndef
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
+
+// lits returns the literals of clause c. The slice aliases the arena, so it
+// must not be held across an allocation in it.
+func (s *Solver) lits(c cref) []Lit {
+	start := int(c) + clauseHdr
+	return s.arena[start : start+int(s.arena[c]>>1)]
+}
+
+func (s *Solver) clauseSize(c cref) int { return int(s.arena[c] >> 1) }
+
+func (s *Solver) clauseAct(c cref) float64 {
+	return math.Float64frombits(uint64(uint32(s.arena[c+1])) | uint64(uint32(s.arena[c+2]))<<32)
+}
+
+func (s *Solver) setClauseAct(c cref, a float64) {
+	b := math.Float64bits(a)
+	s.arena[c+1], s.arena[c+2] = Lit(uint32(b)), Lit(uint32(b>>32))
+}
+
+// alloc appends a clause over lits, at activity 0, to the arena.
+func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	hdr := Lit(len(lits) << 1)
+	if learnt {
+		hdr |= 1
 	}
-	if l.Neg() {
-		if a == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return a
+	s.arena = append(s.arena, hdr, 0, 0)
+	s.arena = append(s.arena, lits...)
+	return c
 }
 
 // AddClause adds a clause over existing variables. Adding the empty clause,
@@ -202,20 +262,20 @@ func (s *Solver) AddClause(lits ...Lit) {
 		return
 	}
 	// Simplify: drop duplicate and false literals; detect tautologies.
-	out := lits[:0:0]
+	s.addLits = s.addLits[:0]
 	for _, l := range lits {
 		switch s.value(l) {
 		case lTrue:
-			if s.vars[l.Var()].level == 0 {
+			if s.level[l.Var()] == 0 {
 				return // satisfied at root
 			}
 		case lFalse:
-			if s.vars[l.Var()].level == 0 {
+			if s.level[l.Var()] == 0 {
 				continue // falsified at root: drop literal
 			}
 		}
 		dup := false
-		for _, o := range out {
+		for _, o := range s.addLits {
 			if o == l {
 				dup = true
 				break
@@ -225,93 +285,94 @@ func (s *Solver) AddClause(lits ...Lit) {
 			}
 		}
 		if !dup {
-			out = append(out, l)
+			s.addLits = append(s.addLits, l)
 		}
 	}
+	out := s.addLits
 	switch len(out) {
 	case 0:
 		s.unsatAtRoot = true
 		return
 	case 1:
 		s.numAdded++
-		if !s.enqueue(out[0], nil) {
+		if !s.enqueue(out[0], crefUndef) {
 			s.unsatAtRoot = true
 			return
 		}
-		if s.propagate() != nil {
+		if s.propagate() != crefUndef {
 			s.unsatAtRoot = true
 		}
 		return
 	}
 	s.numAdded++
-	c := &clause{lits: out}
+	c := s.alloc(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 }
 
-func (s *Solver) attach(c *clause) {
+func (s *Solver) attach(c cref) {
 	// Watch the first two literals.
-	l0, l1 := c.lits[0], c.lits[1]
+	lits := s.lits(c)
+	l0, l1 := lits[0], lits[1]
 	s.watches[l0.Flip()] = append(s.watches[l0.Flip()], watcher{c, l1})
 	s.watches[l1.Flip()] = append(s.watches[l1.Flip()], watcher{c, l0})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) enqueue(l Lit, reason *clause) bool {
+func (s *Solver) enqueue(l Lit, from cref) bool {
 	switch s.value(l) {
 	case lTrue:
 		return true
 	case lFalse:
 		return false
 	}
-	vd := &s.vars[l.Var()]
-	if l.Neg() {
-		vd.assign = lFalse
-	} else {
-		vd.assign = lTrue
-	}
-	vd.phase = !l.Neg()
-	vd.level = int32(s.decisionLevel())
-	vd.reason = reason
+	s.vals[l], s.vals[l.Flip()] = lTrue, lFalse
+	v := l.Var()
+	s.phase[v] = !l.Neg()
+	s.level[v] = int32(s.decisionLevel())
+	s.reason[v] = from
 	s.trail = append(s.trail, l)
 	return true
 }
 
 // propagate performs unit propagation; it returns the conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// crefUndef.
+func (s *Solver) propagate() cref {
+	vals, arena := s.vals, s.arena // propagation allocates no clause
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
+		falseLit := p.Flip()
 		ws := s.watches[p]
 		n := 0
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				ws[n] = w
 				n++
 				continue
 			}
 			c := w.c
+			start := int(c) + clauseHdr
+			lits := arena[start : start+int(arena[c]>>1)]
 			// Normalize so that lits[1] is the false literal p.Flip().
-			falseLit := p.Flip()
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
+			first := lits[0]
+			if first != w.blocker && vals[first] == lTrue {
 				ws[n] = watcher{c, first}
 				n++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nw := c.lits[1].Flip()
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					nw := lits[1].Flip()
 					s.watches[nw] = append(s.watches[nw], watcher{c, first})
 					continue nextWatcher
 				}
@@ -319,39 +380,42 @@ func (s *Solver) propagate() *clause {
 			// Clause is unit or conflicting.
 			ws[n] = watcher{c, first}
 			n++
-			if s.value(first) == lFalse {
+			if vals[first] == lFalse {
 				// Conflict: copy back remaining watchers and bail.
-				for i++; i < len(ws); i++ {
-					ws[n] = ws[i]
-					n++
-				}
+				n += copy(ws[n:], ws[i+1:])
 				s.watches[p] = ws[:n]
 				s.qhead = len(s.trail)
 				return c
 			}
 			s.enqueue(first, c)
 		}
-		s.watches[p] = ws[:n]
+		if n < len(ws) {
+			s.watches[p] = ws[:n]
+		}
 	}
-	return nil
+	return crefUndef
 }
 
 func (s *Solver) bumpVar(v int) {
-	s.vars[v].activity += s.varInc
-	if s.vars[v].activity > 1e100 {
-		for i := range s.vars {
-			s.vars[i].activity *= 1e-100
+	s.activity[v] += s.varInc
+	if s.activity[v] > 1e100 {
+		for i := range s.activity {
+			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
 	}
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+// bumpClause raises c's activity. Problem clauses are bumped too when they
+// take part in a conflict, and one passing the limit rescales the learnt
+// clauses (not itself).
+func (s *Solver) bumpClause(c cref) {
+	a := s.clauseAct(c) + s.claInc
+	s.setClauseAct(c, a)
+	if a > 1e20 {
 		for _, l := range s.learnts {
-			l.activity *= 1e-20
+			s.setClauseAct(l, s.clauseAct(l)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -364,29 +428,30 @@ const (
 
 // analyze performs first-UIP conflict analysis, filling s.learntLits with the
 // learned clause (asserting literal first) and returning the backtrack level.
-func (s *Solver) analyze(confl *clause) int {
+func (s *Solver) analyze(confl cref) int {
 	s.learntLits = s.learntLits[:0]
 	s.learntLits = append(s.learntLits, 0) // room for asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
+	dl := int32(s.decisionLevel())
 
 	for {
-		if confl == nil {
-			panic(fmt.Sprintf("analyze: nil reason for %v (level %d, dl %d, counter %d, trail %v)",
-				p, s.vars[p.Var()].level, s.decisionLevel(), counter, s.trail))
+		if confl == crefUndef {
+			panic(fmt.Sprintf("analyze: no reason for %v (level %d, dl %d, counter %d, trail %v)",
+				p, s.level[p.Var()], dl, counter, s.trail))
 		}
 		s.bumpClause(confl)
-		start := 0
+		lits := s.lits(confl)
 		if p != -1 {
-			start = 1
+			lits = lits[1:]
 		}
-		for _, q := range confl.lits[start:] {
+		for _, q := range lits {
 			v := q.Var()
-			if !s.vars[v].seen && s.vars[v].level > 0 {
-				s.vars[v].seen = true
+			if !s.seen[v] && s.level[v] > 0 {
+				s.seen[v] = true
 				s.bumpVar(v)
-				if int(s.vars[v].level) >= s.decisionLevel() {
+				if s.level[v] >= dl {
 					counter++
 				} else {
 					s.learntLits = append(s.learntLits, q)
@@ -394,17 +459,17 @@ func (s *Solver) analyze(confl *clause) int {
 			}
 		}
 		// Select next literal on the trail to expand.
-		for !s.vars[s.trail[idx].Var()].seen {
+		for !s.seen[s.trail[idx].Var()] {
 			idx--
 		}
 		p = s.trail[idx]
 		idx--
-		s.vars[p.Var()].seen = false
+		s.seen[p.Var()] = false
 		counter--
 		if counter == 0 {
 			break
 		}
-		confl = s.vars[p.Var()].reason
+		confl = s.reason[p.Var()]
 	}
 	s.learntLits[0] = p.Flip()
 
@@ -412,7 +477,7 @@ func (s *Solver) analyze(confl *clause) int {
 	s.analyzeStack = s.analyzeStack[:0]
 	out := s.learntLits[:1]
 	for _, l := range s.learntLits[1:] {
-		if s.vars[l.Var()].reason == nil || !s.litRedundant(l) {
+		if s.reason[l.Var()] == crefUndef || !s.litRedundant(l) {
 			out = append(out, l)
 		} else {
 			// Dropped as redundant: its seen mark must still be
@@ -427,20 +492,20 @@ func (s *Solver) analyze(confl *clause) int {
 	if len(s.learntLits) > 1 {
 		maxI := 1
 		for i := 2; i < len(s.learntLits); i++ {
-			if s.vars[s.learntLits[i].Var()].level > s.vars[s.learntLits[maxI].Var()].level {
+			if s.level[s.learntLits[i].Var()] > s.level[s.learntLits[maxI].Var()] {
 				maxI = i
 			}
 		}
 		s.learntLits[1], s.learntLits[maxI] = s.learntLits[maxI], s.learntLits[1]
-		btLevel = int(s.vars[s.learntLits[1].Var()].level)
+		btLevel = int(s.level[s.learntLits[1].Var()])
 	}
 	// Clear seen flags for the literals we kept (expanded ones were
 	// cleared during the loop; kept ones and redundant-check marks next).
 	for _, l := range s.learntLits {
-		s.vars[l.Var()].seen = false
+		s.seen[l.Var()] = false
 	}
 	for _, l := range s.clearSeen {
-		s.vars[l.Var()].seen = false
+		s.seen[l.Var()] = false
 	}
 	s.clearSeen = s.clearSeen[:0]
 	return btLevel
@@ -454,24 +519,23 @@ func (s *Solver) litRedundant(l Lit) bool {
 	for len(s.analyzeStack) > 0 {
 		p := s.analyzeStack[len(s.analyzeStack)-1]
 		s.analyzeStack = s.analyzeStack[:len(s.analyzeStack)-1]
-		reason := s.vars[p.Var()].reason
-		for i, q := range reason.lits {
+		for i, q := range s.lits(s.reason[p.Var()]) {
 			if i == 0 && q == p.Flip() {
 				continue
 			}
 			v := q.Var()
-			if s.vars[v].seen || s.vars[v].level == 0 {
+			if s.seen[v] || s.level[v] == 0 {
 				continue
 			}
-			if s.vars[v].reason == nil {
+			if s.reason[v] == crefUndef {
 				// Reached a decision not in the clause: not redundant.
 				for _, m := range s.clearSeen[top:] {
-					s.vars[m.Var()].seen = false
+					s.seen[m.Var()] = false
 				}
 				s.clearSeen = s.clearSeen[:top]
 				return false
 			}
-			s.vars[v].seen = true
+			s.seen[v] = true
 			s.clearSeen = append(s.clearSeen, q)
 			s.analyzeStack = append(s.analyzeStack, q)
 		}
@@ -485,11 +549,9 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.vars[v].assign = lUndef
-		s.vars[v].reason = nil
-		s.vars[v].level = -1
-		s.order.pushIfAbsent(v)
+		l := s.trail[i]
+		s.vals[l], s.vals[l.Flip()] = lUndef, lUndef
+		s.order.push(l.Var())
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]
@@ -508,8 +570,8 @@ func (s *Solver) pickBranchLit() Lit {
 		if !ok {
 			return -1
 		}
-		if s.vars[v].assign == lUndef {
-			return MkLit(v, !s.vars[v].phase)
+		if s.vals[MkLit(v, false)] == lUndef {
+			return MkLit(v, !s.phase[v])
 		}
 	}
 }
@@ -534,29 +596,28 @@ func (s *Solver) reduceDB() {
 		return
 	}
 	ls := s.learnts
-	slices.SortStableFunc(ls, func(a, b *clause) int { return cmp.Compare(a.activity, b.activity) })
+	slices.SortStableFunc(ls, func(a, b cref) int { return cmp.Compare(s.clauseAct(a), s.clauseAct(b)) })
 	keepFrom := len(ls) / 2
 	kept := ls[:0]
 	for i, c := range ls {
-		if i >= keepFrom || s.isReason(c) || len(c.lits) == 2 {
+		if i >= keepFrom || s.isReason(c) || s.clauseSize(c) == 2 {
 			kept = append(kept, c)
 		} else {
 			s.detach(c)
+			s.waste += clauseHdr + s.clauseSize(c)
 		}
 	}
 	s.learnts = kept
 }
 
-func (s *Solver) isReason(c *clause) bool {
-	if len(c.lits) == 0 {
-		return false
-	}
-	v := c.lits[0].Var()
-	return s.vars[v].assign != lUndef && s.vars[v].reason == c
+func (s *Solver) isReason(c cref) bool {
+	l0 := s.lits(c)[0]
+	return s.value(l0) != lUndef && s.reason[l0.Var()] == c
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, wl := range []Lit{c.lits[0].Flip(), c.lits[1].Flip()} {
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	for _, wl := range [2]Lit{lits[0].Flip(), lits[1].Flip()} {
 		ws := s.watches[wl]
 		for i, w := range ws {
 			if w.c == c {
@@ -566,6 +627,37 @@ func (s *Solver) detach(c *clause) {
 			}
 		}
 	}
+}
+
+// compact copies the live clauses into a fresh arena, problem clauses first,
+// then learnts, and relocates every watcher and reason in place. It runs at
+// the root level, where every assigned variable is a root assignment; their
+// reasons are relocated rather than cleared, because isReason keeps those
+// clauses from deletion. Each moved clause leaves its new offset in its old
+// header word.
+func (s *Solver) compact() {
+	from := s.arena
+	s.arena = make([]Lit, 0, len(from)-s.waste)
+	for _, cs := range [2][]cref{s.clauses, s.learnts} {
+		for i, c := range cs {
+			end := int(c) + clauseHdr + int(from[c]>>1)
+			cs[i] = cref(len(s.arena))
+			s.arena = append(s.arena, from[c:end]...)
+			from[c] = Lit(cs[i])
+		}
+	}
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = cref(from[ws[i].c])
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef {
+			s.reason[l.Var()] = cref(from[r])
+		}
+	}
+	s.waste = 0
+	s.compactions++
 }
 
 // Solve determines satisfiability under the given assumptions. On Sat, the
@@ -581,9 +673,12 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	maxLearnts := len(s.clauses)/3 + 100
 	restartNum := uint64(0)
-	conflictsAtStart := s.Stats.Conflicts
 
 	for {
+		// Every round starts at the root level.
+		if 2*s.waste > len(s.arena) {
+			s.compact()
+		}
 		restartNum++
 		budget := luby(restartNum) * 100
 		st := s.search(assumptions, budget, &maxLearnts)
@@ -591,20 +686,18 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			// Snapshot the model before the deferred backtrack
 			// erases the assignment. Unassigned variables default
 			// to false.
-			if cap(s.model) < len(s.vars) {
-				s.model = make([]bool, len(s.vars))
+			n := s.NumVars()
+			if cap(s.model) < n {
+				s.model = make([]bool, n)
 			}
-			s.model = s.model[:len(s.vars)]
-			for v := range s.vars {
-				s.model[v] = s.vars[v].assign == lTrue
+			s.model = s.model[:n]
+			for v := range s.model {
+				s.model[v] = s.vals[MkLit(v, false)] == lTrue
 			}
 			return Sat
 		}
 		if st == Unsat {
 			return Unsat
-		}
-		if s.Budget > 0 && s.Stats.Conflicts-conflictsAtStart > s.Budget {
-			return Unknown
 		}
 		if !s.Deadline.IsZero() && time.Now().After(s.Deadline) {
 			return Unknown
@@ -641,7 +734,7 @@ func (s *Solver) search(assumptions []Lit, budget uint64, maxLearnts *int) Statu
 	conflicts := uint64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.Stats.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -653,18 +746,16 @@ func (s *Solver) search(assumptions []Lit, budget uint64, maxLearnts *int) Statu
 			// asserting literal must hold below an assumption
 			// decision, assumptions are in conflict.
 			s.backtrackTo(btLevel)
-			lits := make([]Lit, len(s.learntLits))
-			copy(lits, s.learntLits)
-			if len(lits) == 1 {
-				if !s.enqueue(lits[0], nil) {
+			if len(s.learntLits) == 1 {
+				if !s.enqueue(s.learntLits[0], crefUndef) {
 					return Unsat
 				}
 			} else {
-				c := &clause{lits: lits, learnt: true}
+				c := s.alloc(s.learntLits, true)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.bumpClause(c)
-				s.enqueue(lits[0], c)
+				s.enqueue(s.learntLits[0], c)
 				s.Stats.Learnt++
 				if len(s.learnts) > s.Stats.MaxLearnt {
 					s.Stats.MaxLearnt = len(s.learnts)
@@ -703,7 +794,7 @@ func (s *Solver) search(assumptions []Lit, budget uint64, maxLearnts *int) Statu
 			s.Stats.Decisions++
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(next, nil)
+		s.enqueue(next, crefUndef)
 	}
 }
 

@@ -218,7 +218,6 @@ func (sess *Session) solve(live, prefer []*expr.Expr) (bool, error) {
 	start := time.Now()
 	defer func() { s.Stats.SATTime += time.Since(start) }()
 
-	core.ss.Budget = s.opts.ConflictBudget
 	core.ss.Deadline = s.deadline
 	v0, c0 := core.ss.NumVars(), core.ss.NumClauses()
 	assumps := make([]sat.Lit, len(live))

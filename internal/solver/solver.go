@@ -46,7 +46,7 @@ type Stats struct {
 	SATCalls       uint64        // queries that reached bit-blasting + CDCL
 	SATTime        time.Duration // time spent inside CDCL (incl. blasting)
 	IndepSliced    uint64        // queries shrunk by independence slicing
-	Timeouts       uint64        // budget-limited unknowns
+	Timeouts       uint64        // SAT calls stopped because the deadline passed
 
 	// Incremental-session activity (see session.go).
 	SessionQueries    uint64 // queries answered by a persistent session
@@ -84,8 +84,6 @@ type Options struct {
 	EnableIndependence bool
 	// EnableModelReuse tries recent models before calling SAT.
 	EnableModelReuse bool
-	// ConflictBudget bounds a single CDCL call; 0 means unlimited.
-	ConflictBudget uint64
 	// SharedCache, when non-nil, replaces the solver's private
 	// counterexample cache with a cache shared across several solvers
 	// (parallel exploration workers). The cache keys on builder-unique
@@ -104,8 +102,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// ErrBudget is returned when the per-query conflict budget is exhausted.
-var ErrBudget = errors.New("solver: conflict budget exhausted")
+// ErrBudget is returned when a SAT call stops because the deadline passed
+// (see SetDeadline).
+var ErrBudget = errors.New("solver: deadline passed")
 
 // Solver decides satisfiability of conjunctions of boolean expressions.
 //
@@ -488,7 +487,6 @@ func (s *Solver) checkSAT(constraints []*expr.Expr) (bool, Model, error) {
 	defer func() { s.Stats.SATTime += time.Since(start) }()
 
 	ss := sat.New()
-	ss.Budget = s.opts.ConflictBudget
 	ss.Deadline = s.deadline
 	bl := newBlaster(ss)
 	for _, c := range constraints {
