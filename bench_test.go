@@ -208,39 +208,6 @@ void main() {
 	}
 }
 
-// BenchmarkSessionAblation is the end-to-end companion of the solver-level
-// BenchmarkSessionVsOneShot: a full echo exploration with the incremental
-// solver sessions on (default) and off. The session arm answers the
-// feasibility queries of each state lineage from one persistent blast-once
-// SAT instance; the one-shot arm re-blasts the path condition per query.
-func BenchmarkSessionAblation(b *testing.B) {
-	tool, err := coreutils.Get("echo")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := tool.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, disable bool) {
-		for i := 0; i < b.N; i++ {
-			res := symx.Run(prog, symx.Config{
-				NArgs: 2, ArgLen: 5, Seed: 1,
-				Merge: symx.MergeDSM, UseQCE: true,
-				DisableSessions: disable,
-			})
-			if !res.Completed {
-				b.Fatal("exploration did not complete")
-			}
-			if !disable && res.Stats.Solver.SessionQueries == 0 {
-				b.Fatal("session arm answered no queries incrementally")
-			}
-		}
-	}
-	b.Run("session", func(b *testing.B) { run(b, false) })
-	b.Run("one-shot", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkParallelScaling explores one branch-heavy workload exhaustively
 // at 1/2/4/8 workers, charting the worker-pool scaling curve. Per-iteration
 // results are checked against the sequential paths-multiplicity so a

@@ -60,8 +60,7 @@ func main() {
 		bounds   = flag.Bool("bounds", false, "report out-of-bounds array accesses as errors")
 		dumpIR   = flag.Bool("ir", false, "print the compiled IR and exit")
 		census   = flag.Bool("census", false, "track the exact-path shadow census")
-		noSess   = flag.Bool("nosessions", false, "disable incremental solver sessions (ablation)")
-		stats    = flag.Bool("stats", false, "print rewrite-rule hit counters and preprocessing statistics")
+		stats    = flag.Bool("stats", false, "print rewrite-rule hit counters and encoding statistics")
 		workers  = flag.Int("workers", 0, "parallel exploration workers (0 = sequential)")
 		portf    = flag.String("portfolio", "", "race merge regimes concurrently, first to finish wins (comma list, e.g. none,ssm+qce,dsm+qce)")
 		emitDir  = flag.String("emit-corpus", "", "stream generated tests to an on-disk corpus at this directory (implies -tests)")
@@ -135,7 +134,6 @@ func main() {
 		CollectTests:    *tests,
 		CheckBounds:     *bounds,
 		TrackExactPaths: *census,
-		DisableSessions: *noSess,
 		CorpusDir:       *emitDir,
 		CorpusLabel:     label,
 		CheckpointDir:   *ckptDir,
@@ -239,24 +237,14 @@ func main() {
 	}
 }
 
-// printStats renders the -stats block: CNF encoding effort, the
-// preprocessing pipeline's node-count trajectory, and the rewrite-rule hit
-// counters from the expression builder's rule table.
+// printStats renders the -stats block: CNF encoding effort and the
+// rewrite-rule hit counters from the expression builder's rule table.
 func printStats(st symx.Stats) {
 	fmt.Printf("encoding:      %d SAT vars, %d clauses emitted\n",
 		st.Solver.SATVars, st.Solver.SATClauses)
 	if st.TestsEmitted > 0 {
 		fmt.Printf("tests:         %d emitted, %d deduplicated away\n",
 			st.TestsEmitted, st.TestsDeduped)
-	}
-	if st.Solver.PreprocQueries > 0 {
-		in, out := st.Solver.PreprocNodesIn, st.Solver.PreprocNodesOut
-		pct := 0.0
-		if in > 0 {
-			pct = 100 * (1 - float64(out)/float64(in))
-		}
-		fmt.Printf("preprocess:    %d queries, nodes %d -> %d (%.1f%% shed)\n",
-			st.Solver.PreprocQueries, in, out, pct)
 	}
 	if len(st.Rules) > 0 {
 		fmt.Printf("rules:         %d distinct rewrite rules fired\n", len(st.Rules))

@@ -5,9 +5,9 @@
 // lines.
 //
 // With -store the domain is backed by an on-disk persistent store, so
-// solver verdicts (whole queries and blasted independence groups) survive
-// restarts: resubmitting a program family to a
-// warm daemon answers many queries from disk instead of the SAT solver.
+// whole-query solver verdicts survive restarts: resubmitting a program
+// family to a warm daemon answers many queries from disk instead of the SAT
+// solver.
 // With -checkpoint-dir, jobs submitted with a "key" are drain-safe: a
 // SIGTERM preempts them into resumable snapshots, and resubmitting the
 // same key with "resume" continues where the drain stopped them.

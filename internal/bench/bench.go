@@ -57,8 +57,8 @@ type RunOutcome struct {
 	Queries     uint64
 
 	// Incremental-session solver activity.
-	SessQueries uint64 // queries answered by a persistent session
-	SessReuse   uint64 // conjunct blastings reused across queries
+	SATCalls  uint64 // session solves
+	SessReuse uint64 // conjunct blastings reused across queries
 }
 
 // Status renders the completion cell for tables: "true", or "false(cause)"
@@ -93,8 +93,8 @@ func runTool(tool *coreutils.Tool, mut func(*symx.Config), opts Options) (RunOut
 		Exact:      res.Stats.ExactPaths,
 		Queries:    res.Stats.Solver.Queries,
 
-		SessQueries: res.Stats.Solver.SessionQueries,
-		SessReuse:   res.Stats.Solver.SessionBlastReuse,
+		SATCalls:  res.Stats.Solver.SATCalls,
+		SessReuse: res.Stats.Solver.SessionBlastReuse,
 	}
 	if !res.Completed {
 		out.Interrupted = res.Interrupted.String()

@@ -390,9 +390,9 @@ func Spectrum(opts Options) *Table {
 	}
 	t := &Table{
 		Title: "Design-space spectrum (paper §2.2): none / summaries / SSM / DSM",
-		Comment: fmt.Sprintf("timeout %v; exhaustive exploration on call-heavy tools; sess_q counts queries answered by the incremental solver sessions",
+		Comment: fmt.Sprintf("timeout %v; exhaustive exploration on call-heavy tools; sat_calls counts the session solves",
 			opts.Timeout),
-		Header: []string{"tool", "regime", "t_s", "completed", "states", "merges", "queries", "sess_q", "blast_reuse"},
+		Header: []string{"tool", "regime", "t_s", "completed", "states", "merges", "queries", "sat_calls", "blast_reuse"},
 	}
 	// Tools whose models route work through helper functions, so function
 	// summaries have join points to act on.
@@ -417,7 +417,7 @@ func Spectrum(opts Options) *Table {
 				fmt.Sprint(out.States),
 				fmt.Sprint(out.Merges),
 				fmt.Sprint(out.Queries),
-				fmt.Sprint(out.SessQueries),
+				fmt.Sprint(out.SATCalls),
 				fmt.Sprint(out.SessReuse)})
 		}
 	}

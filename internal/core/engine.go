@@ -176,13 +176,6 @@ type Config struct {
 	// safe for concurrent calls.
 	TestSink func(TestCase)
 
-	// DisableSessions turns off the incremental solver sessions (one
-	// blast-once/assume-many SAT instance shared along a state lineage)
-	// and makes every query take the one-shot blast path. Ablation knob:
-	// the default, sessions on, is measurably faster on branch-heavy
-	// workloads.
-	DisableSessions bool
-
 	// Obs, when non-nil, attaches the observability layer: each engine
 	// takes one trace/metrics lane from it (NewLane) and threads it through
 	// its own hooks and its solver. Purely observational — exploration
@@ -305,8 +298,7 @@ type Engine struct {
 	// the entry state and every injected migrant — forks it, so the whole
 	// engine shares one persistent SAT core: conjuncts blast once per
 	// worker and learned clauses amortize across subtrees, exactly as they
-	// do across fork lineages in a sequential run. Nil until first use and
-	// when sessions are disabled.
+	// do across fork lineages in a sequential run. Nil until first use.
 	sessRoot *solver.Session
 
 	// obs is this engine's observability lane (nil when disabled); progPub
@@ -770,11 +762,8 @@ func (e *Engine) Inject(s *State) {
 }
 
 // forkRootSession hands out a lineage session sharing the engine-wide
-// persistent SAT core (nil when sessions are disabled).
+// persistent SAT core.
 func (e *Engine) forkRootSession() *solver.Session {
-	if e.cfg.DisableSessions {
-		return nil
-	}
 	if e.sessRoot == nil {
 		e.sessRoot = e.solv.NewSession()
 	}

@@ -316,8 +316,7 @@ func (e *Engine) merge(s1, s2 *State) *State {
 	disj := b.Or(c1, c2)
 	// A factored disjunction comes back as a conjunction
 	// (shared ∧ residual-or): splice its conjuncts into the path condition
-	// separately, so the session blasts each once and the independence
-	// slicer can partition them.
+	// separately, so the session blasts each once.
 	var added []*expr.Expr
 	switch {
 	case disj.IsTrue():

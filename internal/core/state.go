@@ -173,7 +173,7 @@ type State struct {
 	// sess is the state lineage's incremental solver session: the path
 	// condition is blasted into it exactly once, and feasibility queries
 	// reuse the encoding via assumptions. Forks share the blasted prefix.
-	// Nil when sessions are disabled; queries then take the one-shot path.
+	// Nil only while the state is detached for migration (see detach).
 	sess *solver.Session
 }
 

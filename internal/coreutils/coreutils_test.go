@@ -1,7 +1,6 @@
 package coreutils
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -55,75 +54,6 @@ func TestAllExploreExhaustively(t *testing.T) {
 			if res.Stats.ErrorsFound != 0 {
 				t.Fatalf("%s reported %d path errors: %v",
 					tool.Name, res.Stats.ErrorsFound, res.Errors)
-			}
-		})
-	}
-}
-
-// TestPreprocessAblationSoundness sweeps the whole suite under SSM+QCE
-// with the solver's preprocessing pipeline in and out of the query path.
-// Incremental sessions answer queries without preprocessing; with sessions
-// disabled every query is one-shot and runs the full pipeline (simplify,
-// equality substitution, independence slicing). Since every pass is
-// semantics-preserving, paths-multiplicity, coverage, and the error set
-// must match bit-for-bit. Input sizes are capped as in
-// TestMergingSoundness so the double sweep stays inside the package
-// timeout; over-budget tools skip.
-func TestPreprocessAblationSoundness(t *testing.T) {
-	for _, tool := range All() {
-		tool := tool
-		t.Run(tool.Name, func(t *testing.T) {
-			p, err := tool.Compile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := tool.BaseConfig()
-			if cfg.NArgs > 2 {
-				cfg.NArgs = 2
-			}
-			if cfg.ArgLen > 2 {
-				cfg.ArgLen = 2
-			}
-			if cfg.StdinLen > 3 {
-				cfg.StdinLen = 3
-			}
-			cfg.Merge = symx.MergeSSM
-			cfg.UseQCE = true
-			cfg.CheckBounds = true
-			cfg.MaxTime = 5 * time.Second
-
-			run := func(oneShot bool) *symx.Result {
-				c := cfg
-				c.DisableSessions = oneShot
-				return symx.Run(p, c)
-			}
-			on, off := run(true), run(false)
-			if !on.Completed || !off.Completed {
-				t.Skip("exploration over budget")
-			}
-			if on.Stats.PathsMult.Cmp(off.Stats.PathsMult) != 0 {
-				t.Fatalf("paths-multiplicity diverged: on=%s off=%s",
-					on.Stats.PathsMult, off.Stats.PathsMult)
-			}
-			if on.Stats.CoveredInstrs != off.Stats.CoveredInstrs {
-				t.Fatalf("coverage diverged: on=%d off=%d",
-					on.Stats.CoveredInstrs, off.Stats.CoveredInstrs)
-			}
-			errs := func(r *symx.Result) map[string]bool {
-				out := map[string]bool{}
-				for _, e := range r.Errors {
-					out[fmt.Sprintf("%v|%s", e.Loc, e.Msg)] = true
-				}
-				return out
-			}
-			eo, ef := errs(on), errs(off)
-			if len(eo) != len(ef) {
-				t.Fatalf("error sets diverged: on=%d off=%d", len(eo), len(ef))
-			}
-			for k := range eo {
-				if !ef[k] {
-					t.Fatalf("error %q only found with preprocessing on", k)
-				}
 			}
 		})
 	}

@@ -105,11 +105,10 @@ type JobResult struct {
 	// parity is asserted end to end.
 	CorpusDigest string `json:"corpus_digest"`
 
-	Queries         uint64 `json:"queries"`
-	CacheHits       uint64 `json:"cache_hits"`
-	SATCalls        uint64 `json:"sat_calls"`
-	StableHits      uint64 `json:"stable_hits"`
-	StableGroupHits uint64 `json:"stable_group_hits"`
+	Queries    uint64 `json:"queries"`
+	CacheHits  uint64 `json:"cache_hits"`
+	SATCalls   uint64 `json:"sat_calls"`
+	StableHits uint64 `json:"stable_hits"`
 
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
@@ -139,12 +138,11 @@ type StatsDoc struct {
 	// Aggregate solver counters over finished jobs. WarmHits is the
 	// persistent store's lookup-hit count: queries this process answered
 	// from knowledge a previous run persisted.
-	Queries         uint64 `json:"queries"`
-	CacheHits       uint64 `json:"cache_hits"`
-	SATCalls        uint64 `json:"sat_calls"`
-	StableHits      uint64 `json:"stable_hits"`
-	StableGroupHits uint64 `json:"stable_group_hits"`
-	WarmHits        uint64 `json:"warm_hits"`
+	Queries    uint64 `json:"queries"`
+	CacheHits  uint64 `json:"cache_hits"`
+	SATCalls   uint64 `json:"sat_calls"`
+	StableHits uint64 `json:"stable_hits"`
+	WarmHits   uint64 `json:"warm_hits"`
 
 	Store *store.Stats `json:"store,omitempty"`
 }
@@ -343,7 +341,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.cexCacheHits.Add(res.Stats.Solver.CacheHits)
 	s.satCalls.Add(res.Stats.Solver.SATCalls)
 	s.stableHits.Add(res.Stats.Solver.StableHits)
-	s.stableGroupHits.Add(res.Stats.Solver.StableGroupHits)
 
 	checkpointed := res.Interrupted == symx.IntrCheckpoint && res.CheckpointErr == nil
 	if checkpointed {
@@ -368,23 +365,22 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 
 	emit(Event{Event: "result", ID: id, JobResult: &JobResult{
-		Completed:       res.Completed,
-		Interrupted:     res.Interrupted.String(),
-		Checkpointed:    checkpointed,
-		TimedOut:        timedOut,
-		Paths:           res.Stats.PathsMult.String(),
-		ExactPaths:      res.Stats.ExactPaths,
-		ErrorsFound:     res.Stats.ErrorsFound,
-		Coverage:        res.Stats.Coverage(),
-		Steps:           res.Stats.Steps,
-		Tests:           len(res.Tests),
-		CorpusDigest:    corpusDigest(res.Tests),
-		Queries:         res.Stats.Solver.Queries,
-		CacheHits:       res.Stats.Solver.CacheHits,
-		SATCalls:        res.Stats.Solver.SATCalls,
-		StableHits:      res.Stats.Solver.StableHits,
-		StableGroupHits: res.Stats.Solver.StableGroupHits,
-		ElapsedSeconds:  res.Stats.ElapsedSeconds,
+		Completed:      res.Completed,
+		Interrupted:    res.Interrupted.String(),
+		Checkpointed:   checkpointed,
+		TimedOut:       timedOut,
+		Paths:          res.Stats.PathsMult.String(),
+		ExactPaths:     res.Stats.ExactPaths,
+		ErrorsFound:    res.Stats.ErrorsFound,
+		Coverage:       res.Stats.Coverage(),
+		Steps:          res.Stats.Steps,
+		Tests:          len(res.Tests),
+		CorpusDigest:   corpusDigest(res.Tests),
+		Queries:        res.Stats.Solver.Queries,
+		CacheHits:      res.Stats.Solver.CacheHits,
+		SATCalls:       res.Stats.Solver.SATCalls,
+		StableHits:     res.Stats.Solver.StableHits,
+		ElapsedSeconds: res.Stats.ElapsedSeconds,
 	}})
 }
 
@@ -410,7 +406,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	doc.CacheHits = s.cexCacheHits.Load()
 	doc.SATCalls = s.satCalls.Load()
 	doc.StableHits = s.stableHits.Load()
-	doc.StableGroupHits = s.stableGroupHits.Load()
 	if s.st != nil {
 		st := s.st.Stats()
 		doc.Store = &st

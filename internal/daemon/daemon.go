@@ -148,7 +148,6 @@ type Server struct {
 	jobsRejected     atomic.Uint64 // refused because draining
 	domainsRotated   atomic.Uint64
 	stableHits       atomic.Uint64 // Σ solver whole-query stable hits
-	stableGroupHits  atomic.Uint64 // Σ solver group-level stable hits
 	cexCacheHits     atomic.Uint64 // Σ in-process cex cache hits
 	satCalls         atomic.Uint64
 	queries          atomic.Uint64

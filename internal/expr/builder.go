@@ -120,10 +120,8 @@ func (b *Builder) mk(e *Expr) *Expr {
 	}
 	e.id = b.nextID.Add(1) - 1
 	e.symbolic = e.Kind == KVar
-	e.nodes = 1
 	for _, k := range e.Kids {
 		e.symbolic = e.symbolic || k.symbolic
-		e.nodes += k.nodes
 	}
 	sh.table[e.hash] = append(sh.table[e.hash], e)
 	sh.mu.Unlock()

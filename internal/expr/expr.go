@@ -13,8 +13,8 @@
 // Builders also perform constant folding and a table of named local
 // simplifications (identity elements, ite collapsing, double negation,
 // n-ary flattening and factoring, ...; see rules.go), each with a per-rule
-// hit counter. Simplify re-runs the table bottom-up over whole expressions
-// and SimplifySet over whole path conditions. Simplification is
+// hit counter. Simplify re-runs the table bottom-up over whole expressions.
+// Simplification is
 // semantics-preserving; the evaluator in eval.go is the reference semantics
 // and the property/fuzz tests check the two agree.
 package expr
@@ -119,7 +119,6 @@ type Expr struct {
 	id       uint64 // unique per builder, assigned at construction
 	hash     uint64
 	symbolic bool // contains at least one KVar
-	nodes    int  // node count, for size heuristics
 }
 
 // ID returns the builder-unique identifier of the node. IDs increase in
@@ -145,12 +144,6 @@ func (e *Expr) IsFalse() bool { return e.Kind == KConst && e.Width == 0 && e.Val
 // Concrete expressions always fold to constants, so in practice this is
 // equivalent to !IsConst, but the flag is tracked independently for safety.
 func (e *Expr) IsSymbolic() bool { return e.symbolic }
-
-// Nodes returns the number of nodes in the expression DAG counted as a tree
-// (shared subtrees counted once per occurrence is avoided: this is the
-// DAG-size accumulated at construction, so shared children count once per
-// construction edge).
-func (e *Expr) Nodes() int { return e.nodes }
 
 // mask returns the w-bit mask (w in 1..64).
 func mask(w uint8) uint64 {

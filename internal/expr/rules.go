@@ -13,9 +13,7 @@ package expr
 // All rules are local and semantics-preserving: eval.go is the reference
 // semantics, and the property/fuzz tests check agreement on random
 // expressions. Simplify re-runs the whole table bottom-up over an existing
-// expression (or a whole path-condition set via SimplifySet), which is how
-// the solver's preprocessing pipeline canonicalizes queries before
-// bit-blasting.
+// expression.
 
 import (
 	"sort"
@@ -617,10 +615,9 @@ func subtractSorted(a, bs []*Expr) []*Expr {
 
 // Simplify rebuilds e bottom-up through the rule-applying constructors,
 // returning the canonical equivalent. On expressions already built by this
-// Builder the walk is usually the identity (constructors are idempotent);
-// it pays off on terms assembled before a rule existed, on substituted
-// terms, and as the first pass of the solver's preprocessing pipeline.
-// The memoized walk is linear in the DAG size.
+// Builder the walk is the identity (constructors are idempotent), which the
+// tests use as the canonical-form check; it pays off on terms assembled
+// before a rule existed. The memoized walk is linear in the DAG size.
 func (b *Builder) Simplify(e *Expr) *Expr {
 	return b.simplifyMemo(e, make(map[*Expr]*Expr, 64))
 }
@@ -644,33 +641,6 @@ func (b *Builder) simplifyMemo(e *Expr, memo map[*Expr]*Expr) *Expr {
 	}
 	memo[e] = r
 	return r
-}
-
-// SimplifySet canonicalizes a constraint set interpreted as a conjunction:
-// every member is simplified, then the members are conjoined through the
-// n-ary constructor — which deduplicates, eliminates complementary pairs
-// across conjuncts, absorbs, and factors — and the resulting conjunction is
-// flattened back into a slice of conjuncts. An empty slice means the set
-// reduced to ⊤; a single ⊥ conjunct means it reduced to contradiction.
-func (b *Builder) SimplifySet(cs []*Expr) []*Expr {
-	if len(cs) == 0 {
-		return nil
-	}
-	memo := make(map[*Expr]*Expr, 64)
-	simp := make([]*Expr, len(cs))
-	for i, c := range cs {
-		simp[i] = b.simplifyMemo(c, memo)
-	}
-	conj := b.AndN(simp)
-	switch {
-	case conj.IsTrue():
-		return nil
-	case conj.Kind == KAnd:
-		// Kids are immutable; copy so callers may append or reorder.
-		return append([]*Expr(nil), conj.Kids...)
-	default:
-		return []*Expr{conj}
-	}
 }
 
 // Rebuild reconstructs a node with new children through the Builder so
@@ -740,26 +710,4 @@ func (b *Builder) Rebuild(e *Expr, k []*Expr) *Expr {
 		return b.Ite(k[0], k[1], k[2])
 	}
 	panic("expr: Rebuild of unexpected kind " + e.Kind.String())
-}
-
-// DagSize counts the distinct nodes reachable from the constraint set —
-// the size a structure-sharing consumer (the bit-blaster, whose memo is
-// keyed by node) actually processes, as opposed to the tree size Nodes()
-// reports.
-func DagSize(cs []*Expr) int {
-	seen := make(map[*Expr]bool, 64)
-	var walk func(e *Expr)
-	walk = func(e *Expr) {
-		if seen[e] {
-			return
-		}
-		seen[e] = true
-		for _, k := range e.Kids {
-			walk(k)
-		}
-	}
-	for _, c := range cs {
-		walk(c)
-	}
-	return len(seen)
 }

@@ -2,8 +2,8 @@ package expr
 
 // Tests for the table-driven rewrite layer: canonical n-ary connective
 // construction, the structural rules (flatten, dedupe, complement,
-// absorption, factoring), per-rule hit counters, Simplify/SimplifySet, and
-// the SMT-LIB printer's golden output on n-ary nodes.
+// absorption, factoring), per-rule hit counters, Simplify, and the SMT-LIB
+// printer's golden output on n-ary nodes.
 
 import (
 	"math/rand"
@@ -174,56 +174,6 @@ func TestSimplifyIdempotentOnBuilderOutput(t *testing.T) {
 		if s := b.Simplify(e); s != e {
 			t.Fatalf("iter %d: Simplify changed constructor output: %s -> %s", iter, e, s)
 		}
-	}
-}
-
-func TestSimplifySetSemantics(t *testing.T) {
-	b := NewBuilder()
-	p := b.Var("p", 0)
-	q := b.Var("q", 0)
-	x := b.Var("x", 4)
-	y := b.Var("y", 4)
-
-	cs := []*Expr{p, b.Or(p, q), b.Ult(x, y), b.Ult(x, y), b.True()}
-	out := b.SimplifySet(cs)
-	// p absorbs (p∨q); the duplicate comparison and the ⊤ conjunct drop.
-	if len(out) != 2 {
-		t.Fatalf("SimplifySet kept %d conjuncts (%v), want 2", len(out), out)
-	}
-	// Semantics must be preserved on every assignment.
-	for env := uint64(0); env < 1<<10; env++ {
-		e := Env{p: env & 1, q: env >> 1 & 1, x: env >> 2 & 0xf, y: env >> 6 & 0xf}
-		want := EvalBool(p, e) && EvalBool(b.Or(p, q), e) && EvalBool(b.Ult(x, y), e)
-		got := true
-		for _, c := range out {
-			got = got && EvalBool(c, e)
-		}
-		if got != want {
-			t.Fatalf("SimplifySet changed semantics under %v", e)
-		}
-	}
-
-	// A contradictory set reduces to a single ⊥ conjunct.
-	out = b.SimplifySet([]*Expr{p, q, b.Not(p)})
-	if len(out) != 1 || !out[0].IsFalse() {
-		t.Fatalf("contradictory set = %v, want [false]", out)
-	}
-	// An all-⊤ set reduces to nothing.
-	if out = b.SimplifySet([]*Expr{b.True(), b.True()}); len(out) != 0 {
-		t.Fatalf("trivial set = %v, want empty", out)
-	}
-}
-
-func TestDagSize(t *testing.T) {
-	b := NewBuilder()
-	x := b.Var("x", 8)
-	sum := b.Add(x, x)      // nodes: x, sum
-	prod := b.Mul(sum, sum) // + prod
-	if got := DagSize([]*Expr{prod}); got != 3 {
-		t.Fatalf("DagSize = %d, want 3 (shared subtrees once)", got)
-	}
-	if got := DagSize([]*Expr{prod, sum, x}); got != 3 {
-		t.Fatalf("DagSize over overlapping set = %d, want 3", got)
 	}
 }
 

@@ -186,7 +186,6 @@ type MetricsSnap struct {
 	FFSelected    uint64 `json:"ff_selected"`
 
 	QueriesSession uint64 `json:"queries_session"`
-	QueriesOneShot uint64 `json:"queries_oneshot"`
 	QueriesCached  uint64 `json:"queries_cached"`
 	QuerySat       uint64 `json:"query_sat"`
 	QueryUnsat     uint64 `json:"query_unsat"`
@@ -203,8 +202,11 @@ type MetricsSnap struct {
 	Worklist     uint64 `json:"worklist"`
 
 	QueryLatSession HistSnap `json:"query_lat_session"`
-	QueryLatOneShot HistSnap `json:"query_lat_oneshot"`
 	QueryLatCached  HistSnap `json:"query_lat_cached"`
+	// QueryLatOneShot is always empty: no query class feeds it any more.
+	// It stays because cmd/symbench, a separately versioned module, still
+	// sums it into its query-time figure.
+	QueryLatOneShot HistSnap `json:"query_lat_oneshot"`
 	// QueryLatSummary is always empty: no query class feeds it any more.
 	// It stays because cmd/symbench, a separately versioned module, still
 	// sums it into its query-time figure.
@@ -228,7 +230,6 @@ func (m *Metrics) Snapshot() *MetricsSnap {
 		MergeRejects:   m.mergeRejects.load(),
 		FFSelected:     m.ffSelected.load(),
 		QueriesSession: m.queries[QuerySession].load(),
-		QueriesOneShot: m.queries[QueryOneShot].load(),
 		QueriesCached:  m.queries[QueryCached].load(),
 		QuerySat:       m.querySat.load(),
 		QueryUnsat:     m.queryUnsat.load(),
@@ -243,7 +244,6 @@ func (m *Metrics) Snapshot() *MetricsSnap {
 		TraceDropped:    m.traceDropped.load(),
 		Worklist:        m.worklist.load(),
 		QueryLatSession: m.queryLat[QuerySession].snapshot(),
-		QueryLatOneShot: m.queryLat[QueryOneShot].snapshot(),
 		QueryLatCached:  m.queryLat[QueryCached].snapshot(),
 		MergeGate:       m.mergeGate.snapshot(),
 		StepLat:         m.stepLat.snapshot(),

@@ -62,8 +62,6 @@ const (
 	// QuerySession: answered by a persistent incremental session
 	// (blast-once/assume-many under assumptions).
 	QuerySession QueryClass = iota
-	// QueryOneShot: preprocessed and bit-blasted from scratch.
-	QueryOneShot
 	// QueryCached: answered without SAT — a counterexample-cache hit or a
 	// recent-model re-evaluation.
 	QueryCached
@@ -75,8 +73,6 @@ func (c QueryClass) String() string {
 	switch c {
 	case QuerySession:
 		return "session"
-	case QueryOneShot:
-		return "oneshot"
 	case QueryCached:
 		return "cached"
 	}

@@ -28,7 +28,7 @@ func emitAll(o *Observer) {
 	qid := o.QueryBegin()
 	o.QueryEnd(qid, QuerySession, true, false, 40*time.Microsecond, 10, 25)
 	qid = o.QueryBegin()
-	o.QueryEnd(qid, QueryOneShot, false, false, 900*time.Microsecond, 100, 400)
+	o.QueryEnd(qid, QuerySession, false, false, 900*time.Microsecond, 100, 400)
 	qid = o.QueryBegin()
 	o.QueryEnd(qid, QueryCached, true, false, 0, 0, 0)
 	o.FFSelect(7, 1, 2)
@@ -84,26 +84,24 @@ func TestMetricsCountersAndHistograms(t *testing.T) {
 		t.Fatalf("schema = %q", sn.Schema)
 	}
 	for name, got := range map[string]uint64{
-		"forks":           sn.Forks,
-		"merge_attempts":  sn.MergeAttempts,
-		"merges":          sn.Merges,
-		"merge_rejects":   sn.MergeRejects,
-		"ff_selected":     sn.FFSelected,
-		"queries_session": sn.QueriesSession,
-		"queries_oneshot": sn.QueriesOneShot,
-		"queries_cached":  sn.QueriesCached,
-		"query_unsat":     sn.QueryUnsat,
-		"epochs":          sn.Epochs,
-		"checkpoints":     sn.Checkpoints,
-		"steps":           sn.Steps,
-		"steals":          sn.Steals,
+		"forks":          sn.Forks,
+		"merge_attempts": sn.MergeAttempts,
+		"merges":         sn.Merges,
+		"merge_rejects":  sn.MergeRejects,
+		"ff_selected":    sn.FFSelected,
+		"queries_cached": sn.QueriesCached,
+		"query_unsat":    sn.QueryUnsat,
+		"epochs":         sn.Epochs,
+		"checkpoints":    sn.Checkpoints,
+		"steps":          sn.Steps,
+		"steals":         sn.Steals,
 	} {
 		if got != n {
 			t.Errorf("%s = %d, want %d", name, got, n)
 		}
 	}
-	if sn.QuerySat != 2*n {
-		t.Errorf("query_sat = %d, want %d", sn.QuerySat, 2*n)
+	if sn.QueriesSession != 2*n || sn.QuerySat != 2*n {
+		t.Errorf("queries_session/query_sat = %d/%d, want %d/%d", sn.QueriesSession, sn.QuerySat, 2*n, 2*n)
 	}
 	if sn.Donations != 2*n || sn.CorpusTests != 3*n {
 		t.Errorf("donations/corpus = %d/%d, want %d/%d", sn.Donations, sn.CorpusTests, 2*n, 3*n)
@@ -113,24 +111,24 @@ func TestMetricsCountersAndHistograms(t *testing.T) {
 	}
 	for name, h := range map[string]HistSnap{
 		"query_lat_session": sn.QueryLatSession,
-		"query_lat_oneshot": sn.QueryLatOneShot,
 		"query_lat_cached":  sn.QueryLatCached,
 		"merge_gate":        sn.MergeGate,
 	} {
 		want := uint64(n)
-		if name == "merge_gate" {
-			want = 2 * n // accept + reject both time the gate
+		if name != "query_lat_cached" {
+			want = 2 * n // two session queries; accept + reject both time the gate
 		}
 		if h.Count != want {
 			t.Errorf("%s count = %d, want %d", name, h.Count, want)
 		}
 	}
-	// 900µs lands in the (512,1024] bucket: p50 upper bound must be 1024.
-	if sn.QueryLatOneShot.P50US != 1024 {
-		t.Errorf("oneshot p50 = %d, want 1024", sn.QueryLatOneShot.P50US)
+	// Half the session queries take 40µs, in the (32,64] bucket, and half
+	// 900µs, in the (512,1024] bucket.
+	if p50, p90 := sn.QueryLatSession.P50US, sn.QueryLatSession.P90US; p50 != 64 || p90 != 1024 {
+		t.Errorf("session p50/p90 = %d/%d, want 64/1024", p50, p90)
 	}
-	if sn.QueryLatSession.SumUS != 40*n {
-		t.Errorf("session sum = %d, want %d", sn.QueryLatSession.SumUS, 40*n)
+	if sn.QueryLatSession.SumUS != 940*n {
+		t.Errorf("session sum = %d, want %d", sn.QueryLatSession.SumUS, 940*n)
 	}
 	// The snapshot must be marshalable (it feeds expvar and /progress).
 	if _, err := json.Marshal(sn); err != nil {

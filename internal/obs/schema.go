@@ -32,7 +32,7 @@ var eventFields = map[string][]string{
 	EvPruneStatic: {"w", "state", "fn", "pc", "kind"},
 }
 
-var queryClasses = map[string]bool{"session": true, "oneshot": true, "cached": true}
+var queryClasses = map[string]bool{"session": true, "cached": true}
 
 // TraceSummary is what Validate learned from a schema-valid trace.
 type TraceSummary struct {

@@ -489,17 +489,10 @@ func Combine(all []*core.Result, completed bool, cfg core.Config) *core.Result {
 		st.Solver.ModelReuseHits += s.Solver.ModelReuseHits
 		st.Solver.SATCalls += s.Solver.SATCalls
 		st.Solver.SATTime += s.Solver.SATTime
-		st.Solver.IndepSliced += s.Solver.IndepSliced
 		st.Solver.Timeouts += s.Solver.Timeouts
-		st.Solver.SessionQueries += s.Solver.SessionQueries
 		st.Solver.SessionBlastReuse += s.Solver.SessionBlastReuse
-		st.Solver.SessionBypass += s.Solver.SessionBypass
 		st.Solver.SessionRebases += s.Solver.SessionRebases
 		st.Solver.StableHits += s.Solver.StableHits
-		st.Solver.StableGroupHits += s.Solver.StableGroupHits
-		st.Solver.PreprocQueries += s.Solver.PreprocQueries
-		st.Solver.PreprocNodesIn += s.Solver.PreprocNodesIn
-		st.Solver.PreprocNodesOut += s.Solver.PreprocNodesOut
 		st.Solver.SATVars += s.Solver.SATVars
 		st.Solver.SATClauses += s.Solver.SATClauses
 

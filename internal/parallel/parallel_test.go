@@ -83,84 +83,46 @@ func sameOutcome(a, b outcome) string {
 
 // TestParallelDifferential asserts Workers:1 and Workers:8 agree on
 // paths-multiplicity, coverage, and errors found for a sample of coreutils
-// models under none/ssm/dsm × QCE on/off.
+// models under none/ssm/dsm × QCE on/off. tsort and cksum run without
+// merging: at 8 workers many of their states migrate, and a migrated
+// state's first query blasts its whole path condition into the receiving
+// worker's session.
 func TestParallelDifferential(t *testing.T) {
 	t.Parallel()
-	tools := []string{"echo", "basename", "cat", "expr"}
-	for _, name := range tools {
-		tool, err := coreutils.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := tool.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range modes {
-			t.Run(name+"/"+m.name, func(t *testing.T) {
-				t.Parallel()
-				base := tool.BaseConfig()
-				base.Merge, base.UseQCE = m.merge, m.qce
-				base.Seed = 1
-				base.CheckBounds = true // give error paths a chance to exist
-
-				base.Workers = 1
-				seq := reduce(t, symx.Run(prog, base))
-				base.Workers = 8
-				par := reduce(t, symx.Run(prog, base))
-				if diff := sameOutcome(seq, par); diff != "" {
-					t.Fatalf("workers=1 vs workers=8 diverged: %s", diff)
-				}
-			})
-		}
+	sweeps := []struct {
+		tools []string
+		modes []mode
+	}{
+		{[]string{"echo", "basename", "cat", "expr"}, modes},
+		{[]string{"tsort", "cksum"}, modes[:1]},
 	}
-}
+	for _, sw := range sweeps {
+		for _, name := range sw.tools {
+			tool, err := coreutils.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := tool.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range sw.modes {
+				t.Run(name+"/"+m.name, func(t *testing.T) {
+					t.Parallel()
+					base := tool.BaseConfig()
+					base.Merge, base.UseQCE = m.merge, m.qce
+					base.Seed = 1
+					base.CheckBounds = true // give error paths a chance to exist
 
-// TestPreprocessDifferential asserts that the solver's preprocessing
-// pipeline stays invisible to sharded exploration: with incremental
-// sessions disabled every query is one-shot and runs the pipeline, and for
-// merged-state regimes over coreutils models Workers 1 vs 8 must produce
-// bit-identical paths-multiplicity, coverage, and error sets. This guards
-// the hash-consing invariants the pipeline relies on: it rewrites queries
-// *after* fingerprinting, under a builder and cex cache shared across
-// workers.
-func TestPreprocessDifferential(t *testing.T) {
-	t.Parallel()
-	tools := []string{"echo", "basename", "cat", "expr"}
-	regimes := []mode{
-		{"ssm+qce", symx.MergeSSM, true},
-		{"dsm+qce", symx.MergeDSM, true},
-	}
-	for _, name := range tools {
-		tool, err := coreutils.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := tool.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range regimes {
-			t.Run(name+"/"+m.name, func(t *testing.T) {
-				t.Parallel()
-				base := tool.BaseConfig()
-				base.Merge, base.UseQCE = m.merge, m.qce
-				base.Seed = 1
-				base.CheckBounds = true
-				base.DisableSessions = true
-
-				base.Workers = 1
-				res := symx.Run(prog, base)
-				if res.Stats.Solver.PreprocQueries == 0 {
-					t.Fatal("no query ran the preprocessing pipeline")
-				}
-				seq := reduce(t, res)
-				base.Workers = 8
-				par := reduce(t, symx.Run(prog, base))
-				if diff := sameOutcome(seq, par); diff != "" {
-					t.Fatalf("workers=1 vs workers=8 diverged with every query preprocessed: %s", diff)
-				}
-			})
+					base.Workers = 1
+					seq := reduce(t, symx.Run(prog, base))
+					base.Workers = 8
+					par := reduce(t, symx.Run(prog, base))
+					if diff := sameOutcome(seq, par); diff != "" {
+						t.Fatalf("workers=1 vs workers=8 diverged: %s", diff)
+					}
+				})
+			}
 		}
 	}
 }

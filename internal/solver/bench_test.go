@@ -1,7 +1,7 @@
 package solver
 
 // Micro-benchmarks for the bit-blasting frontend and the KLEE-style solver
-// optimizations (counterexample cache, independence slicing, model reuse).
+// optimizations (counterexample cache, model reuse).
 
 import (
 	"slices"
@@ -63,69 +63,6 @@ func BenchmarkCexCacheHitPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if ok, _, _ := s.CheckSat(cs); !ok {
 			b.Fatal("cached query flipped")
-		}
-	}
-}
-
-// BenchmarkSessionVsOneShot measures the tentpole trade: a state exploring a
-// path issues feasibility queries over an ever-growing prefix of dependent
-// conjuncts (the engine's MayBeTrue pattern). The one-shot path re-blasts
-// the whole prefix per query (O(n²) total encoding work); the session blasts
-// each conjunct once and re-solves under assumptions (O(n) encoding work).
-// Caches are disabled in both arms so the measurement isolates blasting +
-// CDCL, matching the engine reality where every query along a path is
-// distinct.
-func BenchmarkSessionVsOneShot(b *testing.B) {
-	const depth = 24
-	eb := expr.NewBuilder()
-	vars := make([]*expr.Expr, depth+1)
-	for i := range vars {
-		vars[i] = eb.Var("p"+string(rune('A'+i/26))+string(rune('a'+i%26)), 8)
-	}
-	// Dependent chain p0 < p1 < ... — connected, so independence slicing
-	// could not split it on the one-shot path either.
-	pc := make([]*expr.Expr, depth)
-	for i := 0; i < depth; i++ {
-		pc[i] = eb.Ult(vars[i], vars[i+1])
-	}
-	runPath := func(b *testing.B, useSession bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := New(Options{})
-			var sess *Session
-			if useSession {
-				sess = s.NewSession()
-			}
-			for k := 1; k <= depth; k++ {
-				ok, _, err := s.CheckSatIn(sess, pc[:k])
-				if err != nil || !ok {
-					b.Fatalf("prefix %d: ok=%v err=%v", k, ok, err)
-				}
-			}
-			if useSession && s.Stats.SessionQueries != depth {
-				b.Fatalf("only %d/%d queries took the session path",
-					s.Stats.SessionQueries, depth)
-			}
-		}
-	}
-	b.Run("one-shot", func(b *testing.B) { runPath(b, false) })
-	b.Run("session", func(b *testing.B) { runPath(b, true) })
-}
-
-func BenchmarkIndependenceSlicing(b *testing.B) {
-	// Many independent conjuncts; slicing should keep per-query SAT
-	// instances small even as the path condition grows.
-	eb := expr.NewBuilder()
-	var cs []*expr.Expr
-	for i := 0; i < 24; i++ {
-		v := eb.Var("v"+string(rune('a'+i)), 8)
-		cs = append(cs, eb.Ult(v, eb.Const(uint64(10+i), 8)))
-	}
-	for i := 0; i < b.N; i++ {
-		s := New(DefaultOptions())
-		ok, _, err := s.CheckSat(cs)
-		if err != nil || !ok {
-			b.Fatalf("sliced query: ok=%v err=%v", ok, err)
 		}
 	}
 }
@@ -211,9 +148,6 @@ func BenchmarkBlastTrialDivision(b *testing.B) {
 		}
 		if ok, err := s.MayBeTrueIn(sess, pc[:len(pc)-1], pc[len(pc)-1]); err != nil || !ok {
 			b.Fatalf("final path: ok=%v err=%v", ok, err)
-		}
-		if s.Stats.SessionBypass != 0 {
-			b.Fatalf("%d queries bypassed the session", s.Stats.SessionBypass)
 		}
 		vars += s.Stats.SATVars
 	}

@@ -3,12 +3,11 @@
 // bitvectors by bit-blasting to CNF (Tseitin encoding) and running the CDCL
 // solver from symmerge/internal/solver/sat.
 //
-// It plays the role STP plays for KLEE in the paper, including the
-// KLEE-style optimizations that the paper's measurements rely on:
-// constraint-independence slicing, a counterexample cache, and a
-// model-reuse fast path. On top of the one-shot path, Session provides
-// incremental blast-once/assume-many solving over a shared path-condition
-// prefix (see session.go).
+// It plays the role STP plays for KLEE in the paper, with two of the
+// KLEE-style optimizations that the paper's measurements rely on: a
+// counterexample cache and a model-reuse fast path. Every query they do
+// not answer is solved by a Session: incremental blast-once/assume-many
+// solving over a shared path-condition prefix (see session.go).
 package solver
 
 import (
@@ -53,12 +52,6 @@ func (b *blaster) constLit(v bool) sat.Lit {
 }
 
 func (b *blaster) fresh() sat.Lit { return sat.MkLit(b.s.NewVar(), false) }
-
-// assertTrue adds the top-level constraint e (a boolean expression).
-func (b *blaster) assertTrue(e *expr.Expr) {
-	l := b.blastBool(e)
-	b.s.AddClause(l)
-}
 
 // --- Tseitin gates ---
 

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math/rand"
 	"testing"
 
 	"symmerge/internal/expr"
@@ -11,9 +12,8 @@ import (
 // at width 4, over all 256 operand pairs, against the reference evaluator.
 // Each pair is tried in three shapes: both operands symbolic, the right
 // operand constant, and the left operand constant. The symbolic operands
-// are pinned by equalities, and the solver has no builder attached, so
-// nothing substitutes the pins into the expression: the blasted adder,
-// multiplier, divider or comparator itself must produce the value. The
+// are pinned by equalities, which the solver blasts as they are: the blasted
+// adder, multiplier, divider or comparator itself must produce the value. The
 // constant-divisor shapes cover divisor 0, the powers of two, INT_MIN's
 // magnitude, and divisors that fill the width.
 func TestBlastArithExhaustive(t *testing.T) {
@@ -86,7 +86,7 @@ func gateVars(c *expr.Expr, inputs ...*expr.Expr) int {
 		bl.blastBV(v)
 	}
 	before := s.NumVars()
-	bl.assertTrue(c)
+	s.AddClause(bl.blastBool(c))
 	return s.NumVars() - before
 }
 
@@ -116,6 +116,53 @@ func TestBlastEncodingSize(t *testing.T) {
 	} {
 		if got := gateVars(tc.e, x, y, c); got > tc.max {
 			t.Errorf("%s: %d gate variables, want at most %d", tc.name, got, tc.max)
+		}
+	}
+}
+
+// TestNaryBlastAgainstBruteForce checks the one-clause-group encoding of
+// wide n-ary connectives against exhaustive enumeration.
+func TestNaryBlastAgainstBruteForce(t *testing.T) {
+	b := expr.NewBuilder()
+	x := b.Var("x", 4)
+	y := b.Var("y", 4)
+	s := New(Options{})
+	rng := rand.New(rand.NewSource(99))
+	for iter := 0; iter < 60; iter++ {
+		n := 3 + rng.Intn(5)
+		parts := make([]*expr.Expr, n)
+		for i := range parts {
+			l := b.Const(uint64(rng.Intn(16)), 4)
+			switch rng.Intn(3) {
+			case 0:
+				parts[i] = b.Ult(x, b.Add(y, l))
+			case 1:
+				parts[i] = b.Eq(b.BXor(x, y), l)
+			default:
+				parts[i] = b.Slt(b.Sub(y, l), x)
+			}
+		}
+		var conds []*expr.Expr
+		if iter%2 == 0 {
+			conds = []*expr.Expr{b.AndN(parts)}
+		} else {
+			conds = []*expr.Expr{b.Not(b.OrN(parts))}
+		}
+		want := false
+		for xv := uint64(0); xv < 16 && !want; xv++ {
+			for yv := uint64(0); yv < 16 && !want; yv++ {
+				want = expr.EvalBool(conds[0], expr.Env{x: xv, y: yv})
+			}
+		}
+		got, m, err := s.CheckSat(conds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("iter %d: n-ary blast verdict %v, brute force %v: %s", iter, got, want, conds[0])
+		}
+		if got && !modelSatisfies(m, conds) {
+			t.Fatalf("iter %d: model fails the n-ary condition", iter)
 		}
 	}
 }

@@ -122,8 +122,7 @@ func TestFuzzRandomTreesAgainstBruteForce(t *testing.T) {
 }
 
 // TestFuzzConjunctionsAgainstBruteForce stresses multi-conjunct instances —
-// the shape of real path conditions — including the independence slicer's
-// handling of constraints sharing variables.
+// the shape of real path conditions, whose conjuncts share variables.
 func TestFuzzConjunctionsAgainstBruteForce(t *testing.T) {
 	b := expr.NewBuilder()
 	g := &exprGen{rng: rand.New(rand.NewSource(42)), b: b,
@@ -170,10 +169,10 @@ func TestFuzzConjunctionsAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestDeepSharedDAGSubstitution is a regression test: equality substitution
-// must walk hash-consed expressions as DAGs, not trees. The constraint below
-// has ~60 levels of maximal sharing (each level references the previous one
-// twice); an unmemoized walk would take 2^60 steps.
+// TestDeepSharedDAGSubstitution is a regression test: a query over a pinned
+// variable must walk hash-consed expressions as DAGs, not trees. The
+// constraint below has ~60 levels of maximal sharing (each level references
+// the previous one twice); an unmemoized walk would take 2^60 steps.
 func TestDeepSharedDAGSubstitution(t *testing.T) {
 	b := expr.NewBuilder()
 	x := b.Var("x", 32)
@@ -183,7 +182,6 @@ func TestDeepSharedDAGSubstitution(t *testing.T) {
 		e = b.Add(b.Mul(e, e), b.Const(uint64(i+1), 32))
 	}
 	s := New(DefaultOptions())
-	// The x = 3 conjunct triggers substitution into the deep DAG.
 	cs := []*expr.Expr{
 		b.Eq(x, b.Const(3, 32)),
 		b.Eq(b.BAnd(e, b.Const(0, 32)), b.Const(0, 32)), // trivially true, keeps e alive
@@ -194,9 +192,9 @@ func TestDeepSharedDAGSubstitution(t *testing.T) {
 	}
 }
 
-// TestFuzzOptimizedMatchesPlain: the counterexample cache, independence
-// slicing and model reuse are pure optimizations — on an identical query
-// stream, verdicts must match a plain solver's exactly.
+// TestFuzzOptimizedMatchesPlain: the counterexample cache and model reuse
+// are pure optimizations — on an identical query stream, verdicts must
+// match a plain solver's exactly.
 func TestFuzzOptimizedMatchesPlain(t *testing.T) {
 	b := expr.NewBuilder()
 	g := &exprGen{rng: rand.New(rand.NewSource(7)), b: b,

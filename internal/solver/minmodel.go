@@ -29,7 +29,7 @@ import (
 // pc's conjuncts join the session (a nil session stands for a fresh one
 // used for this call only) and one ordered SAT call decides them; the
 // counterexample cache and the model-reuse ring are neither consulted nor
-// filled. Requires an attached builder.
+// filled.
 func (s *Solver) MinModelIn(sess *Session, pc []*expr.Expr, vars []*expr.Expr) (Model, error) {
 	s.Stats.Queries++
 	live, ok := liveConjuncts(pc)
@@ -49,7 +49,6 @@ func (s *Solver) MinModelIn(sess *Session, pc []*expr.Expr, vars []*expr.Expr) (
 	if sess == nil {
 		sess = s.NewSession()
 	}
-	s.Stats.SessionQueries++
 	sp := s.beginQuery()
 	res, err := sess.solve(live, vars)
 	s.endQuery(sp, obs.QuerySession, res, err)

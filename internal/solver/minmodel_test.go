@@ -158,8 +158,8 @@ func TestMinModelBool(t *testing.T) {
 }
 
 // TestMinModelSessionAgreesWithOneShot pins the determinism claim: the
-// canonical model must not depend on whether a session (with its persistent
-// learned clauses) or the one-shot path answers the probes.
+// canonical model must not depend on whether a warm session (with its
+// persistent learned clauses) or a fresh session for one call answers.
 func TestMinModelSessionAgreesWithOneShot(t *testing.T) {
 	build := func() (*expr.Builder, []*expr.Expr, []*expr.Expr) {
 		b := expr.NewBuilder()
@@ -182,7 +182,7 @@ func TestMinModelSessionAgreesWithOneShot(t *testing.T) {
 	s1.AttachBuilder(b1)
 	sess := s1.NewSession()
 	// Warm the session with extra history so its internal state differs
-	// maximally from a fresh one-shot solver.
+	// maximally from a fresh one.
 	for _, c := range pc1 {
 		sess.NoteConjunct(c)
 		if _, err := s1.MayBeTrueIn(sess, pc1[:1], c); err != nil {
@@ -195,7 +195,7 @@ func TestMinModelSessionAgreesWithOneShot(t *testing.T) {
 	}
 
 	b2, pc2, vars2 := build()
-	s2 := New(Options{}) // every optimization off, one-shot everything
+	s2 := New(Options{}) // every optimization off, a fresh session per call
 	s2.AttachBuilder(b2)
 	mShot, err := s2.MinModelIn(nil, pc2, vars2)
 	if err != nil {
@@ -204,7 +204,7 @@ func TestMinModelSessionAgreesWithOneShot(t *testing.T) {
 
 	for i := range vars1 {
 		if mSess[vars1[i]] != mShot[vars2[i]] {
-			t.Fatalf("var %d: session path got %d, one-shot got %d", i, mSess[vars1[i]], mShot[vars2[i]])
+			t.Fatalf("var %d: warm session got %d, fresh session got %d", i, mSess[vars1[i]], mShot[vars2[i]])
 		}
 	}
 	// And the result is the known lexicographic minimum.
@@ -388,13 +388,11 @@ func TestMinModelMatchesProbeOracle(t *testing.T) {
 			}
 			sess.SetRebaseLimit(defaultRebaseVars)
 		}
-		if d.Queries-before.Queries != 1 || d.SessionQueries-before.SessionQueries != wantSAT ||
-			d.SATCalls-before.SATCalls != wantSAT || d.CacheHits != before.CacheHits ||
-			d.ModelReuseHits != before.ModelReuseHits {
-			t.Fatalf("iter %d: queries +%d, session +%d, SAT +%d, cache +%d, reuse +%d; want 1/%d/%d/0/0",
-				iter, d.Queries-before.Queries, d.SessionQueries-before.SessionQueries,
-				d.SATCalls-before.SATCalls, d.CacheHits-before.CacheHits,
-				d.ModelReuseHits-before.ModelReuseHits, wantSAT, wantSAT)
+		if d.Queries-before.Queries != 1 || d.SATCalls-before.SATCalls != wantSAT ||
+			d.CacheHits != before.CacheHits || d.ModelReuseHits != before.ModelReuseHits {
+			t.Fatalf("iter %d: queries +%d, SAT +%d, cache +%d, reuse +%d; want 1/%d/0/0",
+				iter, d.Queries-before.Queries, d.SATCalls-before.SATCalls,
+				d.CacheHits-before.CacheHits, d.ModelReuseHits-before.ModelReuseHits, wantSAT)
 		}
 		if (got == nil) != (want == nil) {
 			t.Fatalf("iter %d: pc %v: ordered solve sat=%v, oracle sat=%v", iter, pc, got != nil, want != nil)

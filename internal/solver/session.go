@@ -5,17 +5,17 @@ package solver
 //
 // The engine's feasibility queries share an ever-growing path-condition
 // prefix: a state that explores k branches issues queries pc, pc∧c1,
-// pc∧c1∧c2, ... whose conjunct sets overlap almost entirely. The one-shot
-// path (checkSAT) re-Tseitin-blasts the whole set for every query, paying
-// O(n·k) encoding work per path. A Session instead owns one persistent
-// sat.Solver + blaster and blasts each conjunct exactly once, guarded by an
-// activation literal a_c with the clause (¬a_c ∨ blast(c)). A query over a
-// conjunct set Q is then a single Solve(a_c for c in Q) call: conjuncts
-// outside Q stay dormant (their activation literals are free and default to
-// false), learned clauses persist across queries — they are derived from the
-// clause database alone, never from the assumptions, so an unsat result
-// under one assumption set cannot poison later queries — and the CDCL
-// instance amortizes across the whole state lineage.
+// pc∧c1∧c2, ... whose conjunct sets overlap almost entirely. Re-blasting
+// the whole set for every query would pay O(n·k) encoding work per path. A
+// Session instead owns one persistent sat.Solver + blaster and blasts each
+// conjunct exactly once, guarded by an activation literal a_c with the
+// clause (¬a_c ∨ blast(c)). A query over a conjunct set Q is then a single
+// Solve(a_c for c in Q) call: conjuncts outside Q stay dormant (their
+// activation literals are free and default to false), learned clauses
+// persist across queries — they are derived from the clause database alone,
+// never from the assumptions, so an unsat result under one assumption set
+// cannot poison later queries — and the CDCL instance amortizes across the
+// whole state lineage.
 //
 // Sessions fork on state fork. All forks share one sessionCore: the
 // activation-literal discipline makes the core's clause database a superset
@@ -114,10 +114,10 @@ func (c *sessionCore) conjunctVars(e *expr.Expr) []*expr.Expr {
 	return vars
 }
 
-// Session answers satisfiability queries over conjunct sets that extend an
-// already-blasted prefix. Obtain one with Solver.NewSession, thread it
-// through Solver.CheckSatIn / MayBeTrueIn, and Fork it wherever the owning
-// execution state forks.
+// Session answers satisfiability queries over conjunct sets, blasting each
+// conjunct the first time a query names it. Obtain one with
+// Solver.NewSession, thread it through Solver.CheckSatIn / MayBeTrueIn, and
+// Fork it wherever the owning execution state forks.
 type Session struct {
 	solv *Solver
 	core *sessionCore
@@ -161,21 +161,6 @@ func (sess *Session) NoteConjunct(c *expr.Expr) {
 	if _, ok := sess.core.acts[c]; !ok {
 		sess.core.addConjunct(c)
 	}
-}
-
-// misses counts the conjuncts of live not yet blasted into the core. The
-// routing policy in Solver.CheckSatIn sends a query to the session only when
-// it extends a known prefix — at most one new conjunct — and falls back to
-// the one-shot path (with independence slicing and equality substitution)
-// otherwise.
-func (sess *Session) misses(live []*expr.Expr) int {
-	n := 0
-	for _, c := range live {
-		if _, ok := sess.core.acts[c]; !ok {
-			n++
-		}
-	}
-	return n
 }
 
 // check decides the conjunction of live under the session's persistent
@@ -232,8 +217,8 @@ func (sess *Session) solve(live, prefer []*expr.Expr) (bool, error) {
 			// beyond the Tseitin circuit — which any answer needs and
 			// which the blaster caches — is one activation variable
 			// and one binary clause per distinct hash-consed
-			// expression, and registering keeps prefix walks routing
-			// incrementally without special-casing the query tail.
+			// expression. A query after a rebase, or the first query of
+			// a migrated state, registers its whole path condition here.
 			rec = core.addConjunct(c)
 		}
 		assumps[i] = rec.act

@@ -1,20 +1,20 @@
 package solver
 
 // Tests for the incremental session layer: prefix-extension reuse,
-// fork-then-diverge correctness against the one-shot solver, and
+// fork-then-diverge correctness, registration of unseen conjuncts, and
 // unsat-under-assumptions isolation.
 
 import (
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"symmerge/internal/expr"
 )
 
 // chainPC builds a dependent conjunct chain x0 < x1 < ... < xn over 8-bit
-// variables: every prefix is satisfiable for n <= 255, and the shared-
-// variable graph is connected, so independence slicing cannot split it.
+// variables: every prefix is satisfiable for n <= 255.
 func chainPC(b *expr.Builder, n int) []*expr.Expr {
 	vars := make([]*expr.Expr, n+1)
 	for i := range vars {
@@ -62,8 +62,8 @@ func TestSessionPrefixReuse(t *testing.T) {
 	if got := sess.Conjuncts(); got != len(pc) {
 		t.Fatalf("blasted %d conjuncts, want %d (each exactly once)", got, len(pc))
 	}
-	if s.Stats.SessionQueries != uint64(len(pc)) {
-		t.Fatalf("SessionQueries=%d, want %d", s.Stats.SessionQueries, len(pc))
+	if s.Stats.SATCalls != uint64(len(pc)) {
+		t.Fatalf("SATCalls=%d, want %d", s.Stats.SATCalls, len(pc))
 	}
 	// Query i reuses i-1 already-blasted conjuncts: sum over i of (i-1).
 	wantReuse := uint64(len(pc) * (len(pc) - 1) / 2)
@@ -83,7 +83,6 @@ func TestSessionPrefixReuse(t *testing.T) {
 func TestSessionForkDiverge(t *testing.T) {
 	b := expr.NewBuilder()
 	s := New(Options{})
-	oneShot := New(Options{})
 	sess := s.NewSession()
 	x := b.Var("x", 8)
 	pc := []*expr.Expr{b.Ult(x, b.Const(100, 8)), b.Ugt(x, b.Const(10, 8))}
@@ -125,12 +124,8 @@ func TestSessionForkDiverge(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		wantRes, _, err := oneShot.CheckSat(q)
-		if err != nil {
-			t.Fatalf("case %d one-shot: %v", i, err)
-		}
-		if got != wantRes || got != tc.want {
-			t.Fatalf("case %d: session=%v one-shot=%v want=%v", i, got, wantRes, tc.want)
+		if got != tc.want {
+			t.Fatalf("case %d: session=%v want=%v", i, got, tc.want)
 		}
 		if got && m[x] != tc.pin {
 			t.Fatalf("case %d: model x=%d, want %d", i, m[x], tc.pin)
@@ -175,9 +170,9 @@ func TestSessionUnsatNoPoison(t *testing.T) {
 	}
 }
 
-// TestSessionDifferential drives a session and a fresh one-shot solver
-// through random branch sequences and demands identical verdicts — the
-// session analogue of quick_test.go's property tests.
+// TestSessionDifferential drives a session through random branch sequences
+// and checks every verdict against brute-force enumeration of the two
+// 4-bit variables — the session analogue of quick_test.go's property tests.
 func TestSessionDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := expr.NewBuilder()
@@ -198,12 +193,14 @@ func TestSessionDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
-			want, _, err := New(Options{}).CheckSat(q)
-			if err != nil {
-				t.Fatalf("trial %d step %d one-shot: %v", trial, step, err)
+			want := false
+			for xv := uint64(0); xv < 16 && !want; xv++ {
+				for yv := uint64(0); yv < 16 && !want; yv++ {
+					want = modelSatisfies(Model{x: xv, y: yv}, q)
+				}
 			}
 			if got != want {
-				t.Fatalf("trial %d step %d: session=%v one-shot=%v on %v",
+				t.Fatalf("trial %d step %d: session=%v brute force=%v on %v",
 					trial, step, got, want, q)
 			}
 			if got {
@@ -253,43 +250,49 @@ func TestSessionRebase(t *testing.T) {
 	}
 }
 
-// TestSessionBypass verifies the routing policy: a query with more than one
-// unknown conjunct takes the one-shot path, records the bypass, and syncs
-// the conjuncts into the core so the lineage returns to the incremental
-// path on its next query.
-func TestSessionBypass(t *testing.T) {
+// TestSessionRegistersUnknownConjuncts sends a session a query none of
+// whose conjuncts it has seen. The session answers it and registers every
+// conjunct, so an extension of the query blasts only the new conjunct.
+func TestSessionRegistersUnknownConjuncts(t *testing.T) {
 	b := expr.NewBuilder()
 	s := New(Options{})
 	sess := s.NewSession()
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 	q := []*expr.Expr{b.Ult(x, b.Const(9, 8)), b.Ult(y, b.Const(9, 8)), b.Ult(x, y)}
-	if ok, _, err := s.CheckSatIn(sess, q); err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
+	v0 := sess.NumVars()
+	ok, m, err := s.CheckSatIn(sess, q)
+	if err != nil || !ok || !modelSatisfies(m, q) {
+		t.Fatalf("ok=%v m=%v err=%v", ok, m, err)
 	}
-	if s.Stats.SessionBypass != 1 || s.Stats.SessionQueries != 0 {
-		t.Fatalf("bypass=%d sessionQueries=%d, want 1/0",
-			s.Stats.SessionBypass, s.Stats.SessionQueries)
+	if sess.Conjuncts() != len(q) || s.Stats.SATCalls != 1 {
+		t.Fatalf("registered %d conjuncts in %d SAT calls, want %d in 1",
+			sess.Conjuncts(), s.Stats.SATCalls, len(q))
 	}
-	// The bypass synced the conjuncts, so an extension of the same prefix
-	// routes incrementally.
-	if sess.Conjuncts() != len(q) {
-		t.Fatalf("bypass synced %d conjuncts, want %d", sess.Conjuncts(), len(q))
+	// The query's whole encoding went into the session.
+	if got, want := s.Stats.SATVars, uint64(sess.NumVars()-v0); got != want {
+		t.Fatalf("query blasted %d variables, the session grew by %d", got, want)
 	}
-	ext := append(append([]*expr.Expr{}, q...), b.Ugt(y, x))
-	if ok, _, err := s.CheckSatIn(sess, ext); err != nil || !ok {
-		t.Fatalf("extension: ok=%v err=%v", ok, err)
+	// x+2 < y shares no gate with q: the extension blasts its circuit and
+	// one activation variable, and reuses every conjunct of q.
+	next := b.Ult(b.Add(x, b.Const(2, 8)), y)
+	reuse, vars := s.Stats.SessionBlastReuse, s.Stats.SATVars
+	ext := append(slices.Clone(q), next)
+	if ok, m, err := s.CheckSatIn(sess, ext); err != nil || !ok || !modelSatisfies(m, ext) {
+		t.Fatalf("extension: ok=%v m=%v err=%v", ok, m, err)
 	}
-	if s.Stats.SessionQueries != 1 || s.Stats.SessionBypass != 1 {
-		t.Fatalf("post-sync routing: sessQ=%d bypass=%d, want 1/1",
-			s.Stats.SessionQueries, s.Stats.SessionBypass)
+	if got := s.Stats.SessionBlastReuse - reuse; got != uint64(len(q)) {
+		t.Fatalf("extension reused %d conjuncts, want %d", got, len(q))
+	}
+	if got, want := s.Stats.SATVars-vars, uint64(gateVars(next, x, y)+1); got != want {
+		t.Fatalf("extension blasted %d variables, want %d (the new conjunct only)", got, want)
 	}
 }
 
 // TestSessionRebaseRecovery covers the post-rebase trap: after the shared
 // core is rebuilt by one lineage's query, other lineages — whose conjuncts
-// all vanished from the core — must find their way back to the incremental
-// path via the bypass sync instead of bypassing forever.
+// all vanished from the core — re-register them on their next query and
+// are incremental again from the query after.
 func TestSessionRebaseRecovery(t *testing.T) {
 	b := expr.NewBuilder()
 	s := New(Options{})
@@ -308,27 +311,37 @@ func TestSessionRebaseRecovery(t *testing.T) {
 	if ok, _, err := s.CheckSatIn(other, []*expr.Expr{b.Ult(y, b.Const(5, 8))}); err != nil || !ok {
 		t.Fatalf("rebasing query: ok=%v err=%v", ok, err)
 	}
-	if s.Stats.SessionRebases == 0 {
-		t.Fatal("rebase did not trigger")
+	if s.Stats.SessionRebases == 0 || sess.Conjuncts() != 1 {
+		t.Fatalf("rebase did not trigger: %d rebases, %d conjuncts", s.Stats.SessionRebases, sess.Conjuncts())
 	}
 	sess.SetRebaseLimit(1 << 20) // stop rebasing; watch A recover
 	rebases := s.Stats.SessionRebases
-	// Lineage A queries again: first one bypasses (2 unknown conjuncts)
-	// and syncs; the next extension routes incrementally again.
+	// Lineage A queries again: its conjuncts are unknown to the rebuilt
+	// core, and the query registers both.
+	reuse, vars, v0 := s.Stats.SessionBlastReuse, s.Stats.SATVars, sess.NumVars()
 	if ok, _, err := s.CheckSatIn(sess, pcA); err != nil || !ok {
 		t.Fatalf("A after rebase: ok=%v err=%v", ok, err)
 	}
-	if s.Stats.SessionBypass == 0 {
-		t.Fatal("post-rebase catch-up query did not record a bypass")
+	if sess.Conjuncts() != 1+len(pcA) || s.Stats.SessionBlastReuse != reuse {
+		t.Fatalf("post-rebase query: %d conjuncts registered, %d reused; want %d, 0",
+			sess.Conjuncts(), s.Stats.SessionBlastReuse-reuse, 1+len(pcA))
 	}
-	sessQ := s.Stats.SessionQueries
-	ext := append(append([]*expr.Expr{}, pcA...), b.Ult(x, b.Const(100, 8)))
+	if got, want := s.Stats.SATVars-vars, uint64(sess.NumVars()-v0); got != want {
+		t.Fatalf("post-rebase query blasted %d variables, the session grew by %d", got, want)
+	}
+	// The next extension reuses them and blasts only its own conjunct.
+	next := b.Ult(x, b.Const(100, 8))
+	vars = s.Stats.SATVars
+	ext := append(slices.Clone(pcA), next)
 	ok, m, err := s.CheckSatIn(sess, ext)
 	if err != nil || !ok {
 		t.Fatalf("A extension after recovery: ok=%v err=%v", ok, err)
 	}
-	if s.Stats.SessionQueries != sessQ+1 {
-		t.Fatal("lineage did not return to the session path after bypass sync")
+	if got := s.Stats.SessionBlastReuse - reuse; got != uint64(len(pcA)) {
+		t.Fatalf("extension reused %d conjuncts, want %d", got, len(pcA))
+	}
+	if got, want := s.Stats.SATVars-vars, uint64(gateVars(next, x)+1); got != want {
+		t.Fatalf("extension blasted %d variables, want %d (the new conjunct only)", got, want)
 	}
 	if s.Stats.SessionRebases != rebases {
 		t.Fatal("unexpected extra rebase during recovery")

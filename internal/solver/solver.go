@@ -10,7 +10,6 @@ import (
 
 	"symmerge/internal/expr"
 	"symmerge/internal/obs"
-	"symmerge/internal/solver/sat"
 )
 
 // Model is a satisfying assignment, keyed by variable node.
@@ -43,35 +42,21 @@ type Stats struct {
 	Queries        uint64        // top-level satisfiability questions
 	CacheHits      uint64        // answered by the counterexample cache
 	ModelReuseHits uint64        // answered by re-evaluating a recent model
-	SATCalls       uint64        // queries that reached bit-blasting + CDCL
+	SATCalls       uint64        // session solves: queries that reached bit-blasting + CDCL
 	SATTime        time.Duration // time spent inside CDCL (incl. blasting)
-	IndepSliced    uint64        // queries shrunk by independence slicing
 	Timeouts       uint64        // SAT calls stopped because the deadline passed
 
 	// Incremental-session activity (see session.go).
-	SessionQueries    uint64 // queries answered by a persistent session
 	SessionBlastReuse uint64 // conjuncts whose blasting was reused
-	SessionBypass     uint64 // session available but query fell back to one-shot
 	SessionRebases    uint64 // persistent cores rebuilt at the size limit
 
-	// Stable (persistent) cache activity — see stable.go. StableHits are
-	// whole queries answered by the attached StableBackend; StableGroupHits
-	// are individual independence groups answered inside solveQuery (the
-	// near-repeat-program path: group verdicts hit even when the whole
-	// query's fingerprint differs).
-	StableHits      uint64
-	StableGroupHits uint64
-
-	// Preprocessing-pass pipeline activity (see passes.go). Node counts
-	// are summed Expr.Nodes() tree sizes (cheap, cached per node), not
-	// distinct-DAG-node counts.
-	PreprocQueries  uint64 // one-shot queries that ran the pipeline
-	PreprocNodesIn  uint64 // constraint nodes entering the pipeline
-	PreprocNodesOut uint64 // constraint nodes after all passes
+	// StableHits counts whole queries answered by the attached
+	// StableBackend (see stable.go).
+	StableHits uint64
 
 	// CNF encoding effort: variables allocated and problem clauses
-	// emitted by bit-blasting, summed over queries (on the session path,
-	// only the newly blasted delta counts — reused encodings are free).
+	// emitted by bit-blasting, summed over queries. Only the delta a query
+	// blasts into its session counts; reused encodings are free.
 	SATVars    uint64
 	SATClauses uint64
 }
@@ -80,8 +65,6 @@ type Stats struct {
 type Options struct {
 	// EnableCexCache turns on the counterexample cache (KLEE-style).
 	EnableCexCache bool
-	// EnableIndependence turns on constraint-independence slicing.
-	EnableIndependence bool
 	// EnableModelReuse tries recent models before calling SAT.
 	EnableModelReuse bool
 	// SharedCache, when non-nil, replaces the solver's private
@@ -96,9 +79,8 @@ type Options struct {
 // baseline configuration.
 func DefaultOptions() Options {
 	return Options{
-		EnableCexCache:     true,
-		EnableIndependence: true,
-		EnableModelReuse:   true,
+		EnableCexCache:   true,
+		EnableModelReuse: true,
 	}
 }
 
@@ -107,16 +89,17 @@ func DefaultOptions() Options {
 var ErrBudget = errors.New("solver: deadline passed")
 
 // Solver decides satisfiability of conjunctions of boolean expressions.
+// Every query that reaches SAT is answered by an incremental session (see
+// session.go); a caller without one gets a fresh session for that call.
 //
 // A Solver is single-goroutine state (scratch buffers, the recent-model
 // ring, Stats): parallel exploration gives each worker its own Solver and
 // shares only the counterexample cache (Options.SharedCache) and the
 // expression builder across workers.
 type Solver struct {
-	opts   Options
-	cache  *Cache
-	build  *expr.Builder // for simplification + substitution; nil disables both
-	passes []Pass        // preprocessing pipeline for one-shot queries (see New)
+	opts  Options
+	cache *Cache
+	build *expr.Builder // materializes stable-layer models; nil disables that layer
 
 	// deadline bounds each underlying SAT call in wall-clock time; zero
 	// means none. See SetDeadline.
@@ -163,20 +146,12 @@ func New(opts Options) *Solver {
 	if cache == nil {
 		cache = newCexCache()
 	}
-	// The preprocessing pipeline in its canonical order: simplify (cheap,
-	// may erase work for the later passes), equality substitution (may
-	// split variable dependencies), then independence slicing (best run
-	// last, on the smallest constraint set).
-	s := &Solver{opts: opts, cache: cache,
-		passes: []Pass{simplifyPass, substitutePass}}
-	if opts.EnableIndependence {
-		s.passes = append(s.passes, slicePass)
-	}
-	return s
+	return &Solver{opts: opts, cache: cache}
 }
 
-// AttachBuilder enables equality-substitution simplification; the builder
-// must be the one that constructed the query expressions.
+// AttachBuilder gives the solver the builder that constructed the query
+// expressions. The stable cache layer needs it to rebuild persisted models
+// as variables of that builder.
 func (s *Solver) AttachBuilder(b *expr.Builder) { s.build = b }
 
 // CheckSat decides whether the conjunction of the constraints is
@@ -186,14 +161,11 @@ func (s *Solver) CheckSat(constraints []*expr.Expr) (bool, Model, error) {
 	return s.CheckSatIn(nil, constraints)
 }
 
-// CheckSatIn is CheckSat with an optional incremental session. When the
-// query extends a conjunct prefix the session has already blasted (at most
-// one new conjunct), it is answered by the session's persistent SAT
-// instance under assumptions; otherwise it falls back to the one-shot
-// path, where the preprocessing pipeline (simplification, equality
-// substitution, independence slicing — see passes.go) applies, and the
-// bypass is recorded in Stats.SessionBypass. A nil session always takes
-// the one-shot path.
+// CheckSatIn is CheckSat through an incremental session: a query the fast
+// paths do not answer is one solve of the session's persistent SAT
+// instance under assumptions, and the conjuncts the session has not seen
+// yet are blasted into it first. A nil session stands for a fresh one used
+// for this call only.
 func (s *Solver) CheckSatIn(sess *Session, constraints []*expr.Expr) (bool, Model, error) {
 	return s.checkSatIn(sess, constraints, true)
 }
@@ -263,8 +235,8 @@ func (s *Solver) endQuery(sp querySpan, class obs.QueryClass, res bool, err erro
 
 // decide answers a non-trivial query (live is non-empty, free of constant
 // conjuncts) and classifies how it was answered: obs.QueryCached for
-// model-reuse and counterexample-cache hits, obs.QuerySession for the
-// incremental assume-many path, obs.QueryOneShot for a from-scratch blast.
+// model-reuse and counterexample-cache hits, obs.QuerySession for a
+// session solve.
 func (s *Solver) decide(sess *Session, live []*expr.Expr, needModel bool) (bool, Model, obs.QueryClass, error) {
 	if s.opts.EnableModelReuse {
 		if m := s.tryRecentModels(live); m != nil {
@@ -300,50 +272,12 @@ func (s *Solver) decide(sess *Session, live []*expr.Expr, needModel bool) (bool,
 		}
 	}
 
-	var (
-		res   bool
-		m     Model
-		err   error
-		class obs.QueryClass
-	)
-	if sess != nil && sess.misses(live) <= 1 {
-		// Incremental path: blast-once/assume-many over the shared
-		// prefix. Slicing and substitution would rewrite the conjuncts
-		// and defeat reuse, so they are deliberately skipped here.
-		s.Stats.SessionQueries++
-		class = obs.QuerySession
-		res, m, err = sess.check(live)
-	} else {
-		if sess != nil {
-			s.Stats.SessionBypass++
-			// Catch-up sync: register the conjuncts so the next query
-			// over this prefix extends a known set again. Without
-			// this, a lineage whose core was rebased (or whose early
-			// queries were absorbed by the fast paths) would miss the
-			// session permanently — misses() never shrinks on its own.
-			for _, c := range live {
-				sess.NoteConjunct(c)
-			}
-		}
-		// Preprocessing pipeline (passes.go): simplification, equality
-		// substitution, and independence slicing run in pipeline
-		// order. Any bindings a substitution pass extracted rejoin the
-		// model afterwards so callers still see values for the
-		// substituted variables.
-		class = obs.QueryOneShot
-		q := s.runPasses(live)
-		res, m, err = s.solveQuery(q)
-		if err == nil && res && len(q.Binding) > 0 {
-			if m == nil {
-				m = Model{}
-			}
-			for v, val := range q.Binding {
-				m[v] = val
-			}
-		}
+	if sess == nil {
+		sess = s.NewSession()
 	}
+	res, m, err := sess.check(live)
 	if err != nil {
-		return false, nil, class, err
+		return false, nil, obs.QuerySession, err
 	}
 	if s.opts.EnableCexCache {
 		s.cache.insert(hash, ids, res, m)
@@ -356,157 +290,7 @@ func (s *Solver) decide(sess *Session, live []*expr.Expr, needModel bool) (bool,
 	if res && s.opts.EnableModelReuse {
 		s.remember(m)
 	}
-	return res, m, class, nil
-}
-
-// substituteEqualities rewrites the constraint set using the equalities it
-// contains (KLEE's ConstraintManager simplification): a conjunct of the form
-// `x = const` lets every other conjunct evaluate x concretely, which often
-// collapses whole subtrees before bit-blasting. One pass only — enough for
-// the dominant pattern (branch conditions pinning argv bytes).
-func substituteEqualities(b *expr.Builder, constraints []*expr.Expr) ([]*expr.Expr, expr.Env) {
-	binding := expr.Env{}
-	for _, c := range constraints {
-		switch {
-		case c.Kind == expr.KEq:
-			l, r := c.Kids[0], c.Kids[1]
-			if l.Kind == expr.KVar && r.IsConst() {
-				binding[l] = r.Val
-			} else if r.Kind == expr.KVar && l.IsConst() {
-				binding[r] = l.Val
-			}
-		case c.Kind == expr.KVar:
-			// A bare boolean variable conjunct pins it to true
-			// (the builder folds Eq(b, true) to b).
-			binding[c] = 1
-		case c.Kind == expr.KNot && c.Kids[0].Kind == expr.KVar:
-			binding[c.Kids[0]] = 0
-		}
-	}
-	if len(binding) == 0 {
-		return constraints, nil
-	}
-	out := make([]*expr.Expr, len(constraints))
-	memo := make(map[*expr.Expr]*expr.Expr)
-	for i, c := range constraints {
-		out[i] = substitute(b, c, binding, memo)
-	}
-	return out, binding
-}
-
-// substitute rebuilds e with bound variables replaced by constants. The memo
-// is essential: hash-consed expressions are DAGs with heavy sharing (merged
-// states especially), and an unmemoized walk is exponential in DAG depth.
-func substitute(b *expr.Builder, e *expr.Expr, binding expr.Env, memo map[*expr.Expr]*expr.Expr) *expr.Expr {
-	if !e.IsSymbolic() {
-		return e
-	}
-	if r, ok := memo[e]; ok {
-		return r
-	}
-	if e.Kind == expr.KVar {
-		r := e
-		if v, ok := binding[e]; ok {
-			if e.Width == 0 {
-				r = b.Bool(v != 0)
-			} else {
-				r = b.Const(v, e.Width)
-			}
-		}
-		memo[e] = r
-		return r
-	}
-	kids := make([]*expr.Expr, len(e.Kids))
-	changed := false
-	for i, k := range e.Kids {
-		kids[i] = substitute(b, k, binding, memo)
-		changed = changed || kids[i] != k
-	}
-	r := e
-	if changed {
-		// Rebuild through the Builder so folding and every rewrite-table
-		// rule apply to the substituted node.
-		r = b.Rebuild(e, kids)
-	}
-	memo[e] = r
-	return r
-}
-
-// solveQuery blasts and solves a preprocessed query: each independent
-// group separately when the slice pass partitioned it, the whole set at
-// once otherwise. The conjunction is sat iff every group is.
-//
-// With a stable backend attached, each group is first looked up (and, once
-// solved, persisted) at group granularity. Group verdicts are the
-// near-repeat lever: two programs that differ in one routine still share
-// most independence groups, so their fingerprints hit even though every
-// whole-query fingerprint differs. This is also where "blasted clause
-// groups" persist in spirit — CNF itself is rebuilt per SAT instance by
-// design (Tseitin synthesis is cheap; the solving is not), so what the
-// store carries across runs is each group's settled verdict.
-func (s *Solver) solveQuery(q *Query) (bool, Model, error) {
-	if q.Groups == nil {
-		return s.checkSAT(q.Constraints)
-	}
-	model := Model{}
-	stable := s.stableEnabled()
-	for _, g := range q.Groups {
-		if stable {
-			if res, m, ok := s.stableLookup(g); ok {
-				s.Stats.StableGroupHits++
-				if !res {
-					return false, nil, nil
-				}
-				for k, v := range m {
-					model[k] = v
-				}
-				continue
-			}
-		}
-		res, m, err := s.checkSAT(g)
-		if err != nil {
-			return false, nil, err
-		}
-		if stable {
-			s.stableInsert(g, res, m)
-		}
-		if !res {
-			return false, nil, nil
-		}
-		for k, v := range m {
-			model[k] = v
-		}
-	}
-	return true, model, nil
-}
-
-// checkSAT bit-blasts and runs CDCL.
-func (s *Solver) checkSAT(constraints []*expr.Expr) (bool, Model, error) {
-	s.Stats.SATCalls++
-	start := time.Now()
-	defer func() { s.Stats.SATTime += time.Since(start) }()
-
-	ss := sat.New()
-	ss.Deadline = s.deadline
-	bl := newBlaster(ss)
-	for _, c := range constraints {
-		bl.assertTrue(c)
-	}
-	s.Stats.SATVars += uint64(ss.NumVars())
-	s.Stats.SATClauses += ss.NumClauses()
-	switch ss.Solve() {
-	case sat.Sat:
-		m := Model{}
-		for v := range bl.vars {
-			m[v] = bl.modelValue(v)
-		}
-		return true, m, nil
-	case sat.Unsat:
-		return false, nil, nil
-	default:
-		s.Stats.Timeouts++
-		return false, nil, ErrBudget
-	}
+	return res, m, obs.QuerySession, nil
 }
 
 // cloneModel returns an independent copy of a model. Fast paths hand models
@@ -554,7 +338,8 @@ func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) (bool, error) {
 	return s.MayBeTrueIn(nil, pc, cond)
 }
 
-// MayBeTrueIn is MayBeTrue through an optional incremental session.
+// MayBeTrueIn is MayBeTrue through an incremental session (nil: a fresh
+// one for this call).
 func (s *Solver) MayBeTrueIn(sess *Session, pc []*expr.Expr, cond *expr.Expr) (bool, error) {
 	if cond.IsTrue() {
 		return true, nil
@@ -581,68 +366,14 @@ func (s *Solver) GetModel(pc []*expr.Expr) (Model, error) {
 	return s.GetModelIn(nil, pc)
 }
 
-// GetModelIn is GetModel through an optional incremental session.
+// GetModelIn is GetModel through an incremental session (nil: a fresh one
+// for this call).
 func (s *Solver) GetModelIn(sess *Session, pc []*expr.Expr) (Model, error) {
 	res, m, err := s.CheckSatIn(sess, pc)
 	if err != nil || !res {
 		return nil, err
 	}
 	return m, nil
-}
-
-// --- Independence slicing ---
-
-// independentGroups partitions constraints into connected components of the
-// "shares a variable" graph using a union-find over variables.
-func independentGroups(constraints []*expr.Expr) [][]*expr.Expr {
-	parent := make([]int, len(constraints))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	varOwner := map[*expr.Expr]int{} // variable -> first constraint index
-	varsOf := map[*expr.Expr]bool{}
-	for i, c := range constraints {
-		for k := range varsOf {
-			delete(varsOf, k)
-		}
-		c.Vars(varsOf)
-		for v := range varsOf {
-			if j, ok := varOwner[v]; ok {
-				union(i, j)
-			} else {
-				varOwner[v] = i
-			}
-		}
-	}
-	groupsByRoot := map[int][]*expr.Expr{}
-	var roots []int
-	for i, c := range constraints {
-		r := find(i)
-		if _, ok := groupsByRoot[r]; !ok {
-			roots = append(roots, r)
-		}
-		groupsByRoot[r] = append(groupsByRoot[r], c)
-	}
-	sort.Ints(roots)
-	out := make([][]*expr.Expr, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, groupsByRoot[r])
-	}
-	return out
 }
 
 // fingerprint canonicalizes the constraint set into the sorted,

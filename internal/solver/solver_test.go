@@ -212,38 +212,6 @@ func TestIteBlast(t *testing.T) {
 	}
 }
 
-func TestIndependenceSlicing(t *testing.T) {
-	b := expr.NewBuilder()
-	x := b.Var("x", 8)
-	y := b.Var("y", 8)
-	z := b.Var("z", 8)
-	cs := []*expr.Expr{
-		b.Ult(x, b.Const(5, 8)), // group {x}
-		b.Eq(y, b.Const(7, 8)),  // group {y,z} via the next one
-		b.Eq(z, y),              //
-		b.Ugt(x, b.Const(1, 8)), // group {x}
-	}
-	groups := independentGroups(cs)
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2", len(groups))
-	}
-	sizes := []int{len(groups[0]), len(groups[1])}
-	if !(sizes[0] == 2 && sizes[1] == 2) {
-		t.Fatalf("group sizes %v, want [2 2]", sizes)
-	}
-	s := newTestSolver()
-	ok, m, err := s.CheckSat(cs)
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if m[y] != 7 || m[z] != 7 || m[x] < 2 || m[x] > 4 {
-		t.Fatalf("model %v violates constraints", m)
-	}
-	if s.Stats.IndepSliced == 0 {
-		t.Fatal("independence slicing did not trigger")
-	}
-}
-
 func TestCexCache(t *testing.T) {
 	b := expr.NewBuilder()
 	s := newTestSolver()
@@ -416,13 +384,16 @@ func randomBoolExpr(b *expr.Builder, rng *rand.Rand, vars []*expr.Expr, depth in
 	return f(depth)
 }
 
+// TestEqualitySubstitution checks queries whose conjuncts pin variables
+// to constants: the verdicts, and models that report every pinned
+// variable.
 func TestEqualitySubstitution(t *testing.T) {
 	b := expr.NewBuilder()
 	s := New(DefaultOptions())
 	s.AttachBuilder(b)
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
-	// x = 5 pins x; y > x becomes y > 5 before blasting.
+	// x = 5 pins x, so y > x means y > 5.
 	ok, m, err := s.CheckSat([]*expr.Expr{
 		b.Eq(x, b.Const(5, 8)),
 		b.Ugt(y, x),
@@ -430,9 +401,9 @@ func TestEqualitySubstitution(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	// The model must still report the substituted variable.
+	// The model must report the pinned variable.
 	if m[x] != 5 {
-		t.Fatalf("model x=%d, want 5 (binding folded back)", m[x])
+		t.Fatalf("model x=%d, want 5", m[x])
 	}
 	if m[y] <= 5 {
 		t.Fatalf("model y=%d violates y > 5", m[y])

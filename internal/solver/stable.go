@@ -4,9 +4,8 @@ package solver
 // the counterexample cache, keyed by 128-bit content fingerprints
 // (expr.Fingerprinter) instead of builder-local IDs. The in-memory ID cache
 // stays the fast path; the stable layer is consulted only on an ID-cache
-// miss and answers across builder rotations, process restarts, and
-// near-repeat programs (independence groups shared between programs that
-// differ elsewhere).
+// miss and answers whole queries across builder rotations and process
+// restarts.
 //
 // The backend interface is defined here — not in internal/store — so the
 // solver does not import its own persistence layer; internal/store
@@ -54,9 +53,8 @@ func (c *Cache) AttachStable(b StableBackend, f *expr.Fingerprinter) {
 	c.fper = f
 }
 
-// StableHits returns the aggregate count of queries (whole queries and
-// independence groups) answered by the stable backend across all sharing
-// solvers — the daemon's warm-cache counter.
+// StableHits returns the aggregate count of queries answered by the stable
+// backend across all sharing solvers — the daemon's warm-cache counter.
 func (c *Cache) StableHits() uint64 { return c.stableHits.Load() }
 
 // stableFP canonicalizes a constraint set into one stable fingerprint.

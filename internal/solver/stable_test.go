@@ -50,15 +50,15 @@ func domainSolver(back StableBackend) (*expr.Builder, *Solver) {
 	return b, s
 }
 
-// queries issues a fixed mixed workload (sat with model, unsat, grouped) and
-// returns the verdicts observed.
+// queries issues a fixed mixed workload (sat with model, unsat, and a set
+// of variable-disjoint conjuncts) and returns the verdicts observed.
 func queries(t *testing.T, b *expr.Builder, s *Solver) []bool {
 	t.Helper()
 	x, y := b.Var("x", 8), b.Var("y", 8)
 	sets := [][]*expr.Expr{
 		{b.Eq(b.Add(x, b.Const(1, 8)), b.Const(5, 8))},
 		{b.Ult(x, b.Const(3, 8)), b.Ugt(x, b.Const(5, 8))},
-		// Two independent groups: x-only and y-only conjuncts.
+		// Variable-disjoint conjuncts: one over x, one over y.
 		{b.Ugt(x, b.Const(200, 8)), b.Eq(b.Mul(y, b.Const(3, 8)), b.Const(33, 8))},
 	}
 	var out []bool
@@ -104,37 +104,6 @@ func TestStableBackendWarmHit(t *testing.T) {
 	}
 }
 
-func TestStableGroupHitAcrossDifferentQueries(t *testing.T) {
-	back := newMemBackend()
-
-	b1, s1 := domainSolver(back)
-	x, y := b1.Var("x", 8), b1.Var("y", 8)
-	// Solve {P(x), Q(y)}: group verdicts for P and Q persist individually.
-	if ok, _, err := s1.CheckSat([]*expr.Expr{
-		b1.Eq(b1.Add(x, b1.Const(1, 8)), b1.Const(5, 8)),
-		b1.Eq(b1.Mul(y, b1.Const(3, 8)), b1.Const(33, 8)),
-	}); err != nil || !ok {
-		t.Fatalf("seed query: ok=%v err=%v", ok, err)
-	}
-
-	// A different whole query that shares group P(x) with a new y conjunct:
-	// the whole-query fingerprint misses, the P group hits.
-	b2, s2 := domainSolver(back)
-	x2, y2 := b2.Var("x", 8), b2.Var("y", 8)
-	if ok, _, err := s2.CheckSat([]*expr.Expr{
-		b2.Eq(b2.Add(x2, b2.Const(1, 8)), b2.Const(5, 8)),
-		b2.Ult(y2, b2.Const(7, 8)),
-	}); err != nil || !ok {
-		t.Fatalf("near-repeat query: ok=%v err=%v", ok, err)
-	}
-	if s2.Stats.StableHits != 0 {
-		t.Errorf("whole-query fingerprint unexpectedly hit (%d)", s2.Stats.StableHits)
-	}
-	if s2.Stats.StableGroupHits == 0 {
-		t.Error("shared independence group did not hit the stable layer")
-	}
-}
-
 func TestStableNeverPersistsBudgetVerdicts(t *testing.T) {
 	back := newMemBackend()
 	b := expr.NewBuilder()
@@ -148,9 +117,7 @@ func TestStableNeverPersistsBudgetVerdicts(t *testing.T) {
 
 	// Pigeonhole (6 pigeons, 5 holes): unsat, and hard enough that CDCL
 	// reaches its first restart — where the expired deadline is checked —
-	// before settling. The whole set is one independence group (the
-	// disequalities chain every variable together), so the error
-	// propagates out of solveQuery rather than being a per-group miss.
+	// before settling.
 	var vars, cs []*expr.Expr
 	for i := 0; i <= 5; i++ {
 		vars = append(vars, b.Var(fmt.Sprintf("p%d", i), 8))

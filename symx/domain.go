@@ -87,8 +87,8 @@ func (d *Domain) NumNodes() int { return d.build.NumNodes() }
 // Store returns the backing store (nil for in-memory domains).
 func (d *Domain) Store() *store.Store { return d.st }
 
-// WarmHits reports how many queries (whole queries plus independence
-// groups) the domain's runs answered from the persistent store.
+// WarmHits reports how many queries the domain's runs answered from the
+// persistent store.
 func (d *Domain) WarmHits() uint64 {
 	if d.st == nil {
 		return 0

@@ -210,7 +210,7 @@ func TestDomainColdWarmDifferential(t *testing.T) {
 				requireSameObservables(t, label+"/cold-vs-warm", reg.merge, cold, warm)
 
 				// The warm run must demonstrably consult the store.
-				stableHits := warm.Stats.Solver.StableHits + warm.Stats.Solver.StableGroupHits
+				stableHits := warm.Stats.Solver.StableHits
 				if stableHits == 0 {
 					t.Errorf("%s: warm run answered no query from the persistent store", label)
 				}

@@ -244,11 +244,11 @@ func TestCanonicalQueriesAreSpans(t *testing.T) {
 	}
 	snap := cfg.Metrics.Snapshot()
 	sv := res.Stats.Solver
-	if snap.QueryLatSession.Count != sv.SessionQueries || sv.SessionQueries == 0 {
-		t.Errorf("%d session spans for %d session queries", snap.QueryLatSession.Count, sv.SessionQueries)
+	if snap.QueryLatSession.Count != sv.SATCalls || sv.SATCalls == 0 {
+		t.Errorf("%d session spans for %d SAT calls", snap.QueryLatSession.Count, sv.SATCalls)
 	}
 	var spanUS uint64
-	for _, h := range []obs.HistSnap{snap.QueryLatSession, snap.QueryLatOneShot, snap.QueryLatCached} {
+	for _, h := range []obs.HistSnap{snap.QueryLatSession, snap.QueryLatCached} {
 		spanUS += h.SumUS + h.Count
 	}
 	if span := time.Duration(spanUS) * time.Microsecond; span < sv.SATTime {

@@ -260,14 +260,8 @@ type Config struct {
 	CrossCheckAnalysis bool
 
 	// DisableSolverOpts turns off the KLEE-style solver optimizations
-	// (counterexample cache, independence slicing, model reuse) for
-	// ablation measurements.
+	// (counterexample cache, model reuse) for ablation measurements.
 	DisableSolverOpts bool
-
-	// DisableSessions turns off the incremental solver sessions (the
-	// blast-once/assume-many SAT instances shared along state lineages)
-	// for ablation measurements; every query then re-blasts one-shot.
-	DisableSessions bool
 
 	// TraceFile, when non-empty, streams a structured JSONL event trace
 	// (schema symmerge-trace/v1; see internal/obs and README
@@ -634,7 +628,6 @@ func coreConfig(p *Program, cfg Config) (core.Config, Strategy, int64) {
 		CanonicalTests:  cfg.CanonicalTests,
 		MaxTests:        cfg.MaxTests,
 		TrackExactPaths: cfg.TrackExactPaths,
-		DisableSessions: cfg.DisableSessions,
 		SolverOpts:      solver.DefaultOptions(),
 		Obs:             cfg.obsRun,
 	}
