@@ -244,7 +244,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 }
 
 // BenchmarkSolverAblation compares the engine with and without the
-// KLEE-style solver optimizations the paper's baseline depends on.
+// solver's model reuse (DisableSolverOpts).
 func BenchmarkSolverAblation(b *testing.B) {
 	tool, err := coreutils.Get("sleep")
 	if err != nil {
@@ -266,5 +266,5 @@ func BenchmarkSolverAblation(b *testing.B) {
 		}
 	}
 	b.Run("optimized", func(b *testing.B) { run(b, false) })
-	b.Run("no-caches", func(b *testing.B) { run(b, true) })
+	b.Run("no-reuse", func(b *testing.B) { run(b, true) })
 }

@@ -201,9 +201,9 @@ func main() {
 		st.Steps, st.Instructions, st.Forks)
 	fmt.Printf("merges:        %d (attempts %d, fast-forward picks %d)\n",
 		st.Merges, st.MergeAttempts, st.FFSelected)
-	fmt.Printf("solver:        %d queries, %d SAT calls, %d cache hits, %v in SAT\n",
+	fmt.Printf("solver:        %d queries, %d SAT calls, %d reuse hits, %v in SAT\n",
 		st.Solver.Queries, st.Solver.SATCalls,
-		st.Solver.CacheHits+st.Solver.ModelReuseHits, st.Solver.SATTime.Round(time.Millisecond))
+		st.Solver.ModelReuseHits, st.Solver.SATTime.Round(time.Millisecond))
 	if !*noAn {
 		fmt.Printf("analysis:      %d branch sides pruned, %d checks elided\n",
 			st.PrunedStatic, st.BoundsElided)

@@ -116,10 +116,11 @@ type Config struct {
 	PollEvery int
 
 	// Builder, when non-nil, supplies the expression builder instead of a
-	// private one. The parallel subsystem shares one (concurrency-safe)
-	// builder across all workers so expression identity — pointer equality,
-	// builder-unique IDs, and thus counterexample-cache fingerprints — is
-	// globally consistent and states can migrate between workers.
+	// private one. Within one run, the parallel subsystem shares one
+	// (concurrency-safe) builder across all workers, and the checkpoint
+	// driver across epochs, so expression identity — pointer equality and
+	// builder-unique IDs — is globally consistent and states can migrate
+	// between workers and epochs.
 	Builder *expr.Builder
 
 	// QCEAnalysis, when non-nil and UseQCE is set, supplies a precomputed
@@ -162,7 +163,7 @@ type Config struct {
 	// inputs come from the lexicographically minimal model of each path
 	// (solver.MinModelIn) instead of an arbitrary solver model, so the same
 	// path yields byte-identical inputs regardless of worker count, search
-	// strategy, or cache state; and a merged state with a shadow census
+	// strategy, or solver state; and a merged state with a shadow census
 	// (TrackExactPaths) emits one test per constituent single path rather
 	// than one per state, so the union of the tests' concrete executions
 	// covers exactly what the symbolic run covered. The corpus subsystem
@@ -338,7 +339,6 @@ func NewEngine(prog *ir.Program, config Config, strat Strategy) *Engine {
 		coverage:  make([]bool, prog.NumLocations()),
 		strategy:  strat,
 	}
-	e.solv.AttachBuilder(e.build)
 	e.zero8 = e.build.Const(0, 8)
 	e.zero32 = e.build.Const(0, 32)
 	e.cfgs = make([]*cfg.FuncCFG, len(prog.Funcs))

@@ -11,7 +11,7 @@
 // test inputs come from canonical minimal models (solver.MinModelIn) and
 // expectations are evaluated under those models, a corpus is a pure
 // function of the explored path set: re-running with a different worker
-// count, search strategy, or cache state reproduces it byte for byte.
+// count, search strategy, or solver state reproduces it byte for byte.
 //
 // Each test records the engine's expectations (output bytes, exit code,
 // assert failure) and the covered-location set of its concrete execution.

@@ -1,8 +1,7 @@
 package daemon
 
 // The HTTP/JSON wire surface: job submission (streaming JSONL response),
-// the live progress view, and the stats document CI and the leak test
-// assert against.
+// the live progress view, and the stats document CI asserts against.
 
 import (
 	"context"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"symmerge/internal/corpus"
-	"symmerge/internal/store"
 	"symmerge/symx"
 )
 
@@ -101,14 +99,12 @@ type JobResult struct {
 	Tests       int     `json:"tests"`
 
 	// CorpusDigest is a deterministic hash of the canonical test set —
-	// equal digests mean byte-identical corpora, which is how warm-store
-	// parity is asserted end to end.
+	// equal digests mean byte-identical corpora, which is how repeat and
+	// resume parity is asserted end to end.
 	CorpusDigest string `json:"corpus_digest"`
 
-	Queries    uint64 `json:"queries"`
-	CacheHits  uint64 `json:"cache_hits"`
-	SATCalls   uint64 `json:"sat_calls"`
-	StableHits uint64 `json:"stable_hits"`
+	Queries  uint64 `json:"queries"`
+	SATCalls uint64 `json:"sat_calls"`
 
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
@@ -127,24 +123,9 @@ type StatsDoc struct {
 	JobsRejected     uint64 `json:"jobs_rejected"`
 	JobsActive       int    `json:"jobs_active"`
 
-	// Domain lifecycle: live intern-table size, rotations performed, and
-	// how many retired domains the garbage collector has actually
-	// reclaimed (process-wide — the leak test's signal).
-	DomainNodes       int    `json:"domain_nodes"`
-	DomainRefs        int64  `json:"domain_refs"`
-	DomainsRotated    uint64 `json:"domains_rotated"`
-	BuildersReclaimed uint64 `json:"builders_reclaimed"`
-
-	// Aggregate solver counters over finished jobs. WarmHits is the
-	// persistent store's lookup-hit count: queries this process answered
-	// from knowledge a previous run persisted.
-	Queries    uint64 `json:"queries"`
-	CacheHits  uint64 `json:"cache_hits"`
-	SATCalls   uint64 `json:"sat_calls"`
-	StableHits uint64 `json:"stable_hits"`
-	WarmHits   uint64 `json:"warm_hits"`
-
-	Store *store.Stats `json:"store,omitempty"`
+	// Aggregate solver counters over finished jobs.
+	Queries  uint64 `json:"queries"`
+	SATCalls uint64 `json:"sat_calls"`
 }
 
 // ProgressDoc is the GET /v1/progress document: the fold of every
@@ -182,7 +163,7 @@ func corpusDigest(tests []symx.TestCase) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// jobConfig lowers a request to a symx.Config (domain and context are
+// jobConfig lowers a request to a symx.Config (the context and monitor are
 // attached by the handler).
 func (s *Server) jobConfig(req *JobRequest) (symx.Config, error) {
 	cfg := symx.Config{
@@ -240,8 +221,8 @@ func writeJSONError(w http.ResponseWriter, code int, msg string) {
 }
 
 // handleJobs is POST /v1/jobs: compile, queue on the job semaphore, run
-// under the per-job deadline inside the shared domain, and stream
-// accepted/test/result events as JSON lines.
+// under the per-job deadline, and stream accepted/test/result events as
+// JSON lines.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSONError(w, http.StatusMethodNotAllowed, "POST only")
@@ -312,9 +293,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		Started: time.Now(), Mon: mon})
 	defer unregister()
 
-	dom := s.acquireDomain()
-	cfg.Domain = dom
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
@@ -327,8 +305,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	emit(Event{Event: "accepted", ID: id})
 
 	res := symx.Run(p, cfg)
-	dom.Release()
-	s.maybeRotate()
 
 	if res.ConfigErr != nil {
 		s.jobsFailed.Add(1)
@@ -338,9 +314,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 	s.jobsCompleted.Add(1)
 	s.queries.Add(res.Stats.Solver.Queries)
-	s.cexCacheHits.Add(res.Stats.Solver.CacheHits)
 	s.satCalls.Add(res.Stats.Solver.SATCalls)
-	s.stableHits.Add(res.Stats.Solver.StableHits)
 
 	checkpointed := res.Interrupted == symx.IntrCheckpoint && res.CheckpointErr == nil
 	if checkpointed {
@@ -377,9 +351,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		Tests:          len(res.Tests),
 		CorpusDigest:   corpusDigest(res.Tests),
 		Queries:        res.Stats.Solver.Queries,
-		CacheHits:      res.Stats.Solver.CacheHits,
 		SATCalls:       res.Stats.Solver.SATCalls,
-		StableHits:     res.Stats.Solver.StableHits,
 		ElapsedSeconds: res.Stats.ElapsedSeconds,
 	}})
 }
@@ -387,12 +359,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // handleStats is GET /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	doc := StatsDoc{
-		Schema:      StatsSchema,
-		JobsActive:  len(s.jobs),
-		DomainNodes: s.dom.NumNodes(),
-		DomainRefs:  s.dom.Refs(),
-	}
+	doc := StatsDoc{Schema: StatsSchema, JobsActive: len(s.jobs)}
 	s.mu.Unlock()
 	doc.JobsAccepted = s.jobsAccepted.Load()
 	doc.JobsCompleted = s.jobsCompleted.Load()
@@ -400,17 +367,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	doc.JobsTimedOut = s.jobsTimedOut.Load()
 	doc.JobsCheckpointed = s.jobsCheckpointed.Load()
 	doc.JobsRejected = s.jobsRejected.Load()
-	doc.DomainsRotated = s.domainsRotated.Load()
-	doc.BuildersReclaimed = symx.DomainsReclaimed()
 	doc.Queries = s.queries.Load()
-	doc.CacheHits = s.cexCacheHits.Load()
 	doc.SATCalls = s.satCalls.Load()
-	doc.StableHits = s.stableHits.Load()
-	if s.st != nil {
-		st := s.st.Stats()
-		doc.Store = &st
-		doc.WarmHits = st.LookupHits
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -4,25 +4,10 @@
 // result — census, solver counters, and the canonical corpus entries — back
 // as JSON lines.
 //
-// What makes the daemon more than a loop around symx.Run is the shared
-// symx.Domain: every job interns expressions into one builder and shares
-// the counterexample cache, optionally backed by a persistent
-// internal/store directory so knowledge survives restarts. Two disciplines
-// keep that sound and bounded:
-//
-//   - Soundness: the domain only ever carries completed solver verdicts,
-//     so a warm daemon produces byte-identical corpus digests to a cold
-//     one (pinned by symx's differential tests). Nothing a job observes
-//     depends on which jobs ran before it.
-//
-//   - Boundedness: the builder's intern table and the fingerprint memo only
-//     grow. Once the table passes Options.RotateNodes and no job holds the
-//     domain, the daemon flushes it to the store and rotates to a fresh
-//     domain over the same store; the retired builder, cache, and memo
-//     become garbage at that instant. symx.DomainsReclaimed (served as
-//     builders_reclaimed in /v1/stats) proves the collector actually frees
-//     them — the leak test drives a sustained submit loop and watches both
-//     that counter and the live node count.
+// Jobs share nothing but the daemon's queue and counters: each one is a
+// plain symx.Run with its own expression builder and solvers, freed when
+// the job ends, so nothing a job observes depends on which jobs ran
+// before it.
 //
 // Graceful drain: Drain stops admitting jobs, cancels the in-flight ones,
 // and waits for them. Jobs submitted with a "key" run under a per-key
@@ -43,23 +28,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"symmerge/internal/store"
 	"symmerge/symx"
 )
 
 // Options configures a Server. The zero value listens on a random
-// localhost port with an in-memory domain and no checkpointing.
+// localhost port with no checkpointing.
 type Options struct {
 	// Addr is the listen address (default "127.0.0.1:0").
 	Addr string
-
-	// StoreDir, when non-empty, backs the domain with a persistent store
-	// at that directory: counterexample verdicts and blasted-group verdicts
-	// survive daemon restarts.
-	StoreDir string
-	// StoreTag is the engine canonical-form generation recorded in
-	// persisted segments (default store.DefaultTag).
-	StoreTag string
 
 	// CheckpointDir, when non-empty, is the root under which jobs
 	// submitted with a key get per-key checkpoint directories, making
@@ -76,19 +52,11 @@ type Options struct {
 	// MaxTimeout caps what a job may request (default 10m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-
-	// RotateNodes is the builder intern-table watermark above which the
-	// daemon rotates to a fresh domain between jobs (default 1<<20 nodes;
-	// negative disables rotation).
-	RotateNodes int
 }
 
 func (o *Options) fill() {
 	if o.Addr == "" {
 		o.Addr = "127.0.0.1:0"
-	}
-	if o.StoreTag == "" {
-		o.StoreTag = store.DefaultTag
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 2 * time.Second
@@ -101,9 +69,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxTimeout == 0 {
 		o.MaxTimeout = 10 * time.Minute
-	}
-	if o.RotateNodes == 0 {
-		o.RotateNodes = 1 << 20
 	}
 }
 
@@ -120,7 +85,6 @@ type jobInfo struct {
 // stop with Drain (graceful) or Close (Drain with a short grace period).
 type Server struct {
 	opts Options
-	st   *store.Store
 
 	ln   net.Listener
 	http *http.Server
@@ -134,7 +98,6 @@ type Server struct {
 	sem chan struct{}
 
 	mu   sync.Mutex
-	dom  *symx.Domain
 	jobs map[uint64]*jobInfo
 
 	nextID atomic.Uint64
@@ -146,31 +109,20 @@ type Server struct {
 	jobsTimedOut     atomic.Uint64
 	jobsCheckpointed atomic.Uint64
 	jobsRejected     atomic.Uint64 // refused because draining
-	domainsRotated   atomic.Uint64
-	stableHits       atomic.Uint64 // Σ solver whole-query stable hits
-	cexCacheHits     atomic.Uint64 // Σ in-process cex cache hits
 	satCalls         atomic.Uint64
 	queries          atomic.Uint64
 }
 
-// New builds a server: opens (or refuses) the persistent store and seeds
-// the first domain from it. The listener is not bound until Start.
+// New builds a server, creating the checkpoint root if one is set. The
+// listener is not bound until Start.
 func New(opts Options) (*Server, error) {
 	opts.fill()
 	s := &Server{opts: opts, jobs: make(map[uint64]*jobInfo)}
-	if opts.StoreDir != "" {
-		st, err := store.Open(opts.StoreDir, store.Options{Tag: opts.StoreTag})
-		if err != nil {
-			return nil, fmt.Errorf("daemon: store: %w", err)
-		}
-		s.st = st
-	}
 	if opts.CheckpointDir != "" {
 		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("daemon: checkpoint dir: %w", err)
 		}
 	}
-	s.dom = symx.NewDomain(s.st)
 	s.sem = make(chan struct{}, opts.MaxJobs)
 	s.jobsCtx, s.drainAll = context.WithCancel(context.Background())
 
@@ -208,23 +160,14 @@ func (s *Server) Addr() string {
 
 // Drain performs the SIGTERM shutdown: stop admitting jobs, cancel the
 // in-flight ones (checkpoint-keyed jobs snapshot and report resumable),
-// wait for the handlers to finish streaming their results within ctx, then
-// flush the domain to the persistent store. Idempotent.
+// and wait for the handlers to finish streaming their results within ctx.
+// Idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.drainAll()
 	// Shutdown waits for active requests — i.e. for every job handler to
 	// observe its cancelled context, checkpoint, and write its final event.
-	err := s.http.Shutdown(ctx)
-	s.mu.Lock()
-	dom := s.dom
-	s.mu.Unlock()
-	if dom != nil {
-		if ferr := dom.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	return err
+	return s.http.Shutdown(ctx)
 }
 
 // Close is Drain with a 10s grace period, for defer-style teardown.
@@ -232,38 +175,6 @@ func (s *Server) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return s.Drain(ctx)
-}
-
-// acquireDomain hands the caller the current domain with a reference
-// held; the caller must Release it when the job ends.
-func (s *Server) acquireDomain() *symx.Domain {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dom.Acquire()
-	return s.dom
-}
-
-// maybeRotate retires the current domain once the intern table passes the
-// watermark and no job holds it: flush to the store, swap in a fresh
-// domain over the same store, and drop the old pointer — the builder, its
-// memo, and the cex cache become garbage here. Called after each job.
-func (s *Server) maybeRotate() {
-	if s.opts.RotateNodes < 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dom.NumNodes() < s.opts.RotateNodes || s.dom.Refs() != 0 {
-		return
-	}
-	// Refs()==0 under s.mu means no job holds the domain and none can
-	// acquire it concurrently (acquireDomain also locks s.mu).
-	old := s.dom
-	if s.st != nil {
-		old.Flush() // best-effort: rotation must not fail the daemon
-	}
-	s.dom = symx.NewDomain(s.st)
-	s.domainsRotated.Add(1)
 }
 
 // registerJob adds a job to the live registry; the returned func removes it.

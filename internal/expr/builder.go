@@ -60,9 +60,6 @@ func NewBuilder() *Builder {
 	return b
 }
 
-// NumNodes returns the number of distinct interned nodes.
-func (b *Builder) NumNodes() int { return int(b.Stats.Nodes.Load()) }
-
 func hashExpr(e *Expr) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -57,7 +57,7 @@ func TestBuilderConcurrentInterning(t *testing.T) {
 		e = single.Add(single.Mul(e, single.Const(uint64(i%7+1), 32)), sy)
 		e = single.Ite(single.Ult(e, single.Const(uint64(i+1), 32)), e, sx)
 	}
-	if got, want := b.NumNodes(), single.NumNodes(); got != want {
+	if got, want := b.Stats.Nodes.Load(), single.Stats.Nodes.Load(); got != want {
 		t.Fatalf("concurrent interning created %d nodes, single-threaded baseline %d", got, want)
 	}
 }

@@ -317,7 +317,7 @@ func TestSimplifierSoundness(t *testing.T) {
 			}
 		}
 		// Constructed twice must be identical (deterministic interning).
-		if e.ID() > uint64(b.NumNodes()) {
+		if e.ID() > b.Stats.Nodes.Load() {
 			t.Fatalf("node id out of range")
 		}
 	}

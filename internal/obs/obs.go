@@ -62,8 +62,8 @@ const (
 	// QuerySession: answered by a persistent incremental session
 	// (blast-once/assume-many under assumptions).
 	QuerySession QueryClass = iota
-	// QueryCached: answered without SAT — a counterexample-cache hit or a
-	// recent-model re-evaluation.
+	// QueryCached: answered without SAT, by re-evaluating a recent model
+	// (the solver's model-reuse ring).
 	QueryCached
 
 	numQueryClasses

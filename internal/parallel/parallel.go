@@ -7,10 +7,9 @@
 //
 //   - Shared, race-clean: one expr.Builder (sharded-lock hash-consing, so
 //     expression identity and builder-unique IDs are globally consistent),
-//     one counterexample cache (sharded locks, atomic hit/miss counters),
 //     one immutable QCE analysis, and the frontier itself.
-//   - Per-worker: the engine, its solver (incremental sessions, the
-//     recent-model ring, scratch buffers), its driving strategy, its DSM
+//   - Per-worker: the engine, its solver (incremental sessions and the
+//     recent-model ring), its driving strategy, its DSM
 //     bookkeeping, and its stats. Merging (SSM/DSM, Algorithm 2) therefore
 //     stays worker-local per subtree: two states can only merge if the same
 //     worker holds both, which keeps the paper's merge bookkeeping entirely
@@ -41,13 +40,12 @@ import (
 	"symmerge/internal/expr"
 	"symmerge/internal/ir"
 	"symmerge/internal/qce"
-	"symmerge/internal/solver"
 )
 
 // NewEngineFunc builds one exploration engine (with its driving strategy)
 // for the given configuration. The symx layer supplies it; parallel calls
 // it once for the splitter and once per worker, after injecting the shared
-// builder, cache, and QCE analysis into the configuration.
+// builder and QCE analysis into the configuration.
 type NewEngineFunc func(core.Config) *core.Engine
 
 // Options tunes the pool.
@@ -113,13 +111,9 @@ func explore(prog *ir.Program, cfg core.Config, opts Options, newEngine NewEngin
 	start := time.Now()
 
 	// Shared infrastructure. The builder must be common to all workers:
-	// states migrate with their expressions, and the counterexample cache
-	// keys on builder-unique expression IDs.
+	// states migrate with their expressions.
 	if cfg.Builder == nil {
 		cfg.Builder = expr.NewBuilder()
-	}
-	if cfg.SolverOpts.EnableCexCache && cfg.SolverOpts.SharedCache == nil {
-		cfg.SolverOpts.SharedCache = solver.NewSharedCache()
 	}
 	if cfg.UseQCE && cfg.QCEAnalysis == nil {
 		cfg.QCEAnalysis = qce.Analyze(prog, cfg.QCE)
@@ -485,14 +479,12 @@ func Combine(all []*core.Result, completed bool, cfg core.Config) *core.Result {
 		}
 
 		st.Solver.Queries += s.Solver.Queries
-		st.Solver.CacheHits += s.Solver.CacheHits
 		st.Solver.ModelReuseHits += s.Solver.ModelReuseHits
 		st.Solver.SATCalls += s.Solver.SATCalls
 		st.Solver.SATTime += s.Solver.SATTime
 		st.Solver.Timeouts += s.Solver.Timeouts
 		st.Solver.SessionBlastReuse += s.Solver.SessionBlastReuse
 		st.Solver.SessionRebases += s.Solver.SessionRebases
-		st.Solver.StableHits += s.Solver.StableHits
 		st.Solver.SATVars += s.Solver.SATVars
 		st.Solver.SATClauses += s.Solver.SATClauses
 

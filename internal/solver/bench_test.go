@@ -1,7 +1,6 @@
 package solver
 
-// Micro-benchmarks for the bit-blasting frontend and the KLEE-style solver
-// optimizations (counterexample cache, model reuse).
+// Micro-benchmarks for the bit-blasting frontend and model reuse.
 
 import (
 	"slices"
@@ -46,23 +45,6 @@ func BenchmarkBlastIteChain(b *testing.B) {
 		ok, _, err := s.CheckSat(cs)
 		if err != nil || !ok {
 			b.Fatalf("ite chain: ok=%v err=%v", ok, err)
-		}
-	}
-}
-
-func BenchmarkCexCacheHitPath(b *testing.B) {
-	// Repeated identical queries: after the first call everything is a
-	// cache hit, measuring the lookup overhead the engine pays per branch.
-	eb := expr.NewBuilder()
-	s := New(DefaultOptions())
-	cs := addersQuery(eb, 4, 99)
-	if ok, _, err := s.CheckSat(cs); err != nil || !ok {
-		b.Fatalf("warmup: ok=%v err=%v", ok, err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ok, _, _ := s.CheckSat(cs); !ok {
-			b.Fatal("cached query flipped")
 		}
 	}
 }

@@ -3,11 +3,11 @@
 // bitvectors by bit-blasting to CNF (Tseitin encoding) and running the CDCL
 // solver from symmerge/internal/solver/sat.
 //
-// It plays the role STP plays for KLEE in the paper, with two of the
-// KLEE-style optimizations that the paper's measurements rely on: a
-// counterexample cache and a model-reuse fast path. Every query they do
-// not answer is solved by a Session: incremental blast-once/assume-many
-// solving over a shared path-condition prefix (see session.go).
+// It plays the role STP plays for KLEE in the paper, with one fast path in
+// front of SAT: model reuse, which re-evaluates recent models. Every query
+// it does not answer is solved by a Session: incremental
+// blast-once/assume-many solving over a shared path-condition prefix (see
+// session.go).
 package solver
 
 import (

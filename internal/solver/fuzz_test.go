@@ -192,16 +192,15 @@ func TestDeepSharedDAGSubstitution(t *testing.T) {
 	}
 }
 
-// TestFuzzOptimizedMatchesPlain: the counterexample cache and model reuse
-// are pure optimizations — on an identical query stream, verdicts must
-// match a plain solver's exactly.
+// TestFuzzOptimizedMatchesPlain: model reuse is a pure optimization — on
+// an identical query stream, verdicts must match a plain solver's exactly.
 func TestFuzzOptimizedMatchesPlain(t *testing.T) {
 	b := expr.NewBuilder()
 	g := &exprGen{rng: rand.New(rand.NewSource(7)), b: b,
 		x: b.Var("x", 4), y: b.Var("y", 4)}
 	plain := New(Options{})
 	opt := New(DefaultOptions())
-	// Repeats and supersets make the caches actually fire.
+	// Repeats and supersets make model reuse actually fire.
 	var history []*expr.Expr
 	for iter := 0; iter < 200; iter++ {
 		var cs []*expr.Expr

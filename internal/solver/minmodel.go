@@ -3,7 +3,7 @@ package solver
 // Canonical model extraction for replayable test generation.
 //
 // A plain GetModel answer depends on solver internals — clause order, the
-// counterexample cache's contents, learned clauses inherited from earlier
+// model-reuse ring's contents, learned clauses inherited from earlier
 // queries — none of which is stable across worker counts, search strategies,
 // or merging regimes. The corpus subsystem (internal/corpus) needs the
 // *same* concrete input for the same path no matter how the exploration was
@@ -28,8 +28,7 @@ import (
 // Constant entries in vars are skipped. The answer is one session query:
 // pc's conjuncts join the session (a nil session stands for a fresh one
 // used for this call only) and one ordered SAT call decides them; the
-// counterexample cache and the model-reuse ring are neither consulted nor
-// filled.
+// model-reuse ring is neither consulted nor filled.
 func (s *Solver) MinModelIn(sess *Session, pc []*expr.Expr, vars []*expr.Expr) (Model, error) {
 	s.Stats.Queries++
 	live, ok := liveConjuncts(pc)

@@ -14,7 +14,7 @@ import (
 // committed so far still allows a 0 there. Every probe consults a sat/unsat
 // verdict, so its answer is the lexicographic minimum by construction; it
 // costs up to one SAT call per input bit.
-func probeMinModel(s *Solver, sess *Session, pc []*expr.Expr, vars []*expr.Expr) (Model, error) {
+func probeMinModel(b *expr.Builder, s *Solver, sess *Session, pc []*expr.Expr, vars []*expr.Expr) (Model, error) {
 	sat, m, err := s.checkSatIn(sess, pc, true)
 	if err != nil || !sat {
 		return nil, err
@@ -35,17 +35,17 @@ func probeMinModel(s *Solver, sess *Session, pc []*expr.Expr, vars []*expr.Expr)
 		if v.Width == 0 { // boolean
 			val := truncEnv(m, v)
 			if val == 0 {
-				commit(s.build.Not(v))
+				commit(b.Not(v))
 				out[v] = 0
 				continue
 			}
-			ok, m2, err := s.checkSatIn(sess, append(cur, s.build.Not(v)), true)
+			ok, m2, err := s.checkSatIn(sess, append(cur, b.Not(v)), true)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
 				m = m2
-				commit(s.build.Not(v))
+				commit(b.Not(v))
 				out[v] = 0
 			} else {
 				commit(v)
@@ -56,8 +56,8 @@ func probeMinModel(s *Solver, sess *Session, pc []*expr.Expr, vars []*expr.Expr)
 		var val uint64
 		for k := int(v.Width) - 1; k >= 0; k-- {
 			mask := uint64(1) << uint(k)
-			bit := s.build.BAnd(v, s.build.Const(mask, v.Width))
-			zero := s.build.Eq(bit, s.build.Const(0, v.Width))
+			bit := b.BAnd(v, b.Const(mask, v.Width))
+			zero := b.Eq(bit, b.Const(0, v.Width))
 			if truncEnv(m, v)&mask == 0 {
 				// The witness already has this bit low: minimal for free.
 				commit(zero)
@@ -72,7 +72,7 @@ func probeMinModel(s *Solver, sess *Session, pc []*expr.Expr, vars []*expr.Expr)
 				commit(zero)
 			} else {
 				// Every solution of cur has the bit high.
-				commit(s.build.Eq(bit, s.build.Const(mask, v.Width)))
+				commit(b.Eq(bit, b.Const(mask, v.Width)))
 				val |= mask
 			}
 		}
@@ -107,7 +107,6 @@ func minimize(t *testing.T, b *expr.Builder, s *Solver, sess *Session, pc, vars 
 func TestMinModelBasics(t *testing.T) {
 	b := expr.NewBuilder()
 	s := New(DefaultOptions())
-	s.AttachBuilder(b)
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 
@@ -147,7 +146,6 @@ func TestMinModelBasics(t *testing.T) {
 func TestMinModelBool(t *testing.T) {
 	b := expr.NewBuilder()
 	s := New(DefaultOptions())
-	s.AttachBuilder(b)
 	p := b.Var("p", 0)
 	q := b.Var("q", 0)
 	pc := []*expr.Expr{b.Or(p, q)} // minimal: p=0, q=1
@@ -161,7 +159,7 @@ func TestMinModelBool(t *testing.T) {
 // canonical model must not depend on whether a warm session (with its
 // persistent learned clauses) or a fresh session for one call answers.
 func TestMinModelSessionAgreesWithOneShot(t *testing.T) {
-	build := func() (*expr.Builder, []*expr.Expr, []*expr.Expr) {
+	build := func() ([]*expr.Expr, []*expr.Expr) {
 		b := expr.NewBuilder()
 		vars := make([]*expr.Expr, 6)
 		for i := range vars {
@@ -174,12 +172,11 @@ func TestMinModelSessionAgreesWithOneShot(t *testing.T) {
 			b.Ule(vars[4], vars[5]),
 			b.Ult(b.Const(100, 8), b.Add(vars[4], vars[5])),
 		}
-		return b, pc, vars
+		return pc, vars
 	}
 
-	b1, pc1, vars1 := build()
+	pc1, vars1 := build()
 	s1 := New(DefaultOptions())
-	s1.AttachBuilder(b1)
 	sess := s1.NewSession()
 	// Warm the session with extra history so its internal state differs
 	// maximally from a fresh one.
@@ -194,9 +191,8 @@ func TestMinModelSessionAgreesWithOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b2, pc2, vars2 := build()
+	pc2, vars2 := build()
 	s2 := New(Options{}) // every optimization off, a fresh session per call
-	s2.AttachBuilder(b2)
 	mShot, err := s2.MinModelIn(nil, pc2, vars2)
 	if err != nil {
 		t.Fatal(err)
@@ -325,14 +321,12 @@ func (g *minGen) vars() []*expr.Expr {
 // state with the code under test. MinModelIn runs on one warm session that
 // also serves unrelated queries and holds dormant conjuncts, with periodic
 // forced rebases; each call must be exactly one session query and one SAT
-// call that neither consults nor fills the caches.
+// call that neither consults nor fills the model-reuse ring.
 func TestMinModelMatchesProbeOracle(t *testing.T) {
 	b := expr.NewBuilder()
 	g := newMinGen(11, b)
 	s := New(DefaultOptions())
-	s.AttachBuilder(b)
 	ref := New(Options{})
-	ref.AttachBuilder(b)
 	sess := s.NewSession()
 
 	unsat, sats := 0, 0
@@ -360,7 +354,7 @@ func TestMinModelMatchesProbeOracle(t *testing.T) {
 		case 8:
 			pc = append(pc[:0], b.True()) // nothing constrains vars
 		}
-		want, err := probeMinModel(ref, nil, pc, vars)
+		want, err := probeMinModel(b, ref, nil, pc, vars)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,10 +383,10 @@ func TestMinModelMatchesProbeOracle(t *testing.T) {
 			sess.SetRebaseLimit(defaultRebaseVars)
 		}
 		if d.Queries-before.Queries != 1 || d.SATCalls-before.SATCalls != wantSAT ||
-			d.CacheHits != before.CacheHits || d.ModelReuseHits != before.ModelReuseHits {
-			t.Fatalf("iter %d: queries +%d, SAT +%d, cache +%d, reuse +%d; want 1/%d/0/0",
+			d.ModelReuseHits != before.ModelReuseHits {
+			t.Fatalf("iter %d: queries +%d, SAT +%d, reuse +%d; want 1/%d/0",
 				iter, d.Queries-before.Queries, d.SATCalls-before.SATCalls,
-				d.CacheHits-before.CacheHits, d.ModelReuseHits-before.ModelReuseHits, wantSAT)
+				d.ModelReuseHits-before.ModelReuseHits, wantSAT)
 		}
 		if (got == nil) != (want == nil) {
 			t.Fatalf("iter %d: pc %v: ordered solve sat=%v, oracle sat=%v", iter, pc, got != nil, want != nil)
@@ -450,21 +444,22 @@ func cksumPCs(b *expr.Builder) (pcs [][]*expr.Expr, vars []*expr.Expr) {
 func BenchmarkMinModelCanonical(b *testing.B) {
 	for _, bc := range []struct {
 		name string
-		min  func(*Solver, *Session, []*expr.Expr, []*expr.Expr) (Model, error)
+		min  func(*expr.Builder, *Solver, *Session, []*expr.Expr, []*expr.Expr) (Model, error)
 	}{
-		{"ordered", (*Solver).MinModelIn},
+		{"ordered", func(_ *expr.Builder, s *Solver, sess *Session, pc, vars []*expr.Expr) (Model, error) {
+			return s.MinModelIn(sess, pc, vars)
+		}},
 		{"probe", probeMinModel},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			build := expr.NewBuilder()
 			pcs, vars := cksumPCs(build)
 			s := New(DefaultOptions())
-			s.AttachBuilder(build)
 			sess := s.NewSession()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, pc := range pcs {
-					if m, err := bc.min(s, sess, pc, vars); err != nil || m == nil {
+					if m, err := bc.min(build, s, sess, pc, vars); err != nil || m == nil {
 						b.Fatalf("cksum path: model %v err %v", m, err)
 					}
 				}

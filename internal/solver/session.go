@@ -151,8 +151,8 @@ func (sess *Session) SetRebaseLimit(n int) { sess.core.rebaseVars = n }
 // NoteConjunct blasts a path-condition conjunct into the session core if it
 // is not already there. The engine calls this whenever a conjunct joins a
 // state's path condition, keeping the session in sync even when the query
-// that admitted the conjunct was answered by a cache or model-reuse fast
-// path (which never reaches the session). Each distinct conjunct is blasted
+// that admitted the conjunct was answered by the model-reuse fast path
+// (which never reaches the session). Each distinct conjunct is blasted
 // exactly once per core regardless of how many queries or lineages use it.
 func (sess *Session) NoteConjunct(c *expr.Expr) {
 	if sess == nil || c == nil || c.IsConst() {

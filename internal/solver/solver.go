@@ -40,19 +40,19 @@ func (m Model) String() string {
 // the paper's query metrics.
 type Stats struct {
 	Queries        uint64        // top-level satisfiability questions
-	CacheHits      uint64        // answered by the counterexample cache
 	ModelReuseHits uint64        // answered by re-evaluating a recent model
 	SATCalls       uint64        // session solves: queries that reached bit-blasting + CDCL
 	SATTime        time.Duration // time spent inside CDCL (incl. blasting)
 	Timeouts       uint64        // SAT calls stopped because the deadline passed
 
+	// CacheHits is always 0: the solver has no counterexample cache any
+	// more. It stays because cmd/symbench, a separately versioned module,
+	// still reads it into its cache-hit ratio.
+	CacheHits uint64
+
 	// Incremental-session activity (see session.go).
 	SessionBlastReuse uint64 // conjuncts whose blasting was reused
 	SessionRebases    uint64 // persistent cores rebuilt at the size limit
-
-	// StableHits counts whole queries answered by the attached
-	// StableBackend (see stable.go).
-	StableHits uint64
 
 	// CNF encoding effort: variables allocated and problem clauses
 	// emitted by bit-blasting, summed over queries. Only the delta a query
@@ -63,25 +63,13 @@ type Stats struct {
 
 // Options configures a Solver.
 type Options struct {
-	// EnableCexCache turns on the counterexample cache (KLEE-style).
-	EnableCexCache bool
 	// EnableModelReuse tries recent models before calling SAT.
 	EnableModelReuse bool
-	// SharedCache, when non-nil, replaces the solver's private
-	// counterexample cache with a cache shared across several solvers
-	// (parallel exploration workers). The cache keys on builder-unique
-	// expression IDs, so every sharing solver must also share one
-	// expr.Builder. Ignored unless EnableCexCache is set.
-	SharedCache *Cache
 }
 
-// DefaultOptions enables every optimization, mirroring the paper's KLEE
-// baseline configuration.
+// DefaultOptions turns on model reuse, the one fast path in front of SAT.
 func DefaultOptions() Options {
-	return Options{
-		EnableCexCache:   true,
-		EnableModelReuse: true,
-	}
+	return Options{EnableModelReuse: true}
 }
 
 // ErrBudget is returned when a SAT call stops because the deadline passed
@@ -89,17 +77,15 @@ func DefaultOptions() Options {
 var ErrBudget = errors.New("solver: deadline passed")
 
 // Solver decides satisfiability of conjunctions of boolean expressions.
-// Every query that reaches SAT is answered by an incremental session (see
-// session.go); a caller without one gets a fresh session for that call.
+// A query is answered by the recent-model ring or by one solve of an
+// incremental session (see session.go); a caller without a session gets a
+// fresh one for that call.
 //
-// A Solver is single-goroutine state (scratch buffers, the recent-model
-// ring, Stats): parallel exploration gives each worker its own Solver and
-// shares only the counterexample cache (Options.SharedCache) and the
-// expression builder across workers.
+// A Solver is single-goroutine state (the recent-model ring, Stats):
+// parallel exploration gives each worker its own Solver and shares only
+// the expression builder across workers.
 type Solver struct {
-	opts  Options
-	cache *Cache
-	build *expr.Builder // materializes stable-layer models; nil disables that layer
+	opts Options
 
 	// deadline bounds each underlying SAT call in wall-clock time; zero
 	// means none. See SetDeadline.
@@ -112,15 +98,6 @@ type Solver struct {
 	// fresh evaluator. Empty slots are nil.
 	recentModels [8]*expr.Evaluator
 	recentNext   int
-
-	// keyIDs is the scratch buffer for query fingerprints (sorted,
-	// de-duplicated expression IDs), reused across queries to keep the
-	// cache-key computation allocation-free.
-	keyIDs []uint64
-
-	// keyFPs is the scratch buffer for stable-layer fingerprints
-	// (stable.go), reused the same way.
-	keyFPs []expr.FP
 
 	// obs is the owning engine's observability lane (nil when disabled):
 	// every non-trivial query emits a begin/end span with its class,
@@ -141,18 +118,7 @@ func (s *Solver) Observe(o *obs.Observer) { s.obs = o }
 func (s *Solver) SetDeadline(t time.Time) { s.deadline = t }
 
 // New returns a solver with the given options.
-func New(opts Options) *Solver {
-	cache := opts.SharedCache
-	if cache == nil {
-		cache = newCexCache()
-	}
-	return &Solver{opts: opts, cache: cache}
-}
-
-// AttachBuilder gives the solver the builder that constructed the query
-// expressions. The stable cache layer needs it to rebuild persisted models
-// as variables of that builder.
-func (s *Solver) AttachBuilder(b *expr.Builder) { s.build = b }
+func New(opts Options) *Solver { return &Solver{opts: opts} }
 
 // CheckSat decides whether the conjunction of the constraints is
 // satisfiable. On sat it returns a model covering at least the variables of
@@ -172,7 +138,7 @@ func (s *Solver) CheckSatIn(sess *Session, constraints []*expr.Expr) (bool, Mode
 
 // checkSatIn implements CheckSatIn; needModel=false lets verdict-only
 // callers (MayBeTrue's branch-feasibility pattern, the hottest path in the
-// engine) skip the defensive model copy on cache and model-reuse hits.
+// engine) skip the defensive model copy on model-reuse hits.
 func (s *Solver) checkSatIn(sess *Session, constraints []*expr.Expr, needModel bool) (bool, Model, error) {
 	s.Stats.Queries++
 	live, ok := liveConjuncts(constraints)
@@ -190,7 +156,7 @@ func (s *Solver) checkSatIn(sess *Session, constraints []*expr.Expr, needModel b
 
 // liveConjuncts is the concrete fast path of every query: it drops the
 // trivially-true conjuncts, and ok is false when one is trivially false.
-// What constant folding answers never reaches a cache or SAT and stays
+// What constant folding answers never reaches the ring or SAT and stays
 // untraced; every other answer is one observable query span (beginQuery,
 // endQuery).
 func liveConjuncts(constraints []*expr.Expr) (live []*expr.Expr, ok bool) {
@@ -234,9 +200,8 @@ func (s *Solver) endQuery(sp querySpan, class obs.QueryClass, res bool, err erro
 }
 
 // decide answers a non-trivial query (live is non-empty, free of constant
-// conjuncts) and classifies how it was answered: obs.QueryCached for
-// model-reuse and counterexample-cache hits, obs.QuerySession for a
-// session solve.
+// conjuncts) and classifies how it was answered: obs.QueryCached for a
+// model-reuse hit, obs.QuerySession for a session solve.
 func (s *Solver) decide(sess *Session, live []*expr.Expr, needModel bool) (bool, Model, obs.QueryClass, error) {
 	if s.opts.EnableModelReuse {
 		if m := s.tryRecentModels(live); m != nil {
@@ -247,31 +212,6 @@ func (s *Solver) decide(sess *Session, live []*expr.Expr, needModel bool) (bool,
 			return true, cloneModel(m), obs.QueryCached, nil
 		}
 	}
-
-	hash, ids := s.fingerprint(live)
-	if s.opts.EnableCexCache {
-		if res, m, ok := s.cache.lookup(hash, ids, needModel); ok {
-			s.Stats.CacheHits++
-			return res, m, obs.QueryCached, nil
-		}
-		if s.stableEnabled() {
-			// Persistent layer: verdicts from earlier runs (or earlier
-			// builder generations) keyed by content fingerprints. A hit is
-			// promoted into the ID cache so repeats stay on the fast path.
-			if res, m, ok := s.stableLookup(live); ok {
-				s.Stats.StableHits++
-				s.cache.insert(hash, ids, res, m)
-				if res && s.opts.EnableModelReuse {
-					s.remember(m)
-				}
-				if !needModel {
-					return res, nil, obs.QueryCached, nil
-				}
-				return res, m, obs.QueryCached, nil
-			}
-		}
-	}
-
 	if sess == nil {
 		sess = s.NewSession()
 	}
@@ -279,23 +219,15 @@ func (s *Solver) decide(sess *Session, live []*expr.Expr, needModel bool) (bool,
 	if err != nil {
 		return false, nil, obs.QuerySession, err
 	}
-	if s.opts.EnableCexCache {
-		s.cache.insert(hash, ids, res, m)
-		if s.stableEnabled() {
-			// Persist only completed verdicts (err == nil above): budget
-			// and timeout unknowns must never enter the store.
-			s.stableInsert(live, res, m)
-		}
-	}
 	if res && s.opts.EnableModelReuse {
 		s.remember(m)
 	}
 	return res, m, obs.QuerySession, nil
 }
 
-// cloneModel returns an independent copy of a model. Fast paths hand models
+// cloneModel returns an independent copy of a model. The ring hands models
 // to callers that may merge bindings into them; defensive copies keep the
-// cached originals immutable.
+// ring's originals immutable.
 func cloneModel(m Model) Model { return maps.Clone(m) }
 
 // tryRecentModels evaluates the constraints under recently found models,
@@ -374,47 +306,4 @@ func (s *Solver) GetModelIn(sess *Session, pc []*expr.Expr) (Model, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// fingerprint canonicalizes the constraint set into the sorted,
-// de-duplicated list of expression IDs plus its FNV-1a hash. IDs are
-// builder-unique, so within one engine run the id list identifies the
-// constraint set exactly; the cache stores the list alongside the hash and
-// verifies it on lookup, so hash collisions cannot alias distinct queries.
-// The returned slice is the solver's reusable scratch buffer — valid until
-// the next fingerprint call; the cache copies it when it retains an entry.
-func (s *Solver) fingerprint(constraints []*expr.Expr) (uint64, []uint64) {
-	ids := s.keyIDs[:0]
-	for _, c := range constraints {
-		ids = append(ids, c.ID())
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// De-duplicate in place (the slice is sorted).
-	out := ids[:0]
-	var last uint64 = ^uint64(0)
-	for _, id := range ids {
-		if id == last {
-			continue
-		}
-		last = id
-		out = append(out, id)
-	}
-	s.keyIDs = out
-	return fnvIDs(out), out
-}
-
-// fnvIDs hashes a sorted id list with FNV-1a over the ids' bytes.
-func fnvIDs(ids []uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, id := range ids {
-		for i := 0; i < 8; i++ {
-			h ^= (id >> (8 * uint(i))) & 0xff
-			h *= prime64
-		}
-	}
-	return h
 }

@@ -15,7 +15,54 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"symmerge/internal/corpus"
 )
+
+// callHeavySrc is a call-heavy program: two helpers (one with an array
+// parameter mutated in place) applied to every argv byte. Loop-free so
+// exhaustive exploration is fast and strategy-independent.
+const callHeavySrc = `
+int classify(byte c) {
+    if (c < 'a') { return 0; }
+    if (c > 'z') { return 1; }
+    if (c == 'q') { return 2; }
+    return 3;
+}
+
+int tally(int counts[4], int k) {
+    if (k < 0) { return -1; }
+    if (k > 3) { return -1; }
+    counts[k] = counts[k] + 1;
+    return counts[k];
+}
+
+void main() {
+    int counts[4];
+    counts[0] = 0; counts[1] = 0; counts[2] = 0; counts[3] = 0;
+    int last = 0;
+    last = tally(counts, classify(argchar(1, 0)));
+    last = tally(counts, classify(argchar(1, 1)));
+    last = tally(counts, classify(argchar(2, 0)));
+    putchar(tobyte('0' + (counts[0] + counts[3]) % 10));
+    putchar(tobyte('0' + (last + counts[2]) % 10));
+    if (counts[1] == 3) {
+        putchar('!');
+    }
+}
+`
+
+// behavior reduces a result to its canonical input → (output, exit, error)
+// map, the per-input observable the differential tests here compare.
+func behavior(t *testing.T, res *Result) map[string]string {
+	t.Helper()
+	out := make(map[string]string, len(res.Tests))
+	for _, tc := range res.Tests {
+		id := corpus.InputID(tc.Args, tc.Stdin)
+		out[id] = fmt.Sprintf("out=%q exit=%d err=%v msg=%q", tc.Output, tc.Exit, tc.IsErr, tc.Msg)
+	}
+	return out
+}
 
 // analysisPruneSrc has one statically-true branch (x is a byte, so
 // x < 300 always holds), a counted loop whose stores are provably in

@@ -30,7 +30,6 @@ import (
 	"symmerge/internal/expr"
 	"symmerge/internal/parallel"
 	"symmerge/internal/qce"
-	"symmerge/internal/solver"
 )
 
 // defaultCheckpointEvery is the snapshot interval when Config.CheckpointEvery
@@ -59,9 +58,6 @@ func runCheckpointed(p *Program, cfg Config) *Result {
 	// interning into one builder (snapshot decoding targets it too).
 	if ccfg.Builder == nil {
 		ccfg.Builder = expr.NewBuilder()
-	}
-	if ccfg.SolverOpts.EnableCexCache && ccfg.SolverOpts.SharedCache == nil {
-		ccfg.SolverOpts.SharedCache = solver.NewSharedCache()
 	}
 	if ccfg.UseQCE && ccfg.QCEAnalysis == nil {
 		ccfg.QCEAnalysis = qce.Analyze(p.ir, ccfg.QCE)

@@ -81,7 +81,7 @@ type Progress struct {
 	ErrorsFound    int     `json:"errors_found"`
 	Worklist       int     `json:"worklist"`
 	Queries        uint64  `json:"queries"`
-	CacheHits      uint64  `json:"cache_hits"`
+	CacheHits      uint64  `json:"cache_hits"` // model-reuse hits
 	SATCalls       uint64  `json:"sat_calls"`
 	CoveredInstrs  int     `json:"covered_instrs"`
 	TotalInstrs    int     `json:"total_instrs"`
@@ -114,7 +114,7 @@ func (m *Monitor) Progress() Progress {
 		p.ErrorsFound += st.ErrorsFound
 		p.Worklist += wl
 		p.Queries += st.Solver.Queries
-		p.CacheHits += st.Solver.CacheHits + st.Solver.ModelReuseHits
+		p.CacheHits += st.Solver.ModelReuseHits
 		p.SATCalls += st.Solver.SATCalls
 		if st.TotalInstrs > p.TotalInstrs {
 			p.TotalInstrs = st.TotalInstrs

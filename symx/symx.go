@@ -155,8 +155,8 @@ type Config struct {
 	// Workers shards the exploration across this many goroutines (the
 	// internal/parallel subsystem): each worker runs its own engine over
 	// subtrees claimed from a shared frontier with work-stealing, while
-	// the expression builder and the counterexample cache are shared
-	// race-clean. 0 or 1 explores single-threaded. Sharding never changes
+	// the expression builder is shared race-clean. 0 or 1 explores
+	// single-threaded. Sharding never changes
 	// the explored path set: paths-multiplicity, coverage, and the set of
 	// errors found match the single-threaded run on exhaustive
 	// explorations (only the count of separately completed states may
@@ -188,8 +188,9 @@ type Config struct {
 	// model of its path instead of an arbitrary solver model, and — when
 	// the shadow census is on — emits one test per constituent single path
 	// of a merged state. Canonical tests are a pure function of the
-	// explored path set: worker count, search strategy, and solver cache
-	// state cannot change them. Implied by CorpusDir.
+	// explored path set: worker count, search strategy, and solver state
+	// (the model-reuse ring, learned clauses) cannot change them. Implied
+	// by CorpusDir.
 	CanonicalTests bool
 	// MaxTests bounds recorded test cases and errors (0 = 256).
 	MaxTests int
@@ -233,18 +234,6 @@ type Config struct {
 	// merged states (paper §5.2; used for Figure 3).
 	TrackExactPaths bool
 
-	// Domain, when non-nil, runs the exploration inside a long-lived
-	// shared domain (NewDomain): every run interns expressions into the
-	// domain's builder and shares its counterexample cache — backed by the
-	// domain's persistent store when it has one. This is how cmd/symxd
-	// makes repeat traffic cheap: verdicts recorded by any job answer
-	// queries in every later job. Persistence is invisible in the results — corpus output,
-	// census, coverage, and errors are byte-identical with a cold or warm
-	// domain — because cached verdicts are deterministic facts about
-	// constraint sets and canonical tests derive from verdicts alone. For a
-	// Portfolio, set Domain on the entries (outer fields are ignored there).
-	Domain *Domain
-
 	// DisableAnalysis turns off the static dataflow analyses (interval
 	// branch pruning, bounds-check elision, liveness merge slimming; see
 	// internal/analysis and README "Static analysis") for ablation
@@ -259,8 +248,8 @@ type Config struct {
 	// the very queries pruning exists to avoid.
 	CrossCheckAnalysis bool
 
-	// DisableSolverOpts turns off the KLEE-style solver optimizations
-	// (counterexample cache, model reuse) for ablation measurements.
+	// DisableSolverOpts turns off the solver's model reuse (the
+	// recent-model ring) for ablation measurements.
 	DisableSolverOpts bool
 
 	// TraceFile, when non-empty, streams a structured JSONL event trace
@@ -561,8 +550,8 @@ func NewEngine(p *Program, cfg Config) *core.Engine {
 
 // engineFactory builds engines for a program: one call per parallel worker
 // (plus the splitter), or a single call for a sequential run. Each engine
-// gets its own driving strategy instance; shared pieces (builder, cache,
-// QCE analysis) arrive through the core.Config. Every engine built is
+// gets its own driving strategy instance; shared pieces (builder, QCE
+// analysis) arrive through the core.Config. Every engine built is
 // attached to mon (nil-safe) so a live Monitor sees all of them.
 func engineFactory(p *Program, kind Strategy, seed int64, mon *Monitor) parallel.NewEngineFunc {
 	return func(ccfg core.Config) *core.Engine {
@@ -637,16 +626,6 @@ func coreConfig(p *Program, cfg Config) (core.Config, Strategy, int64) {
 	}
 	if cfg.DisableSolverOpts {
 		ccfg.SolverOpts = solver.Options{}
-	}
-	if cfg.Domain != nil {
-		// Long-lived shared domain: one builder for every run, the shared
-		// cex cache (persistent-store-backed when the domain has one).
-		// Placed after the DisableSolverOpts zeroing so an ablation run
-		// in a domain still shares the builder but skips the caches.
-		ccfg.Builder = cfg.Domain.build
-		if ccfg.SolverOpts.EnableCexCache {
-			ccfg.SolverOpts.SharedCache = cfg.Domain.cex
-		}
 	}
 	return ccfg, cfg.Strategy, cfg.Seed
 }
