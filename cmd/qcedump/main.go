@@ -1,11 +1,12 @@
 // Command qcedump compiles a MiniC program and prints its IR disassembly and
 // the QCE query-count tables (Qt and per-variable Qadd at every location),
-// for inspecting what the heuristic considers hot. With -facts it prints a
-// static-analysis fact table (internal/analysis) instead.
+// for inspecting what the heuristic considers hot. With -facts liveness it
+// prints the liveness table of internal/analysis, which QCE masks Qadd
+// with, instead.
 //
 // Usage:
 //
-//	qcedump [-alpha f] [-beta f] [-kappa n] [-facts intervals|liveness] file.mc
+//	qcedump [-alpha f] [-beta f] [-kappa n] [-facts liveness] file.mc
 package main
 
 import (
@@ -22,7 +23,7 @@ func main() {
 	alpha := flag.Float64("alpha", 0.5, "QCE hot-variable threshold α")
 	beta := flag.Float64("beta", 0.8, "QCE branch feasibility probability β")
 	kappa := flag.Int("kappa", 10, "QCE loop unroll bound κ")
-	facts := flag.String("facts", "", "dump analysis facts instead of QCE tables: intervals or liveness")
+	facts := flag.String("facts", "", "dump analysis facts instead of QCE tables: liveness")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: qcedump [flags] file.mc")
@@ -39,24 +40,19 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Print(prog.String())
-	if *facts != "" {
-		ap := analysis.Analyze(prog)
-		switch *facts {
-		case "intervals":
-			for _, ff := range ap.Funcs {
-				fmt.Print(ff.IntervalsString())
-			}
-		case "liveness":
-			for _, ff := range ap.Funcs {
-				fmt.Print(ff.LivenessString())
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "qcedump: unknown -facts table %q (want intervals or liveness)\n", *facts)
-			os.Exit(2)
+	ap := analysis.Analyze(prog)
+	switch *facts {
+	case "":
+	case "liveness":
+		for _, ff := range ap.Funcs {
+			fmt.Print(ff.LivenessString())
 		}
 		return
+	default:
+		fmt.Fprintf(os.Stderr, "qcedump: unknown -facts table %q (want liveness)\n", *facts)
+		os.Exit(2)
 	}
-	a := qce.Analyze(prog, qce.Params{Alpha: *alpha, Beta: *beta, Kappa: *kappa, Zeta: 1})
+	a := qce.FromFacts(ap, qce.Params{Alpha: *alpha, Beta: *beta, Kappa: *kappa, Zeta: 1})
 	for _, fq := range a.PerFunc {
 		fmt.Print(fq.String())
 	}

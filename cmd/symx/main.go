@@ -72,7 +72,7 @@ func main() {
 		traceBuf = flag.Int("trace-buffer", 0, "trace sink buffer in events (0 = default 4096); overflow drops, never blocks")
 		dbgAddr  = flag.String("debug-addr", "", "serve pprof, expvar metrics and /progress on this address (e.g. localhost:6060)")
 		progEach = flag.Duration("progress", 0, "print a one-line progress report to stderr at this interval")
-		noAn     = flag.Bool("noanalysis", false, "disable the static dataflow analyses (branch pruning, check elision, merge-key slimming)")
+		noAn     = flag.Bool("noanalysis", false, "disable liveness merge slimming (merges build ite selectors for dead locals too)")
 	)
 	flag.Parse()
 
@@ -204,10 +204,6 @@ func main() {
 	fmt.Printf("solver:        %d queries, %d SAT calls, %d reuse hits, %v in SAT\n",
 		st.Solver.Queries, st.Solver.SATCalls,
 		st.Solver.ModelReuseHits, st.Solver.SATTime.Round(time.Millisecond))
-	if !*noAn {
-		fmt.Printf("analysis:      %d branch sides pruned, %d checks elided\n",
-			st.PrunedStatic, st.BoundsElided)
-	}
 	if *traceTo != "" {
 		fmt.Printf("trace:         %d events at %s (%d dropped)\n", res.TraceEvents, *traceTo, res.TraceDrops)
 		if res.TraceErr != nil {

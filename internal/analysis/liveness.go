@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"symmerge/internal/cfg"
 	"symmerge/internal/ir"
 )
@@ -24,75 +26,85 @@ import (
 func Liveness(fn *ir.Func, g *cfg.FuncCFG) [][]bool {
 	n := len(fn.Instrs)
 	nl := len(fn.Locals)
-	if n == 0 {
-		out := make([][]bool, 1)
-		out[0] = make([]bool, nl)
-		return out
+	cells := make([]bool, (n+1)*nl)
+	live := make([][]bool, n+1)
+	for pc := range live {
+		live[pc] = cells[pc*nl : (pc+1)*nl : (pc+1)*nl]
 	}
-	p := &liveProblem{fn: fn, nl: nl}
-	p.buildUseDef()
-	live := Solve[[]bool](g, p)
-	killFullOverwrites(fn, g, p, live)
+	if n == 0 {
+		return live
+	}
+	ud := buildUseDef(fn)
+	ud.solve(fn, g, live)
+	killFullOverwrites(fn, g, ud, live)
 	return live
 }
 
-// liveProblem implements the backward liveness lattice over []bool facts.
-type liveProblem struct {
-	fn  *ir.Func
-	nl  int
+// useDef holds the per-instruction use and def sets of one function.
+type useDef struct {
 	use [][]int
 	def []int // killed local per pc, -1 if none
 }
 
-func (p *liveProblem) Direction() Direction { return Backward }
-func (p *liveProblem) Bottom() []bool       { return make([]bool, p.nl) }
-func (p *liveProblem) Boundary() []bool     { return make([]bool, p.nl) }
-
-func (p *liveProblem) Join(a, b []bool) []bool {
-	out := make([]bool, p.nl)
-	for i := range out {
-		out[i] = a[i] || b[i]
-	}
-	return out
-}
-
-func (p *liveProblem) Equal(a, b []bool) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// solve runs the backward fixpoint into live, which must start all false:
+// live[pc] becomes the set of locals read before being overwritten on some
+// path from pc. Blocks are visited in reverse RPO and instructions last to
+// first, in repeated rounds until nothing changes; the result is the least
+// fixpoint, a pure function of the program. Blocks unreachable from the
+// entry, and the trailing end row, stay all dead.
+func (ud *useDef) solve(fn *ir.Func, g *cfg.FuncCFG, live [][]bool) {
+	n := len(fn.Instrs)
+	out := make([]bool, len(fn.Locals))
+	var succ []int
+	for changed := true; changed; {
+		changed = false
+		for i := len(g.RPO) - 1; i >= 0; i-- {
+			b := g.Blocks[g.RPO[i]]
+			for pc := b.End - 1; pc >= b.Start; pc-- {
+				in := &fn.Instrs[pc]
+				if in.IsTerminator() {
+					clear(out)
+					succ = in.Successors(pc, succ[:0])
+					for _, s := range succ {
+						if s > n {
+							continue
+						}
+						for v, l := range live[s] {
+							out[v] = out[v] || l
+						}
+					}
+				} else {
+					copy(out, live[pc+1])
+				}
+				if d := ud.def[pc]; d >= 0 {
+					out[d] = false
+				}
+				for _, u := range ud.use[pc] {
+					out[u] = true
+				}
+				if !slices.Equal(live[pc], out) {
+					copy(live[pc], out)
+					changed = true
+				}
+			}
 		}
 	}
-	return true
-}
-
-func (p *liveProblem) Transfer(pc int, out []bool) []bool {
-	in := make([]bool, p.nl)
-	copy(in, out)
-	if d := p.def[pc]; d >= 0 {
-		in[d] = false
-	}
-	for _, u := range p.use[pc] {
-		in[u] = true
-	}
-	return in
 }
 
 // buildUseDef fills the per-instruction use/def tables (shared with the
 // full-overwrite detection, which needs the use sets to prove an array
 // untouched inside a loop).
-func (p *liveProblem) buildUseDef() {
-	fn := p.fn
+func buildUseDef(fn *ir.Func) *useDef {
 	n := len(fn.Instrs)
-	p.use = make([][]int, n)
-	p.def = make([]int, n)
+	ud := &useDef{use: make([][]int, n), def: make([]int, n)}
 	addUse := func(pc int, o ir.Operand) {
 		if !o.IsConst {
-			p.use[pc] = append(p.use[pc], o.Local)
+			ud.use[pc] = append(ud.use[pc], o.Local)
 		}
 	}
 	for pc := 0; pc < n; pc++ {
 		in := &fn.Instrs[pc]
-		p.def[pc] = -1
+		ud.def[pc] = -1
 		switch in.Op {
 		case ir.OpBr, ir.OpNop:
 		case ir.OpCondBr, ir.OpAssert, ir.OpAssume, ir.OpOut:
@@ -102,29 +114,29 @@ func (p *liveProblem) buildUseDef() {
 				addUse(pc, in.A)
 			}
 		case ir.OpArgc, ir.OpStdinLen, ir.OpSymInt, ir.OpSymByte, ir.OpSymBool:
-			p.def[pc] = in.Dst
+			ud.def[pc] = in.Dst
 		case ir.OpStdin:
 			addUse(pc, in.A)
-			p.def[pc] = in.Dst
+			ud.def[pc] = in.Dst
 		case ir.OpArgChar:
 			addUse(pc, in.A)
 			addUse(pc, in.B)
-			p.def[pc] = in.Dst
+			ud.def[pc] = in.Dst
 		case ir.OpLoad:
 			addUse(pc, in.A)
 			addUse(pc, in.B)
-			p.def[pc] = in.Dst
+			ud.def[pc] = in.Dst
 		case ir.OpStore:
 			// Partial def: the array stays live; index and value read.
-			p.use[pc] = append(p.use[pc], in.Dst)
+			ud.use[pc] = append(ud.use[pc], in.Dst)
 			addUse(pc, in.A)
 			addUse(pc, in.B)
 		case ir.OpAlloc:
 			addUse(pc, in.A)
-			p.def[pc] = in.Dst
+			ud.def[pc] = in.Dst
 		case ir.OpPtrLoad:
 			addUse(pc, in.A)
-			p.def[pc] = in.Dst
+			ud.def[pc] = in.Dst
 		case ir.OpPtrStore:
 			// Partial def of the pointed-to object (proxied by the
 			// pointer local, which the address read keeps live anyway).
@@ -135,24 +147,25 @@ func (p *liveProblem) buildUseDef() {
 				addUse(pc, a)
 			}
 			if in.Dst >= 0 {
-				p.def[pc] = in.Dst
+				ud.def[pc] = in.Dst
 			}
 		case ir.OpMakeSymArr:
 			// Overwrites the whole array: kill (and no use).
 			if !in.A.IsConst {
-				p.def[pc] = in.A.Local
+				ud.def[pc] = in.A.Local
 			}
 		case ir.OpMov, ir.OpNot, ir.OpNeg, ir.OpBNot,
 			ir.OpIntToByte, ir.OpByteToInt, ir.OpBoolToInt:
 			// Unary: B is not a real operand.
 			addUse(pc, in.A)
-			p.def[pc] = in.Dst
+			ud.def[pc] = in.Dst
 		default: // binary value ops
 			addUse(pc, in.A)
 			addUse(pc, in.B)
-			p.def[pc] = in.Dst
+			ud.def[pc] = in.Dst
 		}
 	}
+	return ud
 }
 
 // killFullOverwrites clears array liveness at the straight-line points
@@ -173,7 +186,7 @@ func (p *liveProblem) buildUseDef() {
 // prefix up to the first other mention of the array), the array's current
 // contents can never be read again — pre-loop merge keys and QCE hot sets
 // may ignore it.
-func killFullOverwrites(fn *ir.Func, g *cfg.FuncCFG, p *liveProblem, live [][]bool) {
+func killFullOverwrites(fn *ir.Func, g *cfg.FuncCFG, ud *useDef, live [][]bool) {
 	for _, l := range g.Loops {
 		if l.TripCount == 0 || l.IVar < 0 || l.Init != 0 || l.Step != 1 || l.CmpOp != ir.OpLt {
 			continue
@@ -224,13 +237,13 @@ func killFullOverwrites(fn *ir.Func, g *cfg.FuncCFG, p *liveProblem, live [][]bo
 						storePC = pc
 						continue
 					}
-					for _, u := range p.use[pc] {
+					for _, u := range ud.use[pc] {
 						if u == arr {
 							sound = false
 							break
 						}
 					}
-					if p.def[pc] == arr {
+					if ud.def[pc] == arr {
 						sound = false
 					}
 				}
@@ -243,11 +256,11 @@ func killFullOverwrites(fn *ir.Func, g *cfg.FuncCFG, p *liveProblem, live [][]bo
 			// Clear the straight-line prefix before the header.
 			for pc := hdr.Start - 1; pc >= 0; pc-- {
 				in := &fn.Instrs[pc]
-				if in.IsTerminator() || p.def[pc] == arr {
+				if in.IsTerminator() || ud.def[pc] == arr {
 					break
 				}
 				touches := false
-				for _, u := range p.use[pc] {
+				for _, u := range ud.use[pc] {
 					if u == arr {
 						touches = true
 					}

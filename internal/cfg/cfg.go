@@ -42,9 +42,9 @@ type Loop struct {
 	TripCount int          // statically known trip count, 0 if unknown
 
 	// Counted-loop shape, filled when TripCount != 0 (the canonical
-	// `condbr (cmp i, C)` header detectTripCount recognizes); dataflow
-	// analyses reuse it for interval refinement and full-overwrite
-	// array kills. IVar is -1 when the shape was not recognized.
+	// `condbr (cmp i, C)` header detectTripCount recognizes); liveness
+	// reuses it for full-overwrite array kills. IVar is -1 when the shape
+	// was not recognized.
 	IVar  int   // induction variable local index
 	Init  int64 // constant initial value reaching the header
 	Step  int64 // constant increment per iteration

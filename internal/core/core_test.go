@@ -13,6 +13,7 @@ import (
 	"slices"
 	"testing"
 
+	"symmerge/internal/analysis"
 	"symmerge/internal/expr"
 	"symmerge/internal/solver"
 
@@ -930,5 +931,35 @@ func TestSplitShadowWitnesses(t *testing.T) {
 		}
 		e.splitShadow(a, nil, cond)
 		sameShadows(label+"/assume", a, wantTrue)
+	}
+}
+
+// TestEngineUsesSharedFacts: an engine given the program's static facts
+// takes each function's CFG from them, and the QCE tables it is given,
+// instead of building its own; without facts it builds its own CFGs.
+func TestEngineUsesSharedFacts(t *testing.T) {
+	p, err := lang.Compile(arraySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := analysis.Analyze(p)
+	tables := qce.FromFacts(an, qce.DefaultParams())
+	e := NewEngine(p, Config{
+		Merge: MergeSSM, UseQCE: true, QCE: qce.DefaultParams(),
+		Analysis: an, QCEAnalysis: tables,
+	}, &dfs{})
+	for i, ff := range an.Funcs {
+		if e.cfgs[i] != ff.G {
+			t.Errorf("%s: engine built its own CFG despite Config.Analysis", ff.Fn.Name)
+		}
+	}
+	if e.qce != tables {
+		t.Error("engine rebuilt the QCE tables it was given")
+	}
+	own := NewEngine(p, Config{}, &dfs{})
+	for i, ff := range an.Funcs {
+		if own.cfgs[i] == nil || own.cfgs[i] == ff.G {
+			t.Errorf("%s: engine without Config.Analysis has no CFG of its own", ff.Fn.Name)
+		}
 	}
 }

@@ -123,28 +123,21 @@ type Config struct {
 	// between workers and epochs.
 	Builder *expr.Builder
 
-	// QCEAnalysis, when non-nil and UseQCE is set, supplies a precomputed
-	// analysis instead of running qce.Analyze per engine. The analysis is
-	// immutable after construction, so parallel workers share one.
+	// QCEAnalysis, when non-nil and UseQCE is set, supplies the program's
+	// QCE tables for the QCE parameters above. symx computes them once per
+	// program and parameter set and passes them to every engine; an engine
+	// given none runs qce.Analyze itself. Immutable after construction,
+	// so engines and parallel workers share one.
 	QCEAnalysis *qce.Analysis
 
-	// Analysis, when non-nil, attaches the program's static dataflow facts
-	// (internal/analysis): branch sides the interval analysis proves
-	// infeasible are taken without solver queries or path-condition
-	// conjuncts, provably-in-bounds array and heap accesses skip their
-	// CheckBounds queries, and merging skips ite selectors for locals that
-	// are dead at the merge point. All facts are sound over-approximations,
-	// so the explored path set — and with it coverage, errors, the exact-path
-	// census, and canonical corpora — is identical with or without it; only
-	// the work spent proving feasibility shrinks. Immutable after
-	// construction; parallel workers share one.
+	// Analysis, when non-nil, attaches the program's static facts
+	// (internal/analysis): the engine uses its CFGs instead of building
+	// its own, and merging skips ite selectors for locals that are dead at
+	// the merge point. Liveness is a sound over-approximation, so the
+	// explored path set — and with it coverage, errors, the exact-path
+	// census, and canonical corpora — is identical with or without it.
+	// Immutable after construction; engines and parallel workers share one.
 	Analysis *analysis.Program
-
-	// CrossCheckAnalysis re-validates every statically-pruned branch side
-	// with a solver query and panics when the solver finds it satisfiable
-	// (pruned ⇒ unsat is the analysis soundness contract). Test-only: the
-	// fuzz harness runs with it set.
-	CrossCheckAnalysis bool
 
 	// CheckBounds makes out-of-bounds array accesses path errors instead
 	// of returning 0 / ignoring the write.
@@ -220,9 +213,10 @@ type Stats struct {
 	MaxWorklist int
 	Pruned      uint64
 
-	// Static-analysis activity (zero unless Config.Analysis is set).
-	PrunedStatic uint64 // branch sides decided without solver queries
-	BoundsElided uint64 // array/heap bounds queries skipped as provably safe
+	// PrunedStatic is always 0: the engine no longer decides branch sides
+	// statically. It stays because cmd/symbench, a separately versioned
+	// module, still reads it into its analysis.pruned_static metric.
+	PrunedStatic uint64
 
 	CoveredInstrs  int
 	TotalInstrs    int
@@ -343,7 +337,11 @@ func NewEngine(prog *ir.Program, config Config, strat Strategy) *Engine {
 	e.zero32 = e.build.Const(0, 32)
 	e.cfgs = make([]*cfg.FuncCFG, len(prog.Funcs))
 	for i, f := range prog.Funcs {
-		e.cfgs[i] = cfg.Build(f)
+		if config.Analysis != nil {
+			e.cfgs[i] = config.Analysis.Funcs[i].G
+		} else {
+			e.cfgs[i] = cfg.Build(f)
+		}
 	}
 	if config.UseQCE {
 		if config.QCEAnalysis != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"symmerge/internal/analysis"
 	"symmerge/internal/expr"
 	"symmerge/internal/ir"
 )
@@ -270,9 +269,7 @@ func (e *Engine) doLoad(s *State, in *ir.Instr) (*expr.Expr, error) {
 		oob = e.zero32
 	}
 	if e.cfg.CheckBounds {
-		if e.indexElidable(s, in.B, len(obj.Cells)) {
-			e.noteElided(s, "bounds")
-		} else if err := e.checkIndex(s, idx, len(obj.Cells)); err != nil {
+		if err := e.checkIndex(s, idx, len(obj.Cells)); err != nil {
 			return nil, err
 		}
 	}
@@ -287,9 +284,7 @@ func (e *Engine) doStore(s *State, in *ir.Instr) error {
 	val := e.operand(s, in.B, in.T)
 	obj := s.object(ref, true)
 	if e.cfg.CheckBounds {
-		if e.indexElidable(s, in.A, len(obj.Cells)) {
-			e.noteElided(s, "bounds")
-		} else if err := e.checkIndex(s, idx, len(obj.Cells)); err != nil {
+		if err := e.checkIndex(s, idx, len(obj.Cells)); err != nil {
 			return err
 		}
 	}
@@ -354,9 +349,7 @@ func (e *Engine) heapAddrParts(addr *expr.Expr) (objF, off *expr.Expr) {
 func (e *Engine) doPtrLoad(s *State, in *ir.Instr) (*expr.Expr, error) {
 	addr := e.operand(s, in.A, ir.Type{Kind: ir.Ptr})
 	if e.cfg.CheckBounds {
-		if e.heapElidable(s, in.A) {
-			e.noteElided(s, "heap")
-		} else if err := e.checkHeapAddr(s, addr); err != nil {
+		if err := e.checkHeapAddr(s, addr); err != nil {
 			return nil, err
 		}
 	}
@@ -399,9 +392,7 @@ func (e *Engine) doPtrStore(s *State, in *ir.Instr) error {
 	addr := e.operand(s, in.A, ir.Type{Kind: ir.Ptr})
 	val := e.operand(s, in.B, ir.Type{Kind: ir.Int})
 	if e.cfg.CheckBounds {
-		if e.heapElidable(s, in.A) {
-			e.noteElided(s, "heap")
-		} else if err := e.checkHeapAddr(s, addr); err != nil {
+		if err := e.checkHeapAddr(s, addr); err != nil {
 			return err
 		}
 	}
@@ -468,37 +459,6 @@ func (e *Engine) checkIndex(s *State, idx *expr.Expr, n int) error {
 		return fmt.Errorf("array index can exceed bounds [0,%d)", n)
 	}
 	return nil
-}
-
-// indexElidable reports whether interval analysis proves the index operand
-// lies in [0, n) at the current location. The bound holds over every
-// execution reaching this pc, so checkIndex's query is fixed at unsat and
-// skipping it cannot change the solution set.
-func (e *Engine) indexElidable(s *State, o ir.Operand, n int) bool {
-	if e.an == nil {
-		return false
-	}
-	f := s.top()
-	return e.an.Funcs[f.Fn].IndexInBounds(f.PC, o, n)
-}
-
-// heapElidable reports whether pointer analysis pins the address operand to
-// a single allocation site with an in-object offset range. The site's object
-// is live (never freed) on every path reaching the dereference, so
-// checkHeapAddr would always pass.
-func (e *Engine) heapElidable(s *State, o ir.Operand) bool {
-	if e.an == nil {
-		return false
-	}
-	f := s.top()
-	return e.an.PtrSite(e.an.Funcs[f.Fn], f.PC, o) >= 0
-}
-
-// noteElided attributes one statically-discharged bounds/heap check.
-func (e *Engine) noteElided(s *State, kind string) {
-	f := s.top()
-	e.stats.BoundsElided++
-	e.obs.PruneStatic(s.ID, f.Fn, f.PC, kind)
 }
 
 // doArgChar reads argv[A][B]. argv[0] is the concrete program name; symbolic
@@ -652,34 +612,6 @@ func (e *Engine) doBranch(s *State, in *ir.Instr, loc ir.Loc) []*State {
 			f.PC = in.FTarget
 		}
 		return e.blockBoundary(s)
-	}
-	if e.an != nil {
-		if v := e.an.Funcs[loc.Fn].Branch[loc.PC]; v != analysis.VUnknown {
-			// The interval analysis proved the condition constant over every
-			// execution reaching this pc, so the other side is unsat for this
-			// state too, and — since the state's path condition already
-			// implies the condition — the conjunct is redundant: the solution
-			// set, and with it models, tests, and the shadow census, is
-			// unchanged by skipping it. Both feasibility queries are saved.
-			if e.cfg.CrossCheckAnalysis {
-				pruned := cond
-				if v == analysis.VTrue {
-					pruned = e.build.Not(cond)
-				}
-				if may, err := e.solv.MayBeTrueIn(s.sess, s.PC, pruned); err == nil && may {
-					panic(fmt.Sprintf("analysis cross-check: pruned branch side is satisfiable at fn %d pc %d (verdict %v)",
-						loc.Fn, loc.PC, v))
-				}
-			}
-			e.stats.PrunedStatic++
-			e.obs.PruneStatic(s.ID, loc.Fn, loc.PC, "branch")
-			if v == analysis.VTrue {
-				f.PC = in.Target
-			} else {
-				f.PC = in.FTarget
-			}
-			return e.blockBoundary(s)
-		}
 	}
 	mayTrue, err1 := e.solv.MayBeTrueIn(s.sess, s.PC, cond)
 	notCond := e.build.Not(cond)

@@ -2,16 +2,15 @@ package coreutils
 
 // Static-analysis suites over the full tool registry:
 //
-//   - TestAnalyzeAllTools is the termination/latency guard: every model
-//     must analyze well under the widening backstop. A hang here means an
-//     infinite ascending chain escaped Widen (the interval lattice and the
-//     pointer-origin offsets are the unbounded dimensions).
+//   - TestAnalyzeAllTools is the per-tool smoke: every model's CFGs and
+//     liveness tables are built, promptly.
 //   - TestAnalysisSoundness is the differential contract: for every tool,
-//     across none/ssm+qce/dsm+qce and Workers 1 vs 8, the canonical corpus
-//     emitted with the analyses on is byte-identical (directory digest) to
-//     the analyses-off corpus, and the invariant census — exact paths,
-//     coverage, error set — matches. Pruning, elision, and merge-key
-//     slimming must be pure acceleration.
+//     across ssm+qce/dsm+qce and Workers 1 vs 8, the canonical corpus
+//     emitted with liveness merge slimming on is byte-identical (directory
+//     digest) to the corpus with it off, and the invariant census — exact
+//     paths, coverage, error set — matches. Slimming must be pure
+//     acceleration. Without merging, liveness is never consulted, so no
+//     none regime is run.
 
 import (
 	"fmt"
@@ -47,13 +46,12 @@ func TestAnalyzeAllTools(t *testing.T) {
 }
 
 // analysisRegimes crosses the merging configurations of the differential
-// suite (satellite d of the analysis PR).
+// suite.
 var analysisRegimes = []struct {
 	name  string
 	merge symx.MergeMode
 	qce   bool
 }{
-	{"none", symx.MergeNone, false},
 	{"ssm+qce", symx.MergeSSM, true},
 	{"dsm+qce", symx.MergeDSM, true},
 }

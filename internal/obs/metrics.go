@@ -159,7 +159,6 @@ type Metrics struct {
 	corpusTests   counter
 	traceDropped  counter
 	worklist      gauge
-	prunedStatic  counter
 
 	queryLat  [numQueryClasses]histogram
 	mergeGate histogram
@@ -190,7 +189,6 @@ type MetricsSnap struct {
 	QuerySat       uint64 `json:"query_sat"`
 	QueryUnsat     uint64 `json:"query_unsat"`
 	QueryErr       uint64 `json:"query_err"`
-	PrunedStatic   uint64 `json:"pruned_static"`
 
 	Steals      uint64 `json:"steals"`
 	Donations   uint64 `json:"donations"`
@@ -234,7 +232,6 @@ func (m *Metrics) Snapshot() *MetricsSnap {
 		QuerySat:       m.querySat.load(),
 		QueryUnsat:     m.queryUnsat.load(),
 		QueryErr:       m.queryErr.load(),
-		PrunedStatic:   m.prunedStatic.load(),
 
 		Steals:          m.steals.load(),
 		Donations:       m.donations.load(),

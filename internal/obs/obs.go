@@ -49,8 +49,6 @@ const (
 	EvCheckpoint   = "checkpoint"
 	EvCorpusEmit   = "corpus_emit"
 	EvTraceEnd     = "trace_end"
-
-	EvPruneStatic = "prune_static"
 )
 
 // QueryClass classifies how a solver query was answered, the dimension the
@@ -418,27 +416,6 @@ func (o *Observer) CorpusEmit(n int) {
 	if s := o.run.sink; s != nil {
 		b := o.head(EvCorpusEmit)
 		b = fInt(b, "n", int64(n))
-		s.enqueue(closeLine(b))
-	}
-}
-
-// PruneStatic records a solver query avoided by the static dataflow
-// analysis: kind "branch" for a branch side proven infeasible (the whole
-// feasibility query pair is skipped), "bounds" for an array bounds check
-// elided, "heap" for a heap mapping/bounds check elided.
-func (o *Observer) PruneStatic(state uint64, fn, pc int, kind string) {
-	if o == nil {
-		return
-	}
-	if m := o.run.met; m != nil {
-		m.prunedStatic.add(o.lane, 1)
-	}
-	if s := o.run.sink; s != nil {
-		b := o.head(EvPruneStatic)
-		b = fUint(b, "state", state)
-		b = fInt(b, "fn", int64(fn))
-		b = fInt(b, "pc", int64(pc))
-		b = fStr(b, "kind", kind)
 		s.enqueue(closeLine(b))
 	}
 }

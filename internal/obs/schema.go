@@ -28,8 +28,6 @@ var eventFields = map[string][]string{
 	EvCheckpoint:   {"w", "seq", "states"},
 	EvCorpusEmit:   {"w", "n"},
 	EvTraceEnd:     {"events", "dropped"},
-
-	EvPruneStatic: {"w", "state", "fn", "pc", "kind"},
 }
 
 var queryClasses = map[string]bool{"session": true, "cached": true}

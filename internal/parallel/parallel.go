@@ -7,7 +7,9 @@
 //
 //   - Shared, race-clean: one expr.Builder (sharded-lock hash-consing, so
 //     expression identity and builder-unique IDs are globally consistent),
-//     one immutable QCE analysis, and the frontier itself.
+//     the caller's immutable static facts and QCE tables (Config.Analysis
+//     and Config.QCEAnalysis, which symx computes once per program), and
+//     the frontier itself.
 //   - Per-worker: the engine, its solver (incremental sessions and the
 //     recent-model ring), its driving strategy, its DSM
 //     bookkeeping, and its stats. Merging (SSM/DSM, Algorithm 2) therefore
@@ -38,14 +40,12 @@ import (
 	"symmerge/internal/checkpoint/faultinject"
 	"symmerge/internal/core"
 	"symmerge/internal/expr"
-	"symmerge/internal/ir"
-	"symmerge/internal/qce"
 )
 
 // NewEngineFunc builds one exploration engine (with its driving strategy)
 // for the given configuration. The symx layer supplies it; parallel calls
 // it once for the splitter and once per worker, after injecting the shared
-// builder and QCE analysis into the configuration.
+// builder into the configuration.
 type NewEngineFunc func(core.Config) *core.Engine
 
 // Options tunes the pool.
@@ -87,10 +87,10 @@ func (o Options) quantum() int {
 // exists is handed off and workers balance via stealing.
 const maxSplitSteps = 4096
 
-// Explore shards the exploration of prog under cfg across opts.Workers
-// goroutines and returns the aggregated result.
-func Explore(prog *ir.Program, cfg core.Config, opts Options, newEngine NewEngineFunc) *core.Result {
-	res, _ := explore(prog, cfg, opts, newEngine, false)
+// Explore shards the exploration under cfg across opts.Workers goroutines
+// and returns the aggregated result.
+func Explore(cfg core.Config, opts Options, newEngine NewEngineFunc) *core.Result {
+	res, _ := explore(cfg, opts, newEngine, false)
 	return res
 }
 
@@ -100,11 +100,11 @@ func Explore(prog *ir.Program, cfg core.Config, opts Options, newEngine NewEngin
 // of being abandoned, so the caller can snapshot them and hand them to the
 // next epoch (or the next process) as Seeds. Leftovers is nil when the run
 // completed.
-func ExplorePreemptible(prog *ir.Program, cfg core.Config, opts Options, newEngine NewEngineFunc) (*core.Result, []*core.State) {
-	return explore(prog, cfg, opts, newEngine, true)
+func ExplorePreemptible(cfg core.Config, opts Options, newEngine NewEngineFunc) (*core.Result, []*core.State) {
+	return explore(cfg, opts, newEngine, true)
 }
 
-func explore(prog *ir.Program, cfg core.Config, opts Options, newEngine NewEngineFunc, preempt bool) (*core.Result, []*core.State) {
+func explore(cfg core.Config, opts Options, newEngine NewEngineFunc, preempt bool) (*core.Result, []*core.State) {
 	if opts.Workers <= 1 {
 		return exploreSeq(cfg, opts, newEngine, preempt)
 	}
@@ -114,9 +114,6 @@ func explore(prog *ir.Program, cfg core.Config, opts Options, newEngine NewEngin
 	// states migrate with their expressions.
 	if cfg.Builder == nil {
 		cfg.Builder = expr.NewBuilder()
-	}
-	if cfg.UseQCE && cfg.QCEAnalysis == nil {
-		cfg.QCEAnalysis = qce.Analyze(prog, cfg.QCE)
 	}
 	baseCtx := cfg.Context
 	if baseCtx == nil {
@@ -465,8 +462,6 @@ func Combine(all []*core.Result, completed bool, cfg core.Config) *core.Result {
 		st.ExactPaths += s.ExactPaths
 		st.ErrorsFound += s.ErrorsFound
 		st.Pruned += s.Pruned
-		st.PrunedStatic += s.PrunedStatic
-		st.BoundsElided += s.BoundsElided
 		st.TestGenFailures += s.TestGenFailures
 		if s.MaxWorklist > st.MaxWorklist {
 			st.MaxWorklist = s.MaxWorklist

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"strings"
 
+	"symmerge/internal/analysis"
 	"symmerge/internal/cfg"
 	"symmerge/internal/ir"
 )
@@ -79,12 +80,18 @@ type Analysis struct {
 	Params  Params
 	Prog    *ir.Program
 	PerFunc []*FuncQCE
-	CFGs    []*cfg.FuncCFG
 	CG      *cfg.CallGraph
 }
 
-// Analyze runs QCE over the program.
+// Analyze runs QCE over the program, computing its CFGs and liveness
+// first. Callers that already hold the program's static facts use FromFacts.
 func Analyze(p *ir.Program, params Params) *Analysis {
+	return FromFacts(analysis.Analyze(p), params)
+}
+
+// FromFacts runs QCE over the CFGs and liveness tables an already holds,
+// without rebuilding them.
+func FromFacts(an *analysis.Program, params Params) *Analysis {
 	if params.Beta <= 0 || params.Beta >= 1 {
 		params.Beta = 0.8
 	}
@@ -94,30 +101,26 @@ func Analyze(p *ir.Program, params Params) *Analysis {
 	if params.Zeta < 1 {
 		params.Zeta = 1
 	}
+	p := an.Prog
 	a := &Analysis{
 		Params:  params,
 		Prog:    p,
 		PerFunc: make([]*FuncQCE, len(p.Funcs)),
-		CFGs:    make([]*cfg.FuncCFG, len(p.Funcs)),
 		CG:      cfg.BuildCallGraph(p),
-	}
-	for i, f := range p.Funcs {
-		a.CFGs[i] = cfg.Build(f)
 	}
 	// Bottom-up over the call graph so callee summaries exist at call
 	// sites. Recursive cycles fall back to zero summaries on first use
 	// (equivalent to cutting recursion at depth 0 beyond κ-unrolled
 	// self-loops), matching the "bounded recursion" note in §5.1.
 	for _, fi := range a.CG.BottomUp {
-		a.PerFunc[fi] = a.analyzeFunc(fi)
+		a.PerFunc[fi] = a.analyzeFunc(an.Funcs[fi])
 	}
 	return a
 }
 
 // analyzeFunc computes the per-location tables for one function.
-func (a *Analysis) analyzeFunc(fi int) *FuncQCE {
-	fn := a.Prog.Funcs[fi]
-	g := a.CFGs[fi]
+func (a *Analysis) analyzeFunc(ff *analysis.FuncFacts) *FuncQCE {
+	fn, g := ff.Fn, ff.G
 	n := len(fn.Instrs)
 	nl := len(fn.Locals)
 	fq := &FuncQCE{
@@ -266,13 +269,21 @@ func (a *Analysis) analyzeFunc(fi int) *FuncQCE {
 		update(pass)
 	}
 
-	// Mask Qadd with liveness: a variable that is dead at ℓ cannot make
-	// future queries more expensive through its value at ℓ (see
-	// liveness.go for why our non-SSA IR needs this explicitly).
-	live := liveness(fn, g)
+	// Mask Qadd with liveness (internal/analysis): a variable that is
+	// dead at ℓ cannot make future queries more expensive through its
+	// current value, even if the same register is reused later. Our IR is
+	// not SSA, so without this mask a reinitialized loop counter would
+	// keep its stale dependence; LLVM's SSA form gives the paper's
+	// implementation the distinction for free. This is strictly weaker
+	// than the liveness-based pruning of Boonstoppel et al. [3], which
+	// the paper §6 compares against: QCE still merges live variables
+	// whose future query count is below the α threshold. The shared
+	// analysis also kills arrays before loops that provably overwrite
+	// them in full, so a buffer about to be initialized does not count
+	// toward pre-loop hot sets.
 	for pc := 0; pc < n; pc++ {
 		for v := 0; v < nl; v++ {
-			if !live[pc][v] {
+			if !ff.Live[pc][v] {
 				fq.Qadd[pc][v] = 0
 			}
 		}

@@ -1,21 +1,20 @@
 package symx
 
-// Differential and fuzz suites for the static dataflow analyses
-// (internal/analysis): with the analyses enabled (the default) the engine
-// prunes statically-decided branch sides, elides provably-in-bounds
-// checks, and slims merge selectors to live slots — and none of it may be
-// observable. Every test here runs the same exploration with
+// Differential and fuzz suites for liveness merge slimming
+// (internal/analysis): with the static facts attached (the default) merges
+// skip ite selectors for locals that are dead at the merge point, and that
+// may not be observable. Every test here runs the same exploration with
 // DisableAnalysis on and off and requires identical censuses, errors,
-// coverage, and canonical behavior; the fuzz arm additionally re-validates
-// each pruned branch side against the solver (CrossCheckAnalysis panics on
-// a satisfiable pruned side).
+// coverage, and canonical behavior.
 
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
+	"symmerge/internal/core"
 	"symmerge/internal/corpus"
 )
 
@@ -64,11 +63,10 @@ func behavior(t *testing.T, res *Result) map[string]string {
 	return out
 }
 
-// analysisPruneSrc has one statically-true branch (x is a byte, so
-// x < 300 always holds), a counted loop whose stores are provably in
-// bounds, and a constant-offset heap dereference — one witness per
-// counter the analyses feed.
-const analysisPruneSrc = `
+// analysisLoopHeapSrc fills an array in a counted loop, reads it back
+// through a masked index, and dereferences a heap object at constant
+// offsets around a branch on the input.
+const analysisLoopHeapSrc = `
 void main() {
     int x = toint(argchar(1, 0));
     int buf[4];
@@ -113,12 +111,11 @@ void main() {
 }
 `
 
-// checkAnalysisParity runs cfg twice — analyses off, then on — and
+// checkAnalysisParity runs cfg twice — analysis off, then on — and
 // requires byte-equal observables: completion, the exact-path census,
 // multiplicity, error counts, the coverage mask, and the canonical
-// behavior of every generated input. Returns the analyses-on result so
-// callers can assert on its counters.
-func checkAnalysisParity(t *testing.T, p *Program, cfg Config, label string) *Result {
+// behavior of every generated input.
+func checkAnalysisParity(t *testing.T, p *Program, cfg Config, label string) {
 	t.Helper()
 	cfg.CollectTests = true
 	cfg.CanonicalTests = true
@@ -142,9 +139,8 @@ func checkAnalysisParity(t *testing.T, p *Program, cfg Config, label string) *Re
 		t.Fatalf("%s: incomplete exploration: off=%v on=%v", label, roff.Completed, ron.Completed)
 	}
 	if roff.Stats.PathsMult.Cmp(ron.Stats.PathsMult) != 0 {
-		// Pruned sides are unsat, so they never contributed feasible
-		// paths; slimmed selectors cover only dead slots. The feasible
-		// path structure — and with it multiplicity — must be untouched.
+		// Slimmed selectors cover only dead slots, so the feasible path
+		// structure — and with it multiplicity — must be untouched.
 		t.Fatalf("%s: multiplicity off=%s on=%s", label, roff.Stats.PathsMult, ron.Stats.PathsMult)
 	}
 	if cfg.Merge != MergeNone && roff.Stats.ExactPaths != ron.Stats.ExactPaths {
@@ -173,45 +169,6 @@ func checkAnalysisParity(t *testing.T, p *Program, cfg Config, label string) *Re
 			t.Fatalf("%s: input %s behavior off=%s on=%s", label, id, want, got)
 		}
 	}
-	return ron
-}
-
-// TestAnalysisPruneAndElide: the fixture's statically-decided branch and
-// provably-safe accesses actually move the counters, with bounds checking
-// on so the elisions replace real query pairs — and the observables stay
-// pinned.
-func TestAnalysisPruneAndElide(t *testing.T) {
-	p, err := Compile(analysisPruneSrc)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	for _, workers := range []int{1, 4} {
-		label := fmt.Sprintf("w%d", workers)
-		res := checkAnalysisParity(t, p, Config{
-			NArgs: 1, ArgLen: 1,
-			Merge: MergeSSM, UseQCE: true,
-			CheckBounds: true,
-			Workers:     workers,
-			MaxTime:     30 * time.Second,
-		}, label)
-		if res.Stats.PrunedStatic == 0 {
-			t.Errorf("%s: no branch side was statically pruned", label)
-		}
-		if res.Stats.BoundsElided == 0 {
-			t.Errorf("%s: no bounds/heap check was elided", label)
-		}
-	}
-
-	// With the analyses disabled the counters must stay zero.
-	res := Run(p, Config{
-		NArgs: 1, ArgLen: 1,
-		CheckBounds:     true,
-		DisableAnalysis: true,
-	})
-	if res.Stats.PrunedStatic != 0 || res.Stats.BoundsElided != 0 {
-		t.Errorf("disabled analyses still counted: pruned=%d elided=%d",
-			res.Stats.PrunedStatic, res.Stats.BoundsElided)
-	}
 }
 
 // TestAnalysisParityMatrix crosses the parity check over the merging
@@ -221,7 +178,7 @@ func TestAnalysisParityMatrix(t *testing.T) {
 		name string
 		src  string
 	}{
-		{"prune", analysisPruneSrc},
+		{"loopheap", analysisLoopHeapSrc},
 		{"calls", callHeavySrc},
 		{"heapcall", analysisHeapCallSrc},
 	}
@@ -254,18 +211,15 @@ func TestAnalysisParityMatrix(t *testing.T) {
 	}
 }
 
-// TestFuzzAnalysisCrossCheck: random programs under CrossCheckAnalysis,
-// which re-validates every statically pruned branch side against the
-// solver (pruned ⇒ unsat) and panics on disagreement — plus the full
-// off/on parity check per program. Heap-flavored programs keep the
-// pointer-origin elisions honest.
-func TestFuzzAnalysisCrossCheck(t *testing.T) {
+// TestFuzzAnalysisParity: the full off/on parity check on random
+// programs, heap-flavored ones included.
+func TestFuzzAnalysisParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	rng := rand.New(rand.NewSource(20260808))
 	gen := &progGen{rng: rng}
-	checked, pruned, elided := 0, uint64(0), uint64(0)
+	checked := 0
 	for iter := 0; iter < 50; iter++ {
 		src := gen.generate(6 + rng.Intn(6))
 		p, err := Compile(src)
@@ -286,23 +240,66 @@ func TestFuzzAnalysisCrossCheck(t *testing.T) {
 			continue // too big for the fuzz budget; skip
 		}
 		checked++
-
-		cross := base
-		cross.CrossCheckAnalysis = true
-		res := Run(p, cross)
-		if !res.Completed {
-			t.Fatalf("iter %d: cross-checked run did not complete\n%s", iter, src)
-		}
-		pruned += res.Stats.PrunedStatic
-		elided += res.Stats.BoundsElided
-
 		checkAnalysisParity(t, p, base, fmt.Sprintf("iter%d", iter))
 	}
 	if checked < 20 {
 		t.Fatalf("only %d/50 generated programs fit the fuzz budget", checked)
 	}
-	if pruned == 0 && elided == 0 {
-		t.Error("fuzz corpus never exercised a static prune or elision")
+	t.Logf("checked %d programs", checked)
+}
+
+// TestStaticFactsOncePerProgram: a Program computes its static facts once,
+// and its QCE tables once per parameter set, so every run — sequential,
+// concurrent, with or without merge slimming — reuses the same tables.
+func TestStaticFactsOncePerProgram(t *testing.T) {
+	p, err := Compile(callHeavySrc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("checked %d programs: %d branch sides pruned, %d checks elided", checked, pruned, elided)
+	cfg := Config{NArgs: 1, ArgLen: 2, Merge: MergeSSM, UseQCE: true}
+	c1, _, _ := coreConfig(p, cfg)
+	c2, _, _ := coreConfig(p, cfg)
+	if c1.QCEAnalysis == nil || c1.Analysis == nil {
+		t.Fatalf("coreConfig left the static facts unset: qce=%p analysis=%p", c1.QCEAnalysis, c1.Analysis)
+	}
+	if c1.QCEAnalysis != c2.QCEAnalysis || c1.Analysis != c2.Analysis {
+		t.Error("two runs of one Program got different static tables")
+	}
+	noSlim := cfg
+	noSlim.DisableAnalysis = true
+	if c, _, _ := coreConfig(p, noSlim); c.Analysis != nil || c.QCEAnalysis != c1.QCEAnalysis {
+		t.Error("DisableAnalysis must drop only the liveness facts, not the QCE tables")
+	}
+
+	// Concurrent first use (run under -race): one table set for everyone.
+	q, err := Compile(callHeavySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	got := make([]core.Config, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _, _ = coreConfig(q, cfg)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i].QCEAnalysis != got[0].QCEAnalysis || got[i].Analysis != got[0].Analysis {
+			t.Fatalf("concurrent coreConfig call %d got different static tables", i)
+		}
+	}
+
+	other := cfg
+	other.QCE = QCEParams{Alpha: 0.25, Beta: 0.8, Kappa: 10, Zeta: 1}
+	c3, _, _ := coreConfig(p, other)
+	if c3.QCEAnalysis == c1.QCEAnalysis {
+		t.Fatal("different QCE parameters shared one table set")
+	}
+	if c3.QCEAnalysis.Params.Alpha != 0.25 || c3.Analysis != c1.Analysis {
+		t.Errorf("tables for α=0.25: params %+v, shared facts %v", c3.QCEAnalysis.Params, c3.Analysis == c1.Analysis)
+	}
 }

@@ -29,7 +29,6 @@ import (
 	"symmerge/internal/corpus"
 	"symmerge/internal/expr"
 	"symmerge/internal/parallel"
-	"symmerge/internal/qce"
 )
 
 // defaultCheckpointEvery is the snapshot interval when Config.CheckpointEvery
@@ -58,9 +57,6 @@ func runCheckpointed(p *Program, cfg Config) *Result {
 	// interning into one builder (snapshot decoding targets it too).
 	if ccfg.Builder == nil {
 		ccfg.Builder = expr.NewBuilder()
-	}
-	if ccfg.UseQCE && ccfg.QCEAnalysis == nil {
-		ccfg.QCEAnalysis = qce.Analyze(p.ir, ccfg.QCE)
 	}
 
 	// Epoch boundaries arrive as context timeouts; poll every step so an
@@ -200,7 +196,7 @@ func runCheckpointed(p *Program, cfg Config) *Result {
 		ecfg.Context = ectx
 		drv.Epoch(seq, len(seeds))
 		epochStart := time.Now()
-		res, left := parallel.ExplorePreemptible(p.ir, ecfg, parallel.Options{Workers: cfg.Workers, Seeds: seeds}, factory)
+		res, left := parallel.ExplorePreemptible(ecfg, parallel.Options{Workers: cfg.Workers, Seeds: seeds}, factory)
 		cancel()
 		epochWall := time.Since(epochStart)
 		results = append(results, res)

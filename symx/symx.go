@@ -44,14 +44,34 @@ type Program struct {
 
 	anOnce sync.Once
 	an     *analysis.Program
+
+	qceMu sync.Mutex
+	qces  map[qce.Params]*qce.Analysis
 }
 
-// staticFacts computes the program's dataflow facts (intervals, branch
-// verdicts, liveness, heap effects) once per Program; every run, worker,
-// and portfolio entry shares the same immutable tables.
+// staticFacts computes the program's CFGs and liveness once per Program;
+// QCE and every run, worker, and portfolio entry share the same immutable
+// tables.
 func (p *Program) staticFacts() *analysis.Program {
 	p.anOnce.Do(func() { p.an = analysis.Analyze(p.ir) })
 	return p.an
+}
+
+// qceTables computes the program's QCE tables once per parameter set, on
+// the shared static facts; every later run with the same parameters reuses
+// them.
+func (p *Program) qceTables(params qce.Params) *qce.Analysis {
+	p.qceMu.Lock()
+	defer p.qceMu.Unlock()
+	a := p.qces[params]
+	if a == nil {
+		a = qce.FromFacts(p.staticFacts(), params)
+		if p.qces == nil {
+			p.qces = map[qce.Params]*qce.Analysis{}
+		}
+		p.qces[params] = a
+	}
+	return a
 }
 
 // Compile parses and compiles MiniC source.
@@ -234,19 +254,13 @@ type Config struct {
 	// merged states (paper §5.2; used for Figure 3).
 	TrackExactPaths bool
 
-	// DisableAnalysis turns off the static dataflow analyses (interval
-	// branch pruning, bounds-check elision, liveness merge slimming; see
+	// DisableAnalysis turns off liveness merge slimming (see
 	// internal/analysis and README "Static analysis") for ablation
-	// measurements. The analyses are on by default and sound: corpus
-	// output, census, coverage, and errors are byte-identical with them
-	// on or off — only the query counts and wall-clock differ.
+	// measurements: merges then build ite selectors for dead locals too.
+	// Slimming is on by default and sound: corpus output, census,
+	// coverage, and errors are byte-identical with it on or off. QCE keeps
+	// its liveness mask either way, so the merge gate does not change.
 	DisableAnalysis bool
-
-	// CrossCheckAnalysis re-validates every statically pruned branch side
-	// with a solver query and panics if the solver disagrees (the pruned
-	// side was satisfiable). Purely a soundness test harness — it spends
-	// the very queries pruning exists to avoid.
-	CrossCheckAnalysis bool
 
 	// DisableSolverOpts turns off the solver's model reuse (the
 	// recent-model ring) for ablation measurements.
@@ -454,7 +468,7 @@ func runSingle(p *Program, cfg Config) *Result {
 	factory := engineFactory(p, kind, seed, cfg.Monitor)
 	var res *Result
 	if cfg.Workers > 1 {
-		res = parallel.Explore(p.ir, ccfg, parallel.Options{Workers: cfg.Workers}, factory)
+		res = parallel.Explore(ccfg, parallel.Options{Workers: cfg.Workers}, factory)
 	} else {
 		res = factory(ccfg).Run()
 	}
@@ -620,9 +634,11 @@ func coreConfig(p *Program, cfg Config) (core.Config, Strategy, int64) {
 		SolverOpts:      solver.DefaultOptions(),
 		Obs:             cfg.obsRun,
 	}
+	if cfg.UseQCE {
+		ccfg.QCEAnalysis = p.qceTables(qp)
+	}
 	if !cfg.DisableAnalysis {
 		ccfg.Analysis = p.staticFacts()
-		ccfg.CrossCheckAnalysis = cfg.CrossCheckAnalysis
 	}
 	if cfg.DisableSolverOpts {
 		ccfg.SolverOpts = solver.Options{}
