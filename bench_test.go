@@ -5,7 +5,6 @@
 package symmerge_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -202,41 +201,6 @@ void main() {
 				res := symx.Run(prog, cfg)
 				if !res.Completed {
 					b.Fatal("exploration did not complete")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelScaling explores one branch-heavy workload exhaustively
-// at 1/2/4/8 workers, charting the worker-pool scaling curve. Per-iteration
-// results are checked against the sequential paths-multiplicity so a
-// sharding bug can never masquerade as a speedup. Scaling requires hardware
-// parallelism: on a single-core runner the curve is flat and that is the
-// correct reading, not a regression.
-func BenchmarkParallelScaling(b *testing.B) {
-	tool, err := coreutils.Get("base64")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := tool.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	baseline := symx.Run(prog, symx.Config{NArgs: 2, ArgLen: 3, Seed: 1})
-	if !baseline.Completed {
-		b.Fatal("baseline exploration did not complete")
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := symx.Run(prog, symx.Config{NArgs: 2, ArgLen: 3, Seed: 1, Workers: w})
-				if !res.Completed {
-					b.Fatal("exploration did not complete")
-				}
-				if res.Stats.PathsMult.Cmp(baseline.Stats.PathsMult) != 0 {
-					b.Fatalf("workers=%d found %s paths, sequential found %s",
-						w, res.Stats.PathsMult, baseline.Stats.PathsMult)
 				}
 			}
 		})

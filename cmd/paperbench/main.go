@@ -5,12 +5,12 @@
 // Usage:
 //
 //	paperbench [-figure all|3|4|5|6|7|8|9|ff|spectrum] \
-//	           [-budget 2s] [-timeout 10s] [-seed 1] [-workers N]
+//	           [-budget 2s] [-timeout 10s] [-seed 1]
 //
 // Budgets replace the paper's 1h/2h wall-clock budgets; the shapes of the
 // results (who wins, scaling with input size, crossovers) are the claims
-// being checked, not absolute numbers. -workers N shards every exploration
-// across N parallel workers.
+// being checked, not absolute numbers. Every exploration runs one engine,
+// as the paper's sequential KLEE search does.
 //
 // Performance measurement (repeated runs, medians, per-layer attribution)
 // is cmd/symbench's job, not this command's.
@@ -30,7 +30,6 @@ func main() {
 	budget := flag.Duration("budget", 2*time.Second, "time budget per budget-bound run")
 	timeout := flag.Duration("timeout", 10*time.Second, "cutoff for exhaustive runs")
 	seed := flag.Int64("seed", 1, "random seed for the randomized strategies")
-	workers := flag.Int("workers", 0, "parallel exploration workers per run (0 = sequential)")
 	flag.Parse()
 
 	switch *figure {
@@ -39,7 +38,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperbench: unknown figure %q\n", *figure)
 		os.Exit(2)
 	}
-	opts := bench.Options{Budget: *budget, Timeout: *timeout, Seed: *seed, Workers: *workers}
+	opts := bench.Options{Budget: *budget, Timeout: *timeout, Seed: *seed}
 	run := func(name string, f func(bench.Options) *bench.Table) {
 		if *figure == "all" || *figure == name {
 			fmt.Print(f(opts).String())

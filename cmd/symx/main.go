@@ -10,12 +10,11 @@
 //
 //	symx -args 2 -arglen 2 -merge dsm -qce -tool echo
 //	symx -args 1 -arglen 3 -tests prog.mc
-//	symx -workers 4 -tool base64                      # sharded exploration
-//	symx -portfolio none,ssm+qce,dsm+qce -tool expr   # race merging regimes
 //	symx -emit-corpus /tmp/echo.corpus -tool echo     # persist the tests
 //	symx -replay /tmp/echo.corpus -tool echo          # replay them (oracle)
 //	symx -trace /tmp/echo.trace -tool echo            # JSONL event trace
 //	symx -debug-addr localhost:6060 -tool expr        # pprof + live /progress
+//	symx -checkpoint /tmp/ckpt -tool sort             # crash-safe; rerun with -resume
 //
 // -emit-corpus streams every generated test case to an on-disk corpus
 // (internal/corpus format); -replay executes a stored corpus through the
@@ -33,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -61,13 +59,11 @@ func main() {
 		dumpIR   = flag.Bool("ir", false, "print the compiled IR and exit")
 		census   = flag.Bool("census", false, "track the exact-path shadow census")
 		stats    = flag.Bool("stats", false, "print rewrite-rule hit counters and encoding statistics")
-		workers  = flag.Int("workers", 0, "parallel exploration workers (0 = sequential)")
-		portf    = flag.String("portfolio", "", "race merge regimes concurrently, first to finish wins (comma list, e.g. none,ssm+qce,dsm+qce)")
 		emitDir  = flag.String("emit-corpus", "", "stream generated tests to an on-disk corpus at this directory (implies -tests)")
 		replayTo = flag.String("replay", "", "replay a stored corpus through the IR interpreter instead of exploring; non-zero exit on any mismatch")
 		ckptDir  = flag.String("checkpoint", "", "crash-safe exploration: write resumable snapshots to this directory")
 		ckptInt  = flag.Duration("checkpoint-every", 30*time.Second, "snapshot interval with -checkpoint")
-		resume   = flag.Bool("resume", false, "with -checkpoint, resume from the newest valid snapshot")
+		resume   = flag.Bool("resume", false, "resume from the newest valid snapshot in the -checkpoint directory (requires -checkpoint)")
 		traceTo  = flag.String("trace", "", "stream a JSONL event trace (symmerge-trace/v1) to this file; inspect with symxtrace")
 		traceBuf = flag.Int("trace-buffer", 0, "trace sink buffer in events (0 = default 4096); overflow drops, never blocks")
 		dbgAddr  = flag.String("debug-addr", "", "serve pprof, expvar metrics and /progress on this address (e.g. localhost:6060)")
@@ -129,7 +125,6 @@ func main() {
 		Strategy:        symx.Strategy(*strategy),
 		Seed:            *seed,
 		MaxTime:         *budget,
-		Workers:         *workers,
 		Context:         ctx,
 		CollectTests:    *tests,
 		CheckBounds:     *bounds,
@@ -161,28 +156,11 @@ func main() {
 		defer stopProg()
 	}
 
-	if *portf != "" {
-		regimes := strings.Split(*portf, ",")
-		for _, r := range regimes {
-			sub := cfg
-			sub.Portfolio = nil
-			spec, qce := strings.CutSuffix(strings.TrimSpace(r), "+qce")
-			sub.UseQCE = qce
-			sub.Merge = parseMerge(spec)
-			cfg.Portfolio = append(cfg.Portfolio, sub)
-		}
-	}
-
 	res := symx.Run(prog, cfg)
 	if res.ConfigErr != nil {
 		fatal(res.ConfigErr)
 	}
 	st := res.Stats
-	if res.PortfolioWinner >= 0 {
-		spec := strings.Split(*portf, ",")[res.PortfolioWinner]
-		fmt.Printf("portfolio:     regime %q won (%d raced)\n",
-			strings.TrimSpace(spec), len(cfg.Portfolio))
-	}
 	if res.Completed {
 		fmt.Printf("completed:     true (%.3fs)\n", st.ElapsedSeconds)
 	} else {

@@ -5,14 +5,16 @@
 //
 // With -checkpoint-dir, jobs submitted with a "key" are drain-safe: a
 // SIGTERM preempts them into resumable snapshots, and resubmitting the
-// same key with "resume" continues where the drain stopped them.
+// same key with "resume" continues where the drain stopped them. A key
+// uses only [A-Za-z0-9._-] and is not only dots; "resume" without a key,
+// or without -checkpoint-dir, is refused with 400.
 //
 // Endpoints:
 //
 //	POST /v1/jobs     submit a job (JSON body), response is streaming JSONL:
 //	                  {"event":"accepted"} → {"event":"test"}* → {"event":"result"};
 //	                  a body with an unknown field is refused with 400
-//	GET  /v1/progress live aggregate of every in-flight job's engines
+//	GET  /v1/progress live progress of every in-flight job
 //	GET  /v1/stats    daemon counters: job outcomes, queries, SAT calls
 //	GET  /healthz     liveness
 //

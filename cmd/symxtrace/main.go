@@ -8,7 +8,9 @@
 //
 // With -chrome it additionally converts the trace to the Chrome
 // trace-event format, viewable in Perfetto (https://ui.perfetto.dev) or
-// chrome://tracing, one lane per worker with solver-query and merge spans:
+// chrome://tracing: one row per lane (the engine, plus the checkpoint
+// driver of a checkpointed run), with solver-query and merge spans on the
+// engine's row:
 //
 //	symxtrace -chrome run.json run.trace
 //

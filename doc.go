@@ -10,6 +10,6 @@
 //
 // See README.md for the package tour and the architecture notes on the
 // incremental solver sessions that back the engine's feasibility queries
-// and on the parallel exploration subsystem (symx.Config.Workers) that
-// shards the symbolic frontier across worker goroutines.
+// and on crash-safe exploration (symx.Config.CheckpointDir), which
+// snapshots the one engine of a run without changing what it explores.
 package symmerge

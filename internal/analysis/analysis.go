@@ -5,10 +5,9 @@
 // merge point.
 //
 // Everything here is a pure function of the program. Analyze runs once per
-// program, and its tables are shared read-only by QCE, every engine and
-// every worker. Liveness iterates in deterministic reverse postorder, so
-// every merge key derived from it is stable across runs, worker counts and
-// strategies. That stability is what lets the engine promise byte-identical
+// program, and its tables are shared read-only by QCE and every engine.
+// Liveness iterates in deterministic reverse postorder, so every merge key
+// derived from it is stable across runs and strategies. That stability is what lets the engine promise byte-identical
 // corpora with merge slimming on or off.
 package analysis
 
@@ -31,7 +30,7 @@ type FuncFacts struct {
 
 // Program is the static-analysis result for one ir.Program: per-function
 // CFGs and liveness tables. It is computed once per program, immutable
-// afterwards, and safe to share across engines and workers.
+// afterwards, and safe to share across engines.
 type Program struct {
 	Prog  *ir.Program
 	Funcs []*FuncFacts // parallel to Prog.Funcs

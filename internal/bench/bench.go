@@ -27,9 +27,6 @@ type Options struct {
 	Timeout time.Duration
 	// Seed drives randomized strategies.
 	Seed int64
-	// Workers shards every exploration across this many goroutines
-	// (0/1 = sequential).
-	Workers int
 }
 
 // DefaultOptions returns budgets that complete the full evaluation in a few
@@ -78,7 +75,6 @@ func runTool(tool *coreutils.Tool, mut func(*symx.Config), opts Options) (RunOut
 	}
 	cfg := tool.BaseConfig()
 	cfg.Seed = opts.Seed
-	cfg.Workers = opts.Workers
 	mut(&cfg)
 	res := symx.Run(p, cfg)
 	out := RunOutcome{

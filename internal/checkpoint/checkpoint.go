@@ -155,10 +155,10 @@ type Snapshot struct {
 }
 
 // EncodeStates fills the snapshot's expression table and state list from
-// live wire states. All states must come from engines sharing one
-// expr.Builder (true for both the sequential and the epoch-parallel
-// checkpoint drivers): builder IDs are the topological order the table
-// is sorted by, and IDs from different builders are incomparable.
+// live wire states. All states must come from one expr.Builder (the
+// checkpoint driver snapshots one engine): builder IDs are the topological
+// order the table is sorted by, and IDs from different builders are
+// incomparable.
 func (sn *Snapshot) EncodeStates(wires []*core.StateWire) {
 	enc := &encoder{index: map[*expr.Expr]uint32{}}
 	// First pass: collect every distinct reachable node.

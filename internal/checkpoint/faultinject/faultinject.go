@@ -11,9 +11,10 @@
 // process death. The harness recovers the Killed value at its call site,
 // discards every in-memory result, and resumes from the latest snapshot.
 //
-// All state is atomic so the hooks are race-clean under parallel
-// exploration workers; tests that arm points must not run in parallel with
-// each other (they share the global countdowns).
+// All state is atomic so the hooks are race-clean when several explorations
+// run at once (concurrent daemon jobs, parallel tests); tests that arm
+// points must not run in parallel with each other (they share the global
+// countdowns).
 package faultinject
 
 import (

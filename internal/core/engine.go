@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/big"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -103,31 +102,16 @@ type Config struct {
 	MaxStates int // prune excess states beyond this worklist size
 
 	// Context, when non-nil, cancels the exploration early: the step loop
-	// polls it on the same cadence as the wall-clock deadline, so portfolio
-	// losers and interrupted CLI runs stop promptly with Completed=false.
+	// polls it on the same cadence as the wall-clock deadline, so an
+	// interrupted CLI run or a draining daemon job stops promptly with
+	// Completed=false.
 	Context context.Context
-
-	// PollEvery sets the step cadence of the context/deadline poll (0 =
-	// every 64 steps). The checkpoint driver sets 1: its epoch boundaries
-	// arrive as context timeouts, and the default cadence would quantize
-	// an epoch shorter than 64 steps' worth of work up to that boundary.
-	// A step executes a whole basic block (often with solver queries), so
-	// even the every-step poll is noise there.
-	PollEvery int
-
-	// Builder, when non-nil, supplies the expression builder instead of a
-	// private one. Within one run, the parallel subsystem shares one
-	// (concurrency-safe) builder across all workers, and the checkpoint
-	// driver across epochs, so expression identity — pointer equality and
-	// builder-unique IDs — is globally consistent and states can migrate
-	// between workers and epochs.
-	Builder *expr.Builder
 
 	// QCEAnalysis, when non-nil and UseQCE is set, supplies the program's
 	// QCE tables for the QCE parameters above. symx computes them once per
 	// program and parameter set and passes them to every engine; an engine
 	// given none runs qce.Analyze itself. Immutable after construction,
-	// so engines and parallel workers share one.
+	// so concurrent engines share one.
 	QCEAnalysis *qce.Analysis
 
 	// Analysis, when non-nil, attaches the program's static facts
@@ -136,7 +120,7 @@ type Config struct {
 	// the merge point. Liveness is a sound over-approximation, so the
 	// explored path set — and with it coverage, errors, the exact-path
 	// census, and canonical corpora — is identical with or without it.
-	// Immutable after construction; engines and parallel workers share one.
+	// Immutable after construction; concurrent engines share one.
 	Analysis *analysis.Program
 
 	// CheckBounds makes out-of-bounds array accesses path errors instead
@@ -155,8 +139,8 @@ type Config struct {
 	// CanonicalTests makes collected tests replayable and run-independent:
 	// inputs come from the lexicographically minimal model of each path
 	// (solver.MinModelIn) instead of an arbitrary solver model, so the same
-	// path yields byte-identical inputs regardless of worker count, search
-	// strategy, or solver state; and a merged state with a shadow census
+	// path yields byte-identical inputs regardless of search strategy or
+	// solver state; and a merged state with a shadow census
 	// (TrackExactPaths) emits one test per constituent single path rather
 	// than one per state, so the union of the tests' concrete executions
 	// covers exactly what the symbolic run covered. The corpus subsystem
@@ -165,9 +149,7 @@ type Config struct {
 
 	// TestSink, when non-nil, receives every collected test case as it is
 	// generated, before (and regardless of) the MaxTests-bounded in-memory
-	// recording. The corpus writer streams tests to disk through it; with
-	// parallel workers all engines share one sink, which therefore must be
-	// safe for concurrent calls.
+	// recording. The corpus writer streams tests to disk through it.
 	TestSink func(TestCase)
 
 	// Obs, when non-nil, attaches the observability layer: each engine
@@ -210,6 +192,8 @@ type Stats struct {
 	ExactPaths     uint64   // shadow census: true single paths completed
 
 	ErrorsFound int
+	// MaxWorklist is the largest worklist the exploration held. Across a
+	// checkpoint resume it is the larger of the invocations' maxima.
 	MaxWorklist int
 	Pruned      uint64
 
@@ -236,9 +220,10 @@ type Stats struct {
 
 	Solver solver.Stats
 
-	// Rules is a snapshot of the expression builder's per-rewrite-rule hit
-	// counters (expr/rules.go), most active first. With a shared builder
-	// (parallel workers) the counts are builder-global, not per-engine.
+	// Rules is a snapshot of the engine's expression builder's
+	// per-rewrite-rule hit counters (expr/rules.go), most active first. A
+	// resumed checkpointed run counts only its own invocation's hits: the
+	// snapshot does not carry them.
 	Rules []expr.RuleHit
 }
 
@@ -290,10 +275,9 @@ type Engine struct {
 	pollSAT   uint64 // solver SAT-call count at the last context/deadline poll
 
 	// sessRoot is the engine's root solver session. Every state lineage —
-	// the entry state and every injected migrant — forks it, so the whole
-	// engine shares one persistent SAT core: conjuncts blast once per
-	// worker and learned clauses amortize across subtrees, exactly as they
-	// do across fork lineages in a sequential run. Nil until first use.
+	// the entry state and every restored state — forks it, so the whole
+	// engine shares one persistent SAT core: conjuncts blast once and
+	// learned clauses amortize across lineages. Nil until first use.
 	sessRoot *solver.Session
 
 	// obs is this engine's observability lane (nil when disabled); progPub
@@ -316,14 +300,10 @@ type progressSnap struct {
 // strategy (may be nil for MergeNone+DFS default — callers normally supply
 // one from symmerge/internal/search).
 func NewEngine(prog *ir.Program, config Config, strat Strategy) *Engine {
-	build := config.Builder
-	if build == nil {
-		build = expr.NewBuilder()
-	}
 	e := &Engine{
 		prog:      prog,
 		cfg:       config,
-		build:     build,
+		build:     expr.NewBuilder(),
 		solv:      solver.New(config.SolverOpts),
 		worklist:  map[*State]bool{},
 		byStack:   map[uint64][]*State{},
@@ -364,12 +344,8 @@ func NewEngine(prog *ir.Program, config Config, strat Strategy) *Engine {
 	return e
 }
 
-// Obs exposes the engine's observability lane (nil when disabled); the
-// parallel pool emits frontier steal/donate events on the lane of the
-// engine doing the stealing or donating.
-func (e *Engine) Obs() *obs.Observer { return e.obs }
-
-// Builder exposes the engine's expression builder (used by tests).
+// Builder exposes the engine's expression builder: a checkpoint resume
+// decodes its snapshot's expressions through it before Restore.
 func (e *Engine) Builder() *expr.Builder { return e.build }
 
 // Solver exposes the engine's solver (used by tests).
@@ -486,9 +462,7 @@ func (s *State) pushFrame(f *Frame) {
 }
 
 // Interrupted classifies why an exploration returned with Completed=false,
-// so a truncated run is never silently reported as a full census. The
-// values are ordered by how much the caller should care: when parallel
-// workers stop for different reasons the aggregate keeps the maximum.
+// so a truncated run is never silently reported as a full census.
 type Interrupted uint8
 
 // Interruption causes.
@@ -497,7 +471,8 @@ const (
 	IntrNone Interrupted = iota
 	// IntrBudget: a resource budget tripped (MaxSteps or MaxTime).
 	IntrBudget
-	// IntrContext: Config.Context was cancelled (Ctrl-C, portfolio loss).
+	// IntrContext: Config.Context was cancelled (Ctrl-C, a daemon drain or
+	// job deadline).
 	IntrContext
 	// IntrCheckpoint: the run stopped early but its frontier was written to
 	// a checkpoint — the exploration is resumable, nothing was dropped.
@@ -531,9 +506,6 @@ type Result struct {
 	// (budget, cancellation, or preemption-with-checkpoint); IntrNone when
 	// the exploration finished.
 	Interrupted Interrupted
-	// PortfolioWinner is the index of the winning configuration when the
-	// run raced a portfolio (symx.Config.Portfolio); -1 otherwise.
-	PortfolioWinner int
 	// CoverageMask is the per-location coverage bitmap (Program.LocIndex
 	// order; CoveredInstrs counts its set bits). The corpus manifest
 	// records it as the symbolic covered set replays are checked against.
@@ -580,8 +552,8 @@ func (e *Engine) Run() *Result {
 }
 
 // Begin starts the exploration clock, arms the budgets, and (when seed is
-// set) enqueues the entry state. Parallel workers call Begin(false) and
-// receive their states via Inject; Run calls Begin(true).
+// set) enqueues the entry state. Run calls Begin(true); a checkpoint
+// resume calls Begin(false) and then Restore.
 func (e *Engine) Begin(seed bool) {
 	e.started = time.Now()
 	if e.cfg.MaxTime > 0 {
@@ -611,11 +583,7 @@ func (e *Engine) stopRequested() bool {
 		e.stopCause = IntrBudget
 		return true
 	}
-	poll := uint64(64)
-	if e.cfg.PollEvery > 0 {
-		poll = uint64(e.cfg.PollEvery)
-	}
-	if e.stats.Steps%poll == 0 || e.solv.Stats.SATCalls != e.pollSAT {
+	if e.stats.Steps%64 == 0 || e.solv.Stats.SATCalls != e.pollSAT {
 		e.pollSAT = e.solv.Stats.SATCalls
 		if e.cfg.Context != nil && e.cfg.Context.Err() != nil {
 			e.stopCause = IntrContext
@@ -670,10 +638,10 @@ const (
 	RunStopped
 )
 
-// StepN runs up to n scheduler steps. It is the quantum the parallel
-// subsystem's workers interleave with frontier polls: returning to the
-// caller every n steps bounds how stale a worker's view of the shared
-// frontier (hungry peers, cancellation) can get.
+// StepN runs up to n scheduler steps, with the same budget and
+// cancellation checks as Run, so a caller stepping in quanta explores
+// exactly Run's schedule. The checkpoint driver steps this way and
+// snapshots between quanta.
 func (e *Engine) StepN(n int) RunStatus {
 	for i := 0; i < n; i++ {
 		if e.strategy.Len() == 0 {
@@ -697,33 +665,18 @@ func (e *Engine) StepN(n int) RunStatus {
 func (e *Engine) Finish(completed bool) *Result {
 	e.stats.CoveredInstrs = e.covered
 	e.stats.Solver = e.solv.Stats
-	if e.cfg.Builder == nil {
-		// Rule counters are builder-global. Only an engine that owns its
-		// builder may embed them; with a shared builder (parallel workers,
-		// the checkpoint driver) every worker would report the same global
-		// counters and summing snapshots would multiply them by the worker
-		// count — parallel.Combine attributes the shared builder's counters
-		// exactly once, at the pool level.
-		e.stats.Rules = e.build.RuleHits()
-	}
+	e.stats.Rules = e.build.RuleHits()
 	e.stats.ElapsedSeconds = time.Since(e.started).Seconds()
 	e.publishProgress()
 	res := &Result{
-		Stats:           e.stats,
-		Tests:           e.testCases,
-		Errors:          e.errors,
-		Completed:       completed,
-		PortfolioWinner: -1,
-		CoverageMask:    e.CoverageMask(),
+		Stats:        e.stats,
+		Tests:        e.testCases,
+		Errors:       e.errors,
+		Completed:    completed,
+		CoverageMask: e.CoverageMask(),
 	}
 	if !completed {
 		res.Interrupted = e.stopCause
-		if res.Interrupted == IntrNone {
-			// Stopped for a reason the engine never observed itself (a
-			// parallel frontier closing on a peer's budget): a budget-class
-			// interruption.
-			res.Interrupted = IntrBudget
-		}
 	}
 	return res
 }
@@ -741,24 +694,6 @@ func (e *Engine) Progress() *Result {
 	return res
 }
 
-// WorklistLen reports the number of live states awaiting exploration.
-func (e *Engine) WorklistLen() int { return len(e.worklist) }
-
-// Inject adopts a state detached from another engine (or freshly seeded by
-// the splitter): it re-numbers the state into this engine's ID space —
-// keeping victim selection and TopoLess tie-breaks deterministic per worker
-// — attaches a fresh solver session (the path condition re-blasts here on
-// demand), and dispatches it, so an incoming state may immediately merge
-// with a resident one.
-func (e *Engine) Inject(s *State) {
-	s.ID = e.nextID
-	e.nextID++
-	if s.sess == nil {
-		s.sess = e.forkRootSession()
-	}
-	e.dispatch(s)
-}
-
 // forkRootSession hands out a lineage session sharing the engine-wide
 // persistent SAT core.
 func (e *Engine) forkRootSession() *solver.Session {
@@ -768,45 +703,7 @@ func (e *Engine) forkRootSession() *solver.Session {
 	return e.sessRoot.Fork()
 }
 
-// ExtractStates detaches up to max worklist states for migration to another
-// engine, always leaving at least one behind (the donor keeps working).
-// Victims are the oldest states (lowest ID): in a forking exploration the
-// oldest frontier entries root the largest unexplored subtrees, which makes
-// them the best work to ship elsewhere. Returned states are fully detached
-// — no mutable memory is shared with this engine (see State.detach).
-func (e *Engine) ExtractStates(max int) []*State {
-	return e.extract(max, 1)
-}
-
-// ExtractAll detaches every worklist state (the splitter's hand-off to the
-// frontier after the initial sharding phase).
-func (e *Engine) ExtractAll() []*State {
-	return e.extract(len(e.worklist), 0)
-}
-
-func (e *Engine) extract(max, keep int) []*State {
-	n := len(e.worklist) - keep
-	if n > max {
-		n = max
-	}
-	if n <= 0 {
-		return nil
-	}
-	all := make([]*State, 0, len(e.worklist))
-	for s := range e.worklist {
-		all = append(all, s)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	victims := all[:n]
-	for _, s := range victims {
-		e.removeState(s)
-		s.detach()
-	}
-	return victims
-}
-
-// CoverageMask returns a copy of the per-location coverage bitmap, for
-// cross-worker union at join time.
+// CoverageMask returns a copy of the per-location coverage bitmap.
 func (e *Engine) CoverageMask() []bool {
 	out := make([]bool, len(e.coverage))
 	copy(out, e.coverage)
@@ -1186,9 +1083,7 @@ func (e *Engine) publishProgress() {
 	st := e.stats
 	st.CoveredInstrs = e.covered
 	st.Solver = e.solv.Stats
-	if e.cfg.Builder == nil {
-		st.Rules = e.build.RuleHits() // builder-global; see Finish
-	}
+	st.Rules = e.build.RuleHits()
 	if st.PathsMult != nil {
 		// Detach from the live counter, which later steps mutate in place.
 		st.PathsMult = new(big.Int).Set(st.PathsMult)

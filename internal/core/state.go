@@ -116,8 +116,7 @@ type State struct {
 	// heap is the dynamically allocated memory segment: copy-on-write
 	// objects sorted by id. allocs counts executed allocations per site
 	// (indexed by ir.Instr.Site), which makes fresh addresses a function of
-	// the path alone — independent of scheduling, worker count, and sibling
-	// states.
+	// the path alone — independent of scheduling and sibling states.
 	heap   []heapEntry
 	allocs []uint16
 
@@ -153,8 +152,7 @@ type State struct {
 	// it answers one side of every split (splitShadow). The slice is nil
 	// or as long as Shadow; it is nil after a checkpoint or snapshot
 	// restore, since witnesses are not persisted. Witnesses are never
-	// mutated: forks and merges share them, and after a donation two
-	// workers may read one at once.
+	// mutated: forks and merges share them.
 	shadowWit []solver.Model
 
 	// curHash caches the similarity hash at the last block boundary; it
@@ -173,7 +171,6 @@ type State struct {
 	// sess is the state lineage's incremental solver session: the path
 	// condition is blasted into it exactly once, and feasibility queries
 	// reuse the encoding via assumptions. Forks share the blasted prefix.
-	// Nil only while the state is detached for migration (see detach).
 	sess *solver.Session
 }
 
@@ -244,35 +241,6 @@ func witnessAt(wits []solver.Model, i int) solver.Model {
 func (s *State) addShadow(p []*expr.Expr, w solver.Model) {
 	s.Shadow = append(s.Shadow, p)
 	s.shadowWit = append(s.shadowWit, w)
-}
-
-// detach severs every mutable tie between the state and its originating
-// engine so it can migrate to another worker:
-//
-//   - Array objects are cloned. Copy-on-write sharing with sibling states
-//     is safe within one engine (one goroutine), but across workers even
-//     the redundant `shared = true` store during a sibling's fork would
-//     race with a reader; cloning leaves nothing mutable in common. The
-//     path condition and shadow census keep sharing their slices — they
-//     are length-clamped and their contents (hash-consed expressions from
-//     the shared builder) are immutable. The output stream is shared as
-//     is: its nodes are never mutated after construction.
-//   - The solver session is dropped: sessions wrap a worker-local SAT
-//     instance. The receiving engine attaches a fresh one on Inject and
-//     the path condition re-blasts there on demand.
-func (s *State) detach() {
-	for _, f := range s.Frames {
-		for i, o := range f.Objects {
-			if o != nil {
-				f.Objects[i] = o.clone()
-			}
-		}
-	}
-	for i, h := range s.heap {
-		s.heap[i].obj = h.obj.clone()
-	}
-	s.sess = nil
-	s.ff = false
 }
 
 // resolveRef walks parameter references to the owning frame's object.

@@ -13,11 +13,10 @@ package core
 // exact-path census, and the DSM bookkeeping a resumed engine needs
 // (predecessor-hash ring, sym_* input numbering, function-exit flag).
 //
-// What it deliberately drops: the engine-assigned state ID (Inject
-// renumbers migrants into the receiving engine's ID space), the solver
-// session (worker-local; the path condition re-blasts on demand in the
-// resumed engine, exactly as it does for a cross-worker migrant), and the
-// transient fast-forward pick flag.
+// What it deliberately drops: the engine-assigned state ID (Restore
+// renumbers states into the resuming engine's ID space), the solver
+// session (engine-local; the path condition re-blasts on demand in the
+// resumed engine), and the transient fast-forward pick flag.
 
 import (
 	"fmt"
@@ -132,8 +131,10 @@ func (s *State) ToWire(b *expr.Builder) *StateWire {
 }
 
 // Snapshot serializes every live worklist state, ordered by state ID (the
-// deterministic engine-assigned order). The engine is untouched: Snapshot
-// can run mid-exploration between StepN quanta and the run continues.
+// deterministic engine-assigned order). The engine's states are untouched:
+// Snapshot runs mid-exploration between StepN quanta and the run
+// continues. Only the builder changes, since flattening the output streams
+// can intern new guard nodes.
 func (e *Engine) Snapshot() []*StateWire {
 	states := make([]*State, 0, len(e.worklist))
 	for s := range e.worklist {
@@ -147,37 +148,29 @@ func (e *Engine) Snapshot() []*StateWire {
 	return out
 }
 
-// Restore validates and injects previously snapshotted states into the
+// Restore validates previously snapshotted states and adds them to the
 // engine's worklist (after Begin(false)): the resume counterpart of
-// Snapshot. Injection renumbers each state into this engine's ID space and
-// attaches a fresh solver session, exactly as for a cross-worker migrant;
-// an injected state may immediately merge with a resident one.
+// Snapshot. Every state is validated before any is added, so a refused
+// snapshot leaves the engine untouched. Each state gets the next ID of
+// this engine and a lineage of its root solver session (the path condition
+// re-blasts there on demand), and is dispatched like a stepped successor,
+// so a restored state may immediately merge with one restored before it.
 func (e *Engine) Restore(wires []*StateWire) error {
-	states, err := e.MaterializeStates(wires)
-	if err != nil {
-		return err
-	}
-	for _, s := range states {
-		e.Inject(s)
-	}
-	return nil
-}
-
-// MaterializeStates rebuilds live, detached states from wire form without
-// injecting them anywhere — the checkpoint driver uses it to hand a resumed
-// frontier to the parallel pool as seeds (the claiming worker's Inject does
-// the renumbering and session attach). The receiver only supplies the
-// program the wires are validated against.
-func (e *Engine) MaterializeStates(wires []*StateWire) ([]*State, error) {
-	out := make([]*State, len(wires))
+	states := make([]*State, len(wires))
 	for i, w := range wires {
 		s, err := e.stateFromWire(w)
 		if err != nil {
-			return nil, fmt.Errorf("state %d: %w", i, err)
+			return fmt.Errorf("state %d: %w", i, err)
 		}
-		out[i] = s
+		states[i] = s
 	}
-	return out, nil
+	for _, s := range states {
+		s.ID = e.nextID
+		e.nextID++
+		s.sess = e.forkRootSession()
+		e.dispatch(s)
+	}
+	return nil
 }
 
 // stateFromWire rebuilds a live state, validating every program-relative

@@ -5,10 +5,10 @@ package coreutils
 //   - TestAnalyzeAllTools is the per-tool smoke: every model's CFGs and
 //     liveness tables are built, promptly.
 //   - TestAnalysisSoundness is the differential contract: for every tool,
-//     across ssm+qce/dsm+qce and Workers 1 vs 8, the canonical corpus
-//     emitted with liveness merge slimming on is byte-identical (directory
-//     digest) to the corpus with it off, and the invariant census — exact
-//     paths, coverage, error set — matches. Slimming must be pure
+//     under ssm+qce and dsm+qce, the canonical corpus emitted with liveness
+//     merge slimming on is byte-identical (directory digest) to the corpus
+//     with it off, and the invariant census — exact paths, coverage, error
+//     set — matches. Slimming must be pure
 //     acceleration. Without merging, liveness is never consulted, so no
 //     none regime is run.
 
@@ -68,48 +68,45 @@ func TestAnalysisSoundness(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, reg := range analysisRegimes {
-				for _, workers := range []int{1, 8} {
-					label := fmt.Sprintf("%s/w%d", reg.name, workers)
-					tmp := t.TempDir()
-					run := func(arm string, disable bool) (*symx.Result, string) {
-						dir := filepath.Join(tmp, arm)
-						cfg := tool.MiniConfig()
-						cfg.Merge = reg.merge
-						cfg.UseQCE = reg.qce
-						cfg.Workers = workers
-						cfg.TrackExactPaths = true
-						cfg.DisableAnalysis = disable
-						cfg.CorpusDir = dir
-						cfg.CorpusLabel = tool.Name
-						res := symx.Run(p, cfg)
-						if res.CorpusErr != nil {
-							t.Fatalf("%s/%s: corpus emission: %v", label, arm, res.CorpusErr)
-						}
-						if !res.Completed {
-							t.Fatalf("%s/%s: exploration did not complete at mini sizes", label, arm)
-						}
-						return res, dir
+				label := reg.name
+				tmp := t.TempDir()
+				run := func(arm string, disable bool) (*symx.Result, string) {
+					dir := filepath.Join(tmp, arm)
+					cfg := tool.MiniConfig()
+					cfg.Merge = reg.merge
+					cfg.UseQCE = reg.qce
+					cfg.TrackExactPaths = true
+					cfg.DisableAnalysis = disable
+					cfg.CorpusDir = dir
+					cfg.CorpusLabel = tool.Name
+					res := symx.Run(p, cfg)
+					if res.CorpusErr != nil {
+						t.Fatalf("%s/%s: corpus emission: %v", label, arm, res.CorpusErr)
 					}
-					roff, dirOff := run("off", true)
-					ron, dirOn := run("on", false)
+					if !res.Completed {
+						t.Fatalf("%s/%s: exploration did not complete at mini sizes", label, arm)
+					}
+					return res, dir
+				}
+				roff, dirOff := run("off", true)
+				ron, dirOn := run("on", false)
 
-					dOff, err1 := corpus.DirDigest(dirOff)
-					dOn, err2 := corpus.DirDigest(dirOn)
-					if err1 != nil || err2 != nil {
-						t.Fatalf("%s: digest: off=%v on=%v", label, err1, err2)
-					}
-					if dOff != dOn {
-						t.Errorf("%s: corpus digest off=%s on=%s", label, dOff, dOn)
-					}
-					if roff.Stats.ExactPaths != ron.Stats.ExactPaths {
-						t.Errorf("%s: exact census off=%d on=%d", label, roff.Stats.ExactPaths, ron.Stats.ExactPaths)
-					}
-					if roff.Stats.CoveredInstrs != ron.Stats.CoveredInstrs {
-						t.Errorf("%s: coverage off=%d on=%d", label, roff.Stats.CoveredInstrs, ron.Stats.CoveredInstrs)
-					}
-					if !sameErrorSet(roff, ron) {
-						t.Errorf("%s: error sets diverge (off %d, on %d)", label, len(roff.Errors), len(ron.Errors))
-					}
+				dOff, err1 := corpus.DirDigest(dirOff)
+				dOn, err2 := corpus.DirDigest(dirOn)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("%s: digest: off=%v on=%v", label, err1, err2)
+				}
+				if dOff != dOn {
+					t.Errorf("%s: corpus digest off=%s on=%s", label, dOff, dOn)
+				}
+				if roff.Stats.ExactPaths != ron.Stats.ExactPaths {
+					t.Errorf("%s: exact census off=%d on=%d", label, roff.Stats.ExactPaths, ron.Stats.ExactPaths)
+				}
+				if roff.Stats.CoveredInstrs != ron.Stats.CoveredInstrs {
+					t.Errorf("%s: coverage off=%d on=%d", label, roff.Stats.CoveredInstrs, ron.Stats.CoveredInstrs)
+				}
+				if !sameErrorSet(roff, ron) {
+					t.Errorf("%s: error sets diverge (off %d, on %d)", label, len(roff.Errors), len(ron.Errors))
 				}
 			}
 		})

@@ -13,7 +13,7 @@ package coreutils
 //     that merged exploration covers exactly the concrete behaviors of
 //     unmerged exploration.
 //   - TestCorpusDeterminism pins byte-identical corpora (directory digest
-//     equality) across repeated runs and across Workers 1 vs 8.
+//     equality) across repeated runs.
 
 import (
 	"path/filepath"
@@ -144,18 +144,17 @@ func TestCorpusDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			emit := func(merge symx.MergeMode, workers int) string {
+			emit := func(merge symx.MergeMode) string {
 				dir := t.TempDir()
 				cfg := tool.MiniConfig()
 				cfg.Merge = merge
 				cfg.UseQCE = merge != symx.MergeNone
 				cfg.Seed = 1
-				cfg.Workers = workers
 				cfg.CorpusDir = dir
 				cfg.CorpusLabel = tool.Name
 				res := symx.Run(p, cfg)
 				if res.CorpusErr != nil || !res.Completed {
-					t.Fatalf("merge=%v workers=%d: err=%v completed=%v", merge, workers, res.CorpusErr, res.Completed)
+					t.Fatalf("merge=%v: err=%v completed=%v", merge, res.CorpusErr, res.Completed)
 				}
 				d, err := corpus.DirDigest(dir)
 				if err != nil {
@@ -164,15 +163,9 @@ func TestCorpusDeterminism(t *testing.T) {
 				return d
 			}
 			for _, merge := range []symx.MergeMode{symx.MergeNone, symx.MergeSSM} {
-				seq1 := emit(merge, 1)
-				seq2 := emit(merge, 1)
-				if seq1 != seq2 {
-					t.Fatalf("merge=%v: two sequential runs produced different corpora", merge)
-				}
-				par := emit(merge, 8)
-				if par != seq1 {
-					t.Fatalf("merge=%v: Workers 8 corpus differs from Workers 1 (digest %s… vs %s…)",
-						merge, par[:12], seq1[:12])
+				if d1, d2 := emit(merge), emit(merge); d1 != d2 {
+					t.Fatalf("merge=%v: two runs produced different corpora (digest %s… vs %s…)",
+						merge, d1[:12], d2[:12])
 				}
 			}
 		})

@@ -10,8 +10,9 @@
 // that reach the same concrete input write the same file — and, because
 // test inputs come from canonical minimal models (solver.MinModelIn) and
 // expectations are evaluated under those models, a corpus is a pure
-// function of the explored path set: re-running with a different worker
-// count, search strategy, or solver state reproduces it byte for byte.
+// function of the explored path set: re-running with a different search
+// strategy or solver state, or across a checkpoint resume, reproduces it
+// byte for byte.
 //
 // Each test records the engine's expectations (output bytes, exit code,
 // assert failure) and the covered-location set of its concrete execution.
@@ -88,8 +89,8 @@ type Manifest struct {
 	Program ProgramInfo `json:"program"`
 	// Config is the canonical descriptor of the producing exploration
 	// (merge regime, QCE, strategy, seed, input sizes). Scheduling knobs
-	// (worker count) are deliberately excluded: sharding must not change
-	// the corpus.
+	// (budgets, checkpointing) are deliberately excluded: they must not
+	// change the corpus.
 	Config string `json:"config"`
 	// Completed records whether the producing exploration drained its
 	// worklist; a partial (budget-stopped) corpus makes no coverage-parity
@@ -155,8 +156,7 @@ func Replayable(p *ir.Program) bool {
 
 // Writer streams generated tests into a corpus directory: each Add writes
 // the test's file (deduplicated by input hash) immediately, Finalize writes
-// the manifest. Add is safe for concurrent use — parallel exploration
-// workers share one Writer.
+// the manifest. Add is safe for concurrent use.
 type Writer struct {
 	mu      sync.Mutex
 	dir     string
@@ -194,8 +194,8 @@ func NewWriter(dir string, prog *ir.Program, name, config string) (*Writer, erro
 // (output, exit, assert) must come from the engine's model evaluation.
 // The first I/O or interpreter error sticks and is returned by Finalize.
 // Only the identity claim holds the lock: the interpreter run and the file
-// write proceed in parallel across workers (each id is claimed exactly
-// once, and distinct ids write distinct files).
+// write proceed in parallel across concurrent callers (each id is claimed
+// exactly once, and distinct ids write distinct files).
 func (w *Writer) Add(args [][]byte, stdin, output []byte, exit int64, assertFailed bool, assertMsg string) {
 	id := InputID(args, stdin)
 	w.mu.Lock()

@@ -182,7 +182,7 @@ func (r *Report) check(t *Test, res *ir.InterpResult) {
 // DirDigest hashes a corpus directory's contents — every regular file,
 // sorted by name, name and bytes — into one hex digest. Two corpora are
 // byte-identical iff their digests match; the determinism suite compares
-// digests across worker counts and repeated runs.
+// digests across repeated runs.
 func DirDigest(dir string) (string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

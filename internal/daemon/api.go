@@ -33,9 +33,14 @@ type JobRequest struct {
 	// Key, with the daemon's -checkpoint-dir set, gives the job a stable
 	// per-key checkpoint directory: a drain preempts it into a resumable
 	// snapshot, and resubmitting the same Key with Resume continues it.
+	// A key is made of the characters [A-Za-z0-9._-] and is not only
+	// dots; any other key is refused, so distinct keys never share a
+	// directory.
 	Key string `json:"key,omitempty"`
 	// Resume restores the newest valid snapshot under Key before
-	// exploring (no-op when none exists).
+	// exploring (the job starts fresh when none exists). It needs a Key
+	// and a daemon running with -checkpoint-dir; without either the job
+	// is refused.
 	Resume bool `json:"resume,omitempty"`
 
 	// Merge is "none", "ssm", "dsm", or "func" (default "dsm").
@@ -43,8 +48,6 @@ type JobRequest struct {
 	// QCE gates merging on the query-count similarity relation
 	// (default true under a merging regime).
 	QCE *bool `json:"qce,omitempty"`
-	// Workers shards the exploration (default 1).
-	Workers int `json:"workers,omitempty"`
 
 	// Symbolic environment (defaults: 2 args × 2 chars, no stdin).
 	NArgs    int `json:"nargs,omitempty"`
@@ -170,7 +173,6 @@ func (s *Server) jobConfig(req *JobRequest) (symx.Config, error) {
 		NArgs:        req.NArgs,
 		ArgLen:       req.ArgLen,
 		StdinLen:     req.StdinLen,
-		Workers:      req.Workers,
 		MaxSteps:     req.MaxSteps,
 		CollectTests: true,
 	}
@@ -204,7 +206,18 @@ func (s *Server) jobConfig(req *JobRequest) (symx.Config, error) {
 	if cfg.Merge != symx.MergeNone {
 		cfg.TrackExactPaths = true
 	}
-	if dir := s.checkpointDirFor(req.Key); dir != "" {
+	dir, err := s.checkpointDirFor(req.Key)
+	if err != nil {
+		return cfg, err
+	}
+	if req.Resume && dir == "" {
+		why := "the job has no key"
+		if req.Key != "" {
+			why = "the daemon runs without -checkpoint-dir"
+		}
+		return cfg, fmt.Errorf("resume: %s, so there is no snapshot to resume from", why)
+	}
+	if dir != "" {
 		cfg.CheckpointDir = dir
 		cfg.CheckpointEvery = s.opts.CheckpointEvery
 		cfg.Resume = req.Resume

@@ -189,23 +189,26 @@ func (s *Server) registerJob(info *jobInfo) func() {
 	}
 }
 
-// checkpointDirFor maps a job key to its stable per-key snapshot
-// directory, or "" when checkpointing is off. Keys are flattened to a
-// filesystem-safe alphabet so a hostile key cannot escape the root.
-func (s *Server) checkpointDirFor(key string) string {
-	if key == "" || s.opts.CheckpointDir == "" {
-		return ""
+// checkpointDirFor maps a job key to its per-key snapshot directory, or ""
+// when the job has no key or checkpointing is off. A key is used verbatim
+// as one path element, so it must consist of [A-Za-z0-9._-] and not be
+// only dots: any other key is refused rather than rewritten, because a
+// rewrite maps distinct keys onto one directory, where one key's job
+// overwrites or resumes another key's snapshots.
+func (s *Server) checkpointDirFor(key string) (string, error) {
+	if key == "" {
+		return "", nil
 	}
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			return r
-		}
-		return '_'
-	}, key)
-	if safe == "" || strings.Trim(safe, ".") == "" {
-		safe = "job"
+	valid := strings.Trim(key, ".") != ""
+	for _, r := range key {
+		valid = valid && (r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' ||
+			r >= '0' && r <= '9' || r == '-' || r == '_' || r == '.')
 	}
-	return filepath.Join(s.opts.CheckpointDir, safe)
+	if !valid {
+		return "", fmt.Errorf("job key %q: a key uses only the characters [A-Za-z0-9._-] and is not only dots", key)
+	}
+	if s.opts.CheckpointDir == "" {
+		return "", nil
+	}
+	return filepath.Join(s.opts.CheckpointDir, key), nil
 }

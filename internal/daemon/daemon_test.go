@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -372,7 +373,7 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	}
 	// Unknown fields — a retired option or a typo — are refused by name,
 	// not silently dropped.
-	for _, field := range []string{"summaries", "mrege"} {
+	for _, field := range []string{"summaries", "workers", "mrege"} {
 		resp, body := post(`{"source":"void main() { }","` + field + `":true}`)
 		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(`\"`+field+`\"`)) {
 			t.Errorf("unknown field %q: status %d body %s", field, resp.StatusCode, body)
@@ -384,5 +385,82 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	}
 	if doc.JobsFailed == 0 {
 		t.Error("no failures recorded")
+	}
+}
+
+// TestDaemonResumeNeedsCheckpointing: "resume" continues a keyed job from
+// its snapshot. Without a key, or on a daemon running without
+// -checkpoint-dir, there is no snapshot to continue, so the job is refused
+// with a 400 instead of silently exploring from scratch.
+func TestDaemonResumeNeedsCheckpointing(t *testing.T) {
+	withDir := startServer(t, Options{CheckpointDir: t.TempDir()})
+	noDir := startServer(t, Options{})
+	for _, c := range []struct {
+		name string
+		s    *Server
+		req  JobRequest
+		want string
+	}{
+		{"no key", withDir, JobRequest{Source: quickSrc, Resume: true}, "no key"},
+		{"no checkpoint dir", noDir, JobRequest{Source: quickSrc, Key: "k", Resume: true}, "-checkpoint-dir"},
+	} {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post("http://"+c.s.Addr()+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), c.want) {
+			t.Errorf("%s: status %d body %s, want a 400 naming %q", c.name, resp.StatusCode, buf.String(), c.want)
+		}
+	}
+	// With a key and a checkpoint root, resume is accepted; with no
+	// snapshot yet the job starts fresh.
+	if res := resultOf(t, submit(t, withDir.Addr(), JobRequest{Source: quickSrc, Key: "k", Resume: true})); !res.Completed {
+		t.Error("keyed resume with no snapshot did not complete")
+	}
+}
+
+// TestDaemonCheckpointKeysNeverAlias: a key names its job's checkpoint
+// directory, so two distinct accepted keys must never resolve to the same
+// directory — one key's job would overwrite, or resume, another key's
+// snapshots. Keys that a filesystem-safe rewrite would fold together are
+// refused instead.
+func TestDaemonCheckpointKeysNeverAlias(t *testing.T) {
+	root := t.TempDir()
+	s, err := New(Options{CheckpointDir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := []string{"a/b", "a b", `a\b`, "a:b", "é", "a\x00b", ".", "..", "...", "../x"}
+	accepted := []string{"a_b", "A_B", "a.b", "a-b", "ab", "job", ".a", "a..", "..a", "0"}
+	for _, key := range refused {
+		cfg, err := s.jobConfig(&JobRequest{Key: key})
+		if err == nil {
+			t.Errorf("key %q accepted as directory %s", key, cfg.CheckpointDir)
+		} else if !strings.Contains(err.Error(), "[A-Za-z0-9._-]") {
+			t.Errorf("key %q: refusal %q does not name the allowed set", key, err)
+		}
+	}
+	byDir := map[string]string{}
+	for _, key := range accepted {
+		cfg, err := s.jobConfig(&JobRequest{Key: key})
+		if err != nil {
+			t.Errorf("key %q refused: %v", key, err)
+			continue
+		}
+		dir := cfg.CheckpointDir
+		if filepath.Dir(dir) != root {
+			t.Errorf("key %q resolves to %s, outside the checkpoint root", key, dir)
+		}
+		if other, ok := byDir[dir]; ok {
+			t.Errorf("keys %q and %q share the directory %s", other, key, dir)
+		}
+		byDir[dir] = key
 	}
 }

@@ -10,9 +10,9 @@ import (
 // internShards is the number of independently locked hash-cons table
 // segments. Interning is on the engine's hottest path (every executed
 // instruction builds expressions), so when one Builder is shared by several
-// exploration workers a single lock would serialize them; sharding by
-// structural hash keeps contention negligible. 64 shards cover any
-// plausible worker count with headroom.
+// goroutines a single lock would serialize them; sharding by structural
+// hash keeps contention negligible. 64 shards cover any plausible
+// goroutine count with headroom.
 const internShards = 64
 
 // internShard is one lock-striped segment of the hash-cons table.
@@ -23,9 +23,8 @@ type internShard struct {
 
 // Builder constructs hash-consed expressions. A Builder is safe for
 // concurrent use: the intern table uses sharded locks and the activity
-// counters are atomic, so parallel exploration workers can share one
-// Builder (sharing is what makes expression identity — pointer equality
-// and builder-unique IDs — globally consistent across workers).
+// counters are atomic. Expression identity — pointer equality and
+// builder-unique IDs — holds within one Builder; each engine owns one.
 type Builder struct {
 	shards [internShards]internShard
 	nextID atomic.Uint64

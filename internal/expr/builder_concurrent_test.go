@@ -1,8 +1,8 @@
 package expr
 
 // Concurrency tests for the sharded hash-consing builder: under `go test
-// -race` these prove the interning discipline the parallel exploration
-// subsystem relies on when all workers share one Builder.
+// -race` these prove the interning discipline that makes a Builder safe
+// for concurrent use.
 
 import (
 	"sync"

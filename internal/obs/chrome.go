@@ -112,7 +112,7 @@ func ChromeTrace(r io.Reader, w io.Writer) error {
 			instant(ev, "t", map[string]any{"parent": num(rec, "parent"), "child": num(rec, "child")})
 		case EvEpoch, EvCheckpoint:
 			instant(ev, "p", map[string]any{"seq": num(rec, "seq")})
-		default: // ff_select, steal, donate, corpus_emit, future instants
+		default: // ff_select, corpus_emit, future instants
 			instant(ev, "t", nil)
 		}
 	}

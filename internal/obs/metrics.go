@@ -9,7 +9,7 @@ import (
 )
 
 // counterShards is the stripe count of every counter: lanes hash onto
-// stripes so concurrent workers don't contend on one cache line. A power
+// stripes so concurrent engines don't contend on one cache line. A power
 // of two (the add path masks, never mods).
 const counterShards = 8
 
@@ -39,7 +39,7 @@ func (c *counter) load() uint64 {
 }
 
 // gauge keeps one last-written value per lane; Snapshot reports the sum
-// across lanes (e.g. total frontier length across workers).
+// across lanes (e.g. total frontier length across engines).
 type gauge struct{ s [gaugeLanes]padded }
 
 func (g *gauge) set(lane int, v uint64) {
@@ -138,9 +138,9 @@ func (h *histogram) snapshot() HistSnap {
 }
 
 // Metrics is the live metrics registry: sharded counters, per-lane gauges,
-// and latency histograms, all updated lock-free from worker goroutines and
-// snapshotable from any other goroutine at any time. One registry serves a
-// whole exploration (all workers, all portfolio arms that share it).
+// and latency histograms, all updated lock-free from the engines' goroutines
+// and snapshotable from any other goroutine at any time. One registry serves
+// every engine of the runs that share it.
 type Metrics struct {
 	steps         counter
 	forks         counter
@@ -152,8 +152,6 @@ type Metrics struct {
 	querySat      counter
 	queryUnsat    counter
 	queryErr      counter
-	steals        counter
-	donations     counter
 	epochs        counter
 	checkpoints   counter
 	corpusTests   counter
@@ -190,8 +188,6 @@ type MetricsSnap struct {
 	QueryUnsat     uint64 `json:"query_unsat"`
 	QueryErr       uint64 `json:"query_err"`
 
-	Steals      uint64 `json:"steals"`
-	Donations   uint64 `json:"donations"`
 	Epochs      uint64 `json:"epochs"`
 	Checkpoints uint64 `json:"checkpoints"`
 	CorpusTests uint64 `json:"corpus_tests"`
@@ -214,7 +210,7 @@ type MetricsSnap struct {
 }
 
 // Snapshot captures the registry. Safe to call from any goroutine while
-// workers are updating it.
+// engines are updating it.
 func (m *Metrics) Snapshot() *MetricsSnap {
 	if m == nil {
 		return nil
@@ -233,8 +229,6 @@ func (m *Metrics) Snapshot() *MetricsSnap {
 		QueryUnsat:     m.queryUnsat.load(),
 		QueryErr:       m.queryErr.load(),
 
-		Steals:          m.steals.load(),
-		Donations:       m.donations.load(),
 		Epochs:          m.epochs.load(),
 		Checkpoints:     m.checkpoints.load(),
 		CorpusTests:     m.corpusTests.load(),

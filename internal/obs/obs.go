@@ -10,7 +10,7 @@
 //   - A disabled layer costs one predictable nil-check branch per hook: a
 //     nil *Run hands out nil *Observer lanes, and every Observer method is
 //     a no-op on a nil receiver.
-//   - The trace sink never blocks a worker. Events are encoded in the
+//   - The trace sink never blocks an engine. Events are encoded in the
 //     emitting goroutine into pooled buffers and handed to a background
 //     writer over a bounded channel; when the channel is full the event is
 //     dropped and counted (Sink.Drops, the trace_end record, and the
@@ -18,9 +18,10 @@
 //   - Exploration results must be byte-identical with tracing on or off:
 //     hooks only read engine state, never branch on it.
 //
-// One Run is shared by every engine of an exploration (workers, the
-// splitter, the checkpoint driver); each engine takes its own lane via
-// NewLane, which becomes one thread row in the Chrome trace export.
+// One Run is shared by everything that emits for an exploration (the
+// engine and, with checkpointing, the checkpoint driver); each takes its
+// own lane via NewLane, which becomes one thread row in the Chrome trace
+// export.
 package obs
 
 import (
@@ -43,8 +44,6 @@ const (
 	EvQueryBegin   = "query_begin"
 	EvQueryEnd     = "query_end"
 	EvFFSelect     = "ff_select"
-	EvSteal        = "steal"
-	EvDonate       = "donate"
 	EvEpoch        = "epoch"
 	EvCheckpoint   = "checkpoint"
 	EvCorpusEmit   = "corpus_emit"
@@ -113,7 +112,7 @@ func (r *Run) Metrics() *Metrics {
 }
 
 // NewLane allocates an observer lane — one per engine. Lane numbers become
-// the "w" field of trace events and the per-worker rows of the Chrome
+// the "w" field of trace events and the per-lane rows of the Chrome
 // export. Safe on a nil receiver (returns a nil Observer).
 func (r *Run) NewLane() *Observer {
 	if r == nil {
@@ -338,38 +337,8 @@ func (o *Observer) FFSelect(state uint64, fn, pc int) {
 	}
 }
 
-// Steal records this lane claiming n states from the shared frontier.
-func (o *Observer) Steal(n int) {
-	if o == nil || n <= 0 {
-		return
-	}
-	if m := o.run.met; m != nil {
-		m.steals.add(o.lane, uint64(n))
-	}
-	if s := o.run.sink; s != nil {
-		b := o.head(EvSteal)
-		b = fInt(b, "n", int64(n))
-		s.enqueue(closeLine(b))
-	}
-}
-
-// Donate records this lane handing n states back to starved peers.
-func (o *Observer) Donate(n int) {
-	if o == nil || n <= 0 {
-		return
-	}
-	if m := o.run.met; m != nil {
-		m.donations.add(o.lane, uint64(n))
-	}
-	if s := o.run.sink; s != nil {
-		b := o.head(EvDonate)
-		b = fInt(b, "n", int64(n))
-		s.enqueue(closeLine(b))
-	}
-}
-
-// Epoch records a checkpoint-driver epoch boundary: epoch seq starting with
-// the given frontier seed count.
+// Epoch records the start of checkpoint epoch seq, the stretch of
+// exploration that ends in snapshot seq, from a frontier of seeds states.
 func (o *Observer) Epoch(seq uint64, seeds int) {
 	if o == nil {
 		return

@@ -32,8 +32,6 @@ func emitAll(o *Observer) {
 	qid = o.QueryBegin()
 	o.QueryEnd(qid, QueryCached, true, false, 0, 0, 0)
 	o.FFSelect(7, 1, 2)
-	o.Steal(1)
-	o.Donate(2)
 	o.Epoch(0, 4)
 	o.Checkpoint(0, 4, false)
 	o.CorpusEmit(3)
@@ -94,7 +92,6 @@ func TestMetricsCountersAndHistograms(t *testing.T) {
 		"epochs":         sn.Epochs,
 		"checkpoints":    sn.Checkpoints,
 		"steps":          sn.Steps,
-		"steals":         sn.Steals,
 	} {
 		if got != n {
 			t.Errorf("%s = %d, want %d", name, got, n)
@@ -103,8 +100,8 @@ func TestMetricsCountersAndHistograms(t *testing.T) {
 	if sn.QueriesSession != 2*n || sn.QuerySat != 2*n {
 		t.Errorf("queries_session/query_sat = %d/%d, want %d/%d", sn.QueriesSession, sn.QuerySat, 2*n, 2*n)
 	}
-	if sn.Donations != 2*n || sn.CorpusTests != 3*n {
-		t.Errorf("donations/corpus = %d/%d, want %d/%d", sn.Donations, sn.CorpusTests, 2*n, 3*n)
+	if sn.CorpusTests != 3*n {
+		t.Errorf("corpus = %d, want %d", sn.CorpusTests, 3*n)
 	}
 	if sn.Worklist != lanes*11 {
 		t.Errorf("worklist gauge = %d, want %d", sn.Worklist, lanes*11)
@@ -165,14 +162,14 @@ func TestTraceRoundTrip(t *testing.T) {
 	if sum.Lanes != 2 {
 		t.Fatalf("lanes = %d, want 2", sum.Lanes)
 	}
-	// Each emitAll writes 16 trace events (StepStart/Done are metrics-only).
-	if sum.Events != 32 {
-		t.Fatalf("events = %d, want 32\ntrace:\n%s", sum.Events, buf.String())
+	// Each emitAll writes 14 trace events (StepStart/Done are metrics-only).
+	if sum.Events != 28 {
+		t.Fatalf("events = %d, want 28\ntrace:\n%s", sum.Events, buf.String())
 	}
 	if sum.ByType[EvQueryEnd] != 6 || sum.ByType[EvMergeReject] != 2 {
 		t.Fatalf("by-type counts: %v", sum.ByType)
 	}
-	if sink.Events() != 32 {
+	if sink.Events() != 28 {
 		t.Fatalf("sink.Events = %d", sink.Events())
 	}
 
@@ -213,7 +210,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		"missing field":  head + `{"ev":"fork","us":1,"w":0,"parent":1}` + "\n",
 		"bad class":      head + `{"ev":"query_end","us":1,"w":0,"qid":1,"class":"warp","sat":true,"dur_us":1,"sat_vars":0,"sat_clauses":0}` + "\n",
 		"no footer":      head,
-		"wrong count":    head + `{"ev":"steal","us":1,"w":0,"n":1}` + "\n" + `{"ev":"trace_end","us":2,"events":7,"dropped":0}` + "\n",
+		"wrong count":    head + `{"ev":"corpus_emit","us":1,"w":0,"n":1}` + "\n" + `{"ev":"trace_end","us":2,"events":7,"dropped":0}` + "\n",
 		"not json":       head + "not json\n",
 	}
 	for name, trace := range cases {
@@ -221,7 +218,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: validated", name)
 		}
 	}
-	ok := head + `{"ev":"steal","us":1,"w":0,"n":1}` + "\n" + `{"ev":"trace_end","us":2,"events":1,"dropped":3}` + "\n"
+	ok := head + `{"ev":"corpus_emit","us":1,"w":0,"n":1}` + "\n" + `{"ev":"trace_end","us":2,"events":1,"dropped":3}` + "\n"
 	sum, err := Validate(strings.NewReader(ok))
 	if err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
@@ -252,7 +249,7 @@ func TestSinkBackPressureDropsNotBlocks(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			o.Steal(1)
+			o.CorpusEmit(1)
 		}
 	}()
 	select {

@@ -12,7 +12,7 @@ import (
 type record map[string]any
 
 // eventFields lists, per event type, the fields that must be present
-// beyond the common envelope ("ev", "us", and — for worker events — "w").
+// beyond the common envelope ("ev", "us", and — for lane events — "w").
 var eventFields = map[string][]string{
 	EvTraceBegin:   {"schema"},
 	EvFork:         {"w", "parent", "child", "fn", "pc"},
@@ -22,8 +22,6 @@ var eventFields = map[string][]string{
 	EvQueryBegin:   {"w", "qid"},
 	EvQueryEnd:     {"w", "qid", "class", "sat", "dur_us", "sat_vars", "sat_clauses"},
 	EvFFSelect:     {"w", "state", "fn", "pc"},
-	EvSteal:        {"w", "n"},
-	EvDonate:       {"w", "n"},
 	EvEpoch:        {"w", "seq", "seeds"},
 	EvCheckpoint:   {"w", "seq", "states"},
 	EvCorpusEmit:   {"w", "n"},

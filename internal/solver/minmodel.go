@@ -4,8 +4,8 @@ package solver
 //
 // A plain GetModel answer depends on solver internals — clause order, the
 // model-reuse ring's contents, learned clauses inherited from earlier
-// queries — none of which is stable across worker counts, search strategies,
-// or merging regimes. The corpus subsystem (internal/corpus) needs the
+// queries — none of which is stable across search strategies, merging
+// regimes, or a checkpoint resume. The corpus subsystem (internal/corpus) needs the
 // *same* concrete input for the same path no matter how the exploration was
 // scheduled, so test files stay byte-identical across runs and deduplication
 // is meaningful. MinModelIn delivers that: it fixes the given variables, in

@@ -218,7 +218,7 @@ func (sess *Session) solve(live, prefer []*expr.Expr) (bool, error) {
 			// which the blaster caches — is one activation variable
 			// and one binary clause per distinct hash-consed
 			// expression. A query after a rebase, or the first query of
-			// a migrated state, registers its whole path condition here.
+			// a restored state, registers its whole path condition here.
 			rec = core.addConjunct(c)
 		}
 		assumps[i] = rec.act

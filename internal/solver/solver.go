@@ -81,9 +81,8 @@ var ErrBudget = errors.New("solver: deadline passed")
 // incremental session (see session.go); a caller without a session gets a
 // fresh one for that call.
 //
-// A Solver is single-goroutine state (the recent-model ring, Stats):
-// parallel exploration gives each worker its own Solver and shares only
-// the expression builder across workers.
+// A Solver is single-goroutine state (the recent-model ring, Stats): each
+// engine owns one.
 type Solver struct {
 	opts Options
 

@@ -172,7 +172,7 @@ func checkAnalysisParity(t *testing.T, p *Program, cfg Config, label string) {
 }
 
 // TestAnalysisParityMatrix crosses the parity check over the merging
-// regimes, worker counts, and the call-heavy fixtures.
+// regimes and the call-heavy fixtures.
 func TestAnalysisParityMatrix(t *testing.T) {
 	fixtures := []struct {
 		name string
@@ -197,16 +197,12 @@ func TestAnalysisParityMatrix(t *testing.T) {
 			t.Fatalf("%s: compile: %v", fx.name, err)
 		}
 		for _, reg := range regimes {
-			for _, workers := range []int{1, 8} {
-				label := fmt.Sprintf("%s/%s/w%d", fx.name, reg.name, workers)
-				checkAnalysisParity(t, p, Config{
-					NArgs: 1, ArgLen: 2,
-					Merge:   reg.merge,
-					UseQCE:  reg.qce,
-					Workers: workers,
-					MaxTime: 30 * time.Second,
-				}, label)
-			}
+			checkAnalysisParity(t, p, Config{
+				NArgs: 1, ArgLen: 2,
+				Merge:   reg.merge,
+				UseQCE:  reg.qce,
+				MaxTime: 30 * time.Second,
+			}, fx.name+"/"+reg.name)
 		}
 	}
 }

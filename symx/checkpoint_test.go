@@ -14,11 +14,10 @@ import (
 
 	"symmerge/internal/checkpoint"
 	"symmerge/internal/core"
-	"symmerge/internal/parallel"
 )
 
 // stepUntilSnapshot advances the engine and returns its frontier wires plus
-// its progress-so-far, emulating the checkpoint driver's epoch boundary.
+// its progress-so-far, as the checkpoint driver does at each interval.
 func stepUntilSnapshot(eng *core.Engine, steps int) ([]*core.StateWire, *core.Result, bool) {
 	st := eng.StepN(steps)
 	return eng.Snapshot(), eng.Progress(), st == core.RunDrained
@@ -222,8 +221,7 @@ func TestSnapshotRestoreCensus(t *testing.T) {
 				t.Fatalf("iter %d: restore: %v", iter, err)
 			}
 			part2 := drainEngine(eng2)
-			ccfg, _, _ := coreConfig(p, cfg)
-			combined := parallel.Combine([]*core.Result{part1, part2}, part2.Completed, ccfg)
+			combined := foldProgress(part1, part2, cfg.MaxTests)
 
 			if !combined.Completed {
 				t.Errorf("iter %d merge=%v: restored run did not complete", iter, cfg.Merge)

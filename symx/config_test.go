@@ -21,12 +21,6 @@ func TestUnknownStrategyRefused(t *testing.T) {
 		t.Fatalf("refused run still explored: %+v", res.Stats)
 	}
 
-	// A typo inside a portfolio entry is refused the same way.
-	res = Run(p, Config{Portfolio: []Config{{Merge: MergeNone}, {Strategy: "bogus"}}})
-	if res.ConfigErr == nil || !strings.Contains(res.ConfigErr.Error(), "bogus") {
-		t.Fatalf("portfolio typo not refused: %v", res.ConfigErr)
-	}
-
 	// Emitting a corpus under a typo'd strategy must not create one.
 	dir := t.TempDir()
 	res = Run(p, Config{Strategy: "tope", CorpusDir: dir})
@@ -43,5 +37,28 @@ func TestUnknownStrategyRefused(t *testing.T) {
 		if !res.Completed {
 			t.Fatalf("strategy %q did not complete", kind)
 		}
+	}
+}
+
+// TestResumeWithoutCheckpointDirRefused: Resume continues from a snapshot
+// in CheckpointDir. Without a directory there is nothing to resume, so the
+// run must be refused up front instead of silently exploring from scratch.
+func TestResumeWithoutCheckpointDirRefused(t *testing.T) {
+	p := MustCompile(`void main() { putchar('x'); }`)
+	res := Run(p, Config{Resume: true})
+	if res.ConfigErr == nil {
+		t.Fatal("Run accepted Resume without a CheckpointDir")
+	}
+	if !strings.Contains(res.ConfigErr.Error(), "checkpoint directory") {
+		t.Fatalf("ConfigErr %q does not name the missing checkpoint directory", res.ConfigErr)
+	}
+	if res.Stats.Steps != 0 || res.Completed {
+		t.Fatalf("refused run still explored: %+v", res.Stats)
+	}
+
+	// With a directory that holds no snapshot yet, the run starts fresh.
+	res = Run(p, Config{Resume: true, CheckpointDir: t.TempDir()})
+	if res.ConfigErr != nil || !res.Completed {
+		t.Fatalf("resume into an empty checkpoint directory: err=%v completed=%v", res.ConfigErr, res.Completed)
 	}
 }

@@ -33,16 +33,16 @@ func PublishMetrics(m *Metrics) { obs.PublishExpvar(m) }
 // progressSchema versions the Progress JSON shape.
 const progressSchema = "symmerge-progress/v1"
 
-// Monitor aggregates live progress across all engines of a run: sequential,
-// the per-worker engines of a parallel run, and every epoch's engines of a
-// checkpointed run. Set it as Config.Monitor before Run and sample
-// Progress() from any goroutine — engines publish immutable snapshots, so
-// reads never block a worker.
+// Monitor reports live progress of the engines attached to it: each Run
+// given the Monitor as Config.Monitor attaches its one engine. Set it
+// before Run and sample Progress() from any goroutine — engines publish
+// immutable snapshots, so reads never block the exploration.
 //
-// Counters are summed over attached engines; a checkpointed run therefore
-// accumulates across epochs (each epoch attaches fresh engines), which is
-// exactly the cumulative view a progress display wants. Coverage is the
-// union of the engines' bitmaps.
+// Counters are summed over attached engines, so a Monitor shared by
+// several runs reports their total; coverage is the union of the engines'
+// bitmaps. A resumed checkpointed run reports this invocation's progress
+// only: the snapshot's earlier counters reach its Result, not the
+// Monitor.
 type Monitor struct {
 	mu      sync.Mutex
 	engines []*core.Engine

@@ -38,57 +38,54 @@ func compileTool(t *testing.T, name string) (*symx.Program, *coreutils.Tool) {
 // detector (CI runs the suite under -race) and the monotonicity of the
 // published snapshots.
 func TestLiveSamplingWhileRunning(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		p, tool := compileTool(t, "expr")
-		met := symx.NewMetrics()
-		mon := symx.NewMonitor()
-		cfg := tool.BaseConfig()
-		cfg.ArgLen = 3
-		cfg.Merge = symx.MergeDSM
-		cfg.UseQCE = true
-		cfg.Workers = workers
-		cfg.Metrics = met
-		cfg.Monitor = mon
+	p, tool := compileTool(t, "expr")
+	met := symx.NewMetrics()
+	mon := symx.NewMonitor()
+	cfg := tool.BaseConfig()
+	cfg.ArgLen = 3
+	cfg.Merge = symx.MergeDSM
+	cfg.UseQCE = true
+	cfg.Metrics = met
+	cfg.Monitor = mon
 
-		var stop atomic.Bool
-		sampled := make(chan int)
-		go func() {
-			n := 0
-			var lastSteps uint64
-			for !stop.Load() {
-				pr := mon.Progress()
-				if pr.Steps < lastSteps {
-					t.Error("published step counter went backwards")
-					break
-				}
-				lastSteps = pr.Steps
-				snap := met.Snapshot()
-				if _, err := json.Marshal(snap); err != nil {
-					t.Errorf("snapshot marshal: %v", err)
-					break
-				}
-				n++
+	var stop atomic.Bool
+	sampled := make(chan int)
+	go func() {
+		n := 0
+		var lastSteps uint64
+		for !stop.Load() {
+			pr := mon.Progress()
+			if pr.Steps < lastSteps {
+				t.Error("published step counter went backwards")
+				break
 			}
-			sampled <- n
-		}()
+			lastSteps = pr.Steps
+			snap := met.Snapshot()
+			if _, err := json.Marshal(snap); err != nil {
+				t.Errorf("snapshot marshal: %v", err)
+				break
+			}
+			n++
+		}
+		sampled <- n
+	}()
 
-		res := symx.Run(p, cfg)
-		stop.Store(true)
-		n := <-sampled
-		if !res.Completed {
-			t.Fatalf("workers=%d: exploration did not complete", workers)
-		}
-		if n == 0 {
-			t.Fatalf("workers=%d: sampler never ran", workers)
-		}
-		// The final published snapshot must agree with the run's own step
-		// accounting.
-		if pr := mon.Progress(); pr.Steps != res.Stats.Steps {
-			t.Fatalf("workers=%d: monitor steps %d != result steps %d", workers, pr.Steps, res.Stats.Steps)
-		}
-		if snap := met.Snapshot(); snap.Steps != res.Stats.Steps {
-			t.Fatalf("workers=%d: metrics steps %d != result steps %d", workers, snap.Steps, res.Stats.Steps)
-		}
+	res := symx.Run(p, cfg)
+	stop.Store(true)
+	n := <-sampled
+	if !res.Completed {
+		t.Fatal("exploration did not complete")
+	}
+	if n == 0 {
+		t.Fatal("sampler never ran")
+	}
+	// The final published snapshot must agree with the run's own step
+	// accounting.
+	if pr := mon.Progress(); pr.Steps != res.Stats.Steps {
+		t.Fatalf("monitor steps %d != result steps %d", pr.Steps, res.Stats.Steps)
+	}
+	if snap := met.Snapshot(); snap.Steps != res.Stats.Steps {
+		t.Fatalf("metrics steps %d != result steps %d", snap.Steps, res.Stats.Steps)
 	}
 }
 
@@ -139,13 +136,12 @@ func TestCoverageZeroTotal(t *testing.T) {
 // the trace itself validates and converts.
 func TestTraceCorpusParity(t *testing.T) {
 	for _, mode := range []struct {
-		name    string
-		merge   symx.MergeMode
-		qce     bool
-		workers int
+		name  string
+		merge symx.MergeMode
+		qce   bool
 	}{
-		{"ssm", symx.MergeSSM, true, 0},
-		{"dsm-workers", symx.MergeDSM, true, 4},
+		{"ssm", symx.MergeSSM, true},
+		{"dsm", symx.MergeDSM, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			p, tool := compileTool(t, "expr")
@@ -154,7 +150,6 @@ func TestTraceCorpusParity(t *testing.T) {
 				cfg := tool.BaseConfig()
 				cfg.Merge = mode.merge
 				cfg.UseQCE = mode.qce
-				cfg.Workers = mode.workers
 				cfg.CorpusDir = filepath.Join(tmp, arm)
 				cfg.CorpusLabel = tool.Name
 				if traced {

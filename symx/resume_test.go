@@ -11,6 +11,7 @@ package symx_test
 // sequential by default and none opts into t.Parallel.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,12 +42,11 @@ func runKilled(p *symx.Program, cfg symx.Config) (res *symx.Result, killed *faul
 	return symx.Run(p, cfg), nil
 }
 
-// referenceRun produces the uninterrupted baseline: a sequential corpus run
-// with no checkpointing. It returns the result and the corpus directory.
+// referenceRun produces the uninterrupted baseline: a corpus run with no
+// checkpointing. It returns the result and the corpus directory.
 func referenceRun(t *testing.T, tool *coreutils.Tool, p *symx.Program, cfg symx.Config) (*symx.Result, string) {
 	t.Helper()
 	dir := t.TempDir()
-	cfg.Workers = 1
 	cfg.CorpusDir = dir
 	cfg.CorpusLabel = tool.Name
 	res := symx.Run(p, cfg)
@@ -85,14 +85,13 @@ func killResumeLoop(t *testing.T, p *symx.Program, cfg symx.Config, point faulti
 // runs matches: coverage and the error count are properties of the explored
 // path set, which killing and resuming must not change. With strict set it
 // additionally requires the full multiplicity census — sound only when the
-// schedule is canonical: sequential SSM, whose merge points are static and
-// whose topological strategy is insensitive to worklist order. DSM's merge
+// schedule is canonical: SSM, whose merge points are static and whose
+// topological strategy is insensitive to worklist order. DSM's merge
 // pattern depends on which states coexist in the worklist (the paper's
-// δ-window heuristic is opportunistic by design), and worker sharding
-// partitions merge opportunities, so under either a preemption legitimately
-// shifts HOW paths are represented (merged vs separate) without touching
-// the path set itself — the corpus digest check below is what pins the
-// result-level determinism for those cells.
+// δ-window heuristic is opportunistic by design), so a kill and resume
+// legitimately shifts HOW paths are represented (merged vs separate)
+// without touching the path set itself — the corpus digest check below is
+// what pins the result-level determinism for those cells.
 func requireSameCensus(t *testing.T, label string, ref, got *symx.Result, strict bool) {
 	t.Helper()
 	if !got.Completed {
@@ -125,7 +124,7 @@ func requireSameCensus(t *testing.T, label string, ref, got *symx.Result, strict
 // on everything semantic (program, config, completion, coverage, test
 // list); only the Emitted/Deduped/Skipped counters may differ — they
 // diagnose the producing schedule (how many emissions the dedup absorbed),
-// which a DSM or sharded schedule legitimately permutes.
+// which a resumed DSM schedule legitimately permutes.
 func requireSameCorpus(t *testing.T, label, refDir, gotDir string, strict bool) {
 	t.Helper()
 	entries, err := os.ReadDir(gotDir)
@@ -211,9 +210,9 @@ func listCorpusFiles(t *testing.T, dir string) []string {
 }
 
 // TestKillResumeDeterminism is the acceptance sweep: three COREUTILS
-// programs × two merging regimes × sequential and sharded workers, each
-// killed mid-step at least once and resumed to completion, must reproduce
-// the uninterrupted run's census and byte-identical corpus.
+// programs × two merging regimes, each killed mid-step at least once and
+// resumed to completion, must reproduce the uninterrupted run's census and
+// byte-identical corpus.
 func TestKillResumeDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -241,41 +240,36 @@ func TestKillResumeDeterminism(t *testing.T) {
 			base.UseQCE = true
 			base.Seed = 1
 			ref, refDir := referenceRun(t, tool, p, base)
-			for _, workers := range []int{1, 8} {
-				workers := workers
-				// Sequential SSM is the canonical schedule: static merge
-				// points, worklist-order-insensitive topological strategy.
-				// There the ENTIRE result — multiplicity census and corpus
-				// bytes including manifest counters — must reproduce. DSM
-				// merges opportunistically and sharding partitions merge
-				// opportunities, so those cells pin the schedule-invariant
-				// results: coverage, errors, and the test corpus itself.
-				strict := reg.merge == symx.MergeSSM && workers == 1
-				label := name + "/" + reg.name
-				t.Run(label+"/w"+string(rune('0'+workers)), func(t *testing.T) {
-					cfg := base
-					cfg.Workers = workers
-					cfg.CorpusDir = t.TempDir()
-					cfg.CorpusLabel = tool.Name
-					cfg.CheckpointDir = t.TempDir()
-					cfg.CheckpointEvery = 500 * time.Microsecond
+			// SSM is the canonical schedule: static merge points,
+			// worklist-order-insensitive topological strategy. There the
+			// ENTIRE result — multiplicity census and corpus bytes including
+			// manifest counters — must reproduce. DSM merges
+			// opportunistically, so those cells pin the schedule-invariant
+			// results: coverage, errors, and the test corpus itself.
+			strict := reg.merge == symx.MergeSSM
+			label := name + "/" + reg.name
+			t.Run(label, func(t *testing.T) {
+				cfg := base
+				cfg.CorpusDir = t.TempDir()
+				cfg.CorpusLabel = tool.Name
+				cfg.CheckpointDir = t.TempDir()
+				cfg.CheckpointEvery = 500 * time.Microsecond
 
-					// Kill two thirds of the way in: late enough that epochs
-					// (and thus snapshots) have happened, early enough that
-					// real work remains for the resumed run.
-					killAt := int64(ref.Stats.Steps * 2 / 3)
-					if killAt < 2 {
-						killAt = 2
-					}
-					res, kills, snapResumes := killResumeLoop(t, p, cfg, faultinject.PointStep, killAt)
-					if kills == 0 {
-						t.Fatalf("kill at step %d never fired (reference run took %d steps)", killAt, ref.Stats.Steps)
-					}
-					totalSnapResumes += snapResumes
-					requireSameCensus(t, label, ref, res, strict)
-					requireSameCorpus(t, label, refDir, cfg.CorpusDir, strict)
-				})
-			}
+				// Kill two thirds of the way in: late enough that snapshots
+				// have happened, early enough that real work remains for
+				// the resumed run.
+				killAt := int64(ref.Stats.Steps * 2 / 3)
+				if killAt < 2 {
+					killAt = 2
+				}
+				res, kills, snapResumes := killResumeLoop(t, p, cfg, faultinject.PointStep, killAt)
+				if kills == 0 {
+					t.Fatalf("kill at step %d never fired (reference run took %d steps)", killAt, ref.Stats.Steps)
+				}
+				totalSnapResumes += snapResumes
+				requireSameCensus(t, label, ref, res, strict)
+				requireSameCorpus(t, label, refDir, cfg.CorpusDir, strict)
+			})
 		}
 	}
 	if totalSnapResumes == 0 {
@@ -307,7 +301,6 @@ func TestKillResumeMidMerge(t *testing.T) {
 	}
 
 	cfg := base
-	cfg.Workers = 1
 	cfg.CorpusDir = t.TempDir()
 	cfg.CorpusLabel = tool.Name
 	cfg.CheckpointDir = t.TempDir()
@@ -340,7 +333,6 @@ func TestKillResumeMidCorpusWrite(t *testing.T) {
 	ref, refDir := referenceRun(t, tool, p, base)
 
 	cfg := base
-	cfg.Workers = 1
 	cfg.CorpusDir = t.TempDir()
 	cfg.CorpusLabel = tool.Name
 	cfg.CheckpointDir = t.TempDir()
@@ -367,4 +359,106 @@ func TestKillResumeMidCorpusWrite(t *testing.T) {
 
 	requireSameCensus(t, "echo/mid-corpus-write", ref, res, true)
 	requireSameCorpus(t, "echo/mid-corpus-write", refDir, cfg.CorpusDir, true)
+}
+
+// TestCheckpointedRunMatchesPlain: snapshots leave the exploration alone.
+// A checkpointed run that is never killed must explore exactly the plain
+// run's schedule, so every counter that does not depend on expression IDs
+// and the corpus bytes must match. Queries and SAT calls are left out:
+// flattening a snapshot's output streams interns guard nodes, which can
+// shift later expression IDs.
+func TestCheckpointedRunMatchesPlain(t *testing.T) {
+	for _, name := range []string{"fmt", "uniq", "paste"} {
+		tool, err := coreutils.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := tool.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, reg := range []struct {
+			name  string
+			merge symx.MergeMode
+		}{{"ssm+qce", symx.MergeSSM}, {"dsm+qce", symx.MergeDSM}} {
+			t.Run(name+"/"+reg.name, func(t *testing.T) {
+				base := tool.BaseConfig()
+				base.Merge, base.UseQCE, base.Seed = reg.merge, true, 1
+				base.CorpusLabel = tool.Name
+				run := func(ckptDir string) (*symx.Result, string) {
+					cfg := base
+					cfg.CorpusDir = t.TempDir()
+					cfg.CheckpointDir = ckptDir
+					cfg.CheckpointEvery = 200 * time.Microsecond
+					res := symx.Run(p, cfg)
+					if !res.Completed || res.CorpusErr != nil || res.CheckpointErr != nil {
+						t.Fatalf("completed=%v corpusErr=%v checkpointErr=%v", res.Completed, res.CorpusErr, res.CheckpointErr)
+					}
+					d, err := corpus.DirDigest(cfg.CorpusDir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res, d
+				}
+				plain, plainDigest := run("")
+				ckptDir := t.TempDir()
+				ckpt, ckptDigest := run(ckptDir)
+
+				a, b := plain.Stats, ckpt.Stats
+				for _, c := range []struct {
+					what      string
+					want, got any
+				}{
+					{"steps", a.Steps, b.Steps},
+					{"forks", a.Forks, b.Forks},
+					{"merge attempts", a.MergeAttempts, b.MergeAttempts},
+					{"merges", a.Merges, b.Merges},
+					{"paths completed", a.PathsCompleted, b.PathsCompleted},
+					{"paths", a.PathsMult.String(), b.PathsMult.String()},
+					{"exact paths", a.ExactPaths, b.ExactPaths},
+					{"covered", a.CoveredInstrs, b.CoveredInstrs},
+					{"errors", a.ErrorsFound, b.ErrorsFound},
+					{"corpus digest", plainDigest, ckptDigest},
+				} {
+					if c.want != c.got {
+						t.Errorf("%s: plain %v, checkpointed %v", c.what, c.want, c.got)
+					}
+				}
+				sn, err := checkpoint.LoadLatest(ckptDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == "fmt" && sn == nil {
+					t.Error("the checkpointed fmt run wrote no snapshot")
+				}
+			})
+		}
+	}
+}
+
+// TestContextCancelStopsPromptly: a cancelled context stops an exploration
+// far too large to finish, promptly and with Completed=false.
+func TestContextCancelStopsPromptly(t *testing.T) {
+	tool, err := coreutils.Get("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := tool.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // already cancelled: the run must bail out almost immediately
+
+	cfg := tool.BaseConfig()
+	cfg.ArgLen = 8 // far too large to explore exhaustively here
+	cfg.Context = ctx
+	start := time.Now()
+	res := symx.Run(p, cfg)
+	if res.Completed || res.Interrupted != symx.IntrContext {
+		t.Fatalf("cancelled exploration: completed=%v interrupted=%s", res.Completed, res.Interrupted)
+	}
+	if wall := time.Since(start); wall > 30*time.Second {
+		t.Fatalf("cancellation took %v; the context poll is not reaching the step loop", wall)
+	}
 }

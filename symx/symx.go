@@ -32,7 +32,6 @@ import (
 	"symmerge/internal/ir"
 	"symmerge/internal/lang"
 	"symmerge/internal/obs"
-	"symmerge/internal/parallel"
 	"symmerge/internal/qce"
 	"symmerge/internal/search"
 	"symmerge/internal/solver"
@@ -50,8 +49,7 @@ type Program struct {
 }
 
 // staticFacts computes the program's CFGs and liveness once per Program;
-// QCE and every run, worker, and portfolio entry share the same immutable
-// tables.
+// QCE and every run share the same immutable tables.
 func (p *Program) staticFacts() *analysis.Program {
 	p.anOnce.Do(func() { p.an = analysis.Analyze(p.ir) })
 	return p.an
@@ -167,38 +165,16 @@ type Config struct {
 	// (default 8, the paper's value).
 	DSMDelta int
 
-	// Budgets; zero = unlimited.
+	// Budgets; zero = unlimited. They bound this invocation: a resumed
+	// checkpointed run starts them afresh.
 	MaxSteps  uint64
 	MaxTime   time.Duration
 	MaxStates int
 
-	// Workers shards the exploration across this many goroutines (the
-	// internal/parallel subsystem): each worker runs its own engine over
-	// subtrees claimed from a shared frontier with work-stealing, while
-	// the expression builder is shared race-clean. 0 or 1 explores
-	// single-threaded. Sharding never changes
-	// the explored path set: paths-multiplicity, coverage, and the set of
-	// errors found match the single-threaded run on exhaustive
-	// explorations (only the count of separately completed states may
-	// differ, since merging is worker-local). Budgets shard with the
-	// work: MaxSteps and MaxStates are divided evenly across workers
-	// (keeping them total-work and total-memory bounds), and MaxTime is a
-	// shared deadline; a worker that exhausts its own share retires while
-	// the others keep spending theirs.
-	Workers int
-
-	// Context, when non-nil, cancels the exploration early (Ctrl-C,
-	// portfolio losers). The engine polls it on the deadline cadence and
-	// returns with Completed=false.
+	// Context, when non-nil, cancels the exploration early (Ctrl-C, a
+	// daemon drain or job deadline). The engine polls it on the deadline
+	// cadence and returns with Completed=false.
 	Context context.Context
-
-	// Portfolio, when non-empty, races the given complete configurations
-	// concurrently over the same program: the first to finish its
-	// exploration wins and the losers are cancelled via context. The
-	// winning entry's index is reported in Result.PortfolioWinner. The
-	// outer Config's other fields are ignored (each entry is complete);
-	// nested portfolios are stripped.
-	Portfolio []Config
 
 	// CheckBounds turns out-of-bounds array accesses into path errors.
 	CheckBounds bool
@@ -208,9 +184,8 @@ type Config struct {
 	// model of its path instead of an arbitrary solver model, and — when
 	// the shadow census is on — emits one test per constituent single path
 	// of a merged state. Canonical tests are a pure function of the
-	// explored path set: worker count, search strategy, and solver state
-	// (the model-reuse ring, learned clauses) cannot change them. Implied
-	// by CorpusDir.
+	// explored path set: search strategy and solver state (the model-reuse
+	// ring, learned clauses) cannot change them. Implied by CorpusDir.
 	CanonicalTests bool
 	// MaxTests bounds recorded test cases and errors (0 = 256).
 	MaxTests int
@@ -220,11 +195,9 @@ type Config struct {
 	// file per test named by input hash, plus manifest.json) and implies
 	// CollectTests and CanonicalTests — plus TrackExactPaths under a
 	// merging regime, so merged states contribute one test per constituent
-	// path and replay coverage can match symbolic coverage exactly. All
-	// run shapes emit: sequential, parallel (workers share one writer),
-	// and portfolio (the winner's tests are written). A writer that cannot
-	// even be created (non-replayable program, unwritable directory) fails
-	// the run up front with an empty Result carrying CorpusErr; emission
+	// path and replay coverage can match symbolic coverage exactly. A
+	// writer that cannot even be created (non-replayable program,
+	// unwritable directory) fails the run up front with an empty Result carrying CorpusErr; emission
 	// failures during or after the run land in Result.CorpusErr with the
 	// exploration result intact.
 	CorpusDir string
@@ -232,23 +205,23 @@ type Config struct {
 	// source file); informational only.
 	CorpusLabel string
 
-	// CheckpointDir, when non-empty, makes the run crash-safe: the driver
-	// explores in epochs of CheckpointEvery, writing a versioned snapshot
-	// (internal/checkpoint format) of the live frontier, the cumulative
-	// progress counters, and the corpus writer's dedup state at every epoch
-	// boundary and on cancellation. A killed run resumed with Resume
-	// converges to the same census and corpus as an uninterrupted one.
-	// Incompatible with Portfolio (a race's winner is wall-clock
-	// nondeterministic, so its snapshot could not promise a deterministic
-	// resume); refused up front via Result.ConfigErr.
+	// CheckpointDir, when non-empty, makes the run crash-safe: every
+	// CheckpointEvery, and on every budget or cancellation stop, the run
+	// writes a versioned snapshot (internal/checkpoint format) of the live
+	// frontier, the cumulative progress counters, and the corpus writer's
+	// dedup state. Snapshots leave the exploration untouched: a run that is
+	// not killed explores exactly the schedule it explores without
+	// CheckpointDir. A killed run resumed with Resume converges to the
+	// same coverage, errors and corpus as an uninterrupted one.
 	CheckpointDir string
-	// CheckpointEvery is the snapshot interval (default 30s).
+	// CheckpointEvery is the snapshot interval (default 30s). It grows to
+	// four times the cost of one snapshot when snapshots cost more.
 	CheckpointEvery time.Duration
-	// Resume, with CheckpointDir set, restores the newest valid snapshot in
-	// the directory before exploring — validating it against the current
-	// program IR hash and configuration descriptor — and continues from its
-	// frontier. With no usable snapshot the run simply starts fresh.
-	// Budgets (MaxSteps, MaxTime) are per-invocation, not per logical run.
+	// Resume restores the newest valid snapshot in CheckpointDir before
+	// exploring — validating it against the current program IR hash and
+	// configuration descriptor — and continues from its frontier. With no
+	// snapshot in the directory the run simply starts fresh. Resume
+	// without CheckpointDir is refused via Result.ConfigErr.
 	Resume bool
 	// TrackExactPaths maintains the shadow single-path census alongside
 	// merged states (paper §5.2; used for Figure 3).
@@ -270,9 +243,9 @@ type Config struct {
 	// (schema symmerge-trace/v1; see internal/obs and README
 	// "Observability") of the exploration to that path: forks, merge
 	// decisions with the QCE numbers behind them, solver queries with
-	// class and latency, fast-forward picks, work-stealing, epochs and
-	// checkpoints. The sink never blocks a worker: events beyond the
-	// buffer are dropped and counted in Result.TraceDrops. Tracing is
+	// class and latency, fast-forward picks, epochs and checkpoints. The
+	// sink never blocks the engine: events beyond the buffer are dropped
+	// and counted in Result.TraceDrops. Tracing is
 	// purely observational — corpus output and census are byte-identical
 	// with it on or off. A path that cannot be created refuses the run up
 	// front via Result.ConfigErr.
@@ -281,16 +254,16 @@ type Config struct {
 	// (default obs.DefaultBuffer = 4096 events).
 	TraceBuffer int
 	// Metrics, when non-nil, receives live counters and latency
-	// histograms from every engine of the run (see NewMetrics,
-	// PublishMetrics). Safe to Snapshot concurrently with the run.
+	// histograms from the run's engine (see NewMetrics, PublishMetrics).
+	// Safe to Snapshot concurrently with the run.
 	Metrics *Metrics
-	// Monitor, when non-nil, gets every engine the run builds attached
-	// for live aggregate progress (Monitor.Progress); cmd/symx serves it
-	// at -debug-addr /progress.
+	// Monitor, when non-nil, gets the run's engine attached for live
+	// progress (Monitor.Progress); cmd/symx serves it at -debug-addr
+	// /progress.
 	Monitor *Monitor
 
 	// obsRun is the resolved observability plumbing (trace sink + metrics)
-	// Run threads down to the engines; portfolio entries inherit it.
+	// Run threads down to the engine.
 	obsRun *obs.Run
 }
 
@@ -318,39 +291,29 @@ const (
 	IntrCheckpoint = core.IntrCheckpoint
 )
 
-// Run explores the program under the configuration and returns the result.
-// With Workers > 1 the exploration is sharded across a worker pool
-// (internal/parallel); with a non-empty Portfolio the configurations race
-// and the first to finish wins.
+// Run explores the program under the configuration with one engine and
+// returns the result; with CheckpointDir set, the exploration is crash-safe
+// and resumable (see Config.CheckpointDir).
 //
 // An invalid configuration — an unknown Strategy or an incompatible pair of
-// options, in the outer config or any portfolio entry — is refused up front:
-// the returned (otherwise empty) result carries the problem in
-// Result.ConfigErr instead of silently exploring under a fallback.
+// options — is refused up front: the returned (otherwise empty) result
+// carries the problem in Result.ConfigErr instead of silently exploring
+// under a fallback.
 func Run(p *Program, cfg Config) *Result {
 	if err := validateConfig(cfg); err != nil {
-		res := &Result{PortfolioWinner: -1, ConfigErr: err}
-		res.Stats.PathsMult = big.NewInt(0)
-		return res
+		return failedResult(err)
 	}
 	var sink *obs.Sink
 	if cfg.TraceFile != "" {
 		f, err := os.Create(cfg.TraceFile)
 		if err != nil {
-			res := &Result{PortfolioWinner: -1, ConfigErr: fmt.Errorf("trace: %w", err)}
-			res.Stats.PathsMult = big.NewInt(0)
-			return res
+			return failedResult(fmt.Errorf("trace: %w", err))
 		}
 		sink = obs.NewSink(f, cfg.TraceBuffer)
 	}
 	cfg.obsRun = obs.NewRun(sink, cfg.Metrics)
 
-	var res *Result
-	if len(cfg.Portfolio) > 0 {
-		res = runPortfolio(p, cfg)
-	} else {
-		res = runSingle(p, cfg)
-	}
+	res := runSingle(p, cfg)
 	if sink != nil {
 		// Close after all emitters have returned: the footer's event/drop
 		// totals are final, and the result carries them for callers that
@@ -366,23 +329,11 @@ func Run(p *Program, cfg Config) *Result {
 // mis-handle silently. The empty Strategy is fine (coreConfig resolves it
 // from the merge mode); anything else must name a known strategy.
 func validateConfig(cfg Config) error {
-	if err := validateEntry(cfg); err != nil {
-		return err
+	if cfg.Resume && cfg.CheckpointDir == "" {
+		// Without a directory there is no snapshot to resume from: the run
+		// would silently explore from scratch.
+		return fmt.Errorf("resume requires a checkpoint directory (CheckpointDir, symx -checkpoint)")
 	}
-	if cfg.CheckpointDir != "" && len(cfg.Portfolio) > 0 {
-		return fmt.Errorf("checkpoint: incompatible with a portfolio (the race winner is wall-clock nondeterministic, so a snapshot could not promise a deterministic resume)")
-	}
-	for i, sub := range cfg.Portfolio {
-		if err := validateEntry(sub); err != nil {
-			return fmt.Errorf("portfolio entry %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// validateEntry checks the per-configuration invariants shared by the outer
-// config and portfolio entries.
-func validateEntry(cfg Config) error {
 	if cfg.Strategy != "" {
 		if err := search.Validate(cfg.Strategy); err != nil {
 			return err
@@ -427,25 +378,35 @@ func emitToWriter(w *corpus.Writer, tc core.TestCase) {
 	w.Add(tc.Args, tc.Stdin, tc.Output, tc.Exit, tc.IsErr, tc.Msg)
 }
 
+// failedResult builds the well-formed empty result of a run refused up
+// front: an invalid configuration, an uncreatable trace file, or a
+// checkpoint snapshot that does not belong to this program and
+// configuration. Nothing was explored.
+func failedResult(err error) *Result {
+	res := &Result{ConfigErr: err}
+	res.Stats.PathsMult = big.NewInt(0)
+	return res
+}
+
 // corpusFailure builds the well-formed empty result a run returns when its
 // corpus writer cannot even be created (non-replayable program, unwritable
 // directory): failing before the exploration beats discovering after a
 // long run that nothing was persisted.
 func corpusFailure(err error) *Result {
-	res := &Result{PortfolioWinner: -1, CorpusErr: err}
+	res := &Result{CorpusErr: err}
 	res.Stats.PathsMult = big.NewInt(0)
 	return res
 }
 
 // configDescriptor renders the canonical producing-configuration string the
-// corpus manifest records. Scheduling knobs (Workers, Context, budgets) are
-// excluded on purpose: they must not change the corpus.
+// corpus manifest records. Scheduling knobs (Context, budgets,
+// checkpointing) are excluded on purpose: they must not change the corpus.
 func configDescriptor(cfg Config, kind Strategy) string {
 	return fmt.Sprintf("merge=%s qce=%v strategy=%s seed=%d nargs=%d arglen=%d stdin=%d",
 		cfg.Merge, cfg.UseQCE, kind, cfg.Seed, cfg.NArgs, cfg.ArgLen, cfg.StdinLen)
 }
 
-// runSingle runs one configuration, sharded when cfg.Workers > 1.
+// runSingle runs one configuration on one engine.
 func runSingle(p *Program, cfg Config) *Result {
 	if cfg.CheckpointDir != "" {
 		return runCheckpointed(p, cfg)
@@ -465,13 +426,7 @@ func runSingle(p *Program, cfg Config) *Result {
 		ccfg.TestSink = func(tc core.TestCase) { emitToWriter(writer, tc) }
 	}
 
-	factory := engineFactory(p, kind, seed, cfg.Monitor)
-	var res *Result
-	if cfg.Workers > 1 {
-		res = parallel.Explore(ccfg, parallel.Options{Workers: cfg.Workers}, factory)
-	} else {
-		res = factory(ccfg).Run()
-	}
+	res := newEngine(p, ccfg, kind, seed, cfg.Monitor).Run()
 	if writer != nil {
 		res.CorpusErr = finishCorpus(writer, res)
 	}
@@ -492,98 +447,32 @@ func finishCorpus(writer *corpus.Writer, res *Result) error {
 	return err
 }
 
-// runPortfolio races cfg.Portfolio's entries; see Config.Portfolio. With a
-// CorpusDir the racing entries collect canonical tests in memory and the
-// winner's set is written out after the race — losers leave no files.
-func runPortfolio(p *Program, cfg Config) *Result {
-	runs := make([]func(context.Context) *core.Result, len(cfg.Portfolio))
-	entries := make([]Config, len(cfg.Portfolio))
-	for i := range cfg.Portfolio {
-		entry := cfg.Portfolio[i]
-		entry.Portfolio = nil // no nesting
-		entry.CorpusDir = ""  // the winner's tests are written post-race
-		// Observability is a property of the race, not the entries: all
-		// racers share the outer trace sink (their events carry distinct
-		// worker lanes), metrics registry, and monitor.
-		entry.obsRun = cfg.obsRun
-		entry.TraceFile = ""
-		entry.Metrics = cfg.Metrics
-		if entry.Monitor == nil {
-			entry.Monitor = cfg.Monitor
-		}
-		if cfg.CorpusDir != "" {
-			entry = applyCorpusImplications(entry)
-			if entry.MaxTests < 1<<20 {
-				// The corpus is built from the winner's in-memory test
-				// set here (the streaming sink cannot race), so any
-				// smaller cap would silently truncate it and break the
-				// coverage-parity guarantee.
-				entry.MaxTests = 1 << 20
-			}
-		}
-		entries[i] = entry
-		runs[i] = func(ctx context.Context) *core.Result {
-			sub := entries[i]
-			sub.Context = ctx
-			return runSingle(p, sub)
-		}
-	}
-	idx, res := parallel.Portfolio(cfg.Context, runs)
-	if res == nil {
-		// Unreachable with a non-empty portfolio, but keep the API total.
-		return runSingle(p, cfg.Portfolio[0])
-	}
-	res.PortfolioWinner = idx
-	if cfg.CorpusDir != "" {
-		res.CorpusErr = writePortfolioCorpus(p, cfg, entries[idx], res)
-	}
-	return res
-}
-
-// writePortfolioCorpus persists the winning entry's in-memory test set.
-func writePortfolioCorpus(p *Program, outer, winner Config, res *Result) error {
-	_, kind, _ := coreConfig(p, winner)
-	writer, err := corpus.NewWriter(outer.CorpusDir, p.ir, outer.CorpusLabel, configDescriptor(winner, kind))
-	if err != nil {
-		return err
-	}
-	for _, tc := range res.Tests {
-		emitToWriter(writer, tc)
-	}
-	return finishCorpus(writer, res)
-}
-
 // NewEngine exposes a prepared engine for callers that need incremental
-// control (the bench harness samples stats mid-run). Single-threaded only:
-// Workers and Portfolio are ignored here. An unknown cfg.Strategy panics —
-// use Run for the error-reporting path.
+// control (tests step it, snapshot it, and sample its stats mid-run).
+// CheckpointDir, CorpusDir and TraceFile are Run's and are ignored here.
+// An unknown cfg.Strategy panics — use Run for the error-reporting path.
 func NewEngine(p *Program, cfg Config) *core.Engine {
 	ccfg, kind, seed := coreConfig(p, cfg)
-	return engineFactory(p, kind, seed, cfg.Monitor)(ccfg)
+	return newEngine(p, ccfg, kind, seed, cfg.Monitor)
 }
 
-// engineFactory builds engines for a program: one call per parallel worker
-// (plus the splitter), or a single call for a sequential run. Each engine
-// gets its own driving strategy instance; shared pieces (builder, QCE
-// analysis) arrive through the core.Config. Every engine built is
-// attached to mon (nil-safe) so a live Monitor sees all of them.
-func engineFactory(p *Program, kind Strategy, seed int64, mon *Monitor) parallel.NewEngineFunc {
-	return func(ccfg core.Config) *core.Engine {
-		// The engine needs the strategy at construction, but the strategy
-		// needs the engine as its context; break the cycle with a
-		// forwarder.
-		fwd := &ctxForwarder{}
-		strat, err := search.New(kind, fwd, seed)
-		if err != nil {
-			// Run validated the strategy before building any engine, so
-			// this is reachable only through NewEngine misuse.
-			panic(err)
-		}
-		eng := core.NewEngine(p.ir, ccfg, strat)
-		fwd.ctx = eng
-		mon.attach(eng)
-		return eng
+// newEngine builds the engine of a run with its own driving strategy
+// instance; the program's shared static tables arrive through ccfg. The
+// engine is attached to mon (nil-safe) so a live Monitor sees it.
+func newEngine(p *Program, ccfg core.Config, kind Strategy, seed int64, mon *Monitor) *core.Engine {
+	// The engine needs the strategy at construction, but the strategy
+	// needs the engine as its context; break the cycle with a forwarder.
+	fwd := &ctxForwarder{}
+	strat, err := search.New(kind, fwd, seed)
+	if err != nil {
+		// Run validated the strategy before building any engine, so this
+		// is reachable only through NewEngine misuse.
+		panic(err)
 	}
+	eng := core.NewEngine(p.ir, ccfg, strat)
+	fwd.ctx = eng
+	mon.attach(eng)
+	return eng
 }
 
 // coreConfig lowers the public Config to the engine configuration plus the
