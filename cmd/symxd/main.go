@@ -6,8 +6,8 @@
 // With -checkpoint-dir, jobs submitted with a "key" are drain-safe: a
 // SIGTERM preempts them into resumable snapshots, and resubmitting the
 // same key with "resume" continues where the drain stopped them. A key
-// uses only [A-Za-z0-9._-] and is not only dots; "resume" without a key,
-// or without -checkpoint-dir, is refused with 400.
+// uses only [A-Za-z0-9._-] and is not only dots; a key without
+// -checkpoint-dir, or "resume" without a key, is refused with 400.
 //
 // Endpoints:
 //

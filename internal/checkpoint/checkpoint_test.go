@@ -1,11 +1,13 @@
 package checkpoint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"symmerge/internal/core"
@@ -13,120 +15,96 @@ import (
 	"symmerge/internal/expr"
 )
 
-// wireFixture builds a small but representative pair of states sharing
-// expression structure: symbolic locals, a path condition, heap cells, a
-// guarded output byte, and a shadow path.
-func wireFixture(b *expr.Builder) []*core.StateWire {
-	x := b.Var("x", 8)
-	y := b.Var("y", 8)
-	sum := b.Add(x, y)
-	cond := b.Ult(x, b.Const(10, 8))
-	big := b.Const(1<<63|12345, 64)
-	return []*core.StateWire{
-		{
-			Frames: []core.WireFrame{{
-				Fn: 0, PC: 3, RetDst: -1,
-				Locals:  []core.WireValue{{E: sum}, {Depth: 0, Local: 1}, {E: big}},
-				Objects: []*core.WireObject{nil, {Cells: []*expr.Expr{x, sum}, Width: 8}, nil},
-			}},
-			PC:      []*expr.Expr{cond},
-			Heap:    []core.WireHeapEntry{{ID: 2, Obj: core.WireObject{Cells: []*expr.Expr{y}, Width: 8}}},
-			Allocs:  []uint16{1, 0},
-			Mult:    "3",
-			Output:  []core.WireOut{{Guard: cond, Val: x}},
-			NSyms:   2,
-			History: []uint64{7, 9, 0},
-			HistPos: 1,
-			Shadow:  [][]*expr.Expr{{cond}, {b.Not(cond)}},
+// frontierFixture is a small but representative frontier: two states
+// sharing expression structure, with symbolic locals, an object-reference
+// local, a full-width constant, a path condition, a heap cell, a guarded
+// output byte, and a shadow census. Its table is in the order an ID-sorted
+// encoder writes it, so older writers produce the same bytes.
+func frontierFixture() core.Frontier {
+	const x, y, sum, c10, cond, big, notCond = 1, 2, 3, 4, 5, 6, 7 // references
+	return core.Frontier{
+		Exprs: []expr.Node{
+			{K: uint8(expr.KVar), W: 8, N: "x"},
+			{K: uint8(expr.KVar), W: 8, N: "y"},
+			{K: uint8(expr.KAdd), W: 8, Kids: []uint32{x - 1, y - 1}},
+			{K: uint8(expr.KConst), W: 8, V: "10"},
+			{K: uint8(expr.KUlt), Kids: []uint32{x - 1, c10 - 1}},
+			{K: uint8(expr.KConst), W: 64, V: strconv.FormatUint(1<<63|12345, 10)},
+			{K: uint8(expr.KNot), Kids: []uint32{cond - 1}},
 		},
-		{
-			Frames: []core.WireFrame{{
-				Fn: 0, PC: 5, RetDst: -1,
-				Locals:  []core.WireValue{{E: x}, {E: y}, {E: sum}},
-				Objects: []*core.WireObject{nil, nil, nil},
-			}},
-			PC:   []*expr.Expr{b.Not(cond)},
-			Mult: "1",
+		States: []core.StateWire{
+			{
+				Frames: []core.WireFrame{{
+					Fn: 0, PC: 3, RetDst: -1,
+					Locals:  []core.WireValue{{E: sum}, {Depth: 0, Local: 1}, {E: big}},
+					Objects: []*core.WireObject{nil, {Cells: []uint32{x, sum}, Width: 8}, nil},
+				}},
+				PC:      []uint32{cond},
+				Heap:    []core.WireHeapEntry{{ID: 2, Obj: core.WireObject{Cells: []uint32{y}, Width: 8}}},
+				Allocs:  []uint16{1, 0},
+				Mult:    "3",
+				Output:  []core.WireOut{{Guard: cond, Val: x}},
+				NSyms:   2,
+				History: []uint64{7, 9, 0},
+				HistPos: 1,
+				Shadow:  [][]uint32{{cond}, {notCond}},
+			},
+			{
+				Frames: []core.WireFrame{{
+					Fn: 0, PC: 5, RetDst: -1,
+					Locals:  []core.WireValue{{E: x}, {E: y}, {E: sum}},
+					Objects: []*core.WireObject{nil, nil, nil},
+				}},
+				PC:   []uint32{notCond},
+				Mult: "1",
+			},
 		},
 	}
 }
 
-// TestEncodeDecodeRoundTrip checks the node table + index encoding against
-// both decode targets: the same builder must yield pointer-identical
-// expressions (pure hash-cons hits), and a fresh builder must yield a
-// byte-identical re-encoding.
+// v1Frontier is how a symmerge-checkpoint/v1 file spells the fixture's
+// frontier: the last two keys of the snapshot object.
+const v1Frontier = `"exprs":[{"k":1,"w":8,"n":"x"},{"k":1,"w":8,"n":"y"},{"k":12,"w":8,"c":[0,1]},{"k":0,"w":8,"v":"10"},{"k":8,"c":[0,3]},{"k":0,"w":64,"v":"9223372036854788153"},{"k":2,"c":[4]}],` +
+	`"states":[{"frames":[{"fn":0,"pc":3,"ret":-1,"locals":[{"e":3},{"l":1},{"e":6}],"objects":[null,{"cells":[1,3],"width":8},null]}],` +
+	`"pc":[5],"heap":[{"id":2,"obj":{"cells":[2],"width":8}}],"allocs":[1,0],"mult":"3","output":[{"g":5,"v":1}],"nsyms":2,` +
+	`"history":[7,9,0],"histpos":1,"shadow":[[5],[7]]},` +
+	`{"frames":[{"fn":0,"pc":5,"ret":-1,"locals":[{"e":1},{"e":2},{"e":3}],"objects":[null,null,null]}],"pc":[7],"mult":"1"}]}`
+
+// TestEncodeDecodeRoundTrip writes a snapshot and loads it back: the
+// frontier must keep its v1 keys and place, and the loaded snapshot must
+// equal the written one.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	b := expr.NewBuilder()
-	wires := wireFixture(b)
-
-	var sn Snapshot
-	sn.EncodeStates(wires)
-	enc1, err := json.Marshal(&sn)
+	dir := t.TempDir()
+	sn := &Snapshot{Seq: 1, Program: corpus.ProgramInfo{Name: "t", Hash: "h"}, Config: "c", Frontier: frontierFixture()}
+	path, err := Write(dir, sn)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Same builder: every decoded expression is the original pointer.
-	back, err := sn.DecodeStates(b)
-	if err != nil {
-		t.Fatalf("decode (same builder): %v", err)
-	}
-	if len(back) != len(wires) {
-		t.Fatalf("decoded %d states, want %d", len(back), len(wires))
-	}
-	if back[0].PC[0] != wires[0].PC[0] {
-		t.Error("path conjunct did not hash-cons back to the original pointer")
-	}
-	if back[0].Frames[0].Locals[0].E != wires[0].Frames[0].Locals[0].E {
-		t.Error("local did not hash-cons back to the original pointer")
-	}
-	if back[0].Heap[0].Obj.Cells[0] != wires[0].Heap[0].Obj.Cells[0] {
-		t.Error("heap cell did not hash-cons back to the original pointer")
-	}
-	if back[0].Frames[0].Locals[1].E != nil || back[0].Frames[0].Locals[1].Local != 1 {
-		t.Error("object reference local did not survive")
-	}
-	if got := back[0].Frames[0].Locals[2].E; got.Val != 1<<63|12345 {
-		t.Errorf("uint64 constant corrupted: %d", got.Val)
-	}
-
-	// Fresh builder: decode, re-encode, byte-identical snapshot.
-	fresh, err := sn.DecodeStates(expr.NewBuilder())
-	if err != nil {
-		t.Fatalf("decode (fresh builder): %v", err)
-	}
-	var sn2 Snapshot
-	sn2.EncodeStates(fresh)
-	sn2.Schema = sn.Schema
-	enc2, err := json.Marshal(&sn2)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(enc1) != string(enc2) {
-		t.Errorf("re-encoding through a fresh builder diverged:\n%s\nvs\n%s", enc1, enc2)
+	if body, _, _ := bytes.Cut(data, []byte("\n")); !bytes.HasSuffix(body, []byte(v1Frontier)) {
+		t.Errorf("snapshot body does not end in the v1 frontier:\n%s\nwant suffix\n%s", body, v1Frontier)
 	}
-}
-
-func TestDecodeRejectsForwardReference(t *testing.T) {
-	sn := Snapshot{
-		Exprs: []Node{{K: uint8(expr.KNot), Kids: []uint32{1}}, {K: uint8(expr.KVar), N: "b"}},
+	got, err := LoadLatest(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sn.DecodeStates(expr.NewBuilder()); err == nil {
-		t.Fatal("forward kid reference decoded without error")
+	if !reflect.DeepEqual(got, sn) {
+		t.Errorf("loaded snapshot differs from the written one:\n%+v\nvs\n%+v", got, sn)
 	}
 }
 
 func TestWriteLoadLatest(t *testing.T) {
 	dir := t.TempDir()
-	b := expr.NewBuilder()
 
 	if sn, err := LoadLatest(dir); err != nil || sn != nil {
 		t.Fatalf("empty dir: got (%v, %v), want (nil, nil)", sn, err)
 	}
 
 	for seq := uint64(0); seq < 4; seq++ {
-		sn := &Snapshot{Seq: seq, Program: corpus.ProgramInfo{Name: "t", Hash: "h"}, Config: "c"}
-		sn.EncodeStates(wireFixture(b))
+		sn := &Snapshot{Seq: seq, Program: corpus.ProgramInfo{Name: "t", Hash: "h"}, Config: "c", Frontier: frontierFixture()}
 		if _, err := Write(dir, sn); err != nil {
 			t.Fatalf("write %d: %v", seq, err)
 		}

@@ -10,7 +10,7 @@ import (
 	"maps"
 	"math/big"
 	"math/rand"
-	"slices"
+	"reflect"
 	"testing"
 
 	"symmerge/internal/analysis"
@@ -489,72 +489,12 @@ func (g *streamGen) assignments() []expr.Env {
 	return envs
 }
 
-// reintern rebuilds x in builder b node by node, kids first, through
-// Builder.Intern: what the checkpoint decoder does with a node table.
-func reintern(b *expr.Builder, x *expr.Expr, memo map[*expr.Expr]*expr.Expr) *expr.Expr {
-	if x == nil {
-		return nil
-	}
-	if y, ok := memo[x]; ok {
-		return y
-	}
-	kids := make([]*expr.Expr, len(x.Kids))
-	for i, k := range x.Kids {
-		kids[i] = reintern(b, k, memo)
-	}
-	y, err := b.Intern(x.Kind, x.Width, x.Val, x.Aux, x.Name, kids)
-	if err != nil {
-		panic(err)
-	}
-	memo[x] = y
-	return y
-}
-
-// reinternWire moves a wire state with no heap or shadow census into
-// builder b.
-func reinternWire(b *expr.Builder, w *StateWire) *StateWire {
-	memo := map[*expr.Expr]*expr.Expr{}
-	re := func(x *expr.Expr) *expr.Expr { return reintern(b, x, memo) }
-	out := *w
-	out.PC = nil
-	for _, c := range w.PC {
-		out.PC = append(out.PC, re(c))
-	}
-	out.Frames = nil
-	for _, f := range w.Frames {
-		nf := f
-		nf.Locals = nil
-		for _, v := range f.Locals {
-			v.E = re(v.E)
-			nf.Locals = append(nf.Locals, v)
-		}
-		nf.Objects = nil
-		for _, o := range f.Objects {
-			if o == nil {
-				nf.Objects = append(nf.Objects, nil)
-				continue
-			}
-			no := &WireObject{Width: o.Width}
-			for _, c := range o.Cells {
-				no.Cells = append(no.Cells, re(c))
-			}
-			nf.Objects = append(nf.Objects, no)
-		}
-		out.Frames = append(out.Frames, nf)
-	}
-	out.Output = nil
-	for _, o := range w.Output {
-		out.Output = append(out.Output, WireOut{Guard: re(o.Guard), Val: re(o.Val)})
-	}
-	return &out
-}
-
 // TestOutputStreamMatchesReference runs random fork/putchar/merge sequences
 // with merges nested at least four deep. Under every input assignment that
 // satisfies the final path condition the stream must print what the
-// reference prints, and so must the state rebuilt from its wire form, both
-// through the producing builder and through a fresh one. The wire form of
-// a rebuilt state must equal the one it was rebuilt from.
+// reference prints, and so must the state rebuilt from its frontier, both
+// through the producing builder and through a fresh one. The frontier of
+// either rebuilt state must equal the one it was rebuilt from.
 func TestOutputStreamMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		e := newTestEngine(t, arraySrc, Config{})
@@ -568,18 +508,23 @@ func TestOutputStreamMatchesReference(t *testing.T) {
 		}
 		final := g.run(genState{s: e.initialState()}, 4)
 
-		w := final.s.ToWire(b)
-		same, err := e.stateFromWire(w)
+		fr := e.frontier([]*State{final.s})
+		restored, err := e.statesFromWire(&fr)
 		if err != nil {
 			t.Fatalf("seed %d: same-builder restore: %v", seed, err)
 		}
-		if rw := same.ToWire(b); !slices.Equal(rw.Output, w.Output) {
-			t.Fatalf("seed %d: restored state's wire output differs from the one it was restored from", seed)
+		same := restored[0]
+		if again := e.frontier(restored); !reflect.DeepEqual(again, fr) {
+			t.Fatalf("seed %d: restored state's frontier differs from the one it was restored from", seed)
 		}
 		e2 := newTestEngine(t, arraySrc, Config{})
-		fresh, err := e2.stateFromWire(reinternWire(e2.build, w))
+		restored, err = e2.statesFromWire(&fr)
 		if err != nil {
 			t.Fatalf("seed %d: fresh-builder restore: %v", seed, err)
+		}
+		fresh := restored[0]
+		if again := e2.frontier(restored); !reflect.DeepEqual(again, fr) {
+			t.Fatalf("seed %d: frontier restored through a fresh builder does not snapshot back identically", seed)
 		}
 
 		sat := 0

@@ -344,8 +344,8 @@ func NewEngine(prog *ir.Program, config Config, strat Strategy) *Engine {
 	return e
 }
 
-// Builder exposes the engine's expression builder: a checkpoint resume
-// decodes its snapshot's expressions through it before Restore.
+// Builder exposes the engine's expression builder, the one Restore
+// decodes a frontier's node table through.
 func (e *Engine) Builder() *expr.Builder { return e.build }
 
 // Solver exposes the engine's solver (used by tests).
@@ -535,21 +535,21 @@ type Result struct {
 	TraceErr    error
 }
 
-// Run explores until the worklist drains or a budget trips.
+// Run explores until the worklist drains or a budget trips: Begin, StepN
+// until it stops returning RunMore, Finish. The checkpoint driver runs the
+// same loop one step at a time.
 func (e *Engine) Run() *Result {
 	e.Begin(true)
-	completed := true
-	for e.strategy.Len() > 0 {
-		if e.stopRequested() {
-			completed = false
-			break
-		}
-		if !e.stepOnce() {
-			break
-		}
+	status := RunMore
+	for status == RunMore {
+		status = e.StepN(runQuantum)
 	}
-	return e.Finish(completed)
+	return e.Finish(status == RunDrained)
 }
+
+// runQuantum is how many steps Run asks of each StepN call. The schedule
+// does not depend on it.
+const runQuantum = 1024
 
 // Begin starts the exploration clock, arms the budgets, and (when seed is
 // set) enqueues the entry state. Run calls Begin(true); a checkpoint
@@ -638,10 +638,10 @@ const (
 	RunStopped
 )
 
-// StepN runs up to n scheduler steps, with the same budget and
-// cancellation checks as Run, so a caller stepping in quanta explores
-// exactly Run's schedule. The checkpoint driver steps this way and
-// snapshots between quanta.
+// StepN runs up to n scheduler steps, checking the budgets and the
+// context before each. Run is a loop over StepN, so a caller stepping in
+// any quanta explores exactly Run's schedule; the checkpoint driver steps
+// this way and snapshots between quanta.
 func (e *Engine) StepN(n int) RunStatus {
 	for i := 0; i < n; i++ {
 		if e.strategy.Len() == 0 {

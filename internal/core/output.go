@@ -101,10 +101,13 @@ func emitRev(ev *expr.Evaluator, n, stop *OutEntry, buf []byte) []byte {
 	return buf
 }
 
-// wireOut flattens stream o into guarded entries in print order. A byte's
-// guard is the conjunction of the join conditions above it, nil when there
-// are none, so an entry prints under a model iff its byte does.
-func wireOut(b *expr.Builder, o *OutEntry) []WireOut {
+// wireOut flattens stream o into guarded entries in print order, adding
+// their expressions to t. A byte's guard is the conjunction of the join
+// conditions above it, nil when there are none, so an entry prints under a
+// model iff its byte does. A lone condition is the guard itself: a
+// restored stream, whose joins are one level deep, flattens back without
+// building a node.
+func wireOut(b *expr.Builder, t *expr.Table, o *OutEntry) []WireOut {
 	var out []WireOut
 	var conds []*expr.Expr
 	var walk func(n, stop *OutEntry)
@@ -117,7 +120,11 @@ func wireOut(b *expr.Builder, o *OutEntry) []WireOut {
 	}
 	walk = func(n, stop *OutEntry) {
 		var guard *expr.Expr
-		if len(conds) > 0 {
+		switch len(conds) {
+		case 0:
+		case 1:
+			guard = conds[0]
+		default:
 			guard = b.AndN(conds)
 		}
 		for n != stop {
@@ -126,7 +133,7 @@ func wireOut(b *expr.Builder, o *OutEntry) []WireOut {
 				part(j.c2, j.b, n.prev)
 				part(j.c1, j.a, n.prev)
 			} else {
-				out = append(out, WireOut{Guard: guard, Val: n.val})
+				out = append(out, WireOut{Guard: t.Ref(guard), Val: t.Ref(n.val)})
 			}
 			n = n.prev
 		}

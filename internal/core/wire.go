@@ -1,11 +1,14 @@
 package core
 
-// Wire form of an execution state, for checkpoint/resume. StateWire is the
-// exported, validated intermediate between a live *State (whose heap,
-// allocation counters, and solver session are unexported or engine-bound)
-// and the on-disk snapshot the internal/checkpoint package encodes: every
-// expression stays a *expr.Expr here — the checkpoint layer is what maps
-// pointers to topologically ordered node-table indices and back.
+// Wire form of an execution state, for checkpoint/resume. A Frontier is
+// the engine's live worklist in serializable form: one expression node
+// table (expr.Table) shared by every state, and a StateWire per state
+// whose expressions are references into that table (0 = nil, r = entry
+// r-1). Snapshot writes the table and the states in one pass; Restore
+// re-interns the table through the engine's builder and validates every
+// state against the program before any joins the worklist.
+// internal/checkpoint persists a Frontier inside its file envelope, and
+// the JSON tags here are that file's keys.
 //
 // What a StateWire captures: the call stack with locals and array objects,
 // the path condition, the copy-on-write heap segment with its per-site
@@ -26,108 +29,120 @@ import (
 	"symmerge/internal/expr"
 )
 
-// WireObject is a serialized array object (frame-local or heap).
-type WireObject struct {
-	Cells []*expr.Expr
-	Width uint8
+// Frontier is the wire form of an engine's live states: the node table
+// their expressions reference, and the states in state-ID order.
+type Frontier struct {
+	Exprs  []expr.Node `json:"exprs,omitempty"`
+	States []StateWire `json:"states"`
 }
 
-// WireValue is a serialized local: a scalar expression, or (when E is nil)
+// WireObject is a serialized array object (frame-local or heap).
+type WireObject struct {
+	Cells []uint32 `json:"cells"`
+	Width uint8    `json:"width"`
+}
+
+// WireValue is a serialized local: a scalar expression, or (when E is 0)
 // a reference to the array object owned by frame Depth at slot Local.
 type WireValue struct {
-	E     *expr.Expr
-	Depth int
-	Local int
+	E     uint32 `json:"e,omitempty"`
+	Depth int    `json:"d,omitempty"`
+	Local int    `json:"l,omitempty"`
 }
 
 // WireFrame is a serialized activation record.
 type WireFrame struct {
-	Fn      int
-	PC      int
-	RetDst  int
-	Locals  []WireValue
-	Objects []*WireObject // index-aligned with Locals; nil for scalars
+	Fn      int           `json:"fn"`
+	PC      int           `json:"pc"`
+	RetDst  int           `json:"ret"`
+	Locals  []WireValue   `json:"locals,omitempty"`
+	Objects []*WireObject `json:"objects,omitempty"` // index-aligned with Locals; nil for scalars
 }
 
 // WireHeapEntry is a serialized heap object with its address identity
 // (ir.HeapObjField of every address into the object).
 type WireHeapEntry struct {
-	ID  uint32
-	Obj WireObject
+	ID  uint32     `json:"id"`
+	Obj WireObject `json:"obj"`
 }
 
 // WireOut is one serialized guarded output byte.
 type WireOut struct {
-	Guard *expr.Expr // nil = unconditional
-	Val   *expr.Expr
+	Guard uint32 `json:"g,omitempty"` // 0 = unconditional
+	Val   uint32 `json:"v"`
 }
 
 // StateWire is the serializable form of a live (non-halted) worklist state.
 type StateWire struct {
-	Frames  []WireFrame
-	PC      []*expr.Expr
-	Heap    []WireHeapEntry
-	Allocs  []uint16
-	Mult    string // decimal big.Int
-	Output  []WireOut
-	NSyms   int
-	History []uint64
-	HistPos int
-	Shadow  [][]*expr.Expr
-	JustRet bool
+	Frames  []WireFrame     `json:"frames"`
+	PC      []uint32        `json:"pc,omitempty"`
+	Heap    []WireHeapEntry `json:"heap,omitempty"`
+	Allocs  []uint16        `json:"allocs,omitempty"`
+	Mult    string          `json:"mult"` // decimal big.Int
+	Output  []WireOut       `json:"output,omitempty"`
+	NSyms   int             `json:"nsyms,omitempty"`
+	History []uint64        `json:"history,omitempty"`
+	HistPos int             `json:"histpos,omitempty"`
+	Shadow  [][]uint32      `json:"shadow,omitempty"`
+	JustRet bool            `json:"justret,omitempty"`
 }
 
-// ToWire serializes the state. Every slice is copied (expressions are
-// immutable and stay shared), so the wire form is immune to the engine's
-// later in-place mutations of the live state — Snapshot is non-destructive.
-// The output stream is flattened into guarded entries, building each
-// entry's guard through b, the builder the state's expressions live in.
-func (s *State) ToWire(b *expr.Builder) *StateWire {
-	w := &StateWire{
+// toWire serializes the state, adding its expressions to t. Every slice is
+// fresh, so later steps of the live state cannot change the wire form. The
+// output stream is flattened into guarded entries, building each entry's
+// guard through b, the builder the state's expressions live in.
+func (s *State) toWire(b *expr.Builder, t *expr.Table) StateWire {
+	w := StateWire{
 		Mult:    s.Mult.String(),
 		NSyms:   s.nSyms,
 		HistPos: s.histPos,
 		JustRet: s.justRet,
-		PC:      append([]*expr.Expr(nil), s.PC...),
 	}
 	w.Frames = make([]WireFrame, len(s.Frames))
 	for i, f := range s.Frames {
 		wf := WireFrame{Fn: f.Fn, PC: f.PC, RetDst: f.RetDst}
 		wf.Locals = make([]WireValue, len(f.Locals))
 		for j, v := range f.Locals {
-			wf.Locals[j] = WireValue{E: v.E, Depth: v.Ref.Depth, Local: v.Ref.Local}
+			wf.Locals[j] = WireValue{E: t.Ref(v.E), Depth: v.Ref.Depth, Local: v.Ref.Local}
 		}
 		wf.Objects = make([]*WireObject, len(f.Objects))
 		for j, o := range f.Objects {
 			if o != nil {
-				wf.Objects[j] = &WireObject{Cells: append([]*expr.Expr(nil), o.Cells...), Width: o.Width}
+				wf.Objects[j] = &WireObject{Cells: refs(t, o.Cells), Width: o.Width}
 			}
 		}
 		w.Frames[i] = wf
 	}
+	w.PC = refs(t, s.PC)
 	if len(s.heap) > 0 {
 		w.Heap = make([]WireHeapEntry, len(s.heap))
 		for i, he := range s.heap {
-			w.Heap[i] = WireHeapEntry{
-				ID:  he.id,
-				Obj: WireObject{Cells: append([]*expr.Expr(nil), he.obj.Cells...), Width: he.obj.Width},
-			}
+			w.Heap[i] = WireHeapEntry{ID: he.id, Obj: WireObject{Cells: refs(t, he.obj.Cells), Width: he.obj.Width}}
 		}
 	}
 	if s.allocs != nil {
 		w.Allocs = append([]uint16(nil), s.allocs...)
 	}
-	w.Output = wireOut(b, s.Output)
+	w.Output = wireOut(b, t, s.Output)
 	if s.history != nil {
 		w.History = append([]uint64(nil), s.history...)
 	}
 	if s.Shadow != nil {
-		w.Shadow = make([][]*expr.Expr, len(s.Shadow))
+		w.Shadow = make([][]uint32, len(s.Shadow))
 		for i, p := range s.Shadow {
-			w.Shadow[i] = append([]*expr.Expr(nil), p...)
+			w.Shadow[i] = refs(t, p)
 		}
 	}
 	return w
+}
+
+// refs returns the table references of es.
+func refs(t *expr.Table, es []*expr.Expr) []uint32 {
+	out := make([]uint32, len(es))
+	for i, e := range es {
+		out[i] = t.Ref(e)
+	}
+	return out
 }
 
 // Snapshot serializes every live worklist state, ordered by state ID (the
@@ -135,34 +150,38 @@ func (s *State) ToWire(b *expr.Builder) *StateWire {
 // Snapshot runs mid-exploration between StepN quanta and the run
 // continues. Only the builder changes, since flattening the output streams
 // can intern new guard nodes.
-func (e *Engine) Snapshot() []*StateWire {
+func (e *Engine) Snapshot() Frontier {
 	states := make([]*State, 0, len(e.worklist))
 	for s := range e.worklist {
 		states = append(states, s)
 	}
 	sortStatesByID(states)
-	out := make([]*StateWire, len(states))
-	for i, s := range states {
-		out[i] = s.ToWire(e.build)
-	}
-	return out
+	return e.frontier(states)
 }
 
-// Restore validates previously snapshotted states and adds them to the
-// engine's worklist (after Begin(false)): the resume counterpart of
-// Snapshot. Every state is validated before any is added, so a refused
-// snapshot leaves the engine untouched. Each state gets the next ID of
-// this engine and a lineage of its root solver session (the path condition
-// re-blasts there on demand), and is dispatched like a stepped successor,
-// so a restored state may immediately merge with one restored before it.
-func (e *Engine) Restore(wires []*StateWire) error {
-	states := make([]*State, len(wires))
-	for i, w := range wires {
-		s, err := e.stateFromWire(w)
-		if err != nil {
-			return fmt.Errorf("state %d: %w", i, err)
-		}
-		states[i] = s
+// frontier serializes states, in order, over one node table.
+func (e *Engine) frontier(states []*State) Frontier {
+	var t expr.Table
+	f := Frontier{States: make([]StateWire, len(states))}
+	for i, s := range states {
+		f.States[i] = s.toWire(e.build, &t)
+	}
+	f.Exprs = t.Nodes
+	return f
+}
+
+// Restore decodes a frontier through the engine's builder, validates its
+// states, and adds them to the engine's worklist (after Begin(false)): the
+// resume counterpart of Snapshot. Every state is validated before any is
+// added, so a refused frontier leaves the worklist untouched. Each state
+// gets the next ID of this engine and a lineage of its root solver session
+// (the path condition re-blasts there on demand), and is dispatched like a
+// stepped successor, so a restored state may immediately merge with one
+// restored before it.
+func (e *Engine) Restore(f *Frontier) error {
+	states, err := e.statesFromWire(f)
+	if err != nil {
+		return err
 	}
 	for _, s := range states {
 		s.ID = e.nextID
@@ -173,10 +192,62 @@ func (e *Engine) Restore(wires []*StateWire) error {
 	return nil
 }
 
-// stateFromWire rebuilds a live state, validating every program-relative
-// field against this engine's program: a snapshot from a different program
-// (or a corrupted one) must be refused here, not crash the stepper later.
-func (e *Engine) stateFromWire(w *StateWire) (*State, error) {
+// statesFromWire re-interns f's node table through the engine's builder
+// and rebuilds every state of f.
+func (e *Engine) statesFromWire(f *Frontier) ([]*State, error) {
+	exprs, err := expr.DecodeTable(e.build, f.Exprs)
+	if err != nil {
+		return nil, fmt.Errorf("expression table: %w", err)
+	}
+	states := make([]*State, len(f.States))
+	for i := range f.States {
+		s, err := e.stateFromWire(&f.States[i], exprs)
+		if err != nil {
+			return nil, fmt.Errorf("state %d: %w", i, err)
+		}
+		states[i] = s
+	}
+	return states, nil
+}
+
+// nodeRefs is a decoded node table, the target of a StateWire's references.
+type nodeRefs []*expr.Expr
+
+// get resolves one reference: 0 is nil, r is table entry r-1.
+func (n nodeRefs) get(r uint32) (*expr.Expr, error) {
+	if int64(r) > int64(len(n)) {
+		return nil, fmt.Errorf("expression reference %d out of range (table has %d nodes)", r, len(n))
+	}
+	if r == 0 {
+		return nil, nil
+	}
+	return n[r-1], nil
+}
+
+// conjuncts resolves a list of boolean conjuncts; nil when empty.
+func (n nodeRefs) conjuncts(rs []uint32) ([]*expr.Expr, error) {
+	if len(rs) == 0 {
+		return nil, nil
+	}
+	out := make([]*expr.Expr, len(rs))
+	for i, r := range rs {
+		c, err := n.get(r)
+		if err != nil {
+			return nil, fmt.Errorf("conjunct %d: %w", i, err)
+		}
+		if c == nil || !c.IsBool() {
+			return nil, fmt.Errorf("conjunct %d is not boolean", i)
+		}
+		out[i] = c
+	}
+	return out, nil
+}
+
+// stateFromWire rebuilds a live state over the decoded table n, validating
+// every reference and every program-relative field against this engine's
+// program: a snapshot from a different program (or a corrupted one) must
+// be refused here, not crash the stepper later.
+func (e *Engine) stateFromWire(w *StateWire, n nodeRefs) (*State, error) {
 	if len(w.Frames) == 0 {
 		return nil, fmt.Errorf("no frames")
 	}
@@ -189,12 +260,10 @@ func (e *Engine) stateFromWire(w *StateWire) (*State, error) {
 		nSyms:   w.NSyms,
 		histPos: w.HistPos,
 		justRet: w.JustRet,
-		PC:      append([]*expr.Expr(nil), w.PC...),
 	}
-	for i, c := range w.PC {
-		if c == nil || !c.IsBool() {
-			return nil, fmt.Errorf("path conjunct %d is not boolean", i)
-		}
+	var err error
+	if s.PC, err = n.conjuncts(w.PC); err != nil {
+		return nil, fmt.Errorf("path %w", err)
 	}
 	s.Frames = make([]*Frame, len(w.Frames))
 	for i, wf := range w.Frames {
@@ -212,8 +281,12 @@ func (e *Engine) stateFromWire(w *StateWire) (*State, error) {
 		f.Locals = make([]Value, len(wf.Locals))
 		f.Objects = make([]*Object, len(wf.Objects))
 		for j, wv := range wf.Locals {
-			if wv.E != nil {
-				f.Locals[j] = Value{E: wv.E}
+			if wv.E != 0 {
+				v, err := n.get(wv.E)
+				if err != nil {
+					return nil, fmt.Errorf("frame %d local %d: %w", i, j, err)
+				}
+				f.Locals[j] = Value{E: v}
 				continue
 			}
 			if wv.Depth < 0 || wv.Depth >= len(w.Frames) {
@@ -228,7 +301,7 @@ func (e *Engine) stateFromWire(w *StateWire) (*State, error) {
 			if wo == nil {
 				continue
 			}
-			o, err := objectFromWire(wo)
+			o, err := objectFromWire(wo, n)
 			if err != nil {
 				return nil, fmt.Errorf("frame %d object %d: %w", i, j, err)
 			}
@@ -242,7 +315,7 @@ func (e *Engine) stateFromWire(w *StateWire) (*State, error) {
 			if i > 0 && w.Heap[i-1].ID >= wh.ID {
 				return nil, fmt.Errorf("heap not sorted by object id at entry %d", i)
 			}
-			o, err := objectFromWire(&wh.Obj)
+			o, err := objectFromWire(&wh.Obj, n)
 			if err != nil {
 				return nil, fmt.Errorf("heap object %d: %w", i, err)
 			}
@@ -258,19 +331,27 @@ func (e *Engine) stateFromWire(w *StateWire) (*State, error) {
 	// The stream comes back as a chain: an unguarded entry is a leaf, and
 	// a guarded one a join whose only part is that leaf.
 	for i, o := range w.Output {
-		if o.Val == nil {
+		guard, err := n.get(o.Guard)
+		if err != nil {
+			return nil, fmt.Errorf("output entry %d guard: %w", i, err)
+		}
+		val, err := n.get(o.Val)
+		if err != nil {
+			return nil, fmt.Errorf("output entry %d value: %w", i, err)
+		}
+		if val == nil {
 			return nil, fmt.Errorf("output entry %d has no value", i)
 		}
-		if o.Val.Width != 8 {
-			return nil, fmt.Errorf("output entry %d: value width %d (want 8)", i, o.Val.Width)
+		if val.Width != 8 {
+			return nil, fmt.Errorf("output entry %d: value width %d (want 8)", i, val.Width)
 		}
-		if o.Guard != nil && !o.Guard.IsBool() {
+		if guard != nil && !guard.IsBool() {
 			return nil, fmt.Errorf("output entry %d: non-boolean guard", i)
 		}
-		if o.Guard == nil {
-			s.Output = putOut(s.Output, o.Val)
+		if guard == nil {
+			s.Output = putOut(s.Output, val)
 		} else {
-			s.Output = joinOut(putOut(s.Output, o.Val), s.Output, o.Guard, nil)
+			s.Output = joinOut(putOut(s.Output, val), s.Output, guard, nil)
 		}
 	}
 	if len(w.History) > 0 {
@@ -284,27 +365,33 @@ func (e *Engine) stateFromWire(w *StateWire) (*State, error) {
 	if w.Shadow != nil {
 		s.Shadow = make([][]*expr.Expr, len(w.Shadow))
 		for i, p := range w.Shadow {
-			for j, c := range p {
-				if c == nil || !c.IsBool() {
-					return nil, fmt.Errorf("shadow path %d conjunct %d is not boolean", i, j)
-				}
+			if s.Shadow[i], err = n.conjuncts(p); err != nil {
+				return nil, fmt.Errorf("shadow path %d %w", i, err)
 			}
-			s.Shadow[i] = append([]*expr.Expr(nil), p...)
 		}
 	}
 	return s, nil
 }
 
-func objectFromWire(wo *WireObject) (*Object, error) {
+func objectFromWire(wo *WireObject, n nodeRefs) (*Object, error) {
 	if wo.Width != 8 && wo.Width != 32 {
 		return nil, fmt.Errorf("cell width %d (want 8 or 32)", wo.Width)
 	}
-	for i, c := range wo.Cells {
+	o := &Object{Width: wo.Width}
+	if len(wo.Cells) > 0 {
+		o.Cells = make([]*expr.Expr, len(wo.Cells))
+	}
+	for i, r := range wo.Cells {
+		c, err := n.get(r)
+		if err != nil {
+			return nil, fmt.Errorf("cell %d: %w", i, err)
+		}
 		if c == nil || c.Width != wo.Width {
 			return nil, fmt.Errorf("cell %d does not have width %d", i, wo.Width)
 		}
+		o.Cells[i] = c
 	}
-	return &Object{Cells: append([]*expr.Expr(nil), wo.Cells...), Width: wo.Width}, nil
+	return o, nil
 }
 
 func sortStatesByID(ss []*State) {

@@ -30,17 +30,16 @@ type JobRequest struct {
 	Source string `json:"source"`
 	// Label names the job in progress views and logs.
 	Label string `json:"label,omitempty"`
-	// Key, with the daemon's -checkpoint-dir set, gives the job a stable
-	// per-key checkpoint directory: a drain preempts it into a resumable
+	// Key gives the job a stable per-key checkpoint directory under the
+	// daemon's -checkpoint-dir: a drain preempts it into a resumable
 	// snapshot, and resubmitting the same Key with Resume continues it.
 	// A key is made of the characters [A-Za-z0-9._-] and is not only
 	// dots; any other key is refused, so distinct keys never share a
-	// directory.
+	// directory. A daemon without -checkpoint-dir refuses any key.
 	Key string `json:"key,omitempty"`
 	// Resume restores the newest valid snapshot under Key before
-	// exploring (the job starts fresh when none exists). It needs a Key
-	// and a daemon running with -checkpoint-dir; without either the job
-	// is refused.
+	// exploring (the job starts fresh when none exists). It needs a Key;
+	// without one the job is refused.
 	Resume bool `json:"resume,omitempty"`
 
 	// Merge is "none", "ssm", "dsm", or "func" (default "dsm").
@@ -211,11 +210,7 @@ func (s *Server) jobConfig(req *JobRequest) (symx.Config, error) {
 		return cfg, err
 	}
 	if req.Resume && dir == "" {
-		why := "the job has no key"
-		if req.Key != "" {
-			why = "the daemon runs without -checkpoint-dir"
-		}
-		return cfg, fmt.Errorf("resume: %s, so there is no snapshot to resume from", why)
+		return cfg, fmt.Errorf("resume: the job has no key, so there is no snapshot to resume from")
 	}
 	if dir != "" {
 		cfg.CheckpointDir = dir

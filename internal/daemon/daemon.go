@@ -190,11 +190,12 @@ func (s *Server) registerJob(info *jobInfo) func() {
 }
 
 // checkpointDirFor maps a job key to its per-key snapshot directory, or ""
-// when the job has no key or checkpointing is off. A key is used verbatim
-// as one path element, so it must consist of [A-Za-z0-9._-] and not be
-// only dots: any other key is refused rather than rewritten, because a
-// rewrite maps distinct keys onto one directory, where one key's job
-// overwrites or resumes another key's snapshots.
+// when the job has no key. A key is used verbatim as one path element, so
+// it must consist of [A-Za-z0-9._-] and not be only dots: any other key is
+// refused rather than rewritten, because a rewrite maps distinct keys onto
+// one directory, where one key's job overwrites or resumes another key's
+// snapshots. A daemon without -checkpoint-dir refuses every key: the key
+// would checkpoint nothing, and naming a job is what the label is for.
 func (s *Server) checkpointDirFor(key string) (string, error) {
 	if key == "" {
 		return "", nil
@@ -208,7 +209,7 @@ func (s *Server) checkpointDirFor(key string) (string, error) {
 		return "", fmt.Errorf("job key %q: a key uses only the characters [A-Za-z0-9._-] and is not only dots", key)
 	}
 	if s.opts.CheckpointDir == "" {
-		return "", nil
+		return "", fmt.Errorf("job key %q: the daemon runs without -checkpoint-dir, so a key checkpoints nothing (use label to name the job)", key)
 	}
 	return filepath.Join(s.opts.CheckpointDir, key), nil
 }

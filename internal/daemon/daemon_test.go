@@ -391,7 +391,8 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 // TestDaemonResumeNeedsCheckpointing: "resume" continues a keyed job from
 // its snapshot. Without a key, or on a daemon running without
 // -checkpoint-dir, there is no snapshot to continue, so the job is refused
-// with a 400 instead of silently exploring from scratch.
+// with a 400 instead of silently exploring from scratch. A key on such a
+// daemon is refused even without resume: it would checkpoint nothing.
 func TestDaemonResumeNeedsCheckpointing(t *testing.T) {
 	withDir := startServer(t, Options{CheckpointDir: t.TempDir()})
 	noDir := startServer(t, Options{})
@@ -403,6 +404,7 @@ func TestDaemonResumeNeedsCheckpointing(t *testing.T) {
 	}{
 		{"no key", withDir, JobRequest{Source: quickSrc, Resume: true}, "no key"},
 		{"no checkpoint dir", noDir, JobRequest{Source: quickSrc, Key: "k", Resume: true}, "-checkpoint-dir"},
+		{"key without checkpoint dir", noDir, JobRequest{Source: quickSrc, Key: "k"}, "-checkpoint-dir"},
 	} {
 		body, err := json.Marshal(c.req)
 		if err != nil {

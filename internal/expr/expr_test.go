@@ -2,7 +2,6 @@ package expr
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -419,36 +418,4 @@ func TestWidthPanics(t *testing.T) {
 	mustPanic("zext shrink", func() { b.ZExt(y, 8) })
 	mustPanic("const width 0", func() { b.Const(1, 0) })
 	mustPanic("const width 65", func() { b.Const(1, 65) })
-}
-
-func TestSMTLibExport(t *testing.T) {
-	b := NewBuilder()
-	x := b.Var("x", 8)
-	c := b.Var("flag", 0)
-	cs := []*Expr{
-		b.Ult(b.Add(x, b.Const(1, 8)), b.Const(10, 8)),
-		b.Ite(c, b.Eq(x, b.Const(3, 8)), b.Ne(x, b.Const(3, 8))),
-	}
-	out := SMTLib(cs)
-	for _, want := range []string{
-		"(set-logic QF_BV)",
-		"(declare-const flag Bool)",
-		"(declare-const x (_ BitVec 8))",
-		"(assert (bvult (bvadd (_ bv1 8) x) (_ bv10 8)))",
-		"(check-sat)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("SMT-LIB output missing %q:\n%s", want, out)
-		}
-	}
-	// Extract/extend forms print as indexed operators.
-	wide := b.ZExt(x, 16)
-	out2 := SMTLib([]*Expr{b.Eq(wide, b.Const(7, 16))})
-	if !strings.Contains(out2, "zero_extend") {
-		t.Errorf("zext not rendered: %s", out2)
-	}
-	out3 := SMTLib([]*Expr{b.Eq(b.Extract(b.Var("w", 16), 4, 8), b.Const(1, 8))})
-	if !strings.Contains(out3, "(_ extract 11 4)") {
-		t.Errorf("extract not rendered: %s", out3)
-	}
 }

@@ -2,12 +2,10 @@ package expr
 
 // Tests for the table-driven rewrite layer: canonical n-ary connective
 // construction, the structural rules (flatten, dedupe, complement,
-// absorption, factoring), per-rule hit counters, Simplify, and the SMT-LIB
-// printer's golden output on n-ary nodes.
+// absorption, factoring), per-rule hit counters, and Simplify.
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -174,35 +172,6 @@ func TestSimplifyIdempotentOnBuilderOutput(t *testing.T) {
 		if s := b.Simplify(e); s != e {
 			t.Fatalf("iter %d: Simplify changed constructor output: %s -> %s", iter, e, s)
 		}
-	}
-}
-
-// TestSMTLibNaryGolden pins the printer's exact output on n-ary nodes:
-// SMT-LIB and/or are variadic, so canonical n-ary nodes print directly.
-func TestSMTLibNaryGolden(t *testing.T) {
-	b := NewBuilder()
-	p := b.Var("p", 0)
-	q := b.Var("q", 0)
-	r := b.Var("r", 0)
-	x := b.Var("x", 8)
-
-	conj := b.AndN([]*Expr{p, q, r})
-	disj := b.OrN([]*Expr{p, b.And(q, b.Ult(x, b.Const(10, 8)))})
-	got := SMTLib([]*Expr{conj, disj})
-	want := strings.Join([]string{
-		"(set-logic QF_BV)",
-		"(declare-const p Bool)",
-		"(declare-const q Bool)",
-		"(declare-const r Bool)",
-		"(declare-const x (_ BitVec 8))",
-		"(assert (and p q r))",
-		"(assert (or p (and q (bvult x (_ bv10 8)))))",
-		"(check-sat)",
-		"(get-model)",
-		"",
-	}, "\n")
-	if got != want {
-		t.Fatalf("golden mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 

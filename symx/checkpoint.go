@@ -79,18 +79,15 @@ func runCheckpointed(p *Program, cfg Config) *Result {
 		restored int
 	)
 	if sn != nil {
-		wires, err := sn.DecodeStates(eng.Builder())
-		if err == nil {
-			eng.Begin(false)
-			err = eng.Restore(wires)
-		}
+		eng.Begin(false)
+		err := eng.Restore(&sn.Frontier)
 		if err == nil {
 			base, err = progressToResult(sn.Progress, p.ir.NumLocations())
 		}
 		if err != nil {
 			return failedResult(fmt.Errorf("checkpoint: snapshot %d: %w", sn.Seq, err))
 		}
-		seq, restored = sn.Seq+1, len(wires)
+		seq, restored = sn.Seq+1, len(sn.States)
 	} else {
 		eng.Begin(true)
 	}
@@ -125,21 +122,19 @@ func runCheckpointed(p *Program, cfg Config) *Result {
 	// snapshot that fails to persist does not stop the exploration; the
 	// first failure is reported on the final result.
 	write := func(progress *core.Result) int {
-		next := &checkpoint.Snapshot{Seq: seq, Program: pinfo, Config: desc}
+		next := &checkpoint.Snapshot{Seq: seq, Program: pinfo, Config: desc, Frontier: eng.Snapshot()}
 		next.Progress = resultToProgress(foldProgress(base, progress, ccfg.MaxTests))
 		if writer != nil {
 			seen, emitted, skipped := writer.StateSnapshot()
 			next.Corpus = &checkpoint.CorpusState{Seen: seen, Emitted: emitted, Skipped: skipped}
 		}
-		wires := eng.Snapshot()
-		next.EncodeStates(wires)
 		_, err := checkpoint.Write(cfg.CheckpointDir, next)
 		if err != nil && ckptErr == nil {
 			ckptErr = err
 		}
-		drv.Checkpoint(seq, len(wires), err != nil)
+		drv.Checkpoint(seq, len(next.States), err != nil)
 		seq++
-		return len(wires)
+		return len(next.States)
 	}
 
 	interval := cfg.CheckpointEvery

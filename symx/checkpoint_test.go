@@ -1,24 +1,25 @@
 package symx
 
 // Tests for the crash-safe exploration driver's building blocks that need
-// package-internal access: the state wire round-trip over generated programs
+// package-internal access: the frontier round-trip over generated programs
 // (FuzzStateRoundTrip), mid-run snapshot + restore census equality, and the
 // Interrupted cause classification.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
 	"time"
 
-	"symmerge/internal/checkpoint"
 	"symmerge/internal/core"
+	"symmerge/internal/expr"
 )
 
-// stepUntilSnapshot advances the engine and returns its frontier wires plus
-// its progress-so-far, as the checkpoint driver does at each interval.
-func stepUntilSnapshot(eng *core.Engine, steps int) ([]*core.StateWire, *core.Result, bool) {
+// stepUntilSnapshot advances the engine and returns its frontier plus its
+// progress-so-far, as the checkpoint driver does at each interval.
+func stepUntilSnapshot(eng *core.Engine, steps int) (core.Frontier, *core.Result, bool) {
 	st := eng.StepN(steps)
 	return eng.Snapshot(), eng.Progress(), st == core.RunDrained
 }
@@ -32,13 +33,14 @@ func drainEngine(eng *core.Engine) *core.Result {
 	}
 }
 
-// FuzzStateRoundTrip drives the checkpoint wire format with engine-produced
-// states over randomly generated programs (heap-using ones included): every
-// frontier must encode to a node table that (a) decodes through the SAME
-// builder to pointer-identical expressions — proving the encoding loses
-// nothing the hash-cons would distinguish — and (b) decodes through a FRESH
-// builder to a byte-identical re-encoding — proving a resumed process
-// reconstructs the exact snapshot it would itself write.
+// FuzzStateRoundTrip drives the checkpoint wire form with engine-produced
+// frontiers over randomly generated programs (heap-using ones included).
+// Every frontier must (a) decode through the producing builder without
+// minting a node, proving the table loses nothing the hash-cons would
+// distinguish; (b) restore into a fresh engine that does not merge, whose
+// own snapshot is byte-identical, proving a resumed process reconstructs
+// the exact snapshot it would itself write; and (c) restore into a fresh
+// engine of the producing configuration and keep exploring.
 func FuzzStateRoundTrip(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 7, 11, 42, 20260807} {
 		f.Add(seed, uint8(20))
@@ -62,125 +64,44 @@ func FuzzStateRoundTrip(f *testing.F) {
 		eng := NewEngine(p, cfg)
 		eng.Begin(true)
 		eng.StepN(1 + int(steps))
-		wires := eng.Snapshot()
-
-		var sn checkpoint.Snapshot
-		sn.EncodeStates(wires)
-		enc1, err := json.Marshal(&sn)
+		fr := eng.Snapshot()
+		enc1, err := json.Marshal(&fr)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		// Same builder: pure hash-cons hits, pointer-identical throughout.
-		back, err := sn.DecodeStates(eng.Builder())
-		if err != nil {
+		b := eng.Builder()
+		minted := b.Stats.Nodes.Load()
+		if _, err := expr.DecodeTable(b, fr.Exprs); err != nil {
 			t.Fatalf("decode through the producing builder: %v", err)
 		}
-		requireSameWires(t, wires, back)
-
-		// Fresh builder: re-encoding must be byte-identical.
-		eng2 := NewEngine(p, cfg) // fresh engine = fresh builder
-		fresh, err := sn.DecodeStates(eng2.Builder())
-		if err != nil {
-			t.Fatalf("decode through a fresh builder: %v", err)
+		if n := b.Stats.Nodes.Load() - minted; n != 0 {
+			t.Fatalf("decoding through the producing builder minted %d nodes", n)
 		}
-		var sn2 checkpoint.Snapshot
-		sn2.EncodeStates(fresh)
-		enc2, err := json.Marshal(&sn2)
+
+		plain := cfg
+		plain.Merge, plain.UseQCE = MergeNone, false
+		eng2 := NewEngine(p, plain) // fresh engine = fresh builder
+		eng2.Begin(false)
+		if err := eng2.Restore(&fr); err != nil {
+			t.Fatalf("restore into a fresh engine: %v", err)
+		}
+		fr2 := eng2.Snapshot()
+		enc2, err := json.Marshal(&fr2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(enc1) != string(enc2) {
+		if !bytes.Equal(enc1, enc2) {
 			t.Errorf("re-encoding diverged for program:\n%s", src)
 		}
-	})
-}
 
-// requireSameWires asserts structural equality with POINTER identity on
-// every expression — the same-builder decode contract.
-func requireSameWires(t *testing.T, a, b []*core.StateWire) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("state count %d != %d", len(a), len(b))
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if len(x.Frames) != len(y.Frames) || len(x.PC) != len(y.PC) ||
-			len(x.Heap) != len(y.Heap) || len(x.Output) != len(y.Output) ||
-			len(x.Shadow) != len(y.Shadow) || x.Mult != y.Mult ||
-			x.NSyms != y.NSyms || x.HistPos != y.HistPos || x.JustRet != y.JustRet {
-			t.Fatalf("state %d: shape mismatch", i)
+		eng3 := NewEngine(p, cfg)
+		eng3.Begin(false)
+		if err := eng3.Restore(&fr); err != nil {
+			t.Fatalf("restore under the producing config: %v", err)
 		}
-		for j := range x.PC {
-			if x.PC[j] != y.PC[j] {
-				t.Fatalf("state %d: PC[%d] not pointer-identical", i, j)
-			}
-		}
-		for j := range x.Frames {
-			fx, fy := x.Frames[j], y.Frames[j]
-			if fx.Fn != fy.Fn || fx.PC != fy.PC || fx.RetDst != fy.RetDst {
-				t.Fatalf("state %d frame %d: header mismatch", i, j)
-			}
-			for k := range fx.Locals {
-				if fx.Locals[k] != fy.Locals[k] {
-					t.Fatalf("state %d frame %d: local %d mismatch", i, j, k)
-				}
-			}
-			for k := range fx.Objects {
-				ox, oy := fx.Objects[k], fy.Objects[k]
-				if (ox == nil) != (oy == nil) {
-					t.Fatalf("state %d frame %d: object %d nil-ness mismatch", i, j, k)
-				}
-				if ox == nil {
-					continue
-				}
-				if ox.Width != oy.Width || len(ox.Cells) != len(oy.Cells) {
-					t.Fatalf("state %d frame %d: object %d shape mismatch", i, j, k)
-				}
-				for c := range ox.Cells {
-					if ox.Cells[c] != oy.Cells[c] {
-						t.Fatalf("state %d frame %d object %d: cell %d not pointer-identical", i, j, k, c)
-					}
-				}
-			}
-		}
-		for j := range x.Heap {
-			hx, hy := x.Heap[j], y.Heap[j]
-			if hx.ID != hy.ID || hx.Obj.Width != hy.Obj.Width || len(hx.Obj.Cells) != len(hy.Obj.Cells) {
-				t.Fatalf("state %d: heap entry %d shape mismatch", i, j)
-			}
-			for c := range hx.Obj.Cells {
-				if hx.Obj.Cells[c] != hy.Obj.Cells[c] {
-					t.Fatalf("state %d heap %d: cell %d not pointer-identical", i, j, c)
-				}
-			}
-		}
-		for j := range x.Output {
-			if x.Output[j] != y.Output[j] {
-				t.Fatalf("state %d: output %d mismatch", i, j)
-			}
-		}
-		for j := range x.Allocs {
-			if x.Allocs[j] != y.Allocs[j] {
-				t.Fatalf("state %d: alloc counter %d mismatch", i, j)
-			}
-		}
-		for j := range x.History {
-			if x.History[j] != y.History[j] {
-				t.Fatalf("state %d: history %d mismatch", i, j)
-			}
-		}
-		for j := range x.Shadow {
-			if len(x.Shadow[j]) != len(y.Shadow[j]) {
-				t.Fatalf("state %d: shadow path %d length mismatch", i, j)
-			}
-			for k := range x.Shadow[j] {
-				if x.Shadow[j][k] != y.Shadow[j][k] {
-					t.Fatalf("state %d shadow %d: conjunct %d not pointer-identical", i, j, k)
-				}
-			}
-		}
-	}
+		eng3.StepN(1 + int(steps))
+	})
 }
 
 // TestSnapshotRestoreCensus proves the core crash-safety invariant at the
@@ -210,14 +131,14 @@ func TestSnapshotRestoreCensus(t *testing.T) {
 
 			eng := NewEngine(p, cfg)
 			eng.Begin(true)
-			wires, part1, drained := stepUntilSnapshot(eng, 10+rng.Intn(40))
+			fr, part1, drained := stepUntilSnapshot(eng, 10+rng.Intn(40))
 			if drained {
 				continue // finished before the snapshot point; nothing to restore
 			}
 
 			eng2 := NewEngine(p, cfg)
 			eng2.Begin(false)
-			if err := eng2.Restore(wires); err != nil {
+			if err := eng2.Restore(&fr); err != nil {
 				t.Fatalf("iter %d: restore: %v", iter, err)
 			}
 			part2 := drainEngine(eng2)

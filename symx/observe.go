@@ -1,13 +1,13 @@
 package symx
 
 // The public face of the observability layer (internal/obs): metrics
-// re-exports for embedders, and the Monitor — a live aggregate view over
-// every engine a run spins up, safe to sample from any goroutine while the
-// exploration is hot. cmd/symx serves Monitor.Progress at -debug-addr
-// /progress and prints it on the -progress cadence.
+// re-exports for embedders, and the Monitor — a live view of a run's
+// engine, safe to sample from any goroutine while the exploration is hot.
+// cmd/symx serves Monitor.Progress at -debug-addr /progress and prints it
+// on the -progress cadence.
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"symmerge/internal/core"
@@ -33,41 +33,32 @@ func PublishMetrics(m *Metrics) { obs.PublishExpvar(m) }
 // progressSchema versions the Progress JSON shape.
 const progressSchema = "symmerge-progress/v1"
 
-// Monitor reports live progress of the engines attached to it: each Run
-// given the Monitor as Config.Monitor attaches its one engine. Set it
-// before Run and sample Progress() from any goroutine — engines publish
-// immutable snapshots, so reads never block the exploration.
-//
-// Counters are summed over attached engines, so a Monitor shared by
-// several runs reports their total; coverage is the union of the engines'
-// bitmaps. A resumed checkpointed run reports this invocation's progress
-// only: the snapshot's earlier counters reach its Result, not the
-// Monitor.
+// Monitor reports live progress of the one engine a Run given it as
+// Config.Monitor attaches. Set it before Run and sample Progress() from any
+// goroutine: the engine publishes immutable snapshots, so reads never
+// block the exploration. A Monitor follows one run; attaching a second
+// engine replaces the first. A resumed checkpointed run reports this
+// invocation's progress only: the snapshot's earlier counters reach its
+// Result, not the Monitor.
 type Monitor struct {
-	mu      sync.Mutex
-	engines []*core.Engine
-	start   time.Time
+	engine atomic.Pointer[core.Engine]
+	start  time.Time
 }
 
-// NewMonitor returns an empty monitor. Attaching happens inside Run.
+// NewMonitor returns an empty monitor whose elapsed-time clock starts now.
+// Attaching happens inside Run.
 func NewMonitor() *Monitor { return &Monitor{start: time.Now()} }
 
-// attach registers an engine; nil-safe on both sides so the factory can
-// call it unconditionally.
+// attach registers the run's engine; nil-safe on both sides so the factory
+// can call it unconditionally.
 func (m *Monitor) attach(e *core.Engine) {
-	if m == nil || e == nil {
-		return
+	if m != nil && e != nil {
+		m.engine.Store(e)
 	}
-	m.mu.Lock()
-	if m.start.IsZero() {
-		m.start = time.Now()
-	}
-	m.engines = append(m.engines, e)
-	m.mu.Unlock()
 }
 
-// Progress is a point-in-time aggregate over a run's engines — the
-// /progress JSON document.
+// Progress is a point-in-time view of a run's engine — the /progress JSON
+// document. Engines is 1 once the engine is attached, 0 before.
 type Progress struct {
 	Schema         string  `json:"schema"`
 	Engines        int     `json:"engines"`
@@ -89,58 +80,42 @@ type Progress struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
 
-// Progress samples every attached engine's latest published snapshot and
-// folds them. Nil-safe: a nil monitor reports an empty document.
+// Progress samples the attached engine's latest published snapshot.
+// Nil-safe: a nil monitor reports an empty document.
 func (m *Monitor) Progress() Progress {
 	p := Progress{Schema: progressSchema}
 	if m == nil {
 		return p
 	}
-	m.mu.Lock()
-	engines := append([]*core.Engine(nil), m.engines...)
-	start := m.start
-	m.mu.Unlock()
-
-	var cover []bool
-	for _, e := range engines {
-		st, mask, wl := e.LiveProgress()
-		p.Steps += st.Steps
-		p.Instructions += st.Instructions
-		p.Forks += st.Forks
-		p.MergeAttempts += st.MergeAttempts
-		p.Merges += st.Merges
-		p.FFSelected += st.FFSelected
-		p.PathsCompleted += st.PathsCompleted
-		p.ErrorsFound += st.ErrorsFound
-		p.Worklist += wl
-		p.Queries += st.Solver.Queries
-		p.CacheHits += st.Solver.ModelReuseHits
-		p.SATCalls += st.Solver.SATCalls
-		if st.TotalInstrs > p.TotalInstrs {
-			p.TotalInstrs = st.TotalInstrs
-		}
-		if len(mask) > len(cover) {
-			grown := make([]bool, len(mask))
-			copy(grown, cover)
-			cover = grown
-		}
-		for i, c := range mask {
-			if c {
-				cover[i] = true
-			}
-		}
+	if !m.start.IsZero() {
+		p.ElapsedSeconds = time.Since(m.start).Seconds()
 	}
-	p.Engines = len(engines)
-	for _, c := range cover {
+	e := m.engine.Load()
+	if e == nil {
+		return p
+	}
+	st, mask, wl := e.LiveProgress()
+	p.Engines = 1
+	p.Steps = st.Steps
+	p.Instructions = st.Instructions
+	p.Forks = st.Forks
+	p.MergeAttempts = st.MergeAttempts
+	p.Merges = st.Merges
+	p.FFSelected = st.FFSelected
+	p.PathsCompleted = st.PathsCompleted
+	p.ErrorsFound = st.ErrorsFound
+	p.Worklist = wl
+	p.Queries = st.Solver.Queries
+	p.CacheHits = st.Solver.ModelReuseHits
+	p.SATCalls = st.Solver.SATCalls
+	p.TotalInstrs = st.TotalInstrs
+	for _, c := range mask {
 		if c {
 			p.CoveredInstrs++
 		}
 	}
 	if p.TotalInstrs > 0 {
 		p.CoveragePct = 100 * float64(p.CoveredInstrs) / float64(p.TotalInstrs)
-	}
-	if !start.IsZero() {
-		p.ElapsedSeconds = time.Since(start).Seconds()
 	}
 	return p
 }
