@@ -211,11 +211,17 @@ func main() {
 	}
 }
 
-// printStats renders the -stats block: CNF encoding effort and the
-// rewrite-rule hit counters from the expression builder's rule table.
+// printStats renders the -stats block: CNF encoding effort, CDCL search
+// effort per SAT call, and the rewrite-rule hit counters from the
+// expression builder's rule table.
 func printStats(st symx.Stats) {
-	fmt.Printf("encoding:      %d SAT vars, %d clauses emitted\n",
-		st.Solver.SATVars, st.Solver.SATClauses)
+	sv := st.Solver
+	fmt.Printf("encoding:      %d SAT vars, %d clauses emitted\n", sv.SATVars, sv.SATClauses)
+	if n := float64(sv.SATCalls); n > 0 {
+		fmt.Printf("search:        per SAT call %.1f decisions, %.1f propagations, %.2f conflicts, cone %.1f of %.1f core vars\n",
+			float64(sv.SATDecisions)/n, float64(sv.SATPropagations)/n, float64(sv.SATConflicts)/n,
+			float64(sv.ConeVars)/n, float64(sv.CoreVars)/n)
+	}
 	if st.TestsEmitted > 0 {
 		fmt.Printf("tests:         %d emitted, %d deduplicated away\n",
 			st.TestsEmitted, st.TestsDeduped)

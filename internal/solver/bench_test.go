@@ -135,3 +135,39 @@ func BenchmarkBlastTrialDivision(b *testing.B) {
 	}
 	b.ReportMetric(float64(vars)/float64(b.N), "vars")
 }
+
+// BenchmarkSessionDormantCore times one fixed query against a session core
+// that also holds 0, 200 or 2,000 dormant conjuncts over other variables.
+// A solve decides and propagates only the query's cone, so the time per
+// query should barely grow with the dormant part; a search over the whole
+// core would assign every dormant circuit on every call.
+func BenchmarkSessionDormantCore(b *testing.B) {
+	for _, n := range []int{0, 200, 2000} {
+		b.Run("dormant="+itoa(n), func(b *testing.B) {
+			eb := expr.NewBuilder()
+			s := New(Options{}) // no model reuse: every query is a SAT call
+			sess := s.NewSession()
+			ws := make([]*expr.Expr, 16)
+			for i := range ws {
+				ws[i] = eb.Var("w"+itoa(i), 8)
+			}
+			for i := 0; i < n; i++ {
+				sess.NoteConjunct(eb.Ne(eb.Add(ws[i%16], eb.Const(uint64(i), 8)), ws[(i+1)%16]))
+			}
+			x, y := eb.Var("x", 8), eb.Var("y", 8)
+			q := []*expr.Expr{
+				eb.Eq(eb.Add(x, y), eb.Const(100, 8)),
+				eb.Ult(x, y),
+				eb.Ult(y, eb.Const(90, 8)),
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ok, _, err := s.CheckSatIn(sess, q); err != nil || !ok {
+					b.Fatalf("query: ok=%v err=%v", ok, err)
+				}
+			}
+			b.ReportMetric(float64(sess.core.ss.NumVars()), "corevars")
+		})
+	}
+}

@@ -20,11 +20,23 @@ import (
 
 // blaster translates expressions to CNF over a sat.Solver. Booleans map to
 // single literals; bitvectors map to literal slices, LSB first.
+//
+// It allocates every variable of its solver and records the circuit they
+// form: the inputs of variable v are ins[insEnd[v-1]:insEnd[v]] (from 0 for
+// v = 0). A gate's inputs are the variables it is a function of, an
+// activation variable's input is the conjunct it guards, and input bits and
+// the constant have none. Inputs always have lower indices than v. Each
+// problem clause is owned by the gate it defines or the activation variable
+// it guards, which is what lets a session solve only its query's cone (see
+// sat.Solver.SolveCone).
 type blaster struct {
 	s    *sat.Solver
 	bits map[*expr.Expr][]sat.Lit // bv cache
 	bool map[*expr.Expr]sat.Lit   // bool cache
 	vars map[*expr.Expr][]sat.Lit // input variable -> its bits
+
+	ins    []int32
+	insEnd []int32
 
 	litTrue  sat.Lit
 	litFalse sat.Lit
@@ -37,10 +49,9 @@ func newBlaster(s *sat.Solver) *blaster {
 		bool: make(map[*expr.Expr]sat.Lit),
 		vars: make(map[*expr.Expr][]sat.Lit),
 	}
-	t := s.NewVar()
-	s.AddClause(sat.MkLit(t, false))
-	b.litTrue = sat.MkLit(t, false)
-	b.litFalse = sat.MkLit(t, true)
+	b.litTrue = b.fresh()
+	b.litFalse = b.litTrue.Flip()
+	s.AddClause(b.litTrue)
 	return b
 }
 
@@ -51,7 +62,31 @@ func (b *blaster) constLit(v bool) sat.Lit {
 	return b.litFalse
 }
 
-func (b *blaster) fresh() sat.Lit { return sat.MkLit(b.s.NewVar(), false) }
+// fresh allocates a variable with no inputs: an input bit or the constant.
+func (b *blaster) fresh() sat.Lit { return b.gate() }
+
+// gate allocates a variable whose inputs are the variables of in. The
+// caller adds its defining clauses through def.
+func (b *blaster) gate(in ...sat.Lit) sat.Lit {
+	for _, l := range in {
+		b.ins = append(b.ins, int32(l.Var()))
+	}
+	b.insEnd = append(b.insEnd, int32(len(b.ins)))
+	return sat.MkLit(b.s.NewVar(), false)
+}
+
+// def adds one clause of o's definition, owned by o.
+func (b *blaster) def(o sat.Lit, lits ...sat.Lit) { b.s.AddOwnedClause(o.Var(), lits...) }
+
+// guard returns a fresh activation literal a with the clause (¬a ∨ l),
+// owned by a. Unlike a gate, a is no function of l: a false a satisfies the
+// clause whatever l is, so a conjunct outside a query's assumptions stays
+// out of its cone.
+func (b *blaster) guard(l sat.Lit) sat.Lit {
+	a := b.gate(l)
+	b.def(a, a.Flip(), l)
+	return a
+}
 
 // --- Tseitin gates ---
 
@@ -72,10 +107,10 @@ func (b *blaster) gateAnd(x, y sat.Lit) sat.Lit {
 	if x == y.Flip() {
 		return b.litFalse
 	}
-	o := b.fresh()
-	b.s.AddClause(o.Flip(), x)
-	b.s.AddClause(o.Flip(), y)
-	b.s.AddClause(o, x.Flip(), y.Flip())
+	o := b.gate(x, y)
+	b.def(o, o.Flip(), x)
+	b.def(o, o.Flip(), y)
+	b.def(o, o, x.Flip(), y.Flip())
 	return o
 }
 
@@ -124,13 +159,13 @@ func (b *blaster) gateAndN(xs []sat.Lit) sat.Lit {
 	case 2:
 		return b.gateAnd(xs[0], xs[1])
 	}
-	o := b.fresh()
+	o := b.gate(xs...)
 	long := make([]sat.Lit, 0, len(xs)+1)
 	for _, x := range xs {
-		b.s.AddClause(o.Flip(), x)
+		b.def(o, o.Flip(), x)
 		long = append(long, x.Flip())
 	}
-	b.s.AddClause(append(long, o)...)
+	b.def(o, append(long, o)...)
 	return o
 }
 
@@ -162,11 +197,11 @@ func (b *blaster) gateXor(x, y sat.Lit) sat.Lit {
 	if x == y.Flip() {
 		return b.litTrue
 	}
-	o := b.fresh()
-	b.s.AddClause(o.Flip(), x, y)
-	b.s.AddClause(o.Flip(), x.Flip(), y.Flip())
-	b.s.AddClause(o, x, y.Flip())
-	b.s.AddClause(o, x.Flip(), y)
+	o := b.gate(x, y)
+	b.def(o, o.Flip(), x, y)
+	b.def(o, o.Flip(), x.Flip(), y.Flip())
+	b.def(o, o, x, y.Flip())
+	b.def(o, o, x.Flip(), y)
 	return o
 }
 
@@ -187,11 +222,11 @@ func (b *blaster) gateIte(c, t, f sat.Lit) sat.Lit {
 	if t == b.litFalse && f == b.litTrue {
 		return c.Flip()
 	}
-	o := b.fresh()
-	b.s.AddClause(o.Flip(), c.Flip(), t)
-	b.s.AddClause(o.Flip(), c, f)
-	b.s.AddClause(o, c.Flip(), t.Flip())
-	b.s.AddClause(o, c, f.Flip())
+	o := b.gate(c, t, f)
+	b.def(o, o.Flip(), c.Flip(), t)
+	b.def(o, o.Flip(), c, f)
+	b.def(o, o, c.Flip(), t.Flip())
+	b.def(o, o, c, f.Flip())
 	return o
 }
 
@@ -223,13 +258,13 @@ func (b *blaster) gateMaj(x, y, z sat.Lit) sat.Lit {
 	case y == z.Flip():
 		return x
 	}
-	o := b.fresh()
-	b.s.AddClause(o.Flip(), x, y)
-	b.s.AddClause(o.Flip(), x, z)
-	b.s.AddClause(o.Flip(), y, z)
-	b.s.AddClause(o, x.Flip(), y.Flip())
-	b.s.AddClause(o, x.Flip(), z.Flip())
-	b.s.AddClause(o, y.Flip(), z.Flip())
+	o := b.gate(x, y, z)
+	b.def(o, o.Flip(), x, y)
+	b.def(o, o.Flip(), x, z)
+	b.def(o, o.Flip(), y, z)
+	b.def(o, o, x.Flip(), y.Flip())
+	b.def(o, o, x.Flip(), z.Flip())
+	b.def(o, o, y.Flip(), z.Flip())
 	return o
 }
 

@@ -12,10 +12,12 @@ package solver
 // the caller's order, to the lexicographically smallest satisfying
 // assignment (bit by bit, most significant first, preferring 0), in one
 // ordered SAT call whose search decides those bits first, in that order, at
-// value 0 (sat.Solver.SolvePrefer). Whatever the session has learned, every
-// bit the search could not set to 0 was forced by the path condition and the
-// smaller bits before it, so the result depends only on the *semantics* of
-// the constraint set and the variable order, never on the solver's history.
+// value 0 (see sat.Solver.SolvePrefer; the cone-restricted SolveCone a
+// session runs decides preferred literals the same way). Whatever the
+// session has learned, every bit the search could not set to 0 was forced
+// by the path condition and the smaller bits before it, so the result
+// depends only on the *semantics* of the constraint set and the variable
+// order, never on the solver's history.
 
 import (
 	"symmerge/internal/expr"

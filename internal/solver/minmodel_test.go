@@ -340,7 +340,7 @@ func TestMinModelMatchesProbeOracle(t *testing.T) {
 		}
 		sess.NoteConjunct(g.cond(2))
 		if iter%25 == 24 {
-			sess.SetRebaseLimit(sess.NumVars()) // the next call rebuilds the core
+			sess.core.rebaseVars = sess.core.ss.NumVars() // the next call rebuilds the core
 		}
 		pc, vars := g.pc(), g.vars()
 		switch iter % 20 {
@@ -380,7 +380,7 @@ func TestMinModelMatchesProbeOracle(t *testing.T) {
 			if wantSAT == 1 && d.SessionRebases == before.SessionRebases {
 				t.Fatalf("iter %d: the forced rebase did not happen", iter)
 			}
-			sess.SetRebaseLimit(defaultRebaseVars)
+			sess.core.rebaseVars = defaultRebaseVars
 		}
 		if d.Queries-before.Queries != 1 || d.SATCalls-before.SATCalls != wantSAT ||
 			d.ModelReuseHits != before.ModelReuseHits {

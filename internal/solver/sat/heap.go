@@ -90,3 +90,21 @@ func (h *heap) down(i int) {
 	h.data[i] = v
 	h.pos[v] = int32(i)
 }
+
+// rebuild makes the heap hold exactly the unassigned variables of vs, in
+// one bottom-up heapify.
+func (h *heap) rebuild(vs []int32) {
+	for _, v := range h.data {
+		h.pos[v] = -1
+	}
+	h.data = h.data[:0]
+	for _, v := range vs {
+		if h.s.vals[MkLit(int(v), false)] == lUndef {
+			h.pos[v] = int32(len(h.data))
+			h.data = append(h.data, v)
+		}
+	}
+	for i := len(h.data)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}

@@ -19,10 +19,11 @@
 //   - Decision levels, reasons, activities, saved phases and the analysis
 //     marks are arrays indexed by variable.
 //   - Every clause lives inline in one arena of 32-bit words: a header
-//     word (size and learnt bit), the float64 activity in two words, then
-//     the literals. A clause is named by its arena offset, and the clause
-//     lists, the reasons and the watchers hold offsets, so the garbage
-//     collector does not scan them.
+//     word (size and learnt bit), two words, then the literals. The two
+//     words hold a learnt clause's float64 activity, and a problem clause's
+//     owner (see Cones). A clause is named by its arena offset, and the
+//     clause lists, the reasons and the watchers hold offsets, so the
+//     garbage collector does not scan them.
 //   - Deleting a learnt clause leaves its words in the arena as waste. When
 //     the waste passes half the arena, the live clauses are copied into a
 //     fresh arena, problem clauses first, then learnts, and every watcher
@@ -32,12 +33,48 @@
 // # Search order
 //
 // The sequence of decisions, propagations, learnt clauses, deletions and
-// restarts is part of the contract, and the layout above does not change
-// it. Corpora do not depend on it: they hold verdicts and lexicographically
-// minimal models, which any complete search returns. The models of plain
-// Solve calls do depend on it, and so do the lines `symx -tests` prints and
-// every solver counter. TestSearchTrace pins the order; a change that alters
-// the search updates that test's table on purpose.
+// restarts of Solve and SolvePrefer is part of the contract, and the layout
+// above does not change it. TestSearchTrace pins it; a change that alters
+// that search updates the test's table on purpose. SolveCone decides,
+// propagates and snapshots less, so its search differs from an
+// unrestricted one. Corpora depend on neither: they hold verdicts and
+// lexicographically minimal models, which any complete search returns. The
+// models of unpreferred calls do depend on the search, and so do the lines
+// `symx -tests` prints and every solver counter.
+//
+// # Cones
+//
+// An incremental caller keeps clauses for many queries in one instance and
+// activates a query's part by assumptions (Eén & Sörensson's activation
+// literals). An unrestricted solve decides every variable before it
+// answers Sat, dormant parts included, so its cost follows the whole
+// instance. SolveCone takes the variable set a query can reach, its cone,
+// and works inside it: its VSIDS heap holds only cone variables, it answers
+// Sat once they are all assigned, and above the root level its propagation
+// skips every problem clause whose owner lies outside the cone.
+//
+// Each problem clause added with AddOwnedClause names an owner variable.
+// The caller vouches for two properties:
+//
+//   - every clause owned by a cone variable has all its variables in the
+//     cone;
+//   - every assignment of the cone that satisfies those clauses extends to
+//     a model of every problem clause.
+//
+// Package solver meets both. Its clauses are Tseitin definitions, owned by
+// the gate they define, a total function of its inputs, and activation
+// clauses (¬a ∨ l), owned by a. A cone closed under gate inputs extends by
+// keeping its values, evaluating every other gate from its inputs, and
+// setting every other activation literal false. Learnt clauses follow from
+// the problem clauses, so the extension satisfies them too, and Value reads
+// a real model on the cone.
+//
+// Root-level propagation is never restricted. A clause skipped above the
+// root keeps a false watched literal only until the search backtracks past
+// that literal, which every solve does before it returns. A clause skipped
+// at the root would keep it for the rest of the instance's life: once its
+// other watch turned false too, no later solve would visit the clause
+// again, not even one whose cone holds it.
 package sat
 
 import (
@@ -115,9 +152,14 @@ type cref uint32
 const crefUndef cref = math.MaxUint32
 
 // clauseHdr is the number of arena words before a clause's literals: the
-// header (size<<1 | learnt bit), then the float64 activity split over two
-// words, low half first.
+// header (size<<1 | learnt bit), then two words. A learnt clause keeps its
+// float64 activity there, low half first; a problem clause keeps its owner
+// variable in the first (noOwner for none).
 const clauseHdr = 3
+
+// noOwner is the owner of a problem clause added by AddClause: no cone
+// skips it.
+const noOwner Lit = -1
 
 type watcher struct {
 	c       cref
@@ -157,9 +199,12 @@ type Solver struct {
 	trailLim []int // decision-level boundaries in trail
 	qhead    int
 
-	order  heap // VSIDS order
-	varInc float64
-	claInc float64
+	order heap // VSIDS order
+	// coneHeap is set once a SolveCone call has taken order over; the
+	// next unrestricted solve refills it with every variable.
+	coneHeap bool
+	varInc   float64
+	claInc   float64
 
 	unsatAtRoot bool
 	numAdded    uint64 // problem clauses accepted by AddClause
@@ -179,6 +224,19 @@ type Solver struct {
 	// assigned; backtrackTo resets the cursor.
 	prefer     []Lit
 	preferHead int
+
+	// cone is the variable set of the running SolveCone call (nil
+	// otherwise), inCone, indexed by variable, marks its members, and
+	// coneLeft counts those unassigned, so the search answers Sat when it
+	// reaches 0 without popping the assigned ones. order holds no cone
+	// until the call's first VSIDS decision, when most of the cone is
+	// assigned already: pickBranchLit then rebuilds it from the unassigned
+	// cone variables and sets coneReady, after which backtracking pushes
+	// each one it unassigns.
+	cone      []int32
+	inCone    []bool
+	coneLeft  int
+	coneReady bool
 
 	// Deadline, when non-zero, makes Solve return Unknown once the wall
 	// clock passes it (checked between restarts, so a call may overshoot
@@ -216,6 +274,7 @@ func (s *Solver) NewVar() int {
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, false)
 	s.seen = append(s.seen, false)
+	s.inCone = append(s.inCone, false)
 	s.watches = append(s.watches, nil, nil)
 	s.order.push(v)
 	return v
@@ -241,7 +300,8 @@ func (s *Solver) setClauseAct(c cref, a float64) {
 	s.arena[c+1], s.arena[c+2] = Lit(uint32(b)), Lit(uint32(b>>32))
 }
 
-// alloc appends a clause over lits, at activity 0, to the arena.
+// alloc appends a clause over lits, with both words after the header 0, to
+// the arena.
 func (s *Solver) alloc(lits []Lit, learnt bool) cref {
 	c := cref(len(s.arena))
 	hdr := Lit(len(lits) << 1)
@@ -256,8 +316,17 @@ func (s *Solver) alloc(lits []Lit, learnt bool) cref {
 // AddClause adds a clause over existing variables. Adding the empty clause,
 // or a clause falsified at the root level, makes the instance trivially
 // unsat. AddClause must be called before Solve (between Solve calls is fine:
-// the solver backtracks to the root level after each Solve).
-func (s *Solver) AddClause(lits ...Lit) {
+// the solver backtracks to the root level after each Solve). The clause has
+// no owner, so SolveCone never skips it.
+func (s *Solver) AddClause(lits ...Lit) { s.addClause(noOwner, lits) }
+
+// AddOwnedClause is AddClause for a clause owned by variable owner: a
+// SolveCone call whose cone does not hold owner skips the clause above the
+// root level. The package doc's Cones section states what the owners of an
+// instance must guarantee.
+func (s *Solver) AddOwnedClause(owner int, lits ...Lit) { s.addClause(Lit(owner), lits) }
+
+func (s *Solver) addClause(owner Lit, lits []Lit) {
 	if s.unsatAtRoot {
 		return
 	}
@@ -306,6 +375,7 @@ func (s *Solver) AddClause(lits ...Lit) {
 	}
 	s.numAdded++
 	c := s.alloc(out, false)
+	s.arena[c+1] = owner
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 }
@@ -329,6 +399,9 @@ func (s *Solver) enqueue(l Lit, from cref) bool {
 	}
 	s.vals[l], s.vals[l.Flip()] = lTrue, lFalse
 	v := l.Var()
+	if s.inCone[v] {
+		s.coneLeft--
+	}
 	s.phase[v] = !l.Neg()
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
@@ -337,9 +410,11 @@ func (s *Solver) enqueue(l Lit, from cref) bool {
 }
 
 // propagate performs unit propagation; it returns the conflicting clause or
-// crefUndef.
+// crefUndef. Under SolveCone and above the root level it skips the problem
+// clauses owned outside the cone, leaving their watchers in place.
 func (s *Solver) propagate() cref {
 	vals, arena := s.vals, s.arena // propagation allocates no clause
+	skip, inCone := s.cone != nil && s.decisionLevel() > 0, s.inCone
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -356,6 +431,13 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			c := w.c
+			if skip && arena[c]&1 == 0 {
+				if own := arena[c+1]; own != noOwner && !inCone[own] {
+					ws[n] = w
+					n++
+					continue
+				}
+			}
 			start := int(c) + clauseHdr
 			lits := arena[start : start+int(arena[c]>>1)]
 			// Normalize so that lits[1] is the false literal p.Flip().
@@ -407,9 +489,9 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v)
 }
 
-// bumpClause raises c's activity. Problem clauses are bumped too when they
-// take part in a conflict, and one passing the limit rescales the learnt
-// clauses (not itself).
+// bumpClause raises learnt clause c's activity; one passing the limit
+// rescales every learnt clause. Problem clauses have no activity, as in
+// MiniSat: their activity words hold the owner.
 func (s *Solver) bumpClause(c cref) {
 	a := s.clauseAct(c) + s.claInc
 	s.setClauseAct(c, a)
@@ -441,7 +523,9 @@ func (s *Solver) analyze(confl cref) int {
 			panic(fmt.Sprintf("analyze: no reason for %v (level %d, dl %d, counter %d, trail %v)",
 				p, s.level[p.Var()], dl, counter, s.trail))
 		}
-		s.bumpClause(confl)
+		if s.arena[confl]&1 != 0 {
+			s.bumpClause(confl)
+		}
 		lits := s.lits(confl)
 		if p != -1 {
 			lits = lits[1:]
@@ -551,7 +635,14 @@ func (s *Solver) backtrackTo(level int) {
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		l := s.trail[i]
 		s.vals[l], s.vals[l.Flip()] = lUndef, lUndef
-		s.order.push(l.Var())
+		if v := l.Var(); s.cone == nil {
+			s.order.push(v)
+		} else if s.inCone[v] {
+			s.coneLeft++
+			if s.coneReady {
+				s.order.push(v)
+			}
+		}
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]
@@ -560,10 +651,17 @@ func (s *Solver) backtrackTo(level int) {
 }
 
 func (s *Solver) pickBranchLit() Lit {
+	if s.cone != nil && s.coneLeft == 0 {
+		return -1
+	}
 	for ; s.preferHead < len(s.prefer); s.preferHead++ {
 		if l := s.prefer[s.preferHead]; s.value(l) == lUndef {
 			return l
 		}
+	}
+	if s.cone != nil && !s.coneReady {
+		s.order.rebuild(s.cone)
+		s.coneReady = true
 	}
 	for {
 		v, ok := s.order.pop()
@@ -665,45 +763,62 @@ func (s *Solver) compact() {
 // is unsatisfiable under those assumptions (the solver does not produce an
 // unsat core). Solve may be called repeatedly with different assumptions.
 func (s *Solver) Solve(assumptions ...Lit) Status {
+	if s.coneHeap {
+		for v := range s.NumVars() {
+			s.order.push(v)
+		}
+		s.coneHeap = false
+	}
+	return s.solve(assumptions)
+}
+
+// solve runs restarts of search until an answer or the deadline, and
+// returns at the root level.
+func (s *Solver) solve(assumptions []Lit) Status {
 	s.Stats.Solves++
 	if s.unsatAtRoot {
 		return Unsat
 	}
-	defer s.backtrackTo(0)
-
 	maxLearnts := len(s.clauses)/3 + 100
-	restartNum := uint64(0)
-
-	for {
+	var st Status
+	for restartNum := uint64(1); ; restartNum++ {
 		// Every round starts at the root level.
 		if 2*s.waste > len(s.arena) {
 			s.compact()
 		}
-		restartNum++
-		budget := luby(restartNum) * 100
-		st := s.search(assumptions, budget, &maxLearnts)
-		if st == Sat {
-			// Snapshot the model before the deferred backtrack
-			// erases the assignment. Unassigned variables default
-			// to false.
-			n := s.NumVars()
-			if cap(s.model) < n {
-				s.model = make([]bool, n)
-			}
-			s.model = s.model[:n]
-			for v := range s.model {
-				s.model[v] = s.vals[MkLit(v, false)] == lTrue
-			}
-			return Sat
-		}
-		if st == Unsat {
-			return Unsat
-		}
-		if !s.Deadline.IsZero() && time.Now().After(s.Deadline) {
-			return Unknown
+		st = s.search(assumptions, luby(restartNum)*100, &maxLearnts)
+		if st != Unknown || !s.Deadline.IsZero() && time.Now().After(s.Deadline) {
+			break
 		}
 		s.Stats.Restarts++
 		s.backtrackTo(0)
+	}
+	if st == Sat {
+		s.snapshot()
+	}
+	s.coneReady = false // the next SolveCone builds its heap afresh
+	s.backtrackTo(0)
+	return st
+}
+
+// snapshot copies the model out of the assignment before the backtrack at
+// the end of solve erases it. Unassigned variables, and under SolveCone
+// every variable outside the cone, read as false.
+func (s *Solver) snapshot() {
+	n := s.NumVars()
+	if cap(s.model) < n {
+		s.model = make([]bool, n)
+	}
+	s.model = s.model[:n]
+	if s.cone == nil {
+		for v := range s.model {
+			s.model[v] = s.vals[MkLit(v, false)] == lTrue
+		}
+		return
+	}
+	clear(s.model)
+	for _, v := range s.cone {
+		s.model[v] = s.vals[MkLit(int(v), false)] == lTrue
 	}
 }
 
@@ -726,6 +841,30 @@ func (s *Solver) SolvePrefer(prefer []Lit, assumptions ...Lit) Status {
 	s.prefer, s.preferHead = prefer, 0
 	defer func() { s.prefer = nil }()
 	return s.Solve(assumptions...)
+}
+
+// SolveCone is SolvePrefer restricted to the variables listed in cone (see
+// the package doc's Cones section): it decides only cone variables, answers
+// Sat once every one of them is assigned, and above the root level skips
+// the problem clauses owned outside the cone. cone lists each variable
+// once, and holds the variables of every assumption and every preferred
+// literal. After a Sat answer, Value reads the model on the cone and false
+// everywhere else.
+func (s *Solver) SolveCone(cone []int32, prefer []Lit, assumptions ...Lit) Status {
+	s.cone, s.coneLeft, s.coneHeap = cone, 0, true
+	for _, v := range cone {
+		s.inCone[v] = true
+		if s.vals[MkLit(int(v), false)] == lUndef {
+			s.coneLeft++
+		}
+	}
+	s.prefer, s.preferHead = prefer, 0
+	st := s.solve(assumptions)
+	for _, v := range cone {
+		s.inCone[v] = false
+	}
+	s.cone, s.prefer = nil, nil
+	return st
 }
 
 // search runs CDCL until a result, a restart budget exhaustion (Unknown), or

@@ -329,3 +329,38 @@ func TestSolvePreferLexMin(t *testing.T) {
 		t.Fatal("no instance learnt a clause; the warm-up exercises nothing")
 	}
 }
+
+// TestSolveConeRootUnitReachesDormantClauses pins the root-level rule of
+// SolveCone. The first call's cone holds x, y and their guards g and h, and
+// its preferred literals make it decide x = 0 and y = 0, learn the units x
+// and y, and assert them at the root. The clause (¬x ∨ ¬y ∨ z), owned by c
+// outside that cone, watches ¬x and ¬y, so only root-level propagation
+// turns it into the unit z. A later call whose cone holds c and z, under
+// the assumption ¬z, must answer Unsat; had the first call skipped the
+// clause at the root, both of its watches would stay false for good and
+// the second call would miss the conflict.
+func TestSolveConeRootUnitReachesDormantClauses(t *testing.T) {
+	s := New()
+	x, y, z, g, h, c := s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar()
+	pos := func(v int) Lit { return MkLit(v, false) }
+	neg := func(v int) Lit { return MkLit(v, true) }
+	s.AddOwnedClause(g, pos(x), pos(g))
+	s.AddOwnedClause(g, pos(x), neg(g))
+	s.AddOwnedClause(h, pos(y), pos(h))
+	s.AddOwnedClause(h, pos(y), neg(h))
+	s.AddOwnedClause(c, neg(x), neg(y), pos(z))
+
+	if st := s.SolveCone([]int32{int32(x), int32(y), int32(g), int32(h)}, []Lit{neg(x), neg(y)}); st != Sat {
+		t.Fatalf("first call: %v, want sat", st)
+	}
+	if s.Stats.Conflicts != 2 || !s.Value(x) || !s.Value(y) {
+		t.Fatalf("first call: %d conflicts, x=%v y=%v; want the units x and y learnt from 2 conflicts",
+			s.Stats.Conflicts, s.Value(x), s.Value(y))
+	}
+	if st := s.SolveCone([]int32{int32(x), int32(y), int32(z), int32(c)}, nil, neg(z)); st != Unsat {
+		t.Fatalf("second call under ¬z: %v, want unsat", st)
+	}
+	if st := s.Solve(neg(z)); st != Unsat {
+		t.Fatalf("unrestricted call under ¬z: %v, want unsat", st)
+	}
+}

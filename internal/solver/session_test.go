@@ -59,7 +59,7 @@ func TestSessionPrefixReuse(t *testing.T) {
 			}
 		}
 	}
-	if got := sess.Conjuncts(); got != len(pc) {
+	if got := len(sess.core.acts); got != len(pc) {
 		t.Fatalf("blasted %d conjuncts, want %d (each exactly once)", got, len(pc))
 	}
 	if s.Stats.SATCalls != uint64(len(pc)) {
@@ -71,12 +71,12 @@ func TestSessionPrefixReuse(t *testing.T) {
 		t.Fatalf("SessionBlastReuse=%d, want %d", s.Stats.SessionBlastReuse, wantReuse)
 	}
 	// Re-querying the full prefix must not grow the instance.
-	vars := sess.NumVars()
+	vars := sess.core.ss.NumVars()
 	if ok, _, err := s.CheckSatIn(sess, pc); err != nil || !ok {
 		t.Fatalf("repeat query: ok=%v err=%v", ok, err)
 	}
-	if sess.NumVars() != vars {
-		t.Fatalf("repeat query grew the instance: %d -> %d vars", vars, sess.NumVars())
+	if sess.core.ss.NumVars() != vars {
+		t.Fatalf("repeat query grew the instance: %d -> %d vars", vars, sess.core.ss.NumVars())
 	}
 }
 
@@ -135,7 +135,7 @@ func TestSessionForkDiverge(t *testing.T) {
 	// the two pin conjuncts — the pins are hash-consed, so querying x=60
 	// on the right fork reuses the left fork's blasting of the same
 	// expression. Nothing is blasted twice.
-	if got, want := sess.Conjuncts(), len(pc)+2+2; got != want {
+	if got, want := len(sess.core.acts), len(pc)+2+2; got != want {
 		t.Fatalf("blasted %d conjuncts across forks, want %d", got, want)
 	}
 }
@@ -223,7 +223,7 @@ func TestSessionRebase(t *testing.T) {
 	b := expr.NewBuilder()
 	s := New(Options{})
 	sess := s.NewSession()
-	sess.SetRebaseLimit(64) // tiny: every few conjuncts trigger a rebuild
+	sess.core.rebaseVars = 64 // tiny: every few conjuncts trigger a rebuild
 	pc := chainPC(b, 10)
 	for i := 1; i <= len(pc); i++ {
 		ok, m, err := s.CheckSatIn(sess, pc[:i])
@@ -260,17 +260,17 @@ func TestSessionRegistersUnknownConjuncts(t *testing.T) {
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 	q := []*expr.Expr{b.Ult(x, b.Const(9, 8)), b.Ult(y, b.Const(9, 8)), b.Ult(x, y)}
-	v0 := sess.NumVars()
+	v0 := sess.core.ss.NumVars()
 	ok, m, err := s.CheckSatIn(sess, q)
 	if err != nil || !ok || !modelSatisfies(m, q) {
 		t.Fatalf("ok=%v m=%v err=%v", ok, m, err)
 	}
-	if sess.Conjuncts() != len(q) || s.Stats.SATCalls != 1 {
+	if len(sess.core.acts) != len(q) || s.Stats.SATCalls != 1 {
 		t.Fatalf("registered %d conjuncts in %d SAT calls, want %d in 1",
-			sess.Conjuncts(), s.Stats.SATCalls, len(q))
+			len(sess.core.acts), s.Stats.SATCalls, len(q))
 	}
 	// The query's whole encoding went into the session.
-	if got, want := s.Stats.SATVars, uint64(sess.NumVars()-v0); got != want {
+	if got, want := s.Stats.SATVars, uint64(sess.core.ss.NumVars()-v0); got != want {
 		t.Fatalf("query blasted %d variables, the session grew by %d", got, want)
 	}
 	// x+2 < y shares no gate with q: the extension blasts its circuit and
@@ -305,28 +305,28 @@ func TestSessionRebaseRecovery(t *testing.T) {
 		}
 	}
 	// Another lineage's query triggers a rebase, dropping A's conjuncts.
-	sess.SetRebaseLimit(1)
+	sess.core.rebaseVars = 1
 	other := sess.Fork()
 	y := b.Var("y", 8)
 	if ok, _, err := s.CheckSatIn(other, []*expr.Expr{b.Ult(y, b.Const(5, 8))}); err != nil || !ok {
 		t.Fatalf("rebasing query: ok=%v err=%v", ok, err)
 	}
-	if s.Stats.SessionRebases == 0 || sess.Conjuncts() != 1 {
-		t.Fatalf("rebase did not trigger: %d rebases, %d conjuncts", s.Stats.SessionRebases, sess.Conjuncts())
+	if s.Stats.SessionRebases == 0 || len(sess.core.acts) != 1 {
+		t.Fatalf("rebase did not trigger: %d rebases, %d conjuncts", s.Stats.SessionRebases, len(sess.core.acts))
 	}
-	sess.SetRebaseLimit(1 << 20) // stop rebasing; watch A recover
+	sess.core.rebaseVars = 1 << 20 // stop rebasing; watch A recover
 	rebases := s.Stats.SessionRebases
 	// Lineage A queries again: its conjuncts are unknown to the rebuilt
 	// core, and the query registers both.
-	reuse, vars, v0 := s.Stats.SessionBlastReuse, s.Stats.SATVars, sess.NumVars()
+	reuse, vars, v0 := s.Stats.SessionBlastReuse, s.Stats.SATVars, sess.core.ss.NumVars()
 	if ok, _, err := s.CheckSatIn(sess, pcA); err != nil || !ok {
 		t.Fatalf("A after rebase: ok=%v err=%v", ok, err)
 	}
-	if sess.Conjuncts() != 1+len(pcA) || s.Stats.SessionBlastReuse != reuse {
+	if len(sess.core.acts) != 1+len(pcA) || s.Stats.SessionBlastReuse != reuse {
 		t.Fatalf("post-rebase query: %d conjuncts registered, %d reused; want %d, 0",
-			sess.Conjuncts(), s.Stats.SessionBlastReuse-reuse, 1+len(pcA))
+			len(sess.core.acts), s.Stats.SessionBlastReuse-reuse, 1+len(pcA))
 	}
-	if got, want := s.Stats.SATVars-vars, uint64(sess.NumVars()-v0); got != want {
+	if got, want := s.Stats.SATVars-vars, uint64(sess.core.ss.NumVars()-v0); got != want {
 		t.Fatalf("post-rebase query blasted %d variables, the session grew by %d", got, want)
 	}
 	// The next extension reuses them and blasts only its own conjunct.
@@ -402,14 +402,14 @@ func TestConjunctVarsMatchVars(t *testing.T) {
 			continue
 		}
 		if step%50 == 49 {
-			sess.SetRebaseLimit(sess.NumVars()) // the next query rebuilds the core
+			sess.core.rebaseVars = sess.core.ss.NumVars() // the next query rebuilds the core
 		}
 		if rng.Intn(2) == 0 {
 			sess.NoteConjunct(c)
 		} else if _, err := s.MayBeTrueIn(sess, pool[:min(len(pool), 2)], c); err != nil {
 			t.Fatal(err)
 		}
-		sess.SetRebaseLimit(defaultRebaseVars)
+		sess.core.rebaseVars = defaultRebaseVars
 		pool = append(pool, c)
 		for conj, rec := range sess.core.acts {
 			want := map[*expr.Expr]bool{}
@@ -432,5 +432,146 @@ func TestConjunctVarsMatchVars(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no record checked")
+	}
+}
+
+// TestSessionConeDifferential runs one session over a pool of conjuncts
+// that earlier queries assumed, so the core holds their circuits with true
+// saved phases and learnt clauses over them, and each query takes a random
+// subset as its live conjuncts: every other conjunct is dormant and out of
+// the query's cone. Each verdict must equal a fresh session's, each Sat
+// model must satisfy every live conjunct, and every fifth query's
+// canonical model must match the probe oracle.
+func TestSessionConeDifferential(t *testing.T) {
+	b := expr.NewBuilder()
+	g := newMinGen(23, b)
+	s := New(Options{}) // no model reuse: every query is a session solve
+	ref := New(Options{})
+	sess := s.NewSession()
+	var pool []*expr.Expr
+	for len(pool) < 60 {
+		c := g.cond(2)
+		if c.IsConst() {
+			continue
+		}
+		// Assume the new conjunct next to two older ones.
+		q := []*expr.Expr{c}
+		for k := 0; k < 2 && len(pool) > 0; k++ {
+			q = append(q, pool[g.rng.Intn(len(pool))])
+		}
+		if _, _, err := s.CheckSatIn(sess, q); err != nil {
+			t.Fatal(err)
+		}
+		pool = append(pool, c)
+	}
+	if s.Stats.SATConflicts == 0 {
+		t.Fatal("warm-up learnt nothing")
+	}
+	sats, unsats, mins := 0, 0, 0
+	for iter := 0; iter < 400; iter++ {
+		live := make([]*expr.Expr, 1+g.rng.Intn(5))
+		for i := range live {
+			live[i] = pool[g.rng.Intn(len(pool))]
+		}
+		got, m, err := s.CheckSatIn(sess, live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := ref.CheckSatIn(nil, live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("iter %d: session says %v, a fresh session %v on %v", iter, got, want, live)
+		}
+		if !got {
+			unsats++
+			continue
+		}
+		sats++
+		for _, c := range live {
+			if !expr.EvalBool(c, expr.Env(m)) {
+				t.Fatalf("iter %d: model %v violates live conjunct %s", iter, m, c)
+			}
+		}
+		if iter%5 != 0 {
+			continue
+		}
+		vars := g.vars()
+		gotMin, err := s.MinModelIn(sess, live, vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMin, err := probeMinModel(b, ref, nil, live, vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vars {
+			if gotMin[v] != wantMin[v] {
+				t.Fatalf("iter %d: canonical %s = %d, oracle says %d", iter, v.Name, gotMin[v], wantMin[v])
+			}
+		}
+		mins++
+	}
+	if sats < 100 || unsats < 20 || mins < 20 {
+		t.Fatalf("degenerate draw: %d sat, %d unsat, %d canonical", sats, unsats, mins)
+	}
+	if s.Stats.SessionRebases != 0 {
+		t.Fatal("the core was rebuilt: the dormant conjuncts are gone")
+	}
+}
+
+// TestSessionSearchCounters checks the search counters on a fixed query
+// sequence over a core that also holds a dormant chain. A query over
+// boolean conjuncts p and q asserts each through its activation literal and
+// needs no decision: its cone is the activation variables and the inputs,
+// two variables per conjunct, however large the core.
+func TestSessionSearchCounters(t *testing.T) {
+	b := expr.NewBuilder()
+	s := New(Options{})
+	sess := s.NewSession()
+	for _, c := range chainPC(b, 8) {
+		sess.NoteConjunct(c)
+	}
+	p, q := b.Var("p", 0), b.Var("q", 0)
+	for i, tc := range []struct {
+		q                          []*expr.Expr
+		cone, props, dec, conflict uint64
+	}{
+		{[]*expr.Expr{p}, 2, 2, 0, 0},
+		{[]*expr.Expr{p, q}, 4, 4, 0, 0},
+		{[]*expr.Expr{b.Not(p)}, 2, 2, 0, 0},
+		{[]*expr.Expr{p, b.Not(p)}, 3, 3, 0, 0}, // p falsifies the second activation literal
+	} {
+		before := s.Stats
+		if _, _, err := s.CheckSatIn(sess, tc.q); err != nil {
+			t.Fatal(err)
+		}
+		d := s.Stats
+		cone, core := d.ConeVars-before.ConeVars, d.CoreVars-before.CoreVars
+		if core != uint64(sess.core.ss.NumVars()) || core < 100 {
+			t.Fatalf("query %d: core %d vars, the session holds %d", i, core, sess.core.ss.NumVars())
+		}
+		if cone != tc.cone || d.SATPropagations-before.SATPropagations != tc.props ||
+			d.SATDecisions != before.SATDecisions || d.SATConflicts != before.SATConflicts {
+			t.Fatalf("query %d: cone %d, %d propagations, %d decisions, %d conflicts; want %d, %d, 0, 0",
+				i, cone, d.SATPropagations-before.SATPropagations, d.SATDecisions-before.SATDecisions,
+				d.SATConflicts-before.SATConflicts, tc.cone, tc.props)
+		}
+	}
+	// The chain needs decisions, and its cone stays within the core.
+	before := s.Stats
+	if ok, _, err := s.CheckSatIn(sess, chainPC(b, 8)); err != nil || !ok {
+		t.Fatalf("chain: ok=%v err=%v", ok, err)
+	}
+	d := s.Stats
+	if d.SATDecisions == before.SATDecisions {
+		t.Fatal("the chain was decided without a decision")
+	}
+	if cone, core := d.ConeVars-before.ConeVars, d.CoreVars-before.CoreVars; cone > core || cone <= 4 {
+		t.Fatalf("chain: cone %d of %d core vars", cone, core)
+	}
+	if d.SATCalls != 5 {
+		t.Fatalf("SATCalls=%d, want 5", d.SATCalls)
 	}
 }

@@ -59,6 +59,16 @@ type Stats struct {
 	// blasts into its session counts; reused encodings are free.
 	SATVars    uint64
 	SATClauses uint64
+
+	// CDCL search effort, summed over SAT calls: the core's decisions,
+	// propagations and conflicts, the variables of each call's cone and
+	// those of the whole core it was taken from (see
+	// sat.Solver.SolveCone).
+	SATDecisions    uint64
+	SATPropagations uint64
+	SATConflicts    uint64
+	ConeVars        uint64
+	CoreVars        uint64
 }
 
 // Options configures a Solver.

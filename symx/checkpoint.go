@@ -213,6 +213,11 @@ func foldProgress(base, cur *core.Result, maxTests int) *core.Result {
 	sv.SessionRebases += bv.SessionRebases
 	sv.SATVars += bv.SATVars
 	sv.SATClauses += bv.SATClauses
+	sv.SATDecisions += bv.SATDecisions
+	sv.SATPropagations += bv.SATPropagations
+	sv.SATConflicts += bv.SATConflicts
+	sv.ConeVars += bv.ConeVars
+	sv.CoreVars += bv.CoreVars
 
 	out.Tests = capAppend(base.Tests, cur.Tests, maxTests)
 	out.Errors = capAppend(base.Errors, cur.Errors, maxTests)
