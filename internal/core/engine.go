@@ -266,6 +266,11 @@ type Engine struct {
 	hotBuf []int
 	inVars []*expr.Expr // cached canonical input-variable order (inputVars)
 
+	// scratch evaluates under one model at a time: a witness at a shadow
+	// split, a test's model, an error's model. Each use resets it, so its
+	// memo is allocated once per engine rather than once per model.
+	scratch expr.Evaluator
+
 	stats     Stats
 	testCases []TestCase
 	errors    []PathError
@@ -881,7 +886,8 @@ func (e *Engine) finishState(s *State) {
 			if len(e.errors) < e.cfg.MaxTests {
 				pe := *s.Err
 				if model, err := e.solv.GetModelIn(s.sess, s.PC); err == nil && model != nil {
-					pe.Args = e.concretizeArgs(&expr.Evaluator{Env: expr.Env(model)})
+					e.scratch.Reset(expr.Env(model))
+					pe.Args = e.concretizeArgs(&e.scratch)
 				}
 				e.errors = append(e.errors, pe)
 			}
@@ -984,9 +990,10 @@ func (e *Engine) makeTest(model solver.Model, s *State) (TestCase, bool) {
 	if model == nil {
 		return TestCase{}, false
 	}
-	// One evaluator for the whole test: merged outputs share their join
+	// One evaluation for the whole test: merged outputs share their join
 	// conditions and ite subterms, so each shared node is evaluated once.
-	ev := &expr.Evaluator{Env: expr.Env(model)}
+	ev := &e.scratch
+	ev.Reset(expr.Env(model))
 	tc := TestCase{Args: e.concretizeArgs(ev)}
 	for _, cell := range e.stdin {
 		tc.Stdin = append(tc.Stdin, byte(ev.Eval(cell)))

@@ -677,9 +677,7 @@ func (e *Engine) splitShadow(sTrue, sFalse *State, cond *expr.Expr) {
 		case w == nil:
 			e.shadowSide(sTrue, p, cond)
 			e.shadowSide(sFalse, p, notCond)
-		case expr.EvalBool(cond, expr.Env(w)):
-			// A fresh evaluator: a memo kept with a shared witness
-			// would be written by every state holding it.
+		case e.holds(expr.Env(w), cond):
 			sTrue.addShadow(appendPC(p, cond), w)
 			e.shadowSide(sFalse, p, notCond)
 		default:
@@ -689,6 +687,12 @@ func (e *Engine) splitShadow(sTrue, sFalse *State, cond *expr.Expr) {
 			}
 		}
 	}
+}
+
+// holds evaluates cond under env with the engine's scratch evaluator.
+func (e *Engine) holds(env expr.Env, cond *expr.Expr) bool {
+	e.scratch.Reset(env)
+	return e.scratch.Bool(cond)
 }
 
 // shadowSide files shadow path p ∧ c on s, with the model that shows it

@@ -58,3 +58,42 @@ func BenchmarkIteChainBuild(b *testing.B) {
 		}
 	}
 }
+
+var witnessHeld int
+
+// BenchmarkWitnessCheck is a shadow split's witness check: a branch
+// condition over a merged ite chain, evaluated under a new witness model
+// every iteration by one evaluator reset per witness. The memo is warmed
+// before timing, so a reset evaluator should allocate nothing.
+func BenchmarkWitnessCheck(b *testing.B) {
+	bld := NewBuilder()
+	xs := make([]*Expr, 8)
+	for i := range xs {
+		xs[i] = bld.Var("in"+string(rune('0'+i)), 8)
+	}
+	// 64 merges, each selecting on a guard over one input byte.
+	v := bld.Const(0, 8)
+	for k := range 64 {
+		x := xs[k%len(xs)]
+		v = bld.Ite(bld.Eq(x, bld.Const(uint64(k), 8)), bld.Add(v, x), v)
+	}
+	cond := bld.Ult(v, bld.Const(200, 8))
+	envs := make([]Env, 16)
+	for i := range envs {
+		envs[i] = Env{}
+		for j, x := range xs {
+			envs[i][x] = uint64(i*8+j) & 0x3f
+		}
+	}
+	var ev Evaluator
+	ev.Reset(envs[0])
+	ev.Bool(cond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.Reset(envs[i%len(envs)])
+		if ev.Bool(cond) {
+			witnessHeld++
+		}
+	}
+}

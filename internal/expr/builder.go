@@ -24,10 +24,12 @@ type internShard struct {
 // Builder constructs hash-consed expressions. A Builder is safe for
 // concurrent use: the intern table uses sharded locks and the activity
 // counters are atomic. Expression identity — pointer equality and
-// builder-unique IDs — holds within one Builder; each engine owns one.
+// builder-unique IDs — holds within one Builder; each engine owns one. A
+// Builder refuses operands that another Builder interned.
 type Builder struct {
 	shards [internShards]internShard
 	nextID atomic.Uint64
+	home   uint32 // serial stamped on every node this builder interns
 
 	true_  *Expr
 	false_ *Expr
@@ -48,9 +50,14 @@ type BuilderStats struct {
 	Simps atomic.Uint64 // constructions answered by a simplification rule
 }
 
+// builderSerial numbers builders from 1, so that a node's home tells its
+// builder apart from every other builder a process makes (up to 2^32 of
+// them) and 0 can mean "no builder" (NodeMap).
+var builderSerial atomic.Uint32
+
 // NewBuilder returns an empty builder with the boolean constants interned.
 func NewBuilder() *Builder {
-	b := &Builder{}
+	b := &Builder{home: builderSerial.Add(1)}
 	for i := range b.shards {
 		b.shards[i].table = make(map[uint64][]*Expr, 16)
 	}
@@ -115,8 +122,16 @@ func (b *Builder) mk(e *Expr) *Expr {
 		}
 	}
 	e.id = b.nextID.Add(1) - 1
+	e.home = b.home
 	e.symbolic = e.Kind == KVar
 	for _, k := range e.Kids {
+		if k.home != b.home {
+			// A walk down from a node must stay in its builder: tables
+			// indexed by ID bind to one builder (NodeMap), and their
+			// owners check only the node a walk starts from.
+			sh.mu.Unlock()
+			panic(fmt.Sprintf("expr: %s operand %d (%s) belongs to another builder", e.Kind, k.id, k.Kind))
+		}
 		e.symbolic = e.symbolic || k.symbolic
 	}
 	sh.table[e.hash] = append(sh.table[e.hash], e)

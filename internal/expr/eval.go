@@ -1,6 +1,9 @@
 package expr
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Env assigns concrete values to variables for evaluation. Values are stored
 // truncated to the variable's width; booleans as 0/1. Missing variables
@@ -10,32 +13,60 @@ type Env map[*Expr]uint64
 // Eval computes the concrete value of e under env. It is the reference
 // semantics: the simplifier, the bit-blaster, and the engine's concrete fast
 // paths are all tested against it. Boolean results are 0/1.
+//
+// Eval and EvalBool reuse one package-level Evaluator and Reset it, so a
+// call costs the nodes it evaluates, not the size of e's builder: the
+// spare evaluator's memo has already grown, and Reset forgets it in O(1).
+// A call that finds the spare taken by a concurrent one makes its own.
 func Eval(e *Expr, env Env) uint64 {
-	ev := Evaluator{Env: env}
-	return ev.Eval(e)
+	ev := spareEvaluator.Swap(nil)
+	if ev == nil {
+		ev = new(Evaluator)
+	}
+	ev.Reset(env)
+	v := ev.Eval(e)
+	ev.Env = nil
+	spareEvaluator.Store(ev)
+	return v
 }
 
-// EvalBool evaluates a boolean expression under env.
+// EvalBool evaluates a boolean expression under env (see Eval).
 func EvalBool(e *Expr, env Env) bool {
-	ev := Evaluator{Env: env}
-	return ev.Bool(e)
+	if !e.IsBool() {
+		panic("expr: EvalBool on non-bool expression")
+	}
+	return Eval(e, env) != 0
 }
+
+// spareEvaluator is the evaluator Eval reuses; nil while a call holds it.
+var spareEvaluator atomic.Pointer[Evaluator]
 
 // Evaluator evaluates expressions under one environment and memoizes every
 // node value it computes, so expressions sharing subterms (merged ite
 // chains, a growing path condition) are each walked once across calls. The
-// memo is valid only while Env is unchanged: an owner that mutates Env must
-// start a new Evaluator. The zero memo is allocated on first use, so
-// Evaluator{Env: env} is ready to use.
+// memo is a NodeMap: a slot per node ID of one builder. It is valid only
+// while Env is unchanged; Reset installs a new environment and forgets the
+// memo in O(1), so an owner keeps one Evaluator and resets it rather than
+// making one per environment. A call on a node of another builder than the
+// memo's forgets the memo first, so one Evaluator may serve several
+// builders, at the cost of its memo on every switch. The zero Evaluator
+// has an empty memo, so Evaluator{Env: env} is ready to use.
 type Evaluator struct {
 	Env  Env
-	memo map[*Expr]uint64
+	memo NodeMap[uint64]
+}
+
+// Reset makes env the evaluator's environment and forgets every memoized
+// value.
+func (ev *Evaluator) Reset(env Env) {
+	ev.Env = env
+	ev.memo.Clear()
 }
 
 // Eval computes the concrete value of e (see the package-level Eval).
 func (ev *Evaluator) Eval(e *Expr) uint64 {
-	if ev.memo == nil {
-		ev.memo = make(map[*Expr]uint64)
+	if !ev.memo.Accepts(e) {
+		ev.memo.Clear()
 	}
 	return ev.eval(e)
 }
@@ -52,7 +83,7 @@ func (ev *Evaluator) eval(e *Expr) uint64 {
 	if e.Kind == KConst {
 		return e.Val // cheaper than the memo probe
 	}
-	if v, ok := ev.memo[e]; ok {
+	if v, ok := ev.memo.Get(e); ok {
 		return v
 	}
 	var v uint64
@@ -186,7 +217,7 @@ func (ev *Evaluator) eval(e *Expr) uint64 {
 	default:
 		panic(fmt.Sprintf("expr: eval of unknown kind %v", e.Kind))
 	}
-	ev.memo[e] = v
+	ev.memo.Put(e, v)
 	return v
 }
 

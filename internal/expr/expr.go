@@ -118,11 +118,14 @@ type Expr struct {
 
 	id       uint64 // unique per builder, assigned at construction
 	hash     uint64
-	symbolic bool // contains at least one KVar
+	symbolic bool   // contains at least one KVar
+	home     uint32 // the interning builder's serial (Builder.home)
 }
 
 // ID returns the builder-unique identifier of the node. IDs increase in
-// construction order, so they induce a deterministic total order.
+// construction order, so they induce a deterministic total order. They are
+// dense, from 0, so tables indexed by ID (NodeMap) stay small; nodes of two
+// builders share IDs.
 func (e *Expr) ID() uint64 { return e.id }
 
 // Hash returns the structural hash of the node.

@@ -21,6 +21,11 @@ import (
 // blaster translates expressions to CNF over a sat.Solver. Booleans map to
 // single literals; bitvectors map to literal slices, LSB first.
 //
+// Each node is blasted once: node maps it, by ID, to the offset of its
+// literals in lits (one for a boolean, Width for a bitvector). An input
+// variable's bits are its own entry. The tables hold one builder's nodes
+// (expr.NodeMap); a session core that changes builders resets its blaster.
+//
 // It allocates every variable of its solver and records the circuit they
 // form: the inputs of variable v are ins[insEnd[v-1]:insEnd[v]] (from 0 for
 // v = 0). A gate's inputs are the variables it is a function of, an
@@ -31,9 +36,8 @@ import (
 // sat.Solver.SolveCone).
 type blaster struct {
 	s    *sat.Solver
-	bits map[*expr.Expr][]sat.Lit // bv cache
-	bool map[*expr.Expr]sat.Lit   // bool cache
-	vars map[*expr.Expr][]sat.Lit // input variable -> its bits
+	node expr.NodeMap[int32]
+	lits []sat.Lit
 
 	ins    []int32
 	insEnd []int32
@@ -43,16 +47,37 @@ type blaster struct {
 }
 
 func newBlaster(s *sat.Solver) *blaster {
-	b := &blaster{
-		s:    s,
-		bits: make(map[*expr.Expr][]sat.Lit),
-		bool: make(map[*expr.Expr]sat.Lit),
-		vars: make(map[*expr.Expr][]sat.Lit),
-	}
+	b := &blaster{}
+	b.reset(s)
+	return b
+}
+
+// reset empties the blaster onto s, a fresh solver, keeping its tables'
+// memory.
+func (b *blaster) reset(s *sat.Solver) {
+	b.s = s
+	b.node.Clear()
+	b.lits, b.ins, b.insEnd = b.lits[:0], b.ins[:0], b.insEnd[:0]
 	b.litTrue = b.fresh()
 	b.litFalse = b.litTrue.Flip()
 	s.AddClause(b.litTrue)
-	return b
+}
+
+// blasted returns e's literals, or nil when e was not blasted. The slice
+// is capped, so a caller that appends to it copies.
+func (b *blaster) blasted(e *expr.Expr) []sat.Lit {
+	off, ok := b.node.Get(e)
+	if !ok {
+		return nil
+	}
+	end := off + int32(max(e.Width, 1))
+	return b.lits[off:end:end]
+}
+
+// keep records ls as e's literals.
+func (b *blaster) keep(e *expr.Expr, ls ...sat.Lit) {
+	b.node.Put(e, int32(len(b.lits)))
+	b.lits = append(b.lits, ls...)
 }
 
 func (b *blaster) constLit(v bool) sat.Lit {
@@ -493,8 +518,8 @@ func (b *blaster) blastBool(e *expr.Expr) sat.Lit {
 	if !e.IsBool() {
 		panic(fmt.Sprintf("solver: blastBool on %s", e))
 	}
-	if l, ok := b.bool[e]; ok {
-		return l
+	if ls := b.blasted(e); ls != nil {
+		return ls[0]
 	}
 	var l sat.Lit
 	switch e.Kind {
@@ -502,7 +527,6 @@ func (b *blaster) blastBool(e *expr.Expr) sat.Lit {
 		l = b.constLit(e.Val == 1)
 	case expr.KVar:
 		l = b.fresh()
-		b.vars[e] = []sat.Lit{l}
 	case expr.KNot:
 		l = b.blastBool(e.Kids[0]).Flip()
 	case expr.KAnd, expr.KOr:
@@ -540,7 +564,7 @@ func (b *blaster) blastBool(e *expr.Expr) sat.Lit {
 	default:
 		panic(fmt.Sprintf("solver: unexpected bool kind %v", e.Kind))
 	}
-	b.bool[e] = l
+	b.keep(e, l)
 	return l
 }
 
@@ -549,8 +573,8 @@ func (b *blaster) blastBV(e *expr.Expr) []sat.Lit {
 	if e.IsBool() {
 		panic(fmt.Sprintf("solver: blastBV on bool %s", e))
 	}
-	if v, ok := b.bits[e]; ok {
-		return v
+	if ls := b.blasted(e); ls != nil {
+		return ls
 	}
 	var out []sat.Lit
 	switch e.Kind {
@@ -561,7 +585,6 @@ func (b *blaster) blastBV(e *expr.Expr) []sat.Lit {
 		for i := range out {
 			out[i] = b.fresh()
 		}
-		b.vars[e] = out
 	case expr.KAdd:
 		x, y := b.blastBV(e.Kids[0]), b.blastBV(e.Kids[1])
 		out, _ = b.adder(x, y, b.litFalse)
@@ -657,7 +680,7 @@ func (b *blaster) blastBV(e *expr.Expr) []sat.Lit {
 	if len(out) != int(e.Width) {
 		panic(fmt.Sprintf("solver: blast width mismatch for %s: got %d", e, len(out)))
 	}
-	b.bits[e] = out
+	b.keep(e, out...)
 	return out
 }
 
@@ -686,14 +709,20 @@ func (b *blaster) blastSigned(e *expr.Expr) []sat.Lit {
 	return b.muxVec(yZero, x, r)
 }
 
-// modelValue reads variable v's value out of the SAT model.
-func (b *blaster) modelValue(v *expr.Expr) uint64 {
-	lits, ok := b.vars[v]
-	if !ok {
-		return 0
+// varBits returns the literals of input variable v, LSB first, or nil when
+// v is not a variable or was never blasted.
+func (b *blaster) varBits(v *expr.Expr) []sat.Lit {
+	if v.Kind != expr.KVar {
+		return nil
 	}
+	return b.blasted(v)
+}
+
+// modelValue reads variable v's value out of the SAT model; a variable the
+// blaster never saw reads 0.
+func (b *blaster) modelValue(v *expr.Expr) uint64 {
 	var out uint64
-	for i, l := range lits {
+	for i, l := range b.varBits(v) {
 		if b.s.ValueLit(l) {
 			out |= 1 << uint(i)
 		}

@@ -48,7 +48,7 @@ func (s *Solver) MinModelIn(sess *Session, pc []*expr.Expr, vars []*expr.Expr) (
 		return out, nil
 	}
 	if sess == nil {
-		sess = s.NewSession()
+		sess = s.freshSession()
 	}
 	sp := s.beginQuery()
 	res, err := sess.solve(live, vars)

@@ -27,6 +27,14 @@ package solver
 // activation-literal discipline makes the core's clause database a superset
 // encoding of every lineage's path condition, so sharing *is* the
 // prefix-sharing the engine wants, with zero copying at fork time.
+//
+// A core's per-node tables (the blaster's cache, the conjunct registry,
+// the visited set of a variable walk) are indexed by node ID
+// (expr.NodeMap): a lookup is an index and a compare, and a reset forgets
+// them in O(1) while keeping their memory. IDs are dense per builder, so a
+// core holds one builder's nodes; a query over another builder's
+// conjuncts rebuilds it, as a rebase does. Calls made without a session
+// use the solver's spare core, reset per call.
 
 import (
 	"time"
@@ -43,86 +51,110 @@ import (
 // visits.
 const defaultRebaseVars = 1 << 17
 
-// actRecord is the per-conjunct bookkeeping of a session core.
+// actRecord is the per-conjunct bookkeeping of a session core: the
+// activation literal (act → conjunct holds) and the conjunct's input
+// variables, vars[lo:hi] of the core (for model extraction).
 type actRecord struct {
-	act  sat.Lit      // activation literal: act → conjunct holds
-	vars []*expr.Expr // input variables of the conjunct (for model extraction)
+	act    sat.Lit
+	lo, hi uint32
 }
 
 // sessionCore is the shared incremental state behind one or more Session
-// handles: a persistent SAT instance, its blaster, and the activation map.
+// handles: a persistent SAT instance, its blaster, and the conjunct
+// registry. Its tables are indexed by node ID (expr.NodeMap), so a core
+// holds the nodes of one builder: a query over another builder's conjuncts
+// rebuilds it empty, as a rebase does.
 type sessionCore struct {
 	ss         *sat.Solver
 	bl         *blaster
-	acts       map[*expr.Expr]actRecord
+	acts       expr.NodeMap[actRecord]
+	vars       []*expr.Expr // the registered conjuncts' variable lists
 	rebaseVars int
 
-	// Reused by every solve: the query's activation literals, preferred
-	// literals and cone, and the cone walk's marks.
+	// Reused by every solve and registration: the query's activation
+	// literals, preferred literals and cone, the cone walk's marks, the
+	// visited set of one variable walk and the distinct variables of one
+	// model.
 	assumps, prefer []sat.Lit
 	cone            []int32
 	mark            []bool
+	seen            expr.NodeMap[struct{}]
+	modelVars       []*expr.Expr
 }
 
 func newSessionCore(limit int) *sessionCore {
-	ss := sat.New()
-	return &sessionCore{
-		ss:         ss,
-		bl:         newBlaster(ss),
-		acts:       make(map[*expr.Expr]actRecord, 64),
-		rebaseVars: limit,
-	}
+	c := &sessionCore{bl: &blaster{}, rebaseVars: limit}
+	c.reset()
+	return c
 }
 
-// reset discards the blasted state; conjuncts re-blast lazily on next use.
+// reset discards the blasted state, keeping the tables' memory; conjuncts
+// re-blast lazily on next use.
 func (c *sessionCore) reset() {
 	c.ss = sat.New()
-	c.bl = newBlaster(c.ss)
-	c.acts = make(map[*expr.Expr]actRecord, 64)
+	c.bl.reset(c.ss)
+	c.acts.Clear()
+	clear(c.vars) // the old nodes may be another builder's: let them go
+	c.vars = c.vars[:0]
+}
+
+// holds reports whether the core may register every conjunct of live: it
+// is empty or holds their builder's nodes.
+func (c *sessionCore) holds(live []*expr.Expr) bool {
+	for _, e := range live {
+		if !c.acts.Accepts(e) {
+			return false
+		}
+	}
+	return true
 }
 
 // addConjunct blasts a conjunct behind a fresh activation literal.
 func (c *sessionCore) addConjunct(e *expr.Expr) actRecord {
 	a := c.bl.guard(c.bl.blastBool(e))
-	rec := actRecord{act: a, vars: c.conjunctVars(e)}
-	c.acts[e] = rec
+	lo := uint32(len(c.vars))
+	c.seen.Clear()
+	c.collectVars(e)
+	rec := actRecord{act: a, lo: lo, hi: uint32(len(c.vars))}
+	c.acts.Put(e, rec)
 	return rec
 }
 
-// conjunctVars lists the input variables of e, as e.Vars would. The walk
-// does not descend into a conjunct the core has registered but takes its
-// recorded list, which is that conjunct's exact variable set: the
-// conjuncts a merge or a branch adds are built over earlier ones (a merged
-// disjunction over the suffix conjuncts, a branch condition over merged
-// ite selectors), so a full walk would re-traverse the whole history.
-func (c *sessionCore) conjunctVars(e *expr.Expr) []*expr.Expr {
-	var vars []*expr.Expr
-	seen := map[*expr.Expr]bool{}
-	var walk func(x *expr.Expr)
-	walk = func(x *expr.Expr) {
-		if !x.IsSymbolic() || seen[x] {
-			return
-		}
-		seen[x] = true
-		if x.Kind == expr.KVar {
-			vars = append(vars, x)
-			return
-		}
-		if rec, ok := c.acts[x]; ok {
-			for _, v := range rec.vars {
-				if !seen[v] {
-					seen[v] = true
-					vars = append(vars, v)
-				}
-			}
-			return
-		}
-		for _, k := range x.Kids {
-			walk(k)
-		}
+// visit marks x in the walk's visited set and reports whether it was new.
+func (c *sessionCore) visit(x *expr.Expr) bool {
+	if _, ok := c.seen.Get(x); ok {
+		return false
 	}
-	walk(e)
-	return vars
+	c.seen.Put(x, struct{}{})
+	return true
+}
+
+// collectVars appends the input variables of x not yet visited to vars, as
+// x.Vars would list them. The walk does not descend into a conjunct the
+// core has registered but takes its recorded list, which is that
+// conjunct's exact variable set: the conjuncts a merge or a branch adds
+// are built over earlier ones (a merged disjunction over the suffix
+// conjuncts, a branch condition over merged ite selectors), so a full walk
+// would re-traverse the whole history.
+func (c *sessionCore) collectVars(x *expr.Expr) {
+	if !x.IsSymbolic() || !c.visit(x) {
+		return
+	}
+	if x.Kind == expr.KVar {
+		c.vars = append(c.vars, x)
+		return
+	}
+	if rec, ok := c.acts.Get(x); ok {
+		for _, v := range c.vars[rec.lo:rec.hi] {
+			if c.visit(v) {
+				c.vars = append(c.vars, v)
+			}
+		}
+		return
+	}
+	for _, k := range x.Kids {
+		c.collectVars(k)
+	}
 }
 
 // coneOf lists the variables that roots reach through circuit inputs,
@@ -180,6 +212,18 @@ func (s *Solver) NewSession() *Session {
 	return &Session{solv: s, core: newSessionCore(defaultRebaseVars)}
 }
 
+// freshSession returns the session of one call made without a session: the
+// solver's spare core, reset.
+func (s *Solver) freshSession() *Session {
+	if s.spare == nil {
+		s.spare = newSessionCore(defaultRebaseVars)
+	} else {
+		s.spare.reset()
+		s.spare.rebaseVars = defaultRebaseVars
+	}
+	return &Session{solv: s, core: s.spare}
+}
+
 // Fork returns a session for a diverging state lineage. The blasted prefix
 // is shared: both handles keep answering from the same underlying instance,
 // selecting their own conjunct sets via assumptions.
@@ -200,8 +244,13 @@ func (sess *Session) NoteConjunct(c *expr.Expr) {
 	if sess == nil || c == nil || c.IsConst() {
 		return
 	}
-	if _, ok := sess.core.acts[c]; !ok {
-		sess.core.addConjunct(c)
+	core := sess.core
+	if !core.acts.Accepts(c) {
+		core.reset()
+		sess.solv.Stats.SessionRebases++
+	}
+	if _, ok := core.acts.Get(c); !ok {
+		core.addConjunct(c)
 	}
 }
 
@@ -214,16 +263,21 @@ func (sess *Session) check(live []*expr.Expr) (bool, Model, error) {
 		return false, nil, err
 	}
 	core := sess.core
-	vs := map[*expr.Expr]bool{}
+	vs := core.modelVars[:0]
+	core.seen.Clear()
 	for _, c := range live {
-		for _, v := range core.acts[c].vars {
-			vs[v] = true
+		rec, _ := core.acts.Get(c)
+		for _, v := range core.vars[rec.lo:rec.hi] {
+			if core.visit(v) {
+				vs = append(vs, v)
+			}
 		}
 	}
 	m := make(Model, len(vs))
-	for v := range vs {
+	for _, v := range vs {
 		m[v] = core.bl.modelValue(v)
 	}
+	core.modelVars = vs
 	return true, m, nil
 }
 
@@ -238,7 +292,7 @@ func (sess *Session) solve(live, prefer []*expr.Expr) (bool, error) {
 	s := sess.solv
 	core := sess.core
 	rebased := false
-	if core.ss.NumVars() >= core.rebaseVars {
+	if core.ss.NumVars() >= core.rebaseVars || !core.holds(live) {
 		core.reset()
 		rebased = true
 		s.Stats.SessionRebases++
@@ -251,7 +305,7 @@ func (sess *Session) solve(live, prefer []*expr.Expr) (bool, error) {
 	v0, c0 := core.ss.NumVars(), core.ss.NumClauses()
 	assumps := core.assumps[:0]
 	for _, c := range live {
-		rec, ok := core.acts[c]
+		rec, ok := core.acts.Get(c)
 		if ok {
 			s.Stats.SessionBlastReuse++
 		} else {
@@ -283,7 +337,7 @@ func (sess *Session) solve(live, prefer []*expr.Expr) (bool, error) {
 	for _, v := range prefer {
 		// A variable the core never blasted has no literals: nothing
 		// constrains it, and modelValue reads it as 0.
-		bits := core.bl.vars[v]
+		bits := core.bl.varBits(v)
 		for k := len(bits) - 1; k >= 0; k-- {
 			lits = append(lits, bits[k].Flip())
 		}

@@ -59,7 +59,7 @@ func TestSessionPrefixReuse(t *testing.T) {
 			}
 		}
 	}
-	if got := len(sess.core.acts); got != len(pc) {
+	if got := sess.core.acts.Len(); got != len(pc) {
 		t.Fatalf("blasted %d conjuncts, want %d (each exactly once)", got, len(pc))
 	}
 	if s.Stats.SATCalls != uint64(len(pc)) {
@@ -135,7 +135,7 @@ func TestSessionForkDiverge(t *testing.T) {
 	// the two pin conjuncts — the pins are hash-consed, so querying x=60
 	// on the right fork reuses the left fork's blasting of the same
 	// expression. Nothing is blasted twice.
-	if got, want := len(sess.core.acts), len(pc)+2+2; got != want {
+	if got, want := sess.core.acts.Len(), len(pc)+2+2; got != want {
 		t.Fatalf("blasted %d conjuncts across forks, want %d", got, want)
 	}
 }
@@ -265,9 +265,9 @@ func TestSessionRegistersUnknownConjuncts(t *testing.T) {
 	if err != nil || !ok || !modelSatisfies(m, q) {
 		t.Fatalf("ok=%v m=%v err=%v", ok, m, err)
 	}
-	if len(sess.core.acts) != len(q) || s.Stats.SATCalls != 1 {
+	if sess.core.acts.Len() != len(q) || s.Stats.SATCalls != 1 {
 		t.Fatalf("registered %d conjuncts in %d SAT calls, want %d in 1",
-			len(sess.core.acts), s.Stats.SATCalls, len(q))
+			sess.core.acts.Len(), s.Stats.SATCalls, len(q))
 	}
 	// The query's whole encoding went into the session.
 	if got, want := s.Stats.SATVars, uint64(sess.core.ss.NumVars()-v0); got != want {
@@ -311,8 +311,8 @@ func TestSessionRebaseRecovery(t *testing.T) {
 	if ok, _, err := s.CheckSatIn(other, []*expr.Expr{b.Ult(y, b.Const(5, 8))}); err != nil || !ok {
 		t.Fatalf("rebasing query: ok=%v err=%v", ok, err)
 	}
-	if s.Stats.SessionRebases == 0 || len(sess.core.acts) != 1 {
-		t.Fatalf("rebase did not trigger: %d rebases, %d conjuncts", s.Stats.SessionRebases, len(sess.core.acts))
+	if s.Stats.SessionRebases == 0 || sess.core.acts.Len() != 1 {
+		t.Fatalf("rebase did not trigger: %d rebases, %d conjuncts", s.Stats.SessionRebases, sess.core.acts.Len())
 	}
 	sess.core.rebaseVars = 1 << 20 // stop rebasing; watch A recover
 	rebases := s.Stats.SessionRebases
@@ -322,9 +322,9 @@ func TestSessionRebaseRecovery(t *testing.T) {
 	if ok, _, err := s.CheckSatIn(sess, pcA); err != nil || !ok {
 		t.Fatalf("A after rebase: ok=%v err=%v", ok, err)
 	}
-	if len(sess.core.acts) != 1+len(pcA) || s.Stats.SessionBlastReuse != reuse {
+	if sess.core.acts.Len() != 1+len(pcA) || s.Stats.SessionBlastReuse != reuse {
 		t.Fatalf("post-rebase query: %d conjuncts registered, %d reused; want %d, 0",
-			len(sess.core.acts), s.Stats.SessionBlastReuse-reuse, 1+len(pcA))
+			sess.core.acts.Len(), s.Stats.SessionBlastReuse-reuse, 1+len(pcA))
 	}
 	if got, want := s.Stats.SATVars-vars, uint64(sess.core.ss.NumVars()-v0); got != want {
 		t.Fatalf("post-rebase query blasted %d variables, the session grew by %d", got, want)
@@ -411,18 +411,23 @@ func TestConjunctVarsMatchVars(t *testing.T) {
 		}
 		sess.core.rebaseVars = defaultRebaseVars
 		pool = append(pool, c)
-		for conj, rec := range sess.core.acts {
+		for _, conj := range pool {
+			rec, ok := sess.core.acts.Get(conj)
+			if !ok {
+				continue // registered before the last rebase
+			}
+			vars := sess.core.vars[rec.lo:rec.hi]
 			want := map[*expr.Expr]bool{}
 			conj.Vars(want)
 			got := map[*expr.Expr]bool{}
-			for _, v := range rec.vars {
+			for _, v := range vars {
 				if got[v] {
 					t.Fatalf("step %d: variable %s listed twice for %s", step, v, conj)
 				}
 				got[v] = true
 			}
 			if !maps.Equal(got, want) {
-				t.Fatalf("step %d: variables of %s listed as %v, want %v", step, conj, rec.vars, want)
+				t.Fatalf("step %d: variables of %s listed as %v, want %v", step, conj, vars, want)
 			}
 			checked++
 		}
@@ -573,5 +578,86 @@ func TestSessionSearchCounters(t *testing.T) {
 	}
 	if d.SATCalls != 5 {
 		t.Fatalf("SATCalls=%d, want 5", d.SATCalls)
+	}
+}
+
+// TestSessionTwoBuildersCollidingIDs interleaves the queries of two
+// builders through one solver, with the model-reuse ring on, and one
+// session. The builders build the same shapes in the same order with
+// different constants, so nodes with equal IDs mean different things: a
+// table keyed by ID that answered for the other builder's node would reuse
+// a wrong encoding, activation literal or memoized value. Verdicts must
+// equal those of a separate solver and session per builder, and every
+// model must satisfy its conjuncts.
+func TestSessionTwoBuildersCollidingIDs(t *testing.T) {
+	type side struct {
+		b    *expr.Builder
+		x, y *expr.Expr
+		pc   []*expr.Expr
+		ref  *Solver
+		rs   *Session
+	}
+	var sides [2]*side
+	for k := range sides {
+		b := expr.NewBuilder()
+		ref := New(DefaultOptions())
+		sides[k] = &side{b: b, x: b.Var("x", 8), y: b.Var("y", 8), ref: ref, rs: ref.NewSession()}
+	}
+	s := New(DefaultOptions())
+	sess := s.NewSession()
+	rng := rand.New(rand.NewSource(11))
+	collided := 0
+	for step := 0; step < 300; step++ {
+		op := rng.Intn(4)
+		consts := [2]uint64{1 + uint64(rng.Intn(254)), 1 + uint64(rng.Intn(254))}
+		extend := rng.Intn(3) == 0
+		var conds [2]*expr.Expr
+		for k, sd := range sides {
+			b, c := sd.b, sd.b.Const(consts[k], 8)
+			switch op {
+			case 0:
+				conds[k] = b.Ult(sd.x, c)
+			case 1:
+				conds[k] = b.Ult(c, b.Add(sd.x, sd.y))
+			case 2:
+				conds[k] = b.Eq(b.BAnd(sd.y, c), b.BAnd(sd.x, c))
+			default:
+				conds[k] = b.Ne(b.Sub(sd.y, sd.x), c)
+			}
+		}
+		if conds[0].ID() == conds[1].ID() && consts[0] != consts[1] {
+			collided++
+		}
+		for k, sd := range sides {
+			cond := conds[k]
+			if cond.IsConst() {
+				continue
+			}
+			q := append(slices.Clone(sd.pc), cond)
+			want, _, err := sd.ref.CheckSatIn(sd.rs, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bool
+			if step%2 == 0 {
+				got, err = s.MayBeTrueIn(sess, sd.pc, cond)
+			} else {
+				var m Model
+				got, m, err = s.CheckSatIn(sess, q)
+				if got && !modelSatisfies(m, q) {
+					t.Fatalf("step %d, builder %d: model %v violates the query", step, k, m)
+				}
+			}
+			if err != nil || got != want {
+				t.Fatalf("step %d, builder %d: sat=%v err=%v, separate solver says %v", step, k, got, err, want)
+			}
+			if got && extend {
+				sd.pc = append(sd.pc, cond)
+				sess.NoteConjunct(cond)
+			}
+		}
+	}
+	if collided == 0 {
+		t.Fatal("no two conditions shared an ID; the test does not exercise collisions")
 	}
 }

@@ -89,7 +89,7 @@ var ErrBudget = errors.New("solver: deadline passed")
 // Solver decides satisfiability of conjunctions of boolean expressions.
 // A query is answered by the recent-model ring or by one solve of an
 // incremental session (see session.go); a caller without a session gets a
-// fresh one for that call.
+// fresh one for that call (the solver's spare core, reset).
 //
 // A Solver is single-goroutine state (the recent-model ring, Stats): each
 // engine owns one.
@@ -103,10 +103,18 @@ type Solver struct {
 	// recentModels is a small ring of models for the reuse fast path. Each
 	// slot is an evaluator over its model: a stored model is never mutated
 	// (remember keeps a clone, hits hand out clones), so the slot's
-	// node-value memo stays valid until remember refills the slot with a
-	// fresh evaluator. Empty slots are nil.
-	recentModels [8]*expr.Evaluator
+	// node-value memo stays valid until remember refills the slot and
+	// resets the evaluator. A slot keeps its evaluator, and the memo's
+	// memory, across refills. Empty slots have a nil Env.
+	recentModels [8]expr.Evaluator
 	recentNext   int
+
+	// spare is the session core of calls without a session. Each such call
+	// resets it first (sessionCore.reset): a new SAT instance and empty
+	// tables, so the call is as fresh as a new session, but the tables
+	// keep their memory and forget in O(1), so a call costs what it blasts
+	// rather than the size of the builder. Nil until first use.
+	spare *sessionCore
 
 	// obs is the owning engine's observability lane (nil when disabled):
 	// every non-trivial query emits a begin/end span with its class,
@@ -222,7 +230,7 @@ func (s *Solver) decide(sess *Session, live []*expr.Expr, needModel bool) (bool,
 		}
 	}
 	if sess == nil {
-		sess = s.NewSession()
+		sess = s.freshSession()
 	}
 	res, m, err := sess.check(live)
 	if err != nil {
@@ -249,8 +257,9 @@ func cloneModel(m Model) Model { return maps.Clone(m) }
 // conjunct. Conjuncts are checked newest-first: the tail (the branch
 // condition or a min-model probe) is the one that usually fails.
 func (s *Solver) tryRecentModels(constraints []*expr.Expr) Model {
-	for _, ev := range s.recentModels {
-		if ev == nil {
+	for i := range s.recentModels {
+		ev := &s.recentModels[i]
+		if ev.Env == nil {
 			continue
 		}
 		sat := true
@@ -266,9 +275,9 @@ func (s *Solver) tryRecentModels(constraints []*expr.Expr) Model {
 
 func (s *Solver) remember(m Model) {
 	// Retain a copy: the caller owns the returned model and may mutate it.
-	// The new evaluator starts with an empty memo; the evicted model's
-	// node values must not answer for this one.
-	s.recentModels[s.recentNext] = &expr.Evaluator{Env: expr.Env(cloneModel(m))}
+	// The reset forgets the memo; the evicted model's node values must not
+	// answer for this one.
+	s.recentModels[s.recentNext].Reset(expr.Env(cloneModel(m)))
 	s.recentNext = (s.recentNext + 1) % len(s.recentModels)
 }
 
