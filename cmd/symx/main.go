@@ -212,8 +212,8 @@ func main() {
 }
 
 // printStats renders the -stats block: CNF encoding effort, CDCL search
-// effort per SAT call, and the rewrite-rule hit counters from the
-// expression builder's rule table.
+// effort per SAT call, and the expression builder's rewrite-rule hit
+// counters.
 func printStats(st symx.Stats) {
 	sv := st.Solver
 	fmt.Printf("encoding:      %d SAT vars, %d clauses emitted\n", sv.SATVars, sv.SATClauses)

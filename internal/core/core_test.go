@@ -11,7 +11,9 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"symmerge/internal/analysis"
 	"symmerge/internal/expr"
@@ -906,5 +908,45 @@ func TestEngineUsesSharedFacts(t *testing.T) {
 		if own.cfgs[i] == nil || own.cfgs[i] == ff.G {
 			t.Errorf("%s: engine without Config.Analysis has no CFG of its own", ff.Fn.Name)
 		}
+	}
+}
+
+// pigeonAssertSrc asserts that six symbolic bytes are distinct values below
+// 5, which they never are (pigeonhole). The condition is one expression,
+// not an && chain (which compiles to branches), so its holding side is one
+// query whose refutation takes CDCL past its first restart, while its
+// failing side is sat at once.
+func pigeonAssertSrc() string {
+	var src strings.Builder
+	var conj []string
+	src.WriteString("void main() {\n")
+	for i := 0; i < 6; i++ {
+		fmt.Fprintf(&src, "    byte p%d = sym_byte();\n", i)
+		conj = append(conj, fmt.Sprintf("toint(p%d < 5)", i))
+		for j := 0; j < i; j++ {
+			conj = append(conj, fmt.Sprintf("toint(p%d != p%d)", j, i))
+		}
+	}
+	fmt.Fprintf(&src, "    assert((%s) == 1);\n}\n", strings.Join(conj, " & "))
+	return src.String()
+}
+
+// TestAssertTimeoutIsNotAFailure: an assert whose holding side runs out of
+// solver budget ends its path with a budget error, not with a definite
+// assertion failure that a corpus would keep as a replayable test. The
+// SAT solver checks its deadline at restarts, so under an expired deadline
+// the failing side is answered and the holding side times out.
+func TestAssertTimeoutIsNotAFailure(t *testing.T) {
+	e := newTestEngine(t, pigeonAssertSrc(), Config{})
+	e.Solver().SetDeadline(time.Now().Add(-time.Second))
+	res := e.Run()
+	if n := e.Solver().Stats.Timeouts; n != 1 {
+		t.Fatalf("solver timeouts = %d, want 1 (the holding side)", n)
+	}
+	if len(res.Errors) != 1 {
+		t.Fatalf("error paths = %v, want 1", res.Errors)
+	}
+	if pe := res.Errors[0]; pe.Assert || pe.Msg != "solver budget exhausted at assert" {
+		t.Fatalf("error path %q with Assert %v, want the budget error without Assert", pe.Msg, pe.Assert)
 	}
 }

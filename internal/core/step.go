@@ -574,7 +574,10 @@ func (e *Engine) doAssert(s *State, in *ir.Instr, loc ir.Loc) []*State {
 	}
 	mayHold := false
 	if !cond.IsFalse() {
-		mayHold, _ = e.solv.MayBeTrueIn(s.sess, s.PC, cond)
+		if mayHold, err = e.solv.MayBeTrueIn(s.sess, s.PC, cond); err != nil {
+			e.failPath(s, loc, in.Pos, "solver budget exhausted at assert")
+			return []*State{s}
+		}
 	}
 	if !mayHold {
 		// Assertion always fails here.

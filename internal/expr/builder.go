@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -38,16 +37,14 @@ type Builder struct {
 	// RuleHits returns the nonzero entries by name.
 	ruleHits [numRules]atomic.Uint64
 
-	// Stats counts constructor activity, used by solver benchmarks.
+	// Stats counts the nodes the builder interned.
 	Stats BuilderStats
 }
 
-// BuilderStats are atomic constructor-activity counters.
+// BuilderStats counts what a builder has interned. Tests read Nodes to
+// check that a decode or a rebuild minted no node.
 type BuilderStats struct {
 	Nodes atomic.Uint64 // distinct nodes created
-	Hits  atomic.Uint64 // hash-cons hits
-	Folds atomic.Uint64 // constructions answered by constant folding
-	Simps atomic.Uint64 // constructions answered by a simplification rule
 }
 
 // builderSerial numbers builders from 1, so that a node's home tells its
@@ -111,13 +108,12 @@ func sameExpr(a, e *Expr) bool {
 // reader — whether it got the pointer from this call or from a later lookup
 // under the shard lock — sees a fully initialized, immutable node.
 func (b *Builder) mk(e *Expr) *Expr {
-	e.hash = hashExpr(e)
-	sh := &b.shards[e.hash%internShards]
+	h := hashExpr(e)
+	sh := &b.shards[h%internShards]
 	sh.mu.Lock()
-	for _, cand := range sh.table[e.hash] {
+	for _, cand := range sh.table[h] {
 		if sameExpr(cand, e) {
 			sh.mu.Unlock()
-			b.Stats.Hits.Add(1)
 			return cand
 		}
 	}
@@ -134,7 +130,7 @@ func (b *Builder) mk(e *Expr) *Expr {
 		}
 		e.symbolic = e.symbolic || k.symbolic
 	}
-	sh.table[e.hash] = append(sh.table[e.hash], e)
+	sh.table[h] = append(sh.table[h], e)
 	sh.mu.Unlock()
 	b.Stats.Nodes.Add(1)
 	return e
@@ -188,11 +184,11 @@ func (b *Builder) checkBool(op string, es ...*Expr) {
 func (b *Builder) Not(x *Expr) *Expr {
 	b.checkBool("not", x)
 	if x.IsConst() {
-		b.Stats.Folds.Add(1)
 		return b.Bool(x.Val == 0)
 	}
-	if r := b.applyRules(KNot, x, nil); r != nil {
-		return r
+	if x.Kind == KNot {
+		b.hit(rNotNot) // ¬¬a → a
+		return x.Kids[0]
 	}
 	return b.mk(&Expr{Kind: KNot, Kids: []*Expr{x}})
 }
@@ -229,35 +225,6 @@ func (b *Builder) OrN(es []*Expr) *Expr {
 	return b.naryBool(KOr, es)
 }
 
-// Xor returns the boolean exclusive or of x and y.
-func (b *Builder) Xor(x, y *Expr) *Expr {
-	b.checkBool("xor", x, y)
-	if x.IsConst() && y.IsConst() {
-		b.Stats.Folds.Add(1)
-		return b.Bool(x.Val != y.Val)
-	}
-	if r := b.applyRules(KXor, x, y); r != nil {
-		return r
-	}
-	x, y = orderPair(x, y)
-	return b.mk(&Expr{Kind: KXor, Kids: []*Expr{x, y}})
-}
-
-// Implies returns x → y.
-func (b *Builder) Implies(x, y *Expr) *Expr {
-	b.checkBool("=>", x, y)
-	if r := b.applyRules(KImplies, x, y); r != nil {
-		return r
-	}
-	return b.mk(&Expr{Kind: KImplies, Kids: []*Expr{x, y}})
-}
-
-// AndAll is AndN: the conjunction of es as one canonical n-ary node.
-func (b *Builder) AndAll(es []*Expr) *Expr { return b.AndN(es) }
-
-// OrAll is OrN: the disjunction of es as one canonical n-ary node.
-func (b *Builder) OrAll(es []*Expr) *Expr { return b.OrN(es) }
-
 // orderPair orders a commutative pair by node ID for canonical form.
 func orderPair(x, y *Expr) (*Expr, *Expr) {
 	if y.id < x.id {
@@ -280,11 +247,7 @@ func (b *Builder) Eq(x, y *Expr) *Expr {
 		panic(fmt.Sprintf("expr: = width mismatch: %s vs %s", x, y))
 	}
 	if x.IsConst() && y.IsConst() {
-		b.Stats.Folds.Add(1)
 		return b.Bool(x.Val == y.Val)
-	}
-	if r := b.applyRules(KEq, x, y); r != nil {
-		return r
 	}
 	x, y = orderPair(x, y)
 	return b.mk(&Expr{Kind: KEq, Kids: []*Expr{x, y}})
@@ -296,11 +259,7 @@ func (b *Builder) Ne(x, y *Expr) *Expr { return b.Not(b.Eq(x, y)) }
 func (b *Builder) cmp(k Kind, x, y *Expr, fold func(a, c uint64, w uint8) bool) *Expr {
 	b.checkSameBV(k.String(), x, y)
 	if x.IsConst() && y.IsConst() {
-		b.Stats.Folds.Add(1)
 		return b.Bool(fold(x.Val, y.Val, x.Width))
-	}
-	if r := b.applyRules(k, x, y); r != nil {
-		return r
 	}
 	return b.mk(&Expr{Kind: k, Kids: []*Expr{x, y}})
 }
@@ -335,18 +294,11 @@ func (b *Builder) Ugt(x, y *Expr) *Expr { return b.Ult(y, x) }
 // Uge returns x ≥ y (unsigned), encoded as Ule(y, x).
 func (b *Builder) Uge(x, y *Expr) *Expr { return b.Ule(y, x) }
 
-// Sgt returns x > y (signed), encoded as Slt(y, x).
-func (b *Builder) Sgt(x, y *Expr) *Expr { return b.Slt(y, x) }
-
-// Sge returns x ≥ y (signed), encoded as Sle(y, x).
-func (b *Builder) Sge(x, y *Expr) *Expr { return b.Sle(y, x) }
-
 // --- Arithmetic ---
 
 func (b *Builder) arith(k Kind, x, y *Expr, fold func(a, c uint64, w uint8) uint64) *Expr {
 	b.checkSameBV(k.String(), x, y)
 	if x.IsConst() && y.IsConst() {
-		b.Stats.Folds.Add(1)
 		return b.Const(fold(x.Val, y.Val, x.Width), x.Width)
 	}
 	return b.mk(&Expr{Kind: k, Width: x.Width, Kids: []*Expr{x, y}})
@@ -355,8 +307,13 @@ func (b *Builder) arith(k Kind, x, y *Expr, fold func(a, c uint64, w uint8) uint
 // Add returns x + y (modular).
 func (b *Builder) Add(x, y *Expr) *Expr {
 	if !(x.IsConst() && y.IsConst()) {
-		if r := b.applyRules(KAdd, x, y); r != nil {
-			return r
+		if x.IsConst() && x.Val == 0 {
+			b.hit(rAddZero) // 0 + a → a
+			return y
+		}
+		if y.IsConst() && y.Val == 0 {
+			b.hit(rAddZero)
+			return x
 		}
 	}
 	if !x.IsConst() && y.IsConst() || (!x.IsConst() && !y.IsConst() && y.id < x.id) {
@@ -368,8 +325,13 @@ func (b *Builder) Add(x, y *Expr) *Expr {
 // Sub returns x − y (modular).
 func (b *Builder) Sub(x, y *Expr) *Expr {
 	if !(x.IsConst() && y.IsConst()) {
-		if r := b.applyRules(KSub, x, y); r != nil {
-			return r
+		if y.IsConst() && y.Val == 0 {
+			b.hit(rSubZero) // a − 0 → a
+			return x
+		}
+		if x == y {
+			b.hit(rSubSelf) // a − a → 0
+			return b.Const(0, x.Width)
 		}
 	}
 	return b.arith(KSub, x, y, func(a, c uint64, _ uint8) uint64 { return a - c })
@@ -378,13 +340,7 @@ func (b *Builder) Sub(x, y *Expr) *Expr {
 // Mul returns x × y (modular).
 func (b *Builder) Mul(x, y *Expr) *Expr {
 	if x.IsConst() && x.Val == 0 || y.IsConst() && y.Val == 0 {
-		b.Stats.Folds.Add(1)
 		return b.Const(0, x.Width)
-	}
-	if !(x.IsConst() && y.IsConst()) {
-		if r := b.applyRules(KMul, x, y); r != nil {
-			return r
-		}
 	}
 	x, y = orderPair(x, y)
 	return b.arith(KMul, x, y, func(a, c uint64, _ uint8) uint64 { return a * c })
@@ -392,11 +348,6 @@ func (b *Builder) Mul(x, y *Expr) *Expr {
 
 // UDiv returns x ÷ y unsigned; division by zero yields all-ones (SMT-LIB).
 func (b *Builder) UDiv(x, y *Expr) *Expr {
-	if !(x.IsConst() && y.IsConst()) {
-		if r := b.applyRules(KUDiv, x, y); r != nil {
-			return r
-		}
-	}
 	return b.arith(KUDiv, x, y, func(a, c uint64, w uint8) uint64 {
 		if c == 0 {
 			return mask(w)
@@ -449,11 +400,7 @@ func (b *Builder) SRem(x, y *Expr) *Expr {
 // Neg returns −x (two's complement).
 func (b *Builder) Neg(x *Expr) *Expr {
 	if x.IsConst() {
-		b.Stats.Folds.Add(1)
 		return b.Const(-x.Val, x.Width)
-	}
-	if r := b.applyRules(KNeg, x, nil); r != nil {
-		return r
 	}
 	return b.mk(&Expr{Kind: KNeg, Width: x.Width, Kids: []*Expr{x}})
 }
@@ -462,33 +409,18 @@ func (b *Builder) Neg(x *Expr) *Expr {
 
 // BAnd returns the bitwise conjunction x & y.
 func (b *Builder) BAnd(x, y *Expr) *Expr {
-	if !(x.IsConst() && y.IsConst()) {
-		if r := b.applyRules(KBAnd, x, y); r != nil {
-			return r
-		}
-	}
 	x, y = orderPair(x, y)
 	return b.arith(KBAnd, x, y, func(a, c uint64, _ uint8) uint64 { return a & c })
 }
 
 // BOr returns the bitwise disjunction x | y.
 func (b *Builder) BOr(x, y *Expr) *Expr {
-	if !(x.IsConst() && y.IsConst()) {
-		if r := b.applyRules(KBOr, x, y); r != nil {
-			return r
-		}
-	}
 	x, y = orderPair(x, y)
 	return b.arith(KBOr, x, y, func(a, c uint64, _ uint8) uint64 { return a | c })
 }
 
 // BXor returns the bitwise exclusive or x ^ y.
 func (b *Builder) BXor(x, y *Expr) *Expr {
-	if !(x.IsConst() && y.IsConst()) {
-		if r := b.applyRules(KBXor, x, y); r != nil {
-			return r
-		}
-	}
 	x, y = orderPair(x, y)
 	return b.arith(KBXor, x, y, func(a, c uint64, _ uint8) uint64 { return a ^ c })
 }
@@ -496,22 +428,13 @@ func (b *Builder) BXor(x, y *Expr) *Expr {
 // BNot returns the bitwise complement of x.
 func (b *Builder) BNot(x *Expr) *Expr {
 	if x.IsConst() {
-		b.Stats.Folds.Add(1)
 		return b.Const(^x.Val, x.Width)
-	}
-	if r := b.applyRules(KBNot, x, nil); r != nil {
-		return r
 	}
 	return b.mk(&Expr{Kind: KBNot, Width: x.Width, Kids: []*Expr{x}})
 }
 
 // Shl returns x << y; shifts ≥ width yield zero.
 func (b *Builder) Shl(x, y *Expr) *Expr {
-	if !(x.IsConst() && y.IsConst()) {
-		if r := b.applyRules(KShl, x, y); r != nil {
-			return r
-		}
-	}
 	return b.arith(KShl, x, y, func(a, c uint64, w uint8) uint64 {
 		if c >= uint64(w) {
 			return 0
@@ -522,11 +445,6 @@ func (b *Builder) Shl(x, y *Expr) *Expr {
 
 // LShr returns the logical right shift x >> y; shifts ≥ width yield zero.
 func (b *Builder) LShr(x, y *Expr) *Expr {
-	if !(x.IsConst() && y.IsConst()) {
-		if r := b.applyRules(KLShr, x, y); r != nil {
-			return r
-		}
-	}
 	return b.arith(KLShr, x, y, func(a, c uint64, w uint8) uint64 {
 		if c >= uint64(w) {
 			return 0
@@ -537,11 +455,6 @@ func (b *Builder) LShr(x, y *Expr) *Expr {
 
 // AShr returns the arithmetic right shift x >> y (sign filling).
 func (b *Builder) AShr(x, y *Expr) *Expr {
-	if !(x.IsConst() && y.IsConst()) {
-		if r := b.applyRules(KAShr, x, y); r != nil {
-			return r
-		}
-	}
 	return b.arith(KAShr, x, y, func(a, c uint64, w uint8) uint64 {
 		sa := int64(signExtend(a, w))
 		if c >= uint64(w) {
@@ -563,25 +476,9 @@ func (b *Builder) ZExt(x *Expr, w uint8) *Expr {
 		return x
 	}
 	if x.IsConst() {
-		b.Stats.Folds.Add(1)
 		return b.Const(x.Val, w)
 	}
 	return b.mk(&Expr{Kind: KZExt, Width: w, Aux: uint16(x.Width), Kids: []*Expr{x}})
-}
-
-// SExt sign-extends x to width w (w ≥ x.Width).
-func (b *Builder) SExt(x *Expr, w uint8) *Expr {
-	if w < x.Width || x.Width == 0 || w > 64 {
-		panic(fmt.Sprintf("expr: sext %d -> %d invalid", x.Width, w))
-	}
-	if w == x.Width {
-		return x
-	}
-	if x.IsConst() {
-		b.Stats.Folds.Add(1)
-		return b.Const(signExtend(x.Val, x.Width), w)
-	}
-	return b.mk(&Expr{Kind: KSExt, Width: w, Aux: uint16(x.Width), Kids: []*Expr{x}})
 }
 
 // Extract returns bits [lo+w-1 : lo] of x as a w-bit value.
@@ -593,45 +490,16 @@ func (b *Builder) Extract(x *Expr, lo, w uint8) *Expr {
 		return x
 	}
 	if x.IsConst() {
-		b.Stats.Folds.Add(1)
 		return b.Const(x.Val>>lo, w)
 	}
-	if x.Kind == KZExt || x.Kind == KSExt {
+	if x.Kind == KZExt {
 		src := x.Kids[0]
 		if int(lo)+int(w) <= int(src.Width) {
 			b.hit(rExtractExt)
 			return b.Extract(src, lo, w)
 		}
 	}
-	if x.Kind == KConcat {
-		hi, lo2 := x.Kids[0], x.Kids[1]
-		if int(lo)+int(w) <= int(lo2.Width) {
-			b.hit(rExtractConcat)
-			return b.Extract(lo2, lo, w)
-		}
-		if int(lo) >= int(lo2.Width) {
-			b.hit(rExtractConcat)
-			return b.Extract(hi, lo-lo2.Width, w)
-		}
-	}
 	return b.mk(&Expr{Kind: KExtract, Width: w, Aux: uint16(lo), Kids: []*Expr{x}})
-}
-
-// Concat returns hi ∘ lo, with hi occupying the most significant bits.
-func (b *Builder) Concat(hi, lo *Expr) *Expr {
-	w := int(hi.Width) + int(lo.Width)
-	if hi.Width == 0 || lo.Width == 0 || w > 64 {
-		panic(fmt.Sprintf("expr: concat widths %d+%d invalid", hi.Width, lo.Width))
-	}
-	if hi.IsConst() && lo.IsConst() {
-		b.Stats.Folds.Add(1)
-		return b.Const(hi.Val<<lo.Width|lo.Val, uint8(w))
-	}
-	if hi.IsConst() && hi.Val == 0 {
-		b.hit(rConcatZeroHi)
-		return b.ZExt(lo, uint8(w))
-	}
-	return b.mk(&Expr{Kind: KConcat, Width: uint8(w), Kids: []*Expr{hi, lo}})
 }
 
 // --- Ite ---
@@ -643,11 +511,9 @@ func (b *Builder) Ite(c, t, f *Expr) *Expr {
 		panic(fmt.Sprintf("expr: ite arm width mismatch: %s vs %s", t, f))
 	}
 	if c.IsTrue() {
-		b.Stats.Folds.Add(1)
 		return t
 	}
 	if c.IsFalse() {
-		b.Stats.Folds.Add(1)
 		return f
 	}
 	if t == f {
@@ -714,22 +580,4 @@ func (b *Builder) SelectIte(cells []*Expr, idx *Expr, oob *Expr) *Expr {
 		res = b.Ite(b.Eq(idx, b.Const(uint64(i), idx.Width)), cells[i], res)
 	}
 	return res
-}
-
-// SortedVars returns the distinct variables of e sorted by name (then width),
-// for deterministic iteration.
-func SortedVars(e *Expr) []*Expr {
-	set := map[*Expr]bool{}
-	e.Vars(set)
-	out := make([]*Expr, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Width < out[j].Width
-	})
-	return out
 }

@@ -104,10 +104,6 @@ func (ev *Evaluator) eval(e *Expr) uint64 {
 		for _, k := range e.Kids {
 			v |= ev.eval(k)
 		}
-	case KXor:
-		v = ev.eval(e.Kids[0]) ^ ev.eval(e.Kids[1])
-	case KImplies:
-		v = (1 - ev.eval(e.Kids[0])) | ev.eval(e.Kids[1])
 	case KEq:
 		v = boolVal(ev.eval(e.Kids[0]) == ev.eval(e.Kids[1]))
 	case KUlt:
@@ -201,13 +197,8 @@ func (ev *Evaluator) eval(e *Expr) uint64 {
 		v = truncate(uint64(sa>>c), e.Width)
 	case KZExt:
 		v = ev.eval(e.Kids[0])
-	case KSExt:
-		v = truncate(signExtend(ev.eval(e.Kids[0]), uint8(e.Aux)), e.Width)
 	case KExtract:
 		v = truncate(ev.eval(e.Kids[0])>>e.Aux, e.Width)
-	case KConcat:
-		hi, lo := e.Kids[0], e.Kids[1]
-		v = ev.eval(hi)<<lo.Width | ev.eval(lo)
 	case KIte:
 		if ev.eval(e.Kids[0]) != 0 {
 			v = ev.eval(e.Kids[1])

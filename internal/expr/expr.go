@@ -7,14 +7,15 @@
 // hash-conses: structurally identical expressions are represented by the same
 // *Expr pointer. This makes structural equality a pointer comparison, lets
 // constructor-time flags (such as "contains a symbolic variable") be computed
-// once, and gives every expression a stable small integer ID used by the
-// solver caches and by dynamic state merging's similarity hashes.
+// once, and gives every expression a small integer ID, dense per builder,
+// that orders n-ary operands and indexes the per-node tables of the
+// evaluator and the solver (NodeMap).
 //
-// Builders also perform constant folding and a table of named local
-// simplifications (identity elements, ite collapsing, double negation,
-// n-ary flattening and factoring, ...; see rules.go), each with a per-rule
-// hit counter. Simplify re-runs the table bottom-up over whole expressions.
-// Simplification is
+// Builders also perform constant folding and a fixed set of named local
+// rewrites (n-ary flattening, absorption and guard factoring, ite
+// collapsing, double negation, ...; see rules.go), each applied by its
+// constructor and charged to a per-rule hit counter. Simplify rebuilds whole
+// expressions bottom-up through the constructors. Simplification is
 // semantics-preserving; the evaluator in eval.go is the reference semantics
 // and the property/fuzz tests check the two agree.
 package expr
@@ -31,6 +32,10 @@ type Kind uint8
 // expressions; bitvector operators on width 1..64 expressions. Comparisons
 // take bitvectors and yield booleans. Ite is polymorphic: its condition is
 // boolean and its arms share the result sort.
+//
+// A kind's number is its wire form (Node.K in snapshots), so numbers never
+// move: the four blank entries are kinds no constructor builds any more,
+// whose numbers stay reserved (see retiredKinds).
 const (
 	KConst Kind = iota // constant (Val, Width; Width==0 means boolean 0/1)
 	KVar               // named input variable
@@ -38,13 +43,12 @@ const (
 	// Boolean connectives. KAnd and KOr are n-ary (Kids holds two or more
 	// operands) in canonical form: flattened, ID-sorted, duplicate-free,
 	// with no complementary pair and no absorbed member — see
-	// Builder.AndN/OrN and naryBool in rules.go. KNot, KXor and KImplies
-	// stay unary/binary.
+	// Builder.AndN/OrN and naryBool in rules.go.
 	KNot
 	KAnd
 	KOr
-	KXor
-	KImplies
+	_ // 5: retired boolean xor
+	_ // 6: retired implication
 
 	// Comparisons (bitvector × bitvector → bool).
 	KEq
@@ -74,9 +78,9 @@ const (
 
 	// Width changing.
 	KZExt    // Aux = original width, Width = new width
-	KSExt    // Aux = original width, Width = new width
+	_        // 28: retired sign extension
 	KExtract // Aux = low bit, Width = number of bits
-	KConcat  // Kids[0] is high part, Kids[1] is low part
+	_        // 30: retired concatenation
 
 	// Polymorphic if-then-else: Kids[0] bool, Kids[1], Kids[2] same sort.
 	KIte
@@ -86,13 +90,13 @@ const (
 
 var kindNames = [numKinds]string{
 	KConst: "const", KVar: "var",
-	KNot: "not", KAnd: "and", KOr: "or", KXor: "xor", KImplies: "=>",
+	KNot: "not", KAnd: "and", KOr: "or",
 	KEq: "=", KUlt: "bvult", KUle: "bvule", KSlt: "bvslt", KSle: "bvsle",
 	KAdd: "bvadd", KSub: "bvsub", KMul: "bvmul",
 	KUDiv: "bvudiv", KURem: "bvurem", KSDiv: "bvsdiv", KSRem: "bvsrem",
 	KBAnd: "bvand", KBOr: "bvor", KBXor: "bvxor", KBNot: "bvnot",
 	KNeg: "bvneg", KShl: "bvshl", KLShr: "bvlshr", KAShr: "bvashr",
-	KZExt: "zext", KSExt: "sext", KExtract: "extract", KConcat: "concat",
+	KZExt: "zext", KExtract: "extract",
 	KIte: "ite",
 }
 
@@ -104,6 +108,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// retiredKinds names the reserved numbers of kinds that were removed, so
+// that Intern can refuse a snapshot naming one.
+var retiredKinds = map[Kind]string{5: "xor", 6: "implies", 28: "sext", 30: "concat"}
+
 // Expr is an immutable, hash-consed expression node. Two expressions built by
 // the same Builder are structurally equal iff they are the same pointer.
 //
@@ -112,12 +120,11 @@ type Expr struct {
 	Kind  Kind
 	Width uint8   // result width; 0 = bool
 	Val   uint64  // constant value (KConst), truncated to Width
-	Aux   uint16  // KExtract: low bit; KZExt/KSExt: source width
+	Aux   uint16  // KExtract: low bit; KZExt: source width
 	Name  string  // variable name (KVar)
 	Kids  []*Expr // operands
 
 	id       uint64 // unique per builder, assigned at construction
-	hash     uint64
 	symbolic bool   // contains at least one KVar
 	home     uint32 // the interning builder's serial (Builder.home)
 }
@@ -127,9 +134,6 @@ type Expr struct {
 // dense, from 0, so tables indexed by ID (NodeMap) stay small; nodes of two
 // builders share IDs.
 func (e *Expr) ID() uint64 { return e.id }
-
-// Hash returns the structural hash of the node.
-func (e *Expr) Hash() uint64 { return e.hash }
 
 // IsBool reports whether the expression has the boolean sort.
 func (e *Expr) IsBool() bool { return e.Width == 0 }
@@ -242,7 +246,7 @@ func (e *Expr) write(b *strings.Builder, depth int) {
 		fmt.Fprintf(b, "((_ extract %d %d) ", int(e.Aux)+int(e.Width)-1, e.Aux)
 		e.Kids[0].write(b, depth+1)
 		b.WriteByte(')')
-	case KZExt, KSExt:
+	case KZExt:
 		fmt.Fprintf(b, "((_ %s %d) ", e.Kind, int(e.Width)-int(e.Aux))
 		e.Kids[0].write(b, depth+1)
 		b.WriteByte(')')

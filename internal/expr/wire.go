@@ -5,7 +5,7 @@ package expr
 // backwards, and anything that refers to expressions stores the reference
 // Table.Ref returns instead of a pointer. DecodeTable re-interns the table first to
 // last through Intern, which validates each node's shape and hash-conses
-// it WITHOUT re-running the rewrite-rule table. Skipping the rules is
+// it WITHOUT re-running the rewrite rules. Skipping the rules is
 // deliberate and safe: every encoded node was produced by a rule-running
 // constructor, so it is already in canonical form, and re-canonicalizing
 // could change node identity mid-table (a rewritten parent would reference
@@ -158,11 +158,6 @@ func (b *Builder) Intern(kind Kind, width uint8, val uint64, aux uint16, name st
 			err = boolKids()
 		}
 		width = 0
-	case KXor, KImplies:
-		if err = nkids(2); err == nil {
-			err = boolKids()
-		}
-		width = 0
 	case KEq:
 		if err = nkids(2); err == nil && kids[0].Width != kids[1].Width {
 			err = fmt.Errorf("expr: intern: = width mismatch %d vs %d", kids[0].Width, kids[1].Width)
@@ -182,7 +177,7 @@ func (b *Builder) Intern(kind Kind, width uint8, val uint64, aux uint16, name st
 		if err = nkids(1); err == nil {
 			err = sameBVKids(width)
 		}
-	case KZExt, KSExt:
+	case KZExt:
 		if err = nkids(1); err == nil {
 			if uint16(kids[0].Width) != aux || width <= kids[0].Width || kids[0].Width == 0 {
 				err = fmt.Errorf("expr: intern: %s %d -> %d (aux %d) invalid", kind, kids[0].Width, width, aux)
@@ -194,13 +189,6 @@ func (b *Builder) Intern(kind Kind, width uint8, val uint64, aux uint16, name st
 				err = fmt.Errorf("expr: intern: extract [%d+%d] of width-%d", aux, width, kids[0].Width)
 			}
 		}
-	case KConcat:
-		if err = nkids(2); err == nil {
-			if kids[0].Width == 0 || kids[1].Width == 0 ||
-				int(kids[0].Width)+int(kids[1].Width) != int(width) {
-				err = fmt.Errorf("expr: intern: concat widths %d+%d != %d", kids[0].Width, kids[1].Width, width)
-			}
-		}
 	case KIte:
 		if err = nkids(3); err == nil {
 			if !kids[0].IsBool() || kids[1].Width != width || kids[2].Width != width {
@@ -208,6 +196,10 @@ func (b *Builder) Intern(kind Kind, width uint8, val uint64, aux uint16, name st
 					kids[0].Width, kids[1].Width, kids[2].Width, width)
 			}
 		}
+	default:
+		// A reserved number (retiredKinds): no constructor builds the
+		// kind, so no snapshot this program wrote can name it.
+		err = fmt.Errorf("expr: intern: kind %d (%s) is retired", uint8(kind), retiredKinds[kind])
 	}
 	if err != nil {
 		return nil, err
@@ -221,7 +213,7 @@ func (b *Builder) Intern(kind Kind, width uint8, val uint64, aux uint16, name st
 	if kind != KVar {
 		name = ""
 	}
-	if kind != KZExt && kind != KSExt && kind != KExtract {
+	if kind != KZExt && kind != KExtract {
 		aux = 0
 	}
 	e := &Expr{Kind: kind, Width: width, Val: val, Aux: aux, Name: name}

@@ -75,3 +75,47 @@ func TestDecodeTableRejectsForwardReference(t *testing.T) {
 		t.Fatalf("forward kid reference: err = %v, want a refusal", err)
 	}
 }
+
+// TestKindNumbers pins every kind's wire number: a snapshot's node carries
+// its kind as that number (Node.K), so a renumbered kind would decode as
+// another operator. The numbers of retired kinds stay reserved, and Intern
+// refuses them by name even where the node has the retired kind's shape.
+func TestKindNumbers(t *testing.T) {
+	want := map[Kind]uint8{
+		KConst: 0, KVar: 1, KNot: 2, KAnd: 3, KOr: 4,
+		KEq: 7, KUlt: 8, KUle: 9, KSlt: 10, KSle: 11,
+		KAdd: 12, KSub: 13, KMul: 14, KUDiv: 15, KURem: 16, KSDiv: 17, KSRem: 18,
+		KBAnd: 19, KBOr: 20, KBXor: 21, KBNot: 22, KNeg: 23, KShl: 24, KLShr: 25, KAShr: 26,
+		KZExt: 27, KExtract: 29, KIte: 31,
+	}
+	for k, n := range want {
+		if uint8(k) != n {
+			t.Errorf("%s is kind %d on the wire, want %d", k, uint8(k), n)
+		}
+	}
+
+	b := NewBuilder()
+	p, q := b.Var("p", 0), b.Var("q", 0)
+	x, y := b.Var("x", 8), b.Var("y", 8)
+	retired := []struct {
+		k     uint8
+		name  string
+		width uint8
+		aux   uint16
+		kids  []*Expr
+	}{
+		{5, "xor", 0, 0, []*Expr{p, q}},
+		{6, "implies", 0, 0, []*Expr{p, q}},
+		{28, "sext", 16, 8, []*Expr{x}},
+		{30, "concat", 16, 0, []*Expr{x, y}},
+	}
+	for _, r := range retired {
+		_, err := b.Intern(Kind(r.k), r.width, 0, r.aux, "", r.kids)
+		if err == nil || !strings.Contains(err.Error(), r.name) {
+			t.Errorf("Intern of kind %d: err = %v, want a refusal naming %s", r.k, err, r.name)
+		}
+	}
+	if n := len(want) + len(retired); n != int(numKinds) {
+		t.Errorf("the tables cover %d kind numbers, want all %d", n, numKinds)
+	}
+}

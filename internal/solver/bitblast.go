@@ -541,10 +541,6 @@ func (b *blaster) blastBool(e *expr.Expr) sat.Lit {
 		} else {
 			l = b.gateOrN(lits)
 		}
-	case expr.KXor:
-		l = b.gateXor(b.blastBool(e.Kids[0]), b.blastBool(e.Kids[1]))
-	case expr.KImplies:
-		l = b.gateOr(b.blastBool(e.Kids[0]).Flip(), b.blastBool(e.Kids[1]))
 	case expr.KEq:
 		if e.Kids[0].IsBool() {
 			l = b.gateXor(b.blastBool(e.Kids[0]), b.blastBool(e.Kids[1])).Flip()
@@ -651,26 +647,10 @@ func (b *blaster) blastBV(e *expr.Expr) []sat.Lit {
 				out[i] = b.litFalse
 			}
 		}
-	case expr.KSExt:
-		x := b.blastBV(e.Kids[0])
-		sign := x[len(x)-1]
-		out = make([]sat.Lit, e.Width)
-		for i := range out {
-			if i < len(x) {
-				out[i] = x[i]
-			} else {
-				out[i] = sign
-			}
-		}
 	case expr.KExtract:
 		x := b.blastBV(e.Kids[0])
 		out = make([]sat.Lit, e.Width)
 		copy(out, x[e.Aux:int(e.Aux)+int(e.Width)])
-	case expr.KConcat:
-		hi, lo := b.blastBV(e.Kids[0]), b.blastBV(e.Kids[1])
-		out = make([]sat.Lit, 0, len(hi)+len(lo))
-		out = append(out, lo...)
-		out = append(out, hi...)
 	case expr.KIte:
 		c := b.blastBool(e.Kids[0])
 		out = b.muxVec(c, b.blastBV(e.Kids[1]), b.blastBV(e.Kids[2]))

@@ -33,7 +33,7 @@ import (
 // model-reuse ring is neither consulted nor filled.
 func (s *Solver) MinModelIn(sess *Session, pc []*expr.Expr, vars []*expr.Expr) (Model, error) {
 	s.Stats.Queries++
-	live, ok := liveConjuncts(pc)
+	live, ok := s.liveConjuncts(pc, nil)
 	if !ok {
 		return nil, nil
 	}

@@ -15,7 +15,7 @@ import (
 // verdict, so its answer is the lexicographic minimum by construction; it
 // costs up to one SAT call per input bit.
 func probeMinModel(b *expr.Builder, s *Solver, sess *Session, pc []*expr.Expr, vars []*expr.Expr) (Model, error) {
-	sat, m, err := s.checkSatIn(sess, pc, true)
+	sat, m, err := s.checkSatIn(sess, pc, nil, true)
 	if err != nil || !sat {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func probeMinModel(b *expr.Builder, s *Solver, sess *Session, pc []*expr.Expr, v
 				out[v] = 0
 				continue
 			}
-			ok, m2, err := s.checkSatIn(sess, append(cur, b.Not(v)), true)
+			ok, m2, err := s.checkSatIn(sess, cur, b.Not(v), true)
 			if err != nil {
 				return nil, err
 			}
@@ -63,7 +63,7 @@ func probeMinModel(b *expr.Builder, s *Solver, sess *Session, pc []*expr.Expr, v
 				commit(zero)
 				continue
 			}
-			ok, m2, err := s.checkSatIn(sess, append(cur, zero), true)
+			ok, m2, err := s.checkSatIn(sess, cur, zero, true)
 			if err != nil {
 				return nil, err
 			}

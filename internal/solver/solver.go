@@ -116,6 +116,11 @@ type Solver struct {
 	// rather than the size of the builder. Nil until first use.
 	spare *sessionCore
 
+	// live is the buffer every query filters its conjuncts into
+	// (liveConjuncts). No answer keeps it: a ring hit hands out a clone of
+	// the ring's model, and a session registers conjuncts, not the slice.
+	live []*expr.Expr
+
 	// obs is the owning engine's observability lane (nil when disabled):
 	// every non-trivial query emits a begin/end span with its class,
 	// verdict, latency, and SAT-encoding delta.
@@ -150,15 +155,16 @@ func (s *Solver) CheckSat(constraints []*expr.Expr) (bool, Model, error) {
 // yet are blasted into it first. A nil session stands for a fresh one used
 // for this call only.
 func (s *Solver) CheckSatIn(sess *Session, constraints []*expr.Expr) (bool, Model, error) {
-	return s.checkSatIn(sess, constraints, true)
+	return s.checkSatIn(sess, constraints, nil, true)
 }
 
-// checkSatIn implements CheckSatIn; needModel=false lets verdict-only
-// callers (MayBeTrue's branch-feasibility pattern, the hottest path in the
-// engine) skip the defensive model copy on model-reuse hits.
-func (s *Solver) checkSatIn(sess *Session, constraints []*expr.Expr, needModel bool) (bool, Model, error) {
+// checkSatIn implements CheckSatIn over the conjunction of pc and cond (nil
+// for none); needModel=false lets verdict-only callers (MayBeTrue's
+// branch-feasibility pattern, the hottest path in the engine) skip the
+// defensive model copy on model-reuse hits.
+func (s *Solver) checkSatIn(sess *Session, pc []*expr.Expr, cond *expr.Expr, needModel bool) (bool, Model, error) {
 	s.Stats.Queries++
-	live, ok := liveConjuncts(constraints)
+	live, ok := s.liveConjuncts(pc, cond)
 	if !ok {
 		return false, nil, nil
 	}
@@ -171,14 +177,15 @@ func (s *Solver) checkSatIn(sess *Session, constraints []*expr.Expr, needModel b
 	return res, m, err
 }
 
-// liveConjuncts is the concrete fast path of every query: it drops the
-// trivially-true conjuncts, and ok is false when one is trivially false.
-// What constant folding answers never reaches the ring or SAT and stays
-// untraced; every other answer is one observable query span (beginQuery,
-// endQuery).
-func liveConjuncts(constraints []*expr.Expr) (live []*expr.Expr, ok bool) {
-	live = make([]*expr.Expr, 0, len(constraints))
-	for _, c := range constraints {
+// liveConjuncts is the concrete fast path of every query: it copies pc and
+// then cond (nil for none; never a constant) into the solver's live buffer,
+// dropping the trivially-true conjuncts, and ok is false when one is
+// trivially false. The result is valid until the next query. What constant
+// folding answers never reaches the ring or SAT and stays untraced; every
+// other answer is one observable query span (beginQuery, endQuery).
+func (s *Solver) liveConjuncts(pc []*expr.Expr, cond *expr.Expr) (live []*expr.Expr, ok bool) {
+	live = s.live[:0]
+	for _, c := range pc {
 		if c.IsTrue() {
 			continue
 		}
@@ -187,6 +194,10 @@ func liveConjuncts(constraints []*expr.Expr) (live []*expr.Expr, ok bool) {
 		}
 		live = append(live, c)
 	}
+	if cond != nil {
+		live = append(live, cond)
+	}
+	s.live = live
 	return live, true
 }
 
@@ -297,8 +308,7 @@ func (s *Solver) MayBeTrueIn(sess *Session, pc []*expr.Expr, cond *expr.Expr) (b
 	if cond.IsFalse() {
 		return false, nil
 	}
-	q := append(append(make([]*expr.Expr, 0, len(pc)+1), pc...), cond)
-	res, _, err := s.checkSatIn(sess, q, false) // verdict only: skip model copies
+	res, _, err := s.checkSatIn(sess, pc, cond, false) // verdict only: skip model copies
 	return res, err
 }
 

@@ -353,7 +353,8 @@ func TestConcatExtractRoundTrip(t *testing.T) {
 	s := newTestSolver()
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
-	cc := b.Concat(x, y)
+	// x:y, the 16-bit concatenation, built by shift and or.
+	cc := b.BOr(b.Shl(b.ZExt(x, 16), b.Const(8, 16)), b.ZExt(y, 16))
 	ok, m, err := s.CheckSat([]*expr.Expr{
 		b.Eq(cc, b.Const(0xab12, 16)),
 	})
