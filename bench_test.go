@@ -206,29 +206,3 @@ void main() {
 		})
 	}
 }
-
-// BenchmarkSolverAblation compares the engine with and without the
-// solver's model reuse (DisableSolverOpts).
-func BenchmarkSolverAblation(b *testing.B) {
-	tool, err := coreutils.Get("sleep")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := tool.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, disable bool) {
-		for i := 0; i < b.N; i++ {
-			res := symx.Run(prog, symx.Config{
-				NArgs: 2, ArgLen: 2, Seed: 1,
-				DisableSolverOpts: disable,
-			})
-			if !res.Completed {
-				b.Fatal("did not complete")
-			}
-		}
-	}
-	b.Run("optimized", func(b *testing.B) { run(b, false) })
-	b.Run("no-reuse", func(b *testing.B) { run(b, true) })
-}

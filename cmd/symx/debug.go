@@ -22,6 +22,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
+	"strconv"
 	"time"
 
 	"symmerge/symx"
@@ -52,14 +53,17 @@ func serveDebug(addr string, met *symx.Metrics, mon *symx.Monitor) error {
 //	symx: 2.0s states=14 worklist=9 cov=61.2% steps=48213 (24106/s) queries=1930 (965/s)
 //
 // Rates are deltas over the reporting interval, not lifetime averages, so
-// a stall shows up immediately. The returned stop function halts the
-// ticker; the final result line comes from the normal run output.
-func reportProgress(interval time.Duration, mon *symx.Monitor) (stop func()) {
+// a stall shows up immediately. A resumed run's counters start at its
+// snapshot's, so its first line shows no rates ("-/s"). The returned stop
+// function halts the ticker; the final result line comes from the normal
+// run output.
+func reportProgress(interval time.Duration, mon *symx.Monitor, resumed bool) (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		var lastSteps, lastQueries uint64
+		haveBase := !resumed
 		for {
 			select {
 			case <-done:
@@ -67,13 +71,17 @@ func reportProgress(interval time.Duration, mon *symx.Monitor) (stop func()) {
 			case <-tick.C:
 			}
 			p := mon.Progress()
-			secs := interval.Seconds()
+			rate := func(cur, last uint64) string {
+				if !haveBase {
+					return "-"
+				}
+				return strconv.FormatFloat(float64(cur-last)/interval.Seconds(), 'f', 0, 64)
+			}
 			fmt.Fprintf(os.Stderr,
-				"symx: %.1fs states=%d worklist=%d cov=%.1f%% steps=%d (%.0f/s) queries=%d (%.0f/s)\n",
+				"symx: %.1fs states=%d worklist=%d cov=%.1f%% steps=%d (%s/s) queries=%d (%s/s)\n",
 				p.ElapsedSeconds, p.PathsCompleted, p.Worklist, p.CoveragePct,
-				p.Steps, float64(p.Steps-lastSteps)/secs,
-				p.Queries, float64(p.Queries-lastQueries)/secs)
-			lastSteps, lastQueries = p.Steps, p.Queries
+				p.Steps, rate(p.Steps, lastSteps), p.Queries, rate(p.Queries, lastQueries))
+			lastSteps, lastQueries, haveBase = p.Steps, p.Queries, true
 		}
 	}()
 	return func() { close(done) }

@@ -152,7 +152,7 @@ func main() {
 		}
 	}
 	if *progEach > 0 {
-		stopProg := reportProgress(*progEach, cfg.Monitor)
+		stopProg := reportProgress(*progEach, cfg.Monitor, *resume)
 		defer stopProg()
 	}
 

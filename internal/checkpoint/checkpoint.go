@@ -1,9 +1,10 @@
 // Package checkpoint is the file envelope that makes exploration
 // crash-safe: a snapshot holds the engine's live frontier (core.Frontier,
 // the node table and the states that reference it, written by
-// core.Engine.Snapshot), the cumulative progress counters, and the corpus
-// writer's dedup state, so a killed run resumes from its last snapshot and
-// converges to the same census and corpus as an uninterrupted run.
+// core.Engine.Snapshot), its cumulative progress (core.Progress), and the
+// corpus writer's dedup state, so a killed run resumes from its last
+// snapshot and converges to the same census and corpus as an
+// uninterrupted run.
 //
 // On disk a snapshot is a single file, snap-%08d.ckpt, holding one line
 // of JSON followed by one line with the hex SHA-256 of the JSON bytes.
@@ -14,10 +15,10 @@
 // same directory plus os.Rename, so a snapshot is either entirely present
 // or entirely absent.
 //
-// The frontier's own keys ("exprs", "states") are core's wire tags: every
-// expression kid points backwards in the table, and core.Engine.Restore
-// re-interns and validates the whole frontier. This package neither
-// encodes nor decodes states.
+// The frontier's own keys ("exprs", "states") and the progress's are
+// core's wire tags: every expression kid points backwards in the table,
+// and core.Engine.Restore re-interns and validates the whole frontier and
+// the progress. This package neither encodes nor decodes states.
 package checkpoint
 
 import (
@@ -44,21 +45,6 @@ const Schema = "symmerge-checkpoint/v1"
 // tear between rename and fsync of the directory.
 const keepSnapshots = 2
 
-// Progress is the cumulative exploration result as of the snapshot. A
-// resumed run adds its own engine totals on top of this base; the split
-// is exact because the snapshot is taken between scheduler steps, so no
-// work is counted on both sides. Rules is deliberately absent: rewrite
-// counters are builder-global diagnostics that a resumed (fresh) builder
-// cannot continue.
-type Progress struct {
-	Stats core.Stats `json:"stats"`
-	// Covered is the cumulative coverage bitmap as a sorted range list
-	// over LocIndex values (the corpus manifest encoding).
-	Covered string           `json:"covered"`
-	Tests   []core.TestCase  `json:"tests,omitempty"`
-	Errors  []core.PathError `json:"errors,omitempty"`
-}
-
 // CorpusState is the writer's dedup and counter state; restoring it makes
 // post-snapshot test emission idempotent (see corpus.Writer.RestoreState).
 type CorpusState struct {
@@ -81,9 +67,12 @@ type Snapshot struct {
 	// strategy, seed, input sizes — the corpus manifest convention).
 	// Resuming under a different descriptor would silently change the
 	// census, so a resume refuses that too.
-	Config   string       `json:"config"`
-	Progress Progress     `json:"progress"`
-	Corpus   *CorpusState `json:"corpus,omitempty"`
+	Config string `json:"config"`
+	// Progress is the engine's cumulative progress as of the snapshot
+	// (core.Engine.Progress); a resumed engine counts on from it. It is
+	// taken between scheduler steps, so no work is counted twice.
+	Progress core.Progress `json:"progress"`
+	Corpus   *CorpusState  `json:"corpus,omitempty"`
 	// The frontier's "exprs" and "states" keys come last, where v1 has
 	// always put them.
 	core.Frontier

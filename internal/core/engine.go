@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/big"
 	"sync/atomic"
 	"time"
@@ -92,11 +93,8 @@ type Config struct {
 	ConcreteArgs  [][]byte
 	ConcreteStdin []byte
 
-	// DSMDelta is the fast-forwarding distance δ in basic blocks
-	// (paper §5.5 uses 8).
-	DSMDelta int
-
-	// Budgets; zero means unlimited.
+	// Budgets of one invocation; zero means unlimited. A restored engine
+	// starts them afresh (see Restore).
 	MaxSteps  uint64
 	MaxTime   time.Duration
 	MaxStates int // prune excess states beyond this worklist size
@@ -157,9 +155,11 @@ type Config struct {
 	// its own hooks and its solver. Purely observational — exploration
 	// results are byte-identical with or without it.
 	Obs *obs.Run
-
-	SolverOpts solver.Options
 }
+
+// dsmDelta is DSM's fast-forwarding distance δ in basic blocks, the
+// paper's value (§5.5): the depth of each state's predecessor-hash ring.
+const dsmDelta = 8
 
 // TestCase is a concrete input reproducing one explored path.
 type TestCase struct {
@@ -279,6 +279,12 @@ type Engine struct {
 	stopCause Interrupted
 	pollSAT   uint64 // solver SAT-call count at the last context/deadline poll
 
+	// stepBase and elapsedBase are the steps and seconds a restored
+	// exploration had taken before this invocation (see Restore): the
+	// counters continue from them, and MaxSteps bounds the steps beyond.
+	stepBase    uint64
+	elapsedBase float64
+
 	// sessRoot is the engine's root solver session. Every state lineage —
 	// the entry state and every restored state — forks it, so the whole
 	// engine shares one persistent SAT core: conjuncts blast once and
@@ -309,7 +315,7 @@ func NewEngine(prog *ir.Program, config Config, strat Strategy) *Engine {
 		prog:      prog,
 		cfg:       config,
 		build:     expr.NewBuilder(),
-		solv:      solver.New(config.SolverOpts),
+		solv:      solver.New(solver.DefaultOptions()),
 		worklist:  map[*State]bool{},
 		byStack:   map[uint64][]*State{},
 		predCount: map[uint64]int{},
@@ -336,9 +342,6 @@ func NewEngine(prog *ir.Program, config Config, strat Strategy) *Engine {
 		}
 	}
 	e.an = config.Analysis
-	if e.cfg.DSMDelta == 0 {
-		e.cfg.DSMDelta = 8
-	}
 	if e.cfg.MaxTests == 0 {
 		e.cfg.MaxTests = 256
 	}
@@ -540,25 +543,17 @@ type Result struct {
 	TraceErr    error
 }
 
-// Run explores until the worklist drains or a budget trips: Begin, StepN
-// until it stops returning RunMore, Finish. The checkpoint driver runs the
-// same loop one step at a time.
+// Run explores until the worklist drains or a budget trips: Begin, one
+// unbounded StepN, Finish. The checkpointing driver steps the same way,
+// one step at a time.
 func (e *Engine) Run() *Result {
 	e.Begin(true)
-	status := RunMore
-	for status == RunMore {
-		status = e.StepN(runQuantum)
-	}
-	return e.Finish(status == RunDrained)
+	return e.Finish(e.StepN(math.MaxInt) == RunDrained)
 }
 
-// runQuantum is how many steps Run asks of each StepN call. The schedule
-// does not depend on it.
-const runQuantum = 1024
-
 // Begin starts the exploration clock, arms the budgets, and (when seed is
-// set) enqueues the entry state. Run calls Begin(true); a checkpoint
-// resume calls Begin(false) and then Restore.
+// set) enqueues the entry state. Run calls Begin(true); a resume calls
+// Begin(false) and then Restore.
 func (e *Engine) Begin(seed bool) {
 	e.started = time.Now()
 	if e.cfg.MaxTime > 0 {
@@ -584,7 +579,7 @@ func (e *Engine) Begin(seed bool) {
 // its own, while a step answered without SAT is too cheap to pay for a
 // clock read.
 func (e *Engine) stopRequested() bool {
-	if e.cfg.MaxSteps > 0 && e.stats.Steps >= e.cfg.MaxSteps {
+	if e.cfg.MaxSteps > 0 && e.stats.Steps-e.stepBase >= e.cfg.MaxSteps {
 		e.stopCause = IntrBudget
 		return true
 	}
@@ -644,9 +639,9 @@ const (
 )
 
 // StepN runs up to n scheduler steps, checking the budgets and the
-// context before each. Run is a loop over StepN, so a caller stepping in
-// any quanta explores exactly Run's schedule; the checkpoint driver steps
-// this way and snapshots between quanta.
+// context before each. The schedule does not depend on n, so a caller
+// stepping in any quanta explores exactly Run's schedule; the
+// checkpointing driver steps one at a time and snapshots between steps.
 func (e *Engine) StepN(n int) RunStatus {
 	for i := 0; i < n; i++ {
 		if e.strategy.Len() == 0 {
@@ -668,10 +663,7 @@ func (e *Engine) StepN(n int) RunStatus {
 // Finish closes the exploration and packages the result. completed should
 // be false when a budget or cancellation stopped the run early.
 func (e *Engine) Finish(completed bool) *Result {
-	e.stats.CoveredInstrs = e.covered
-	e.stats.Solver = e.solv.Stats
-	e.stats.Rules = e.build.RuleHits()
-	e.stats.ElapsedSeconds = time.Since(e.started).Seconds()
+	e.stats = e.statsNow()
 	e.publishProgress()
 	res := &Result{
 		Stats:        e.stats,
@@ -686,17 +678,18 @@ func (e *Engine) Finish(completed bool) *Result {
 	return res
 }
 
-// Progress packages the engine's cumulative result so far WITHOUT closing
-// the exploration: the checkpoint driver persists it alongside the frontier
-// snapshot between StepN quanta while the run continues.
-func (e *Engine) Progress() *Result {
-	res := e.Finish(false)
-	res.Interrupted = IntrNone
-	if res.Stats.PathsMult != nil {
-		// Detach from the live counter, which later steps mutate in place.
-		res.Stats.PathsMult = new(big.Int).Set(res.Stats.PathsMult)
+// statsNow returns the statistics as of now: the engine's counters with
+// the coverage count, the solver's counters, the builder's rule hits and
+// the elapsed time filled in. PathsMult is the live counter.
+func (e *Engine) statsNow() Stats {
+	st := e.stats
+	st.CoveredInstrs = e.covered
+	st.Solver = e.solv.Stats
+	st.Rules = e.build.RuleHits()
+	if !e.started.IsZero() {
+		st.ElapsedSeconds = e.elapsedBase + time.Since(e.started).Seconds()
 	}
-	return res
+	return st
 }
 
 // forkRootSession hands out a lineage session sharing the engine-wide
@@ -1087,16 +1080,10 @@ func (e *Engine) rankOf(f *Frame) int {
 // steps, and Finish; the snapshot is immutable after the store, which is
 // what makes the accessors safe from any goroutine.
 func (e *Engine) publishProgress() {
-	st := e.stats
-	st.CoveredInstrs = e.covered
-	st.Solver = e.solv.Stats
-	st.Rules = e.build.RuleHits()
+	st := e.statsNow()
 	if st.PathsMult != nil {
 		// Detach from the live counter, which later steps mutate in place.
 		st.PathsMult = new(big.Int).Set(st.PathsMult)
-	}
-	if !e.started.IsZero() {
-		st.ElapsedSeconds = time.Since(e.started).Seconds()
 	}
 	e.progPub.Store(&progressSnap{
 		stats:    st,

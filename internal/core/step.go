@@ -144,7 +144,7 @@ func (e *Engine) stepBlock(s *State) []*State {
 func (e *Engine) blockBoundary(s *State) []*State {
 	if e.cfg.Merge == MergeDSM {
 		h := e.simHash(s)
-		s.pushHistory(h, e.cfg.DSMDelta)
+		s.pushHistory(h, dsmDelta)
 	}
 	return []*State{s}
 }

@@ -1,14 +1,16 @@
 package core
 
-// Wire form of an execution state, for checkpoint/resume. A Frontier is
-// the engine's live worklist in serializable form: one expression node
-// table (expr.Table) shared by every state, and a StateWire per state
-// whose expressions are references into that table (0 = nil, r = entry
-// r-1). Snapshot writes the table and the states in one pass; Restore
-// re-interns the table through the engine's builder and validates every
-// state against the program before any joins the worklist.
-// internal/checkpoint persists a Frontier inside its file envelope, and
-// the JSON tags here are that file's keys.
+// Wire form of an exploration, for checkpoint/resume. A Frontier is the
+// engine's live worklist in serializable form: one expression node table
+// (expr.Table) shared by every state, and a StateWire per state whose
+// expressions are references into that table (0 = nil, r = entry r-1).
+// A Progress is everything the engine has counted and recorded so far.
+// Snapshot writes the table and the states in one pass; Restore re-interns
+// the table through the engine's builder, validates every state against
+// the program and the progress against the program's locations, and only
+// then continues the exploration from them. internal/checkpoint persists a
+// Frontier and a Progress inside its file envelope, and the JSON tags here
+// are that file's keys.
 //
 // What a StateWire captures: the call stack with locals and array objects,
 // the path condition, the copy-on-write heap segment with its per-site
@@ -26,6 +28,7 @@ import (
 	"math/big"
 	"sort"
 
+	"symmerge/internal/corpus"
 	"symmerge/internal/expr"
 )
 
@@ -34,6 +37,20 @@ import (
 type Frontier struct {
 	Exprs  []expr.Node `json:"exprs,omitempty"`
 	States []StateWire `json:"states"`
+}
+
+// Progress is the wire form of an exploration's cumulative result so far:
+// the statistics with the solver's counters, the coverage, and the
+// recorded tests and errors. Stats.Rules is always nil: the rewrite
+// counters belong to the builder, and a restored engine's fresh builder
+// counts its own.
+type Progress struct {
+	Stats Stats `json:"stats"`
+	// Covered is the coverage bitmap as a sorted range list over LocIndex
+	// values (the corpus manifest encoding).
+	Covered string      `json:"covered"`
+	Tests   []TestCase  `json:"tests,omitempty"`
+	Errors  []PathError `json:"errors,omitempty"`
 }
 
 // WireObject is a serialized array object (frame-local or heap).
@@ -170,25 +187,72 @@ func (e *Engine) frontier(states []*State) Frontier {
 	return f
 }
 
-// Restore decodes a frontier through the engine's builder, validates its
-// states, and adds them to the engine's worklist (after Begin(false)): the
-// resume counterpart of Snapshot. Every state is validated before any is
-// added, so a refused frontier leaves the worklist untouched. Each state
-// gets the next ID of this engine and a lineage of its root solver session
-// (the path condition re-blasts there on demand), and is dispatched like a
-// stepped successor, so a restored state may immediately merge with one
-// restored before it.
-func (e *Engine) Restore(f *Frontier) error {
+// Progress returns the cumulative progress so far, the counterpart of
+// Snapshot that a checkpoint stores next to the frontier. The exploration
+// is untouched and continues.
+func (e *Engine) Progress() Progress {
+	st := e.statsNow()
+	st.Rules = nil
+	if st.PathsMult != nil {
+		// Detach from the live counter, which later steps mutate in place.
+		st.PathsMult = new(big.Int).Set(st.PathsMult)
+	}
+	return Progress{
+		Stats:   st,
+		Covered: corpus.MaskToRanges(e.coverage),
+		Tests:   e.testCases,
+		Errors:  e.errors,
+	}
+}
+
+// Restore continues a snapshotted exploration in this engine (after
+// Begin(false)): the resume counterpart of Snapshot and Progress. It
+// decodes f through the engine's builder and validates f's states and p's
+// coverage against the program; a refused snapshot leaves the engine as it
+// was. The engine then counts on from p (this invocation's MaxSteps and
+// MaxTime bound only the work beyond it), and the states join the
+// worklist as they left the snapshotted one, without a merge attempt:
+// each gets the next ID of this engine and a lineage of its root solver
+// session, where its path condition re-blasts on demand.
+func (e *Engine) Restore(f *Frontier, p *Progress) error {
 	states, err := e.statesFromWire(f)
 	if err != nil {
 		return err
 	}
+	coverage, err := corpus.RangesToMask(p.Covered, len(e.coverage))
+	if err != nil {
+		return fmt.Errorf("progress coverage: %w", err)
+	}
+	mult := new(big.Int)
+	if m := p.Stats.PathsMult; m != nil {
+		if m.Sign() < 0 {
+			return fmt.Errorf("progress: negative path count %s", m)
+		}
+		mult.Set(m)
+	}
+
+	e.stats = p.Stats
+	e.stats.PathsMult = mult
+	e.stats.TotalInstrs = e.prog.NumLocations()
+	e.solv.Stats = p.Stats.Solver
+	e.stepBase, e.elapsedBase = p.Stats.Steps, p.Stats.ElapsedSeconds
+	e.coverage, e.covered = coverage, 0
+	for _, c := range coverage {
+		if c {
+			e.covered++
+		}
+	}
+	// Cut at MaxTests, and at capacity so that appends never write into
+	// p's arrays.
+	nt, ne := min(len(p.Tests), e.cfg.MaxTests), min(len(p.Errors), e.cfg.MaxTests)
+	e.testCases, e.errors = p.Tests[:nt:nt], p.Errors[:ne:ne]
 	for _, s := range states {
 		s.ID = e.nextID
 		e.nextID++
 		s.sess = e.forkRootSession()
-		e.dispatch(s)
+		e.addState(s)
 	}
+	e.publishProgress()
 	return nil
 }
 

@@ -193,45 +193,32 @@ func NewWriter(dir string, prog *ir.Program, name, config string) (*Writer, erro
 // input's covered-location set, and writes the test file. The expectations
 // (output, exit, assert) must come from the engine's model evaluation.
 // The first I/O or interpreter error sticks and is returned by Finalize.
-// Only the identity claim holds the lock: the interpreter run and the file
-// write proceed in parallel across concurrent callers (each id is claimed
-// exactly once, and distinct ids write distinct files).
 func (w *Writer) Add(args [][]byte, stdin, output []byte, exit int64, assertFailed bool, assertMsg string) {
 	id := InputID(args, stdin)
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.emitted++
 	if w.seen[id] || w.err != nil {
-		w.mu.Unlock()
 		return
 	}
 	w.seen[id] = true
-	w.mu.Unlock()
-
-	var err error
-	res, ierr := ir.InterpWith(w.prog, args, stdin, ir.InterpOptions{Coverage: true})
-	if ierr != nil {
-		err = fmt.Errorf("corpus: interpreting test %s: %w", id, ierr)
-	} else {
-		t := &Test{
-			Version:      FormatVersion,
-			ID:           id,
-			Args:         args,
-			Stdin:        stdin,
-			Output:       output,
-			Exit:         exit,
-			AssertFailed: assertFailed,
-			AssertMsg:    assertMsg,
-			Covered:      MaskToRanges(res.Covered),
-		}
-		err = writeJSON(filepath.Join(w.dir, id+".json"), t)
-	}
+	res, err := ir.InterpWith(w.prog, args, stdin, ir.InterpOptions{Coverage: true})
 	if err != nil {
-		w.mu.Lock()
-		if w.err == nil {
-			w.err = err
-		}
-		w.mu.Unlock()
+		w.err = fmt.Errorf("corpus: interpreting test %s: %w", id, err)
+		return
 	}
+	t := &Test{
+		Version:      FormatVersion,
+		ID:           id,
+		Args:         args,
+		Stdin:        stdin,
+		Output:       output,
+		Exit:         exit,
+		AssertFailed: assertFailed,
+		AssertMsg:    assertMsg,
+		Covered:      MaskToRanges(res.Covered),
+	}
+	w.err = writeJSON(filepath.Join(w.dir, id+".json"), t)
 }
 
 // SkipUnreplayable records a test the writer deliberately excludes (error

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"symmerge/internal/ir"
@@ -64,6 +65,39 @@ func TestWriterRoundTrip(t *testing.T) {
 		if tc.Covered == "" {
 			t.Fatalf("test %s has empty covered set", tc.ID)
 		}
+	}
+}
+
+// TestWriterConcurrentAdd: Add is safe for concurrent use. Goroutines
+// adding the same inputs leave one file per input, and every emission is
+// counted.
+func TestWriterConcurrentAdd(t *testing.T) {
+	p := compile(t, testProg)
+	w, err := NewWriter(t.TempDir(), p, "unit", "merge=none")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, inputs = 4, 8
+	var wg sync.WaitGroup
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range inputs {
+				w.Add([][]byte{{byte('a' + i)}}, nil, nil, 7, false, "")
+			}
+		}()
+	}
+	wg.Wait()
+	if emitted, deduped := w.Counts(); emitted != goroutines*inputs || deduped != (goroutines-1)*inputs {
+		t.Errorf("counts: emitted=%d deduped=%d, want %d and %d", emitted, deduped, goroutines*inputs, (goroutines-1)*inputs)
+	}
+	man, err := w.Finalize(make([]bool, p.NumLocations()), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Tests) != inputs {
+		t.Errorf("manifest lists %d tests, want %d", len(man.Tests), inputs)
 	}
 }
 

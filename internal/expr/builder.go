@@ -6,29 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// internShards is the number of independently locked hash-cons table
-// segments. Interning is on the engine's hottest path (every executed
-// instruction builds expressions), so when one Builder is shared by several
-// goroutines a single lock would serialize them; sharding by structural
-// hash keeps contention negligible. 64 shards cover any plausible
-// goroutine count with headroom.
-const internShards = 64
-
-// internShard is one lock-striped segment of the hash-cons table.
-type internShard struct {
-	mu    sync.Mutex
-	table map[uint64][]*Expr // structural hash -> nodes with that hash
-}
-
 // Builder constructs hash-consed expressions. A Builder is safe for
-// concurrent use: the intern table uses sharded locks and the activity
+// concurrent use: one mutex guards the intern table, and the activity
 // counters are atomic. Expression identity — pointer equality and
 // builder-unique IDs — holds within one Builder; each engine owns one. A
 // Builder refuses operands that another Builder interned.
 type Builder struct {
-	shards [internShards]internShard
-	nextID atomic.Uint64
-	home   uint32 // serial stamped on every node this builder interns
+	mu     sync.Mutex
+	table  map[uint64][]*Expr // structural hash -> nodes with that hash
+	nextID uint64             // the next node's ID; guarded by mu
+	home   uint32             // serial stamped on every node this builder interns
 
 	true_  *Expr
 	false_ *Expr
@@ -54,10 +41,7 @@ var builderSerial atomic.Uint32
 
 // NewBuilder returns an empty builder with the boolean constants interned.
 func NewBuilder() *Builder {
-	b := &Builder{home: builderSerial.Add(1)}
-	for i := range b.shards {
-		b.shards[i].table = make(map[uint64][]*Expr, 16)
-	}
+	b := &Builder{home: builderSerial.Add(1), table: map[uint64][]*Expr{}}
 	b.false_ = b.mk(&Expr{Kind: KConst, Width: 0, Val: 0})
 	b.true_ = b.mk(&Expr{Kind: KConst, Width: 0, Val: 1})
 	return b
@@ -104,34 +88,32 @@ func sameExpr(a, e *Expr) bool {
 }
 
 // mk interns e, returning the canonical node. All of e's derived fields are
-// filled in before the node is published into the shard table, so every
-// reader — whether it got the pointer from this call or from a later lookup
-// under the shard lock — sees a fully initialized, immutable node.
+// filled in before the node is published into the table, so every reader —
+// whether it got the pointer from this call or from a later lookup under
+// the lock — sees a fully initialized, immutable node.
 func (b *Builder) mk(e *Expr) *Expr {
 	h := hashExpr(e)
-	sh := &b.shards[h%internShards]
-	sh.mu.Lock()
-	for _, cand := range sh.table[h] {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, cand := range b.table[h] {
 		if sameExpr(cand, e) {
-			sh.mu.Unlock()
 			return cand
 		}
 	}
-	e.id = b.nextID.Add(1) - 1
-	e.home = b.home
 	e.symbolic = e.Kind == KVar
 	for _, k := range e.Kids {
 		if k.home != b.home {
 			// A walk down from a node must stay in its builder: tables
 			// indexed by ID bind to one builder (NodeMap), and their
 			// owners check only the node a walk starts from.
-			sh.mu.Unlock()
 			panic(fmt.Sprintf("expr: %s operand %d (%s) belongs to another builder", e.Kind, k.id, k.Kind))
 		}
 		e.symbolic = e.symbolic || k.symbolic
 	}
-	sh.table[h] = append(sh.table[h], e)
-	sh.mu.Unlock()
+	e.id = b.nextID
+	b.nextID++
+	e.home = b.home
+	b.table[h] = append(b.table[h], e)
 	b.Stats.Nodes.Add(1)
 	return e
 }

@@ -1,6 +1,6 @@
 package expr
 
-// Concurrency tests for the sharded hash-consing builder: under `go test
+// Concurrency tests for the hash-consing builder: under `go test
 // -race` these prove the interning discipline that makes a Builder safe
 // for concurrent use.
 

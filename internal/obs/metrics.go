@@ -8,62 +8,15 @@ import (
 	"time"
 )
 
-// counterShards is the stripe count of every counter: lanes hash onto
-// stripes so concurrent engines don't contend on one cache line. A power
-// of two (the add path masks, never mods).
-const counterShards = 8
-
-// gaugeLanes bounds the per-lane gauge array; lanes beyond it alias, which
-// only matters for fleets wider than any configuration we run.
-const gaugeLanes = 64
-
-// padded is a cache-line-padded atomic cell so neighbouring stripes never
-// false-share.
-type padded struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-type counter struct{ s [counterShards]padded }
-
-func (c *counter) add(lane int, n uint64) {
-	c.s[lane&(counterShards-1)].v.Add(n)
-}
-
-func (c *counter) load() uint64 {
-	var t uint64
-	for i := range c.s {
-		t += c.s[i].v.Load()
-	}
-	return t
-}
-
-// gauge keeps one last-written value per lane; Snapshot reports the sum
-// across lanes (e.g. total frontier length across engines).
-type gauge struct{ s [gaugeLanes]padded }
-
-func (g *gauge) set(lane int, v uint64) {
-	g.s[lane&(gaugeLanes-1)].v.Store(v)
-}
-
-func (g *gauge) load() uint64 {
-	var t uint64
-	for i := range g.s {
-		t += g.s[i].v.Load()
-	}
-	return t
-}
-
 // histBuckets covers 1µs..2^25µs (~33s) in power-of-two buckets; bucket i
 // counts durations in [2^i, 2^(i+1)) µs, the last bucket is open-ended.
 const histBuckets = 26
 
 // histogram is a fixed-bucket latency histogram: lock-free observe (one
-// atomic add into a power-of-two µs bucket, one into the sum), snapshot by
-// summing stripes.
+// atomic add into a power-of-two µs bucket, one into the sum).
 type histogram struct {
-	buckets [histBuckets]counter
-	sumUS   counter
+	buckets [histBuckets]atomic.Uint64
+	sumUS   atomic.Uint64
 }
 
 func (h *histogram) observe(d time.Duration) {
@@ -72,8 +25,8 @@ func (h *histogram) observe(d time.Duration) {
 	if b >= histBuckets {
 		b = histBuckets - 1
 	}
-	h.buckets[b].add(0, 1)
-	h.sumUS.add(0, us)
+	h.buckets[b].Add(1)
+	h.sumUS.Add(us)
 }
 
 // HistBucket is one non-empty histogram bucket: N observations at most
@@ -98,10 +51,10 @@ func (h *histogram) snapshot() HistSnap {
 	var counts [histBuckets]uint64
 	var sn HistSnap
 	for i := range h.buckets {
-		counts[i] = h.buckets[i].load()
+		counts[i] = h.buckets[i].Load()
 		sn.Count += counts[i]
 	}
-	sn.SumUS = h.sumUS.load()
+	sn.SumUS = h.sumUS.Load()
 	if sn.Count == 0 {
 		return sn
 	}
@@ -137,26 +90,27 @@ func (h *histogram) snapshot() HistSnap {
 	return sn
 }
 
-// Metrics is the live metrics registry: sharded counters, per-lane gauges,
+// Metrics is the live metrics registry: counters, the worklist gauge,
 // and latency histograms, all updated lock-free from the engines' goroutines
 // and snapshotable from any other goroutine at any time. One registry serves
 // every engine of the runs that share it.
 type Metrics struct {
-	steps         counter
-	forks         counter
-	mergeAttempts counter
-	merges        counter
-	mergeRejects  counter
-	ffSelected    counter
-	queries       [numQueryClasses]counter
-	querySat      counter
-	queryUnsat    counter
-	queryErr      counter
-	epochs        counter
-	checkpoints   counter
-	corpusTests   counter
-	traceDropped  counter
-	worklist      gauge
+	steps         atomic.Uint64
+	forks         atomic.Uint64
+	mergeAttempts atomic.Uint64
+	merges        atomic.Uint64
+	mergeRejects  atomic.Uint64
+	ffSelected    atomic.Uint64
+	queries       [numQueryClasses]atomic.Uint64
+	querySat      atomic.Uint64
+	queryUnsat    atomic.Uint64
+	queryErr      atomic.Uint64
+	epochs        atomic.Uint64
+	checkpoints   atomic.Uint64
+	corpusTests   atomic.Uint64
+	traceDropped  atomic.Uint64
+	// worklist is the worklist length the engine reported last.
+	worklist atomic.Uint64
 
 	queryLat  [numQueryClasses]histogram
 	mergeGate histogram
@@ -166,7 +120,7 @@ type Metrics struct {
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-func (m *Metrics) noteTraceDrop() { m.traceDropped.add(0, 1) }
+func (m *Metrics) noteTraceDrop() { m.traceDropped.Add(1) }
 
 // MetricsSnap is a point-in-time JSON view of the registry (schema
 // symmerge-metrics/v1). Counters are monotonic totals since the registry
@@ -217,23 +171,23 @@ func (m *Metrics) Snapshot() *MetricsSnap {
 	}
 	return &MetricsSnap{
 		Schema:         "symmerge-metrics/v1",
-		Steps:          m.steps.load(),
-		Forks:          m.forks.load(),
-		MergeAttempts:  m.mergeAttempts.load(),
-		Merges:         m.merges.load(),
-		MergeRejects:   m.mergeRejects.load(),
-		FFSelected:     m.ffSelected.load(),
-		QueriesSession: m.queries[QuerySession].load(),
-		QueriesCached:  m.queries[QueryCached].load(),
-		QuerySat:       m.querySat.load(),
-		QueryUnsat:     m.queryUnsat.load(),
-		QueryErr:       m.queryErr.load(),
+		Steps:          m.steps.Load(),
+		Forks:          m.forks.Load(),
+		MergeAttempts:  m.mergeAttempts.Load(),
+		Merges:         m.merges.Load(),
+		MergeRejects:   m.mergeRejects.Load(),
+		FFSelected:     m.ffSelected.Load(),
+		QueriesSession: m.queries[QuerySession].Load(),
+		QueriesCached:  m.queries[QueryCached].Load(),
+		QuerySat:       m.querySat.Load(),
+		QueryUnsat:     m.queryUnsat.Load(),
+		QueryErr:       m.queryErr.Load(),
 
-		Epochs:          m.epochs.load(),
-		Checkpoints:     m.checkpoints.load(),
-		CorpusTests:     m.corpusTests.load(),
-		TraceDropped:    m.traceDropped.load(),
-		Worklist:        m.worklist.load(),
+		Epochs:          m.epochs.Load(),
+		Checkpoints:     m.checkpoints.Load(),
+		CorpusTests:     m.corpusTests.Load(),
+		TraceDropped:    m.traceDropped.Load(),
+		Worklist:        m.worklist.Load(),
 		QueryLatSession: m.queryLat[QuerySession].snapshot(),
 		QueryLatCached:  m.queryLat[QueryCached].snapshot(),
 		MergeGate:       m.mergeGate.snapshot(),

@@ -1,6 +1,6 @@
 // Package obs is the exploration observability layer: a structured JSONL
-// trace-event stream (schema symmerge-trace/v1), a registry of sharded
-// atomic counters/gauges and fixed-bucket latency histograms, and the
+// trace-event stream (schema symmerge-trace/v1), a registry of atomic
+// counters, a gauge and fixed-bucket latency histograms, and the
 // converters/validators the tooling builds on (Chrome trace-event export,
 // per-line schema validation).
 //
@@ -193,7 +193,7 @@ func (o *Observer) Fork(parent, child uint64, fn, pc int) {
 		return
 	}
 	if m := o.run.met; m != nil {
-		m.forks.add(o.lane, 1)
+		m.forks.Add(1)
 	}
 	if s := o.run.sink; s != nil {
 		b := o.head(EvFork)
@@ -211,7 +211,7 @@ func (o *Observer) MergeAttempt(a, b uint64, fn, pc int) {
 		return
 	}
 	if m := o.run.met; m != nil {
-		m.mergeAttempts.add(o.lane, 1)
+		m.mergeAttempts.Add(1)
 	}
 	if s := o.run.sink; s != nil {
 		buf := o.head(EvMergeAttempt)
@@ -230,7 +230,7 @@ func (o *Observer) MergeAccept(a, b, merged uint64, dur time.Duration) {
 		return
 	}
 	if m := o.run.met; m != nil {
-		m.merges.add(o.lane, 1)
+		m.merges.Add(1)
 		m.mergeGate.observe(dur)
 	}
 	if s := o.run.sink; s != nil {
@@ -252,7 +252,7 @@ func (o *Observer) MergeReject(a, b uint64, reason string, qt, threshold float64
 		return
 	}
 	if m := o.run.met; m != nil {
-		m.mergeRejects.add(o.lane, 1)
+		m.mergeRejects.Add(1)
 		m.mergeGate.observe(dur)
 	}
 	if s := o.run.sink; s != nil {
@@ -293,15 +293,15 @@ func (o *Observer) QueryEnd(qid uint64, class QueryClass, sat, failed bool, dur 
 		return
 	}
 	if m := o.run.met; m != nil {
-		m.queries[class].add(o.lane, 1)
+		m.queries[class].Add(1)
 		m.queryLat[class].observe(dur)
 		switch {
 		case failed:
-			m.queryErr.add(o.lane, 1)
+			m.queryErr.Add(1)
 		case sat:
-			m.querySat.add(o.lane, 1)
+			m.querySat.Add(1)
 		default:
-			m.queryUnsat.add(o.lane, 1)
+			m.queryUnsat.Add(1)
 		}
 	}
 	if s := o.run.sink; s != nil {
@@ -326,7 +326,7 @@ func (o *Observer) FFSelect(state uint64, fn, pc int) {
 		return
 	}
 	if m := o.run.met; m != nil {
-		m.ffSelected.add(o.lane, 1)
+		m.ffSelected.Add(1)
 	}
 	if s := o.run.sink; s != nil {
 		b := o.head(EvFFSelect)
@@ -344,7 +344,7 @@ func (o *Observer) Epoch(seq uint64, seeds int) {
 		return
 	}
 	if m := o.run.met; m != nil {
-		m.epochs.add(o.lane, 1)
+		m.epochs.Add(1)
 	}
 	if s := o.run.sink; s != nil {
 		b := o.head(EvEpoch)
@@ -361,7 +361,7 @@ func (o *Observer) Checkpoint(seq uint64, states int, failed bool) {
 		return
 	}
 	if m := o.run.met; m != nil {
-		m.checkpoints.add(o.lane, 1)
+		m.checkpoints.Add(1)
 	}
 	if s := o.run.sink; s != nil {
 		b := o.head(EvCheckpoint)
@@ -380,7 +380,7 @@ func (o *Observer) CorpusEmit(n int) {
 		return
 	}
 	if m := o.run.met; m != nil {
-		m.corpusTests.add(o.lane, uint64(n))
+		m.corpusTests.Add(uint64(n))
 	}
 	if s := o.run.sink; s != nil {
 		b := o.head(EvCorpusEmit)
@@ -400,13 +400,13 @@ func (o *Observer) StepStart() time.Time {
 }
 
 // StepDone closes a step timing window: throughput counter, step-latency
-// histogram, and the lane's worklist-length gauge.
+// histogram, and the worklist-length gauge.
 func (o *Observer) StepDone(t0 time.Time, worklist int) {
 	if o == nil || o.run.met == nil || t0.IsZero() {
 		return
 	}
 	m := o.run.met
-	m.steps.add(o.lane, 1)
+	m.steps.Add(1)
 	m.stepLat.observe(time.Since(t0))
-	m.worklist.set(o.lane, uint64(worklist))
+	m.worklist.Store(uint64(worklist))
 }

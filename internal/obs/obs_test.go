@@ -103,8 +103,8 @@ func TestMetricsCountersAndHistograms(t *testing.T) {
 	if sn.CorpusTests != 3*n {
 		t.Errorf("corpus = %d, want %d", sn.CorpusTests, 3*n)
 	}
-	if sn.Worklist != lanes*11 {
-		t.Errorf("worklist gauge = %d, want %d", sn.Worklist, lanes*11)
+	if sn.Worklist != 11 {
+		t.Errorf("worklist gauge = %d, want the last reported length, 11", sn.Worklist)
 	}
 	for name, h := range map[string]HistSnap{
 		"query_lat_session": sn.QueryLatSession,

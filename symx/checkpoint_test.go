@@ -18,8 +18,8 @@ import (
 )
 
 // stepUntilSnapshot advances the engine and returns its frontier plus its
-// progress-so-far, as the checkpoint driver does at each interval.
-func stepUntilSnapshot(eng *core.Engine, steps int) (core.Frontier, *core.Result, bool) {
+// progress so far, as the checkpointing driver does at each interval.
+func stepUntilSnapshot(eng *core.Engine, steps int) (core.Frontier, core.Progress, bool) {
 	st := eng.StepN(steps)
 	return eng.Snapshot(), eng.Progress(), st == core.RunDrained
 }
@@ -37,10 +37,10 @@ func drainEngine(eng *core.Engine) *core.Result {
 // frontiers over randomly generated programs (heap-using ones included).
 // Every frontier must (a) decode through the producing builder without
 // minting a node, proving the table loses nothing the hash-cons would
-// distinguish; (b) restore into a fresh engine that does not merge, whose
-// own snapshot is byte-identical, proving a resumed process reconstructs
-// the exact snapshot it would itself write; and (c) restore into a fresh
-// engine of the producing configuration and keep exploring.
+// distinguish; (b) restore into a fresh engine of the producing
+// configuration, whose own snapshot and progress are byte-identical,
+// proving a resumed process reconstructs the exact snapshot it would
+// itself write; and (c) keep exploring there.
 func FuzzStateRoundTrip(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 7, 11, 42, 20260807} {
 		f.Add(seed, uint8(20))
@@ -64,7 +64,7 @@ func FuzzStateRoundTrip(f *testing.F) {
 		eng := NewEngine(p, cfg)
 		eng.Begin(true)
 		eng.StepN(1 + int(steps))
-		fr := eng.Snapshot()
+		fr, pr := eng.Snapshot(), eng.Progress()
 		enc1, err := json.Marshal(&fr)
 		if err != nil {
 			t.Fatal(err)
@@ -79,14 +79,12 @@ func FuzzStateRoundTrip(f *testing.F) {
 			t.Fatalf("decoding through the producing builder minted %d nodes", n)
 		}
 
-		plain := cfg
-		plain.Merge, plain.UseQCE = MergeNone, false
-		eng2 := NewEngine(p, plain) // fresh engine = fresh builder
+		eng2 := NewEngine(p, cfg) // fresh engine = fresh builder
 		eng2.Begin(false)
-		if err := eng2.Restore(&fr); err != nil {
+		if err := eng2.Restore(&fr, &pr); err != nil {
 			t.Fatalf("restore into a fresh engine: %v", err)
 		}
-		fr2 := eng2.Snapshot()
+		fr2, pr2 := eng2.Snapshot(), eng2.Progress()
 		enc2, err := json.Marshal(&fr2)
 		if err != nil {
 			t.Fatal(err)
@@ -94,21 +92,28 @@ func FuzzStateRoundTrip(f *testing.F) {
 		if !bytes.Equal(enc1, enc2) {
 			t.Errorf("re-encoding diverged for program:\n%s", src)
 		}
-
-		eng3 := NewEngine(p, cfg)
-		eng3.Begin(false)
-		if err := eng3.Restore(&fr); err != nil {
-			t.Fatalf("restore under the producing config: %v", err)
+		pr.Stats.ElapsedSeconds, pr2.Stats.ElapsedSeconds = 0, 0
+		if a, b := mustJSON(t, pr), mustJSON(t, pr2); !bytes.Equal(a, b) {
+			t.Errorf("restored progress diverged:\n%s\nvs\n%s", a, b)
 		}
-		eng3.StepN(1 + int(steps))
+		eng2.StepN(1 + int(steps))
 	})
 }
 
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestSnapshotRestoreCensus proves the core crash-safety invariant at the
-// engine level: run half-way, snapshot, abandon the engine (the "crash"),
-// restore the frontier into a brand-new engine with a brand-new builder,
-// finish there, and combine the two halves — the census must equal an
-// uninterrupted run's.
+// engine level: run part-way, snapshot, abandon the engine (the "crash"),
+// restore the frontier and progress into a brand-new engine with a
+// brand-new builder, and finish there — its result must carry the census
+// of an uninterrupted run.
 func TestSnapshotRestoreCensus(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	gen := &progGen{rng: rng}
@@ -138,11 +143,10 @@ func TestSnapshotRestoreCensus(t *testing.T) {
 
 			eng2 := NewEngine(p, cfg)
 			eng2.Begin(false)
-			if err := eng2.Restore(&fr); err != nil {
+			if err := eng2.Restore(&fr, &part1); err != nil {
 				t.Fatalf("iter %d: restore: %v", iter, err)
 			}
-			part2 := drainEngine(eng2)
-			combined := foldProgress(part1, part2, cfg.MaxTests)
+			combined := drainEngine(eng2)
 
 			if !combined.Completed {
 				t.Errorf("iter %d merge=%v: restored run did not complete", iter, cfg.Merge)
@@ -158,21 +162,21 @@ func TestSnapshotRestoreCensus(t *testing.T) {
 					combined.Stats.CoveredInstrs, combined.Stats.ErrorsFound,
 					src)
 			}
-			// The multiplicity census reproduces exactly only under a
-			// canonical schedule (SSM's static merge points + topological
-			// strategy). DSM merges whatever happens to coexist in the
-			// worklist, so a restored worklist can merge the same path set
-			// into different representatives — coverage and errors above are
-			// its determinism contract.
-			if cfg.Merge == MergeSSM &&
-				(combined.Stats.PathsMult.String() != full.Stats.PathsMult.String() ||
-					combined.Stats.PathsCompleted != full.Stats.PathsCompleted) {
-				t.Errorf("iter %d merge=%v: multiplicity census diverged after restore:\n"+
-					"  full:     paths=%s completed=%d\n"+
-					"  restored: paths=%s completed=%d\nprogram:\n%s",
+			// The multiplicity census, steps and merges reproduce exactly
+			// only under a canonical schedule (SSM's static merge points +
+			// topological strategy). DSM merges whatever happens to coexist
+			// in the worklist, so a restored worklist can merge the same
+			// path set into different representatives — coverage and errors
+			// above are its determinism contract.
+			if f, c := full.Stats, combined.Stats; cfg.Merge == MergeSSM &&
+				(c.PathsMult.String() != f.PathsMult.String() || c.PathsCompleted != f.PathsCompleted ||
+					c.Steps != f.Steps || c.Merges != f.Merges) {
+				t.Errorf("iter %d merge=%v: census diverged after restore:\n"+
+					"  full:     paths=%s completed=%d steps=%d merges=%d\n"+
+					"  restored: paths=%s completed=%d steps=%d merges=%d\nprogram:\n%s",
 					iter, cfg.Merge,
-					full.Stats.PathsMult, full.Stats.PathsCompleted,
-					combined.Stats.PathsMult, combined.Stats.PathsCompleted,
+					f.PathsMult, f.PathsCompleted, f.Steps, f.Merges,
+					c.PathsMult, c.PathsCompleted, c.Steps, c.Merges,
 					src)
 			}
 			checked++

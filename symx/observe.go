@@ -14,8 +14,8 @@ import (
 	"symmerge/internal/obs"
 )
 
-// Metrics is the sharded counter/gauge/histogram registry the engines feed
-// when Config.Metrics is set. Snapshot() is safe to call concurrently with
+// Metrics is the counter/gauge/histogram registry the engine feeds when
+// Config.Metrics is set. Snapshot() is safe to call concurrently with
 // the run; PublishMetrics exposes it over expvar.
 type Metrics = obs.Metrics
 
@@ -37,9 +37,9 @@ const progressSchema = "symmerge-progress/v1"
 // Config.Monitor attaches. Set it before Run and sample Progress() from any
 // goroutine: the engine publishes immutable snapshots, so reads never
 // block the exploration. A Monitor follows one run; attaching a second
-// engine replaces the first. A resumed checkpointed run reports this
-// invocation's progress only: the snapshot's earlier counters reach its
-// Result, not the Monitor.
+// engine replaces the first. A resumed checkpointed run's engine counts on
+// from its snapshot, so the Monitor reports the counters of the whole
+// exploration, as the run's Result does.
 type Monitor struct {
 	engine atomic.Pointer[core.Engine]
 	start  time.Time

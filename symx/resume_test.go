@@ -22,6 +22,7 @@ import (
 
 	"symmerge/internal/checkpoint"
 	"symmerge/internal/checkpoint/faultinject"
+	"symmerge/internal/core"
 	"symmerge/internal/coreutils"
 	"symmerge/internal/corpus"
 	"symmerge/symx"
@@ -433,6 +434,96 @@ func TestCheckpointedRunMatchesPlain(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// sortAtStdin5 is sort with one one-character argument and five stdin
+// bytes under ssm+qce, a canonical schedule of 243 steps.
+func sortAtStdin5(t *testing.T) (*symx.Program, symx.Config) {
+	p, tool := compileTool(t, "sort")
+	cfg := tool.BaseConfig()
+	cfg.ArgLen, cfg.StdinLen = 1, 5
+	cfg.Merge, cfg.UseQCE = symx.MergeSSM, true
+	return p, cfg
+}
+
+// census is the steps, merges and path multiplicity of a result.
+func census(res *symx.Result) [3]uint64 {
+	return [3]uint64{res.Stats.Steps, res.Stats.Merges, res.Stats.PathsMult.Uint64()}
+}
+
+// TestRestoreMakesNoMergeAttempt: a restored engine holds the snapshotted
+// worklist as it was, so Restore attempts no merge, and under SSM's
+// canonical schedule the resumed engine ends with the uninterrupted run's
+// steps, merges and paths. Total merge attempts are not pinned: the order
+// in which states at one stack are tried as merge candidates can differ
+// after a restore.
+func TestRestoreMakesNoMergeAttempt(t *testing.T) {
+	p, cfg := sortAtStdin5(t)
+	want := [3]uint64{243, 46, 122}
+	if got := census(symx.NewEngine(p, cfg).Run()); got != want {
+		t.Fatalf("uninterrupted run: steps, merges, paths = %v, want %v", got, want)
+	}
+
+	eng := symx.NewEngine(p, cfg)
+	eng.Begin(true)
+	if st := eng.StepN(121); st != core.RunMore {
+		t.Fatalf("run stopped after 121 steps: %v", st)
+	}
+	fr, pr := eng.Snapshot(), eng.Progress()
+
+	resumed := symx.NewEngine(p, cfg)
+	resumed.Begin(false)
+	if err := resumed.Restore(&fr, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resumed.Stats().MergeAttempts, pr.Stats.MergeAttempts; got != want {
+		t.Errorf("merge attempts after Restore = %d, snapshot has %d", got, want)
+	}
+	st := core.RunMore
+	for st == core.RunMore {
+		st = resumed.StepN(64)
+	}
+	res := resumed.Finish(st == core.RunDrained)
+	if got := census(res); !res.Completed || got != want {
+		t.Errorf("resumed run: completed=%v steps, merges, paths = %v, want %v", res.Completed, got, want)
+	}
+}
+
+// TestResumedRunCountsOn: a resumed checkpointed run continues its
+// snapshot's counters, so its Monitor and its Result agree on the steps of
+// the whole exploration, while MaxSteps bounds each invocation on its own.
+func TestResumedRunCountsOn(t *testing.T) {
+	p, cfg := sortAtStdin5(t)
+	ref := symx.Run(p, cfg)
+
+	cfg.CheckpointDir = t.TempDir()
+	cfg.MaxSteps = 100
+	for i, want := range []uint64{100, 200} {
+		cfg.Monitor = symx.NewMonitor()
+		res := symx.Run(p, cfg)
+		if res.Completed || res.Interrupted != symx.IntrBudget || res.Stats.Steps != want {
+			t.Fatalf("invocation %d: completed=%v interrupted=%s steps=%d, want a budget stop at %d",
+				i, res.Completed, res.Interrupted, res.Stats.Steps, want)
+		}
+		if got := cfg.Monitor.Progress().Steps; got != res.Stats.Steps {
+			t.Errorf("invocation %d: monitor steps %d, result steps %d", i, got, res.Stats.Steps)
+		}
+		cfg.Resume = true
+	}
+
+	cfg.MaxSteps = 0
+	cfg.Monitor = symx.NewMonitor()
+	res := symx.Run(p, cfg)
+	if !res.Completed {
+		t.Fatalf("last invocation did not complete: %s", res.Interrupted)
+	}
+	if got := cfg.Monitor.Progress().Steps; got != res.Stats.Steps {
+		t.Errorf("last invocation: monitor steps %d, result steps %d", got, res.Stats.Steps)
+	}
+	if got, want := census(res), census(ref); got != want || res.Stats.CoveredInstrs != ref.Stats.CoveredInstrs {
+		t.Errorf("resumed run: steps, merges, paths = %v, covered %d; uninterrupted: %v, covered %d",
+			got, res.Stats.CoveredInstrs, want, ref.Stats.CoveredInstrs)
 	}
 }
 

@@ -21,12 +21,14 @@ package symx
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/big"
 	"os"
 	"sync"
 	"time"
 
 	"symmerge/internal/analysis"
+	"symmerge/internal/checkpoint"
 	"symmerge/internal/core"
 	"symmerge/internal/corpus"
 	"symmerge/internal/ir"
@@ -34,7 +36,6 @@ import (
 	"symmerge/internal/obs"
 	"symmerge/internal/qce"
 	"symmerge/internal/search"
-	"symmerge/internal/solver"
 )
 
 // Program is a compiled MiniC program ready for symbolic exploration.
@@ -161,10 +162,6 @@ type Config struct {
 	ConcreteArgs  [][]byte
 	ConcreteStdin []byte
 
-	// DSMDelta is the fast-forwarding distance δ in basic blocks
-	// (default 8, the paper's value).
-	DSMDelta int
-
 	// Budgets; zero = unlimited. They bound this invocation: a resumed
 	// checkpointed run starts them afresh.
 	MaxSteps  uint64
@@ -207,12 +204,15 @@ type Config struct {
 
 	// CheckpointDir, when non-empty, makes the run crash-safe: every
 	// CheckpointEvery, and on every budget or cancellation stop, the run
-	// writes a versioned snapshot (internal/checkpoint format) of the live
-	// frontier, the cumulative progress counters, and the corpus writer's
-	// dedup state. Snapshots leave the exploration untouched: a run that is
-	// not killed explores exactly the schedule it explores without
-	// CheckpointDir. A killed run resumed with Resume converges to the
-	// same coverage, errors and corpus as an uninterrupted one.
+	// writes a versioned snapshot (internal/checkpoint format) of the
+	// engine's live frontier, its cumulative progress, and the corpus
+	// writer's dedup state. Snapshots leave the exploration untouched: a
+	// run that is not killed explores exactly the schedule it explores
+	// without CheckpointDir. A killed run resumed with Resume continues in
+	// a fresh engine that counts on from the snapshot — its Result, its
+	// Monitor and its own snapshots carry the counters of the whole
+	// exploration — and converges to the same coverage, errors and corpus
+	// as an uninterrupted one.
 	CheckpointDir string
 	// CheckpointEvery is the snapshot interval (default 30s). It grows to
 	// four times the cost of one snapshot when snapshots cost more.
@@ -234,10 +234,6 @@ type Config struct {
 	// coverage, and errors are byte-identical with it on or off. QCE keeps
 	// its liveness mask either way, so the merge gate does not change.
 	DisableAnalysis bool
-
-	// DisableSolverOpts turns off the solver's model reuse (the
-	// recent-model ring) for ablation measurements.
-	DisableSolverOpts bool
 
 	// TraceFile, when non-empty, streams a structured JSONL event trace
 	// (schema symmerge-trace/v1; see internal/obs and README
@@ -406,31 +402,86 @@ func configDescriptor(cfg Config, kind Strategy) string {
 		cfg.Merge, cfg.UseQCE, kind, cfg.Seed, cfg.NArgs, cfg.ArgLen, cfg.StdinLen)
 }
 
-// runSingle runs one configuration on one engine.
+// runSingle runs one configuration on one engine; it is the only driver.
+// With CheckpointDir set it steps the engine one step at a time, writes
+// snapshots between steps, and with Resume continues the newest snapshot
+// (see checkpoint.go).
 func runSingle(p *Program, cfg Config) *Result {
-	if cfg.CheckpointDir != "" {
-		return runCheckpointed(p, cfg)
-	}
 	if cfg.CorpusDir != "" {
 		cfg = applyCorpusImplications(cfg)
 	}
 	ccfg, kind, seed := coreConfig(p, cfg)
-
-	var writer *corpus.Writer
-	if cfg.CorpusDir != "" {
-		var err error
-		writer, err = corpus.NewWriter(cfg.CorpusDir, p.ir, cfg.CorpusLabel, configDescriptor(cfg, kind))
-		if err != nil {
-			return corpusFailure(err)
+	desc := configDescriptor(cfg, kind)
+	var pinfo corpus.ProgramInfo
+	var sn *checkpoint.Snapshot
+	if cfg.CheckpointDir != "" {
+		pinfo = corpus.ProgramInfo{Name: cfg.CorpusLabel, Hash: corpus.ProgramHash(p.ir), Locations: p.ir.NumLocations()}
+		if cfg.Resume {
+			var err error
+			if sn, err = loadSnapshot(cfg.CheckpointDir, pinfo, desc); err != nil {
+				return failedResult(err)
+			}
 		}
-		ccfg.TestSink = func(tc core.TestCase) { emitToWriter(writer, tc) }
 	}
 
-	res := newEngine(p, ccfg, kind, seed, cfg.Monitor).Run()
+	// The sink is bound before the engine exists; the writer behind it is
+	// opened once the engine has accepted the snapshot, so a refused one
+	// leaves the corpus directory alone.
+	var writer *corpus.Writer
+	if cfg.CorpusDir != "" {
+		ccfg.TestSink = func(tc core.TestCase) { emitToWriter(writer, tc) }
+	}
+	eng := newEngine(p, ccfg, kind, seed, cfg.Monitor)
+	eng.Begin(sn == nil)
+	if sn != nil {
+		if err := eng.Restore(&sn.Frontier, &sn.Progress); err != nil {
+			return failedResult(fmt.Errorf("checkpoint: snapshot %d: %w", sn.Seq, err))
+		}
+	}
+	if cfg.CorpusDir != "" {
+		var err error
+		if writer, err = openCorpus(p, cfg, desc, sn); err != nil {
+			return corpusFailure(err)
+		}
+	}
+
+	var ck *checkpointer
+	var status core.RunStatus
+	if cfg.CheckpointDir != "" {
+		ck = newCheckpointer(cfg, pinfo, desc, eng, writer, sn)
+		status = ck.run(cfg.CheckpointEvery)
+	} else {
+		status = eng.StepN(math.MaxInt) // until the worklist drains or the run stops
+	}
+	res := eng.Finish(status == core.RunDrained)
+	if ck != nil {
+		ck.finish(res)
+	}
 	if writer != nil {
 		res.CorpusErr = finishCorpus(writer, res)
 	}
 	return res
+}
+
+// openCorpus opens the run's corpus writer. A resumed run first moves torn
+// test files aside and then continues the snapshot's dedup state, less the
+// quarantined ids, so that the exploration regenerates their files.
+func openCorpus(p *Program, cfg Config, desc string, sn *checkpoint.Snapshot) (*corpus.Writer, error) {
+	var quarantined []string
+	if cfg.Resume {
+		var err error
+		if quarantined, err = corpus.ValidateDir(cfg.CorpusDir); err != nil {
+			return nil, err
+		}
+	}
+	w, err := corpus.NewWriter(cfg.CorpusDir, p.ir, cfg.CorpusLabel, desc)
+	if err != nil {
+		return nil, err
+	}
+	if sn != nil && sn.Corpus != nil {
+		w.RestoreState(sn.Corpus.Seen, sn.Corpus.Emitted, sn.Corpus.Skipped, quarantined)
+	}
+	return w, nil
 }
 
 // finishCorpus writes the manifest and fills the emission counters. A run
@@ -510,7 +561,6 @@ func coreConfig(p *Program, cfg Config) (core.Config, Strategy, int64) {
 		StdinLen:        cfg.StdinLen,
 		ConcreteArgs:    cfg.ConcreteArgs,
 		ConcreteStdin:   cfg.ConcreteStdin,
-		DSMDelta:        cfg.DSMDelta,
 		MaxSteps:        cfg.MaxSteps,
 		MaxTime:         cfg.MaxTime,
 		MaxStates:       cfg.MaxStates,
@@ -520,7 +570,6 @@ func coreConfig(p *Program, cfg Config) (core.Config, Strategy, int64) {
 		CanonicalTests:  cfg.CanonicalTests,
 		MaxTests:        cfg.MaxTests,
 		TrackExactPaths: cfg.TrackExactPaths,
-		SolverOpts:      solver.DefaultOptions(),
 		Obs:             cfg.obsRun,
 	}
 	if cfg.UseQCE {
@@ -528,9 +577,6 @@ func coreConfig(p *Program, cfg Config) (core.Config, Strategy, int64) {
 	}
 	if !cfg.DisableAnalysis {
 		ccfg.Analysis = p.staticFacts()
-	}
-	if cfg.DisableSolverOpts {
-		ccfg.SolverOpts = solver.Options{}
 	}
 	return ccfg, cfg.Strategy, cfg.Seed
 }
