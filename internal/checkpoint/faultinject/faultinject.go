@@ -12,9 +12,9 @@
 // discards every in-memory result, and resumes from the latest snapshot.
 //
 // All state is atomic so the hooks are race-clean when several explorations
-// run at once (concurrent daemon jobs, parallel tests); tests that arm
-// points must not run in parallel with each other (they share the global
-// countdowns).
+// run at once (concurrent explorations in one process, parallel tests);
+// tests that arm points must not run in parallel with each other (they
+// share the global countdowns).
 package faultinject
 
 import (

@@ -95,13 +95,12 @@ type Config struct {
 
 	// Budgets of one invocation; zero means unlimited. A restored engine
 	// starts them afresh (see Restore).
-	MaxSteps  uint64
-	MaxTime   time.Duration
-	MaxStates int // prune excess states beyond this worklist size
+	MaxSteps uint64
+	MaxTime  time.Duration
 
 	// Context, when non-nil, cancels the exploration early: the step loop
 	// polls it on the same cadence as the wall-clock deadline, so an
-	// interrupted CLI run or a draining daemon job stops promptly with
+	// interrupted CLI run or a caller's deadline stops it promptly with
 	// Completed=false.
 	Context context.Context
 
@@ -195,7 +194,6 @@ type Stats struct {
 	// MaxWorklist is the largest worklist the exploration held. Across a
 	// checkpoint resume it is the larger of the invocations' maxima.
 	MaxWorklist int
-	Pruned      uint64
 
 	// PrunedStatic is always 0: the engine no longer decides branch sides
 	// statically. It stays because cmd/symbench, a separately versioned
@@ -479,8 +477,8 @@ const (
 	IntrNone Interrupted = iota
 	// IntrBudget: a resource budget tripped (MaxSteps or MaxTime).
 	IntrBudget
-	// IntrContext: Config.Context was cancelled (Ctrl-C, a daemon drain or
-	// job deadline).
+	// IntrContext: Config.Context was cancelled (Ctrl-C or a caller's
+	// deadline).
 	IntrContext
 	// IntrCheckpoint: the run stopped early but its frontier was written to
 	// a checkpoint — the exploration is resumable, nothing was dropped.
@@ -615,9 +613,6 @@ func (e *Engine) stepOnce() bool {
 	e.obs.StepDone(t0, len(e.worklist))
 	if n := e.strategy.Len(); n > e.stats.MaxWorklist {
 		e.stats.MaxWorklist = n
-	}
-	if e.cfg.MaxStates > 0 {
-		e.pruneExcess()
 	}
 	if e.stats.Steps&63 == 0 {
 		e.publishProgress()
@@ -841,29 +836,6 @@ func (e *Engine) refreshFF(s *State) {
 				e.ffSet[o] = o.curHash
 			}
 		}
-	}
-}
-
-// pruneExcess drops the lowest-priority states beyond MaxStates, folding
-// their multiplicity into the prune counter (soundness note: pruning makes
-// the exploration incomplete, exactly like KLEE's state cap).
-func (e *Engine) pruneExcess() {
-	for e.strategy.Len() > e.cfg.MaxStates {
-		keep := e.strategy.Pick() // never prune the strategy's next choice
-		var victim *State
-		for w := range e.worklist {
-			if w == keep {
-				continue
-			}
-			if victim == nil || w.ID > victim.ID {
-				victim = w // deterministic: newest state goes first
-			}
-		}
-		if victim == nil {
-			return
-		}
-		e.removeState(victim)
-		e.stats.Pruned++
 	}
 }
 

@@ -288,12 +288,6 @@ type Loc struct {
 
 func (l Loc) String() string { return fmt.Sprintf("%d:%d", l.Fn, l.PC) }
 
-// FuncOf returns the function containing the location.
-func (p *Program) FuncOf(l Loc) *Func { return p.Funcs[l.Fn] }
-
-// InstrAt returns the instruction at the location.
-func (p *Program) InstrAt(l Loc) *Instr { return &p.Funcs[l.Fn].Instrs[l.PC] }
-
 // NumLocations returns the total number of (function, pc) locations,
 // used to size coverage bitmaps.
 func (p *Program) NumLocations() int {

@@ -64,7 +64,7 @@ func (r *refWorklist) PickTopo() *core.State {
 
 // TestRemovePreservesPickOrder is the regression test for the lazy-deletion
 // rewrite: removing states from arbitrary positions (as DSM fast-forwarding
-// and MaxStates pruning do) must leave the remaining LIFO/FIFO pick order
+// and merging do) must leave the remaining LIFO/FIFO pick order
 // intact — a swap-delete would pass the membership contract and still
 // corrupt it.
 func TestRemovePreservesPickOrder(t *testing.T) {

@@ -73,8 +73,8 @@ func New(kind Kind, ctx core.StrategyContext, seed int64) (core.Strategy, error)
 // stackStrategy explores newest-first (DFS) or oldest-first (BFS).
 //
 // Removal is order-preserving lazy deletion: the engine removes a state on
-// every scheduler step (and DSM's fast-forwarding and MaxStates pruning
-// remove states from arbitrary positions), so an eager O(n) splice — or a
+// every scheduler step (and DSM's fast-forwarding and merging remove states
+// from arbitrary positions), so an eager O(n) splice — or a
 // swap-delete, which would silently corrupt LIFO/FIFO order — made stepping
 // quadratic on large worklists. Instead, an index map locates the slot, the
 // slot becomes a tombstone (nil), and Pick skips and trims tombstones at the

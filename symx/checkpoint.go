@@ -135,8 +135,9 @@ func (c *checkpointer) finish(res *Result) {
 	if !res.Completed {
 		c.write()
 		if res.Interrupted == core.IntrContext && c.err == nil {
-			// Cancelled from outside (Ctrl-C, SIGTERM, a daemon drain): the
-			// snapshot just written makes the stop resumable.
+			// Cancelled from outside (Ctrl-C, SIGTERM, a caller's
+			// deadline): the snapshot just written makes the stop
+			// resumable.
 			res.Interrupted = core.IntrCheckpoint
 		}
 	}

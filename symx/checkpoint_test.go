@@ -2,8 +2,8 @@ package symx
 
 // Tests for the crash-safe exploration driver's building blocks that need
 // package-internal access: the frontier round-trip over generated programs
-// (FuzzStateRoundTrip), mid-run snapshot + restore census equality, and the
-// Interrupted cause classification.
+// (FuzzStateRoundTrip), mid-run snapshot + restore census equality, the
+// Interrupted cause classification, and the resume of a cancelled run.
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"symmerge/internal/core"
+	"symmerge/internal/corpus"
 	"symmerge/internal/expr"
 )
 
@@ -188,6 +189,21 @@ func TestSnapshotRestoreCensus(t *testing.T) {
 	t.Logf("checked %d snapshot/restore runs", checked)
 }
 
+// cancelOnPoll is a context that reports cancellation from its n-th Err
+// poll on, so that a cancellation lands mid-run at a deterministic step.
+// Only the engine's goroutine polls it.
+type cancelOnPoll struct {
+	context.Context
+	n int
+}
+
+func (c *cancelOnPoll) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestInterruptedCause pins the Result.Interrupted classification: budget
 // stops, plain context stops, and checkpointed context stops are told apart
 // so callers (paperbench, cmd/symx) can report why a run is incomplete.
@@ -221,5 +237,61 @@ func TestInterruptedCause(t *testing.T) {
 	}
 	if res.CheckpointErr != nil {
 		t.Errorf("checkpoint write failed: %v", res.CheckpointErr)
+	}
+}
+
+// TestCancelledCheckpointedRunResumes: a cancellation that lands mid-run
+// (Ctrl-C, SIGTERM, a caller's deadline) on a checkpointed run parks a
+// resumable snapshot. Resumed without the cancelling context, the run
+// completes with the census and the corpus of an uninterrupted run.
+func TestCancelledCheckpointedRunResumes(t *testing.T) {
+	p, err := Compile(echoSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDir := t.TempDir()
+	ref := Run(p, Config{NArgs: 1, ArgLen: 3, CorpusDir: refDir})
+	if !ref.Completed || ref.CorpusErr != nil {
+		t.Fatalf("uninterrupted run: completed=%v corpusErr=%v", ref.Completed, ref.CorpusErr)
+	}
+
+	// The cancellation lands on the context's fifth poll.
+	cfg := Config{
+		NArgs: 1, ArgLen: 3, Context: &cancelOnPoll{Context: context.Background(), n: 5},
+		CheckpointDir: t.TempDir(), CheckpointEvery: 10 * time.Millisecond,
+		CorpusDir: t.TempDir(),
+	}
+	res := Run(p, cfg)
+	if res.Completed || res.Interrupted != IntrCheckpoint || res.Stats.Steps == 0 {
+		t.Fatalf("cancelled checkpointed run: completed=%v interrupted=%q steps=%d, want a checkpoint stop mid-run",
+			res.Completed, res.Interrupted, res.Stats.Steps)
+	}
+	if res.CheckpointErr != nil {
+		t.Fatalf("checkpoint write failed: %v", res.CheckpointErr)
+	}
+
+	cfg.Context, cfg.Resume = nil, true
+	res = Run(p, cfg)
+	if !res.Completed || res.CheckpointErr != nil || res.CorpusErr != nil {
+		t.Fatalf("resumed run: completed=%v interrupted=%s checkpointErr=%v corpusErr=%v",
+			res.Completed, res.Interrupted, res.CheckpointErr, res.CorpusErr)
+	}
+	type census struct{ steps, merges, paths, covered uint64 }
+	of := func(r *Result) census {
+		return census{r.Stats.Steps, r.Stats.Merges, r.Stats.PathsMult.Uint64(), uint64(r.Stats.CoveredInstrs)}
+	}
+	if got, want := of(res), of(ref); got != want {
+		t.Errorf("resumed run: %+v; uninterrupted: %+v", got, want)
+	}
+	got, err := corpus.DirDigest(cfg.CorpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := corpus.DirDigest(refDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("resumed corpus digest %.12s, uninterrupted %.12s", got, want)
 	}
 }

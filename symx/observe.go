@@ -8,7 +8,6 @@ package symx
 
 import (
 	"sync/atomic"
-	"time"
 
 	"symmerge/internal/core"
 	"symmerge/internal/obs"
@@ -38,16 +37,14 @@ const progressSchema = "symmerge-progress/v1"
 // goroutine: the engine publishes immutable snapshots, so reads never
 // block the exploration. A Monitor follows one run; attaching a second
 // engine replaces the first. A resumed checkpointed run's engine counts on
-// from its snapshot, so the Monitor reports the counters of the whole
-// exploration, as the run's Result does.
+// from its snapshot, so the Monitor reports the counters and elapsed time
+// of the whole exploration, as the run's Result does.
 type Monitor struct {
 	engine atomic.Pointer[core.Engine]
-	start  time.Time
 }
 
-// NewMonitor returns an empty monitor whose elapsed-time clock starts now.
-// Attaching happens inside Run.
-func NewMonitor() *Monitor { return &Monitor{start: time.Now()} }
+// NewMonitor returns an empty monitor. Attaching happens inside Run.
+func NewMonitor() *Monitor { return &Monitor{} }
 
 // attach registers the run's engine; nil-safe on both sides so the factory
 // can call it unconditionally.
@@ -80,15 +77,13 @@ type Progress struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
 
-// Progress samples the attached engine's latest published snapshot.
-// Nil-safe: a nil monitor reports an empty document.
+// Progress samples the attached engine's latest published snapshot; every
+// field, the elapsed time included, comes from that one snapshot. Nil-safe:
+// a nil monitor reports an empty document.
 func (m *Monitor) Progress() Progress {
 	p := Progress{Schema: progressSchema}
 	if m == nil {
 		return p
-	}
-	if !m.start.IsZero() {
-		p.ElapsedSeconds = time.Since(m.start).Seconds()
 	}
 	e := m.engine.Load()
 	if e == nil {
@@ -109,6 +104,7 @@ func (m *Monitor) Progress() Progress {
 	p.CacheHits = st.Solver.ModelReuseHits
 	p.SATCalls = st.Solver.SATCalls
 	p.TotalInstrs = st.TotalInstrs
+	p.ElapsedSeconds = st.ElapsedSeconds
 	for _, c := range mask {
 		if c {
 			p.CoveredInstrs++

@@ -12,6 +12,7 @@ package symx_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -491,11 +492,26 @@ func TestRestoreMakesNoMergeAttempt(t *testing.T) {
 }
 
 // TestResumedRunCountsOn: a resumed checkpointed run continues its
-// snapshot's counters, so its Monitor and its Result agree on the steps of
-// the whole exploration, while MaxSteps bounds each invocation on its own.
+// snapshot's counters, so its Monitor and its Result agree on the steps and
+// the elapsed time of the whole exploration, while MaxSteps bounds each
+// invocation on its own.
 func TestResumedRunCountsOn(t *testing.T) {
 	p, cfg := sortAtStdin5(t)
 	ref := symx.Run(p, cfg)
+
+	// requireMonitorAgrees checks the Monitor against the Result. The
+	// Monitor's last snapshot is published after the Result's figures are
+	// taken, so its elapsed time may only be later.
+	requireMonitorAgrees := func(label string, res *symx.Result) {
+		t.Helper()
+		pr := cfg.Monitor.Progress()
+		if pr.Steps != res.Stats.Steps {
+			t.Errorf("%s: monitor steps %d, result steps %d", label, pr.Steps, res.Stats.Steps)
+		}
+		if pr.ElapsedSeconds < res.Stats.ElapsedSeconds {
+			t.Errorf("%s: monitor elapsed %.4fs, result elapsed %.4fs", label, pr.ElapsedSeconds, res.Stats.ElapsedSeconds)
+		}
+	}
 
 	cfg.CheckpointDir = t.TempDir()
 	cfg.MaxSteps = 100
@@ -506,9 +522,7 @@ func TestResumedRunCountsOn(t *testing.T) {
 			t.Fatalf("invocation %d: completed=%v interrupted=%s steps=%d, want a budget stop at %d",
 				i, res.Completed, res.Interrupted, res.Stats.Steps, want)
 		}
-		if got := cfg.Monitor.Progress().Steps; got != res.Stats.Steps {
-			t.Errorf("invocation %d: monitor steps %d, result steps %d", i, got, res.Stats.Steps)
-		}
+		requireMonitorAgrees(fmt.Sprintf("invocation %d", i), res)
 		cfg.Resume = true
 	}
 
@@ -518,9 +532,7 @@ func TestResumedRunCountsOn(t *testing.T) {
 	if !res.Completed {
 		t.Fatalf("last invocation did not complete: %s", res.Interrupted)
 	}
-	if got := cfg.Monitor.Progress().Steps; got != res.Stats.Steps {
-		t.Errorf("last invocation: monitor steps %d, result steps %d", got, res.Stats.Steps)
-	}
+	requireMonitorAgrees("last invocation", res)
 	if got, want := census(res), census(ref); got != want || res.Stats.CoveredInstrs != ref.Stats.CoveredInstrs {
 		t.Errorf("resumed run: steps, merges, paths = %v, covered %d; uninterrupted: %v, covered %d",
 			got, res.Stats.CoveredInstrs, want, ref.Stats.CoveredInstrs)
@@ -551,5 +563,36 @@ func TestContextCancelStopsPromptly(t *testing.T) {
 	}
 	if wall := time.Since(start); wall > 30*time.Second {
 		t.Fatalf("cancellation took %v; the context poll is not reaching the step loop", wall)
+	}
+}
+
+// TestDeadlineStopsRunningExploration: a context deadline that expires
+// while an exploration far too large to finish is under way stops it
+// promptly, and the Program stays usable: the static facts and QCE tables
+// the stopped run built serve a later run, which reaches the census it
+// reaches on a fresh Program.
+func TestDeadlineStopsRunningExploration(t *testing.T) {
+	fresh, small := sortAtStdin5(t)
+	want := census(symx.Run(fresh, small))
+
+	p, _ := sortAtStdin5(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	huge := small
+	huge.StdinLen = 16 // 12 bytes take seconds to explore; each byte more multiplies that
+	huge.Context = ctx
+	start := time.Now()
+	res := symx.Run(p, huge)
+	if res.Completed || res.Interrupted != symx.IntrContext || res.Stats.Steps == 0 {
+		t.Fatalf("run past its deadline: completed=%v interrupted=%s steps=%d, want a context stop mid-run",
+			res.Completed, res.Interrupted, res.Stats.Steps)
+	}
+	if wall := time.Since(start); wall > 30*time.Second {
+		t.Fatalf("the deadline stopped the run after %v; the context poll is not reaching the step loop", wall)
+	}
+
+	if res := symx.Run(p, small); !res.Completed || census(res) != want {
+		t.Errorf("run after the deadline stop: completed=%v steps, merges, paths = %v, want %v",
+			res.Completed, census(res), want)
 	}
 }

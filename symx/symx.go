@@ -164,13 +164,12 @@ type Config struct {
 
 	// Budgets; zero = unlimited. They bound this invocation: a resumed
 	// checkpointed run starts them afresh.
-	MaxSteps  uint64
-	MaxTime   time.Duration
-	MaxStates int
+	MaxSteps uint64
+	MaxTime  time.Duration
 
 	// Context, when non-nil, cancels the exploration early (Ctrl-C, a
-	// daemon drain or job deadline). The engine polls it on the deadline
-	// cadence and returns with Completed=false.
+	// caller's deadline). The engine polls it on the deadline cadence and
+	// returns with Completed=false.
 	Context context.Context
 
 	// CheckBounds turns out-of-bounds array accesses into path errors.
@@ -276,8 +275,8 @@ type TestCase = core.TestCase
 type PathError = core.PathError
 
 // Interrupted re-exports the early-stop cause enum, with its values, so
-// embedders (cmd/symxd) can distinguish a resumable checkpoint stop from a
-// plain cancellation without importing internal/core.
+// callers can distinguish a resumable checkpoint stop from a plain
+// cancellation without importing internal/core.
 type Interrupted = core.Interrupted
 
 const (
@@ -485,12 +484,11 @@ func openCorpus(p *Program, cfg Config, desc string, sn *checkpoint.Snapshot) (*
 }
 
 // finishCorpus writes the manifest and fills the emission counters. A run
-// that pruned states is recorded as incomplete (its manifest makes no
+// that stopped early is recorded as incomplete (its manifest makes no
 // parity promise), and dropped test generations (solver budget during the
 // model solve) become the corpus error that explains a later parity gap.
 func finishCorpus(writer *corpus.Writer, res *Result) error {
-	exhaustive := res.Completed && res.Stats.Pruned == 0
-	_, err := writer.Finalize(res.CoverageMask, exhaustive)
+	_, err := writer.Finalize(res.CoverageMask, res.Completed)
 	res.Stats.TestsEmitted, res.Stats.TestsDeduped = writer.Counts()
 	if err == nil && res.Stats.TestGenFailures > 0 {
 		err = fmt.Errorf("corpus: %d path ends produced no test (solver budget during model extraction); the corpus under-represents the exploration", res.Stats.TestGenFailures)
@@ -563,7 +561,6 @@ func coreConfig(p *Program, cfg Config) (core.Config, Strategy, int64) {
 		ConcreteStdin:   cfg.ConcreteStdin,
 		MaxSteps:        cfg.MaxSteps,
 		MaxTime:         cfg.MaxTime,
-		MaxStates:       cfg.MaxStates,
 		Context:         cfg.Context,
 		CheckBounds:     cfg.CheckBounds,
 		CollectTests:    cfg.CollectTests,

@@ -175,17 +175,6 @@ func TestMaxStepsBudget(t *testing.T) {
 	}
 }
 
-func TestMaxStatesPruning(t *testing.T) {
-	p := MustCompile(echoSrc)
-	res := Run(p, Config{NArgs: 2, ArgLen: 4, MaxStates: 4, MaxSteps: 5000, Strategy: StrategyBFS})
-	if res.Stats.MaxWorklist > 8 {
-		t.Fatalf("worklist grew to %d despite MaxStates=4", res.Stats.MaxWorklist)
-	}
-	if res.Stats.Pruned == 0 {
-		t.Fatal("no states pruned on an exponential workload with MaxStates=4")
-	}
-}
-
 func TestTimeBudget(t *testing.T) {
 	p := MustCompile(echoSrc)
 	// Sized so the run cannot finish within the budget even with the
