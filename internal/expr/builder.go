@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -87,20 +88,30 @@ func sameExpr(a, e *Expr) bool {
 	return true
 }
 
-// mk interns e, returning the canonical node. All of e's derived fields are
-// filled in before the node is published into the table, so every reader —
-// whether it got the pointer from this call or from a later lookup under
-// the lock — sees a fully initialized, immutable node.
-func (b *Builder) mk(e *Expr) *Expr {
-	h := hashExpr(e)
+// mk interns the node that the probe p describes and returns the canonical
+// node. p is a template the caller may keep on its stack: a hit allocates
+// nothing, and only a miss copies p and its operand list into a fresh node.
+// All of the node's derived fields are filled in before it is published into
+// the table, so every reader — whether it got the pointer from this call or
+// from a later lookup under the lock — sees a fully initialized, immutable
+// node.
+func (b *Builder) mk(p *Expr) *Expr {
+	h := hashExpr(p)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, cand := range b.table[h] {
-		if sameExpr(cand, e) {
+		if sameExpr(cand, p) {
 			return cand
 		}
 	}
-	e.symbolic = e.Kind == KVar
+	// Copying the name's bytes, not only its header, keeps p's contents
+	// from escaping: escape analysis does not tell p's fields apart, so a
+	// stored name would move the caller's operand list to the heap too.
+	e := &Expr{Kind: p.Kind, Width: p.Width, Val: p.Val, Aux: p.Aux, Name: strings.Clone(p.Name),
+		symbolic: p.Kind == KVar}
+	if len(p.Kids) > 0 {
+		e.Kids = append([]*Expr(nil), p.Kids...)
+	}
 	for _, k := range e.Kids {
 		if k.home != b.home {
 			// A walk down from a node must stay in its builder: tables

@@ -7,6 +7,7 @@ package expr
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -157,4 +158,24 @@ func TestNodeMapRefusesForeignNodes(t *testing.T) {
 	}()
 	b := NewBuilder()
 	b.Add(b.Var("x", 8), x1)
+}
+
+// TestNodeMapGrowthIsLogarithmic pins that a NodeMap filled in ID order up
+// to n IDs allocates O(log n) times: its slots grow by doubling.
+func TestNodeMapGrowthIsLogarithmic(t *testing.T) {
+	const n = 1 << 14
+	b := NewBuilder()
+	nodes := make([]*Expr, n)
+	for i := range nodes {
+		nodes[i] = b.Const(uint64(i), 32)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		var m NodeMap[int32]
+		for i, e := range nodes {
+			m.Put(e, int32(i))
+		}
+	})
+	if limit := bits.Len(n) + 1; allocs > float64(limit) {
+		t.Errorf("filling a NodeMap to %d IDs allocates %v times, want at most %d", n, allocs, limit)
+	}
 }

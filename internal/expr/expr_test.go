@@ -407,3 +407,40 @@ func TestWidthPanics(t *testing.T) {
 	mustPanic("const width 0", func() { b.Const(1, 0) })
 	mustPanic("const width 65", func() { b.Const(1, 65) })
 }
+
+// TestHashConsHitAllocatesNothing pins that a constructor whose node
+// already exists allocates nothing: the builder looks its probe up without
+// allocating and makes the node and its operand list only on a miss.
+func TestHashConsHitAllocatesNothing(t *testing.T) {
+	b := NewBuilder()
+	x, y, r := b.Var("x", 8), b.Var("y", 8), b.Var("r", 0)
+	p, q := b.Ult(x, y), b.Eq(x, b.Const(3, 8))
+	for _, c := range []struct {
+		name  string
+		build func() *Expr
+	}{
+		{"const", func() *Expr { return b.Const(7, 8) }},
+		{"var", func() *Expr { return b.Var("x", 8) }},
+		{"not", func() *Expr { return b.Not(p) }},
+		{"and", func() *Expr { return b.And(p, q) }},
+		{"or", func() *Expr { return b.Or(q, r) }},
+		{"and of three", func() *Expr { return b.AndN([]*Expr{p, q, r}) }},
+		{"eq", func() *Expr { return b.Eq(x, y) }},
+		{"ult", func() *Expr { return b.Ult(y, x) }},
+		{"add", func() *Expr { return b.Add(x, y) }},
+		{"neg", func() *Expr { return b.Neg(x) }},
+		{"zext", func() *Expr { return b.ZExt(x, 16) }},
+		{"extract", func() *Expr { return b.Extract(x, 2, 3) }},
+		{"ite", func() *Expr { return b.Ite(p, x, y) }},
+	} {
+		want := c.build()
+		allocs := testing.AllocsPerRun(100, func() {
+			if c.build() != want {
+				t.Fatalf("%s: a second build returned another node", c.name)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a hash-cons hit allocates %v objects, want 0", c.name, allocs)
+		}
+	}
+}

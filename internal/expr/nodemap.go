@@ -3,8 +3,9 @@ package expr
 import "fmt"
 
 // NodeMap maps the nodes of one Builder to values of type V. It is a slice
-// indexed by node ID that grows to the largest ID stored, so a lookup is an
-// index and a stamp compare, not a hash probe. Each slot carries the epoch
+// indexed by node ID that grows past the largest ID stored by doubling, so a
+// lookup is an index and a stamp compare, not a hash probe, and a map filled
+// up to n IDs reallocates O(log n) times. Each slot carries the epoch
 // it was written in and only the current epoch's slots count, so Clear
 // forgets every entry in O(1); the slots are zeroed only when the 32-bit
 // epoch wraps around.
@@ -58,13 +59,16 @@ func (m *NodeMap[V]) Put(e *Expr, v V) {
 		}
 	}
 	if n := uint64(len(m.slots)); e.id >= n {
-		m.slots = append(m.slots, make([]nodeSlot[V], e.id+1-n)...)
+		// New slots carry epoch 0, which is never live.
+		slots := make([]nodeSlot[V], max(e.id+1, 2*n))
+		copy(slots, m.slots)
+		m.slots = slots
 	}
 	m.slots[e.id] = nodeSlot[V]{v, m.epoch}
 }
 
-// Len returns the number of entries, in time proportional to the largest
-// ID m has held.
+// Len returns the number of entries, in time proportional to the number of
+// slots m has grown.
 func (m *NodeMap[V]) Len() int {
 	n := 0
 	for i := range m.slots {

@@ -18,6 +18,8 @@ package expr
 // rebuilds an existing expression bottom-up through the constructors.
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -142,8 +144,10 @@ func (b *Builder) naryBool(k Kind, es []*Expr) *Expr {
 	}
 
 	// Flatten nested nodes of the same kind and strip unit elements; the
-	// zero element annihilates immediately.
-	kids := make([]*Expr, 0, len(es)+4)
+	// zero element annihilates immediately. The list starts on the stack:
+	// mk copies it only when the node is new.
+	var buf [8]*Expr
+	kids := buf[:0]
 	for _, e := range es {
 		switch {
 		case e == zero:
@@ -162,7 +166,7 @@ func (b *Builder) naryBool(k Kind, es []*Expr) *Expr {
 	// Canonical commutative order + duplicate elimination. Nested kids are
 	// already duplicate-free, but flattening two sets can re-introduce
 	// overlaps, so the scan runs over the merged list.
-	sort.Slice(kids, func(i, j int) bool { return kids[i].id < kids[j].id })
+	slices.SortFunc(kids, func(x, y *Expr) int { return cmp.Compare(x.id, y.id) })
 	w := 0
 	for i, e := range kids {
 		if i > 0 && e == kids[i-1] {

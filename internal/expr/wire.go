@@ -216,9 +216,5 @@ func (b *Builder) Intern(kind Kind, width uint8, val uint64, aux uint16, name st
 	if kind != KZExt && kind != KExtract {
 		aux = 0
 	}
-	e := &Expr{Kind: kind, Width: width, Val: val, Aux: aux, Name: name}
-	if len(kids) > 0 {
-		e.Kids = append([]*Expr(nil), kids...)
-	}
-	return b.mk(e), nil
+	return b.mk(&Expr{Kind: kind, Width: width, Val: val, Aux: aux, Name: name, Kids: kids}), nil
 }

@@ -12,12 +12,12 @@ type heap struct {
 
 func (h *heap) push(v int) {
 	for len(h.pos) <= v {
-		h.pos = append(h.pos, -1)
+		h.pos = append(grow(h.pos, 1), -1)
 	}
 	if h.pos[v] >= 0 {
 		return
 	}
-	h.data = append(h.data, int32(v))
+	h.data = append(grow(h.data, 1), int32(v))
 	h.up(len(h.data) - 1)
 }
 

@@ -10,8 +10,8 @@
 //
 // # Layout
 //
-// The search structures hold no pointers, after MiniSat (Eén & Sörensson,
-// "An Extensible SAT-solver", SAT 2003):
+// The search structures follow MiniSat (Eén & Sörensson, "An Extensible
+// SAT-solver", SAT 2003), and they allocate only to grow:
 //
 //   - Assignments are indexed by literal, so reading a literal's value is
 //     one byte load; assigning or unassigning a variable writes both of its
@@ -24,11 +24,22 @@
 //     owner (see Cones). A clause is named by its arena offset, and the
 //     clause lists, the reasons and the watchers hold offsets, so the
 //     garbage collector does not scan them.
+//   - Each literal's watch list is a slice of (offset, blocker) pairs.
+//     NewVar carves a new variable's two lists from a chunk shared by many
+//     variables, each capped at watchCap by a three-index slice: a list
+//     that outgrows its place moves to an array of its own when append
+//     copies it, and never writes into its neighbour's. Most lists stay in
+//     their chunk, so blasting a circuit allocates per chunk, not per
+//     literal.
 //   - Deleting a learnt clause leaves its words in the arena as waste. When
 //     the waste passes half the arena, the live clauses are copied into a
 //     fresh arena, problem clauses first, then learnts, and every watcher
 //     and reason is relocated. This runs only at the root level: at the
 //     start of Solve and at each restart.
+//   - The arena, the per-variable arrays, the watch-list chunks and the
+//     model buffer grow by doubling (grow), where append would grow a long
+//     slice by about 1.25×: an instance of n variables reallocates each of
+//     them O(log n) times.
 //
 // # Search order
 //
@@ -37,7 +48,8 @@
 // above does not change it. TestSearchTrace pins it; a change that alters
 // that search updates the test's table on purpose. SolveCone decides,
 // propagates and snapshots less, so its search differs from an
-// unrestricted one. Corpora depend on neither: they hold verdicts and
+// unrestricted one; TestSolveConeTrace pins it the same way. Corpora
+// depend on neither: they hold verdicts and
 // lexicographically minimal models, which any complete search returns. The
 // models of unpreferred calls do depend on the search, and so do the lines
 // `symx -tests` prints and every solver counter.
@@ -166,6 +178,20 @@ type watcher struct {
 	blocker Lit // if blocker is true the clause is satisfied; skip it
 }
 
+// watchCap is the capacity of each watch list NewVar carves from a chunk.
+const watchCap = 4
+
+// grow returns s with room for n more elements. When it must reallocate,
+// it at least doubles the capacity.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	t := make([]T, len(s), max(2*cap(s), len(s)+n, 16))
+	copy(t, s)
+	return t
+}
+
 // Stats counts solver activity across Solve calls.
 type Stats struct {
 	Solves       uint64 // Solve invocations (incremental callers reuse one instance)
@@ -193,7 +219,8 @@ type Solver struct {
 	waste   int   // arena words of deleted clauses
 	clauses []cref
 	learnts []cref
-	watches [][]watcher // indexed by literal
+	watches [][]watcher // indexed by literal; see the Layout section
+	chunk   []watcher   // the unused rest of the chunk NewVar carves lists from
 
 	trail    []Lit
 	trailLim []int // decision-level boundaries in trail
@@ -268,14 +295,20 @@ func (s *Solver) NumClauses() uint64 { return s.numAdded }
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.level)
-	s.vals = append(s.vals, lUndef, lUndef)
-	s.level = append(s.level, -1)
-	s.reason = append(s.reason, crefUndef)
-	s.activity = append(s.activity, 0)
-	s.phase = append(s.phase, false)
-	s.seen = append(s.seen, false)
-	s.inCone = append(s.inCone, false)
-	s.watches = append(s.watches, nil, nil)
+	s.vals = append(grow(s.vals, 2), lUndef, lUndef)
+	s.level = append(grow(s.level, 1), -1)
+	s.reason = append(grow(s.reason, 1), crefUndef)
+	s.activity = append(grow(s.activity, 1), 0)
+	s.phase = append(grow(s.phase, 1), false)
+	s.seen = append(grow(s.seen, 1), false)
+	s.inCone = append(grow(s.inCone, 1), false)
+	if len(s.chunk) < 2*watchCap {
+		// A chunk holds the lists of as many variables as there are.
+		s.chunk = make([]watcher, 2*watchCap*max(v, 16))
+	}
+	c := s.chunk
+	s.watches = append(grow(s.watches, 2), c[:0:watchCap], c[watchCap:watchCap:2*watchCap])
+	s.chunk = c[2*watchCap:]
 	s.order.push(v)
 	return v
 }
@@ -308,7 +341,7 @@ func (s *Solver) alloc(lits []Lit, learnt bool) cref {
 	if learnt {
 		hdr |= 1
 	}
-	s.arena = append(s.arena, hdr, 0, 0)
+	s.arena = append(grow(s.arena, clauseHdr+len(lits)), hdr, 0, 0)
 	s.arena = append(s.arena, lits...)
 	return c
 }
@@ -727,15 +760,15 @@ func (s *Solver) detach(c cref) {
 	}
 }
 
-// compact copies the live clauses into a fresh arena, problem clauses first,
-// then learnts, and relocates every watcher and reason in place. It runs at
-// the root level, where every assigned variable is a root assignment; their
-// reasons are relocated rather than cleared, because isReason keeps those
-// clauses from deletion. Each moved clause leaves its new offset in its old
-// header word.
+// compact copies the live clauses into a fresh arena of twice their size,
+// problem clauses first, then learnts, and relocates every watcher and
+// reason in place. It runs at the root level, where every assigned variable
+// is a root assignment; their reasons are relocated rather than cleared,
+// because isReason keeps those clauses from deletion. Each moved clause
+// leaves its new offset in its old header word.
 func (s *Solver) compact() {
 	from := s.arena
-	s.arena = make([]Lit, 0, len(from)-s.waste)
+	s.arena = make([]Lit, 0, 2*(len(from)-s.waste))
 	for _, cs := range [2][]cref{s.clauses, s.learnts} {
 		for i, c := range cs {
 			end := int(c) + clauseHdr + int(from[c]>>1)
@@ -806,10 +839,7 @@ func (s *Solver) solve(assumptions []Lit) Status {
 // every variable outside the cone, read as false.
 func (s *Solver) snapshot() {
 	n := s.NumVars()
-	if cap(s.model) < n {
-		s.model = make([]bool, n)
-	}
-	s.model = s.model[:n]
+	s.model = grow(s.model[:0], n)[:n]
 	if s.cone == nil {
 		for v := range s.model {
 			s.model[v] = s.vals[MkLit(v, false)] == lTrue

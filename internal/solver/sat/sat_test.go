@@ -364,3 +364,24 @@ func TestSolveConeRootUnitReachesDormantClauses(t *testing.T) {
 		t.Fatalf("unrestricted call under ¬z: %v, want unsat", st)
 	}
 }
+
+// TestAddClauseAllocatesNoObjectPerLiteral pins that watch lists share
+// chunks: adding clauses whose watch lists fit their first chunk allocates
+// a number of objects that grows with the doublings of the solver's
+// arrays, not one per watched literal.
+func TestAddClauseAllocatesNoObjectPerLiteral(t *testing.T) {
+	const n = 1 << 12
+	allocs := testing.AllocsPerRun(5, func() {
+		s := New()
+		for range n {
+			s.NewVar()
+		}
+		// Every literal is watched by at most one clause.
+		for v := 0; v+1 < n; v++ {
+			s.AddClause(MkLit(v, false), MkLit(v+1, true))
+		}
+	})
+	if allocs >= n/16 {
+		t.Errorf("%d variables and %d binary clauses allocate %v objects, want under %d", n, n-1, allocs, n/16)
+	}
+}

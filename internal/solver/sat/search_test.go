@@ -239,3 +239,233 @@ func TestCompactionRelocatesRootReasons(t *testing.T) {
 		t.Fatal("reduceDB deleted the learnt clause that implies x0 at the root")
 	}
 }
+
+// coneSpec describes one seeded SolveCone sequence over a circuit encoded
+// the way package solver encodes its queries. The circuit has blocks, each
+// with its own input variables and gates over them: mostly 3-input ors,
+// with some majorities and 3-input xors. Each gate's Tseitin clauses are
+// owned by it, and each gate is also a constraint: its literal behind a
+// fresh activation literal a, with the clause (¬a ∨ gate) owned by a. The
+// circuit grows from half its gates to all of them over the calls. A call
+// assumes about four constraints per input of one or two blocks, near the
+// satisfiability threshold; every third call also prefers the negated
+// inputs of its first block, as a minimal-model probe does. It solves
+// within the cone those literals reach, so the other blocks stay dormant.
+// Every fourth Sat call is followed by a unit clause that pins one input of
+// its cone to its model value.
+type coneSpec struct {
+	seed           int64
+	blocks, inputs int // inputs per block
+	gates          int // gates per block once the circuit is complete
+	calls          int
+}
+
+// coneCircuit is the instance of a coneSpec as it grows.
+type coneCircuit struct {
+	s      *Solver
+	rng    *rand.Rand
+	inputs [][]int   // per block
+	cons   [][]Lit   // per block: the activation literals of its constraints
+	ins    [][]int32 // per variable: the variables it is a function of
+	owned  [][]Lit   // owned[i] is a clause owned by owners[i]
+	owners []int
+}
+
+// newVar allocates a variable that is a function of the variables of in.
+func (c *coneCircuit) newVar(in ...Lit) Lit {
+	vs := make([]int32, len(in))
+	for i, l := range in {
+		vs[i] = int32(l.Var())
+	}
+	c.ins = append(c.ins, vs)
+	return MkLit(c.s.NewVar(), false)
+}
+
+func (c *coneCircuit) def(owner Lit, lits ...Lit) {
+	c.s.AddOwnedClause(owner.Var(), lits...)
+	c.owned = append(c.owned, lits)
+	c.owners = append(c.owners, owner.Var())
+}
+
+// xor defines o = x ⊕ y.
+func (c *coneCircuit) xor(o, x, y Lit) {
+	c.def(o, o.Flip(), x, y)
+	c.def(o, o.Flip(), x.Flip(), y.Flip())
+	c.def(o, o, x, y.Flip())
+	c.def(o, o, x.Flip(), y)
+}
+
+// constraint adds a random gate over block b's inputs and its guard.
+func (c *coneCircuit) constraint(b int) {
+	in := c.inputs[b]
+	pick := func() Lit { return MkLit(in[c.rng.Intn(len(in))], c.rng.Intn(2) == 0) }
+	x, y, z := pick(), pick(), pick()
+	var o Lit
+	k := c.rng.Intn(16)
+	switch {
+	case k < 14: // o = x ∨ y ∨ z
+		o = c.newVar(x, y, z)
+		c.def(o, o, x.Flip())
+		c.def(o, o, y.Flip())
+		c.def(o, o, z.Flip())
+		c.def(o, o.Flip(), x, y, z)
+	case k == 14: // o = maj(x, y, z)
+		o = c.newVar(x, y, z)
+		c.def(o, o.Flip(), x, y)
+		c.def(o, o.Flip(), x, z)
+		c.def(o, o.Flip(), y, z)
+		c.def(o, o, x.Flip(), y.Flip())
+		c.def(o, o, x.Flip(), z.Flip())
+		c.def(o, o, y.Flip(), z.Flip())
+	default: // o = x ⊕ y ⊕ z, through t = x ⊕ y
+		t := c.newVar(x, y)
+		c.xor(t, x, y)
+		o = c.newVar(t, z)
+		c.xor(o, t, z)
+	}
+	if k >= 14 && c.rng.Intn(2) == 0 {
+		o = o.Flip() // an or is a clause; the others take either polarity
+	}
+	a := c.newVar(o)
+	c.def(a, a.Flip(), o)
+	c.cons[b] = append(c.cons[b], a)
+}
+
+// coneOf lists the variables roots reach through gate inputs, breadth-first,
+// as package solver's sessions compute a query's cone.
+func (c *coneCircuit) coneOf(roots ...[]Lit) []int32 {
+	mark := make([]bool, c.s.NumVars())
+	var cone []int32
+	for _, ls := range roots {
+		for _, l := range ls {
+			if v := int32(l.Var()); !mark[v] {
+				mark[v] = true
+				cone = append(cone, v)
+			}
+		}
+	}
+	for i := 0; i < len(cone); i++ {
+		for _, u := range c.ins[cone[i]] {
+			if !mark[u] {
+				mark[u] = true
+				cone = append(cone, u)
+			}
+		}
+	}
+	return cone
+}
+
+// runConeSeq runs sp on a fresh solver, calling each after every solve with
+// the verdict, the cone and the call's assumptions.
+func runConeSeq(sp coneSpec, each func(c *coneCircuit, st Status, cone []int32, assumps []Lit)) *Solver {
+	c := &coneCircuit{
+		s: New(), rng: rand.New(rand.NewSource(sp.seed)),
+		inputs: make([][]int, sp.blocks), cons: make([][]Lit, sp.blocks),
+	}
+	for b := range sp.blocks {
+		for range sp.inputs {
+			c.inputs[b] = append(c.inputs[b], c.newVar().Var())
+		}
+	}
+	for call := range sp.calls {
+		for b := range sp.blocks {
+			for len(c.cons[b]) < sp.gates*(call+sp.calls)/(2*sp.calls) {
+				c.constraint(b)
+			}
+		}
+		from := [2]int{c.rng.Intn(sp.blocks), c.rng.Intn(sp.blocks)}
+		if c.rng.Intn(2) == 0 {
+			from[1] = from[0]
+		}
+		assumps := make([]Lit, 4*sp.inputs+c.rng.Intn(sp.inputs/2))
+		for i := range assumps {
+			cs := c.cons[from[c.rng.Intn(2)]]
+			assumps[i] = cs[c.rng.Intn(len(cs))]
+		}
+		var prefer []Lit
+		if call%3 == 2 {
+			for _, v := range c.inputs[from[0]] {
+				prefer = append(prefer, MkLit(v, true))
+			}
+		}
+		cone := c.coneOf(assumps, prefer)
+		st := c.s.SolveCone(cone, prefer, assumps...)
+		each(c, st, cone, assumps)
+		if st == Sat && call%4 == 3 {
+			var in []int
+			for _, v := range cone {
+				if len(c.ins[v]) == 0 {
+					in = append(in, int(v))
+				}
+			}
+			v := in[c.rng.Intn(len(in))]
+			c.s.AddClause(MkLit(v, !c.s.Value(v)))
+		}
+	}
+	return c.s
+}
+
+// TestSolveConeTrace is TestSearchTrace for cone-restricted solves: it pins
+// the decisions, propagations, conflicts, learnt clauses and models of
+// seeded SolveCone sequences over growing instances with owned clauses and
+// dormant parts. Every Sat model must also satisfy the call's assumptions
+// and every clause owned inside its cone. The table was produced by running
+// this test body on the solver whose watch lists were separate slices,
+// grown by append; a change that alters the search must update it on
+// purpose (see the package doc).
+func TestSolveConeTrace(t *testing.T) {
+	want := []searchTrace{
+		{974, 14328, 76, 75, 0, 75, 177854487754718520},
+		{1150, 15202, 52, 51, 0, 51, 15096651080829009956},
+		{988, 15599, 93, 92, 0, 92, 1922632088817626689},
+		{886, 15772, 108, 108, 0, 108, 12966174212402695832},
+		{1356, 18179, 83, 81, 0, 81, 14066861426805964550},
+		{1423, 19473, 77, 74, 0, 74, 5342520076345421524},
+		{1164, 20490, 247, 247, 0, 247, 14872646653036694090},
+		{1550, 22569, 220, 218, 0, 218, 5442815838111839530},
+	}
+	var coneVars, allVars int
+	for i, w := range want {
+		sp := coneSpec{seed: int64(2000 + i), blocks: 4, inputs: 60 + 2*i, gates: 300 + 10*i, calls: 30}
+		h := fnv.New64a()
+		s := runConeSeq(sp, func(c *coneCircuit, st Status, cone []int32, assumps []Lit) {
+			coneVars += len(cone)
+			allVars += c.s.NumVars()
+			h.Write([]byte{byte(st)})
+			if st != Sat {
+				return
+			}
+			model := make([]byte, (c.s.NumVars()+7)/8)
+			for v := range c.s.NumVars() {
+				if c.s.Value(v) {
+					model[v/8] |= 1 << (v % 8)
+				}
+			}
+			h.Write(model)
+			for _, a := range assumps {
+				if !c.s.ValueLit(a) {
+					t.Fatalf("%+v: the model violates assumption %v", sp, a)
+				}
+			}
+			inCone := make([]bool, c.s.NumVars())
+			for _, v := range cone {
+				inCone[v] = true
+			}
+			for k, cl := range c.owned {
+				if inCone[c.owners[k]] && !slices.ContainsFunc(cl, c.s.ValueLit) {
+					t.Fatalf("%+v: the model violates clause %v owned by cone variable %d", sp, cl, c.owners[k])
+				}
+			}
+		})
+		st := s.Stats
+		got := searchTrace{st.Decisions, st.Propagations, st.Conflicts, st.Learnt, st.Restarts, st.MaxLearnt, h.Sum64()}
+		if got != w {
+			t.Errorf("sequence %d (%+v):\n got %+v\nwant %+v", i, sp, got, w)
+		}
+	}
+	// The table pins cone-restricted search only if most of each instance
+	// lies outside the cones.
+	if 2*coneVars >= allVars {
+		t.Fatalf("the cones held %d of %d variables over all calls; want under half", coneVars, allVars)
+	}
+}

@@ -52,7 +52,7 @@ type Stats struct {
 
 	// Incremental-session activity (see session.go).
 	SessionBlastReuse uint64 // conjuncts whose blasting was reused
-	SessionRebases    uint64 // persistent cores rebuilt at the size limit
+	SessionRebases    uint64 // cores rebuilt empty: at the size limit or for another builder's nodes
 
 	// CNF encoding effort: variables allocated and problem clauses
 	// emitted by bit-blasting, summed over queries. Only the delta a query
@@ -102,10 +102,11 @@ type Solver struct {
 
 	// recentModels is a small ring of models for the reuse fast path. Each
 	// slot is an evaluator over its model: a stored model is never mutated
-	// (remember keeps a clone, hits hand out clones), so the slot's
-	// node-value memo stays valid until remember refills the slot and
-	// resets the evaluator. A slot keeps its evaluator, and the memo's
-	// memory, across refills. Empty slots have a nil Env.
+	// (the ring keeps only models no caller holds, and hits hand out
+	// clones), so the slot's node-value memo stays valid until remember
+	// refills the slot and resets the evaluator. A slot keeps its
+	// evaluator, and the memo's memory, across refills. Empty slots have a
+	// nil Env.
 	recentModels [8]expr.Evaluator
 	recentNext   int
 
@@ -159,9 +160,10 @@ func (s *Solver) CheckSatIn(sess *Session, constraints []*expr.Expr) (bool, Mode
 }
 
 // checkSatIn implements CheckSatIn over the conjunction of pc and cond (nil
-// for none); needModel=false lets verdict-only callers (MayBeTrue's
-// branch-feasibility pattern, the hottest path in the engine) skip the
-// defensive model copy on model-reuse hits.
+// for none). needModel=false serves verdict-only callers (MayBeTrue's
+// branch-feasibility pattern, the hottest path in the engine): they get no
+// model, so a model-reuse hit hands out no copy, and a session solve's
+// model goes to the ring uncopied.
 func (s *Solver) checkSatIn(sess *Session, pc []*expr.Expr, cond *expr.Expr, needModel bool) (bool, Model, error) {
 	s.Stats.Queries++
 	live, ok := s.liveConjuncts(pc, cond)
@@ -248,7 +250,13 @@ func (s *Solver) decide(sess *Session, live []*expr.Expr, needModel bool) (bool,
 		return false, nil, obs.QuerySession, err
 	}
 	if res && s.opts.EnableModelReuse {
-		s.remember(m)
+		if !needModel {
+			// The model is fresh and the caller drops it: the ring takes it.
+			s.remember(m)
+			return true, nil, obs.QuerySession, nil
+		}
+		// The caller owns m and may merge bindings into it.
+		s.remember(cloneModel(m))
 	}
 	return res, m, obs.QuerySession, nil
 }
@@ -284,11 +292,11 @@ func (s *Solver) tryRecentModels(constraints []*expr.Expr) Model {
 	return nil
 }
 
+// remember stores m in the ring, evicting the oldest model. The ring owns m
+// from then on: no caller may hold it. The reset forgets the memo; the
+// evicted model's node values must not answer for this one.
 func (s *Solver) remember(m Model) {
-	// Retain a copy: the caller owns the returned model and may mutate it.
-	// The reset forgets the memo; the evicted model's node values must not
-	// answer for this one.
-	s.recentModels[s.recentNext].Reset(expr.Env(cloneModel(m)))
+	s.recentModels[s.recentNext].Reset(expr.Env(m))
 	s.recentNext = (s.recentNext + 1) % len(s.recentModels)
 }
 

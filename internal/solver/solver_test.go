@@ -229,7 +229,9 @@ func TestIteBlast(t *testing.T) {
 	}
 }
 
-func TestCexCache(t *testing.T) {
+// TestRepeatQueryAnsweredByModelReuse checks that a query asked again is
+// answered by the recent-model ring, without a SAT call.
+func TestRepeatQueryAnsweredByModelReuse(t *testing.T) {
 	b := expr.NewBuilder()
 	s := newTestSolver()
 	x := b.Var("x", 8)
@@ -615,5 +617,44 @@ func TestRecentModelsMatchReference(t *testing.T) {
 	if satMisses <= uint64(len(ring.models)) || refHits == 0 {
 		t.Fatalf("sequence too tame: %d SAT-sat answers (ring never wrapped?), %d reuse hits",
 			satMisses, refHits)
+	}
+}
+
+// TestVerdictOnlyQuerySkipsModelCopy pins that a verdict-only query
+// answered by a session solve hands the session's model to the recent-model
+// ring without copying it: MayBeTrueIn makes one map fewer than CheckSatIn
+// on the same query, whose caller keeps the model.
+func TestVerdictOnlyQuerySkipsModelCopy(t *testing.T) {
+	b := expr.NewBuilder()
+	x, y := b.Var("x", 8), b.Var("y", 8)
+	pc := []*expr.Expr{b.Ult(x, y)}
+	cond := b.Eq(b.Add(x, y), b.Const(100, 8))
+	query := []*expr.Expr{pc[0], cond}
+	var m Model
+	perQuery := func(ask func(s *Solver, sess *Session)) float64 {
+		return testing.AllocsPerRun(20, func() {
+			s := newTestSolver()
+			ask(s, s.NewSession())
+			if s.Stats.SATCalls != 1 {
+				t.Fatalf("%d SAT calls, want the query answered by one session solve", s.Stats.SATCalls)
+			}
+		})
+	}
+	may := perQuery(func(s *Solver, sess *Session) {
+		if ok, err := s.MayBeTrueIn(sess, pc, cond); !ok || err != nil {
+			t.Fatalf("MayBeTrueIn: %v %v", ok, err)
+		}
+	})
+	check := perQuery(func(s *Solver, sess *Session) {
+		ok, model, err := s.CheckSatIn(sess, query)
+		if !ok || err != nil {
+			t.Fatalf("CheckSatIn: %v %v", ok, err)
+		}
+		m = model
+	})
+	copies := testing.AllocsPerRun(20, func() { _ = cloneModel(m) })
+	if copies == 0 || check-may != copies {
+		t.Errorf("MayBeTrueIn allocates %v objects and CheckSatIn %v; want the difference to be one model copy (%v)",
+			may, check, copies)
 	}
 }
